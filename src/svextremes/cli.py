@@ -10,6 +10,7 @@ their outputs under --out and echo a JSON summary to stdout.
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path as FsPath
 
 import click
@@ -52,12 +53,28 @@ def _load_model(path: str):
 
 
 def _read_path_csv(path: str):
+    """The sigma and x columns of a path.csv, found by their header names.
+
+    Every row must hold a number in both columns: an empty or malformed
+    field, a short row or a file without data rows is rejected.
+    """
     try:
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        return np.asarray(data["sigma"], dtype=float), \
-            np.asarray(data["x"], dtype=float)
-    except (OSError, ValueError, KeyError) as e:
+        with open(path) as fh:
+            header = [name.strip() for name in fh.readline().split(",")]
+            missing = [c for c in ("sigma", "x") if c not in header]
+            if missing:
+                raise ValueError(f"missing column {', '.join(missing)}")
+            cols = (header.index("sigma"), header.index("x"))
+            with warnings.catch_warnings():
+                # loadtxt warns on a file without data rows, rejected below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2)
+        if data.shape[0] == 0:
+            raise ValueError("no data rows")
+    except (OSError, ValueError) as e:
         raise click.ClickException(f"bad path csv {path}: {e}")
+    sigma, x = np.ascontiguousarray(data.T)
+    return sigma, x
 
 
 def _get_series(ctx, model, input_csv, n, burn_in, series):
@@ -239,30 +256,31 @@ def theta_theory(ctx, which, model, alpha, m, mc_reps, tol, trunc_t):
     cfg = _load_model(model)
     seed = ctx.obj["seed"]
     threads = ctx.obj["threads"]
+    if mc_reps is None:
+        mc_reps = 1_000_000 if which in ("kesten", "theta-x-sre") else 200_000
     try:
         if which == "kesten":
             problem = theory.KestenProblem(cfg.pair_source)
-            r = theory.kesten_index(problem, mc_reps=mc_reps or 1_000_000,
-                                    tol=tol, seed=seed)
+            r = theory.kesten_index(problem, mc_reps=mc_reps, tol=tol,
+                                    seed=seed)
             out = {"which": which, **r.to_json()}
         else:
             if alpha is None:
                 raise click.ClickException("--alpha is required")
             if which == "theta-sigma":
                 problem = theory.KestenProblem(cfg.pair_source)
-                r = theory.theta_sigma_sre(problem, alpha,
-                                           mc_reps=mc_reps or 200_000,
+                r = theory.theta_sigma_sre(problem, alpha, mc_reps=mc_reps,
                                            trunc_T=trunc_t, seed=seed,
                                            threads=threads)
             elif which == "theta-x-sre":
                 problem = theory.KestenProblem(cfg.pair_source)
                 r = theory.theta_x_sre(problem, cfg.z, alpha, cfg.p, m,
-                                       mc_reps=mc_reps or 1_000_000,
-                                       seed=seed, threads=threads)
+                                       mc_reps=mc_reps, seed=seed,
+                                       threads=threads)
             else:
                 r = theory.theta_x_ma(cfg.psi, alpha, cfg.p, cfg.z,
-                                      mc_reps=mc_reps or 200_000,
-                                      seed=seed, threads=threads)
+                                      mc_reps=mc_reps, seed=seed,
+                                      threads=threads)
             out = {"which": which, **r.to_json()}
     except (ValueError, AttributeError) as e:
         raise click.ClickException(str(e))

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from .rng import RngSeed
 
@@ -28,7 +27,7 @@ __all__ = [
     "InnovationSpec",
     "std_normal", "student_t", "laplace", "pareto", "constant",
     "sample_innovation", "draw", "tail_prob",
-    "moment_abs", "moment_abs_mc", "moment_pos", "tail_balance_plus",
+    "moment_abs", "moment_abs_mc", "moment_pos",
 ]
 
 KINDS = ("std_normal", "student_t", "laplace", "pareto", "constant")
@@ -89,17 +88,6 @@ class InnovationSpec:
         kw = {k: obj[k] for k in ("df", "standardized", "rate", "alpha", "c") if k in obj}
         return InnovationSpec(kind, **kw)
 
-    # -- convenience ------------------------------------------------------
-    @property
-    def is_symmetric(self) -> bool:
-        if self.kind in ("std_normal", "laplace"):
-            return True
-        if self.kind == "student_t":
-            return True
-        if self.kind == "constant":
-            return self.c == 0
-        return False  # pareto is one-sided
-
     def _t_scale(self) -> float:
         # divisor turning t(df) into the standardized variant
         return math.sqrt(self.df / (self.df - 2.0)) if self.standardized else 1.0
@@ -153,11 +141,15 @@ def sample_innovation(spec: InnovationSpec, n: int, seed: RngSeed) -> np.ndarray
 
 def tail_prob(spec: InnovationSpec, x: float) -> float:
     """Exact P(V > x)."""
+    # scipy.special, not scipy.stats: the same values bit for bit, and
+    # importing the package stays free of scipy.stats
+    from scipy.special import ndtr, stdtr
+
     x = float(x)
     if spec.kind == "std_normal":
-        return float(stats.norm.sf(x))
+        return float(ndtr(-x))
     if spec.kind == "student_t":
-        return float(stats.t.sf(x * spec._t_scale(), spec.df))
+        return float(stdtr(spec.df, -x * spec._t_scale()))
     if spec.kind == "laplace":
         if x >= 0:
             return 0.5 * math.exp(-spec.rate * x)
@@ -165,10 +157,6 @@ def tail_prob(spec: InnovationSpec, x: float) -> float:
     if spec.kind == "pareto":
         return 1.0 if x < 1.0 else x ** (-spec.alpha)
     return 1.0 if x < spec.c else 0.0
-
-
-def _gammaln(v: float) -> float:
-    return math.lgamma(v)
 
 
 def moment_abs(spec: InnovationSpec, r: float) -> float:
@@ -186,9 +174,10 @@ def moment_abs(spec: InnovationSpec, r: float) -> float:
         return abs(spec.c) ** r
     if spec.kind == "std_normal":
         # E|N|^r = 2^(r/2) Gamma((r+1)/2) / sqrt(pi)
-        return math.exp(0.5 * r * math.log(2.0) + _gammaln((r + 1) / 2.0)) / math.sqrt(math.pi)
+        return (math.exp(0.5 * r * math.log(2.0) + math.lgamma((r + 1) / 2.0))
+                / math.sqrt(math.pi))
     if spec.kind == "laplace":
-        return math.exp(_gammaln(r + 1.0) - r * math.log(spec.rate))
+        return math.exp(math.lgamma(r + 1.0) - r * math.log(spec.rate))
     if spec.kind == "pareto":
         if r >= spec.alpha:
             raise ValueError("moment diverges")
@@ -197,8 +186,9 @@ def moment_abs(spec: InnovationSpec, r: float) -> float:
     if r >= spec.df:
         raise ValueError("moment diverges")
     val = math.exp(0.5 * r * math.log(spec.df)
-                   + _gammaln((r + 1) / 2.0) + _gammaln((spec.df - r) / 2.0)
-                   - _gammaln(spec.df / 2.0)) / math.sqrt(math.pi)
+                   + math.lgamma((r + 1) / 2.0)
+                   + math.lgamma((spec.df - r) / 2.0)
+                   - math.lgamma(spec.df / 2.0)) / math.sqrt(math.pi)
     return val / spec._t_scale() ** r
 
 
@@ -226,11 +216,3 @@ def moment_pos(spec: InnovationSpec, r: float) -> float:
     # remaining kinds are symmetric about 0
     return 0.5 * moment_abs(spec, r)
 
-
-def tail_balance_plus(spec: InnovationSpec) -> float:
-    """Tail balance constant p = lim P(V > x)/P(|V| > x)."""
-    if spec.kind == "pareto":
-        return 1.0
-    if spec.kind == "constant":
-        return 1.0 if spec.c > 0 else 0.0
-    return 0.5

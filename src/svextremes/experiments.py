@@ -28,7 +28,7 @@ from . import theory
 from .distributions import laplace, std_normal, student_t
 from .models import (DEFAULT_BURN_IN, ExpAr1Config, Garch11Pair, MaSvConfig,
                      Path, SreSvConfig, config_from_json, config_to_json,
-                     path_to_csv, simulate)
+                     path_to_csv, simulate, write_csv_rows)
 from .rng import RngSeed
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
@@ -235,10 +235,9 @@ def _write_extremogram_csv(fp: FsPath, r: est.ExtremogramResult) -> None:
 
 def _write_figure_csv(fp: FsPath, x: np.ndarray, lo: float,
                       hi: float) -> None:
-    lines = ["t,x,exceed_low,exceed_high"]
-    for t, v in enumerate(x):
-        lines.append(f"{t},{v:.17g},{int(v < lo)},{int(v > hi)}")
-    fp.write_text("\n".join(lines) + "\n")
+    with open(fp, "w") as fh:
+        write_csv_rows(fh, "t,x,exceed_low,exceed_high\n",
+                       "%d,%.17g,%d,%d\n", (x, x < lo, x > hi))
 
 
 def _json_default(o):
@@ -264,7 +263,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
     t0 = time.perf_counter()
     path = simulate(cfg.model, cfg.n, burn_in=cfg.burn_in, seed=cfg.seed)
     timings["simulate"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     path_to_csv(path, out / "path.csv")
+    timings["write_path_csv"] = time.perf_counter() - t0
 
     results = []
     seen = {}

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .distributions import InnovationSpec, draw, moment_abs
 from .rng import RngSeed
@@ -220,13 +219,27 @@ class Path:
 # generator(1) the multiplicative noise Z, generator(2) the B sequence of a
 # generic SRE pair.
 
-def simulate_exp_ar1(cfg: ExpAr1Config, n: int, burn_in: int = DEFAULT_BURN_IN,
-                     seed: RngSeed = RngSeed(0)) -> Path:
+def _check_length(n: int, burn_in: int) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+
+
+def _ar1(phi: float, w: np.ndarray) -> np.ndarray:
+    """Y_t = phi Y_{t-1} + w_t from Y_0 = 0."""
+    # imported here because scipy.signal pulls in scipy.stats, which the
+    # path-reading CLI commands never need
+    from scipy.signal import lfilter
+
+    return lfilter([1.0], [1.0, -phi], w)
+
+
+def simulate_exp_ar1(cfg: ExpAr1Config, n: int, burn_in: int = DEFAULT_BURN_IN,
+                     seed: RngSeed = RngSeed(0)) -> Path:
+    _check_length(n, burn_in)
     eta = draw(cfg.eta, seed.generator(0), burn_in + n)
-    # Y_t = phi Y_{t-1} + eta_t from Y_0 = 0
-    y = lfilter([1.0], [1.0, -cfg.phi], eta)
+    y = _ar1(cfg.phi, eta)
     sigma = np.exp(y[burn_in:])
     z = draw(cfg.z, seed.generator(1), n)
     return Path(sigma, sigma * z, cfg, seed, burn_in)
@@ -234,12 +247,11 @@ def simulate_exp_ar1(cfg: ExpAr1Config, n: int, burn_in: int = DEFAULT_BURN_IN,
 
 def simulate_egarch(cfg: EgarchConfig, n: int, burn_in: int = DEFAULT_BURN_IN,
                     seed: RngSeed = RngSeed(0)) -> Path:
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_length(n, burn_in)
     # one shared Z stream: Z_{t-1} feeds the recursion, Z_t multiplies sigma_t
     z = draw(cfg.z, seed.generator(1), burn_in + n + 1)
     w = cfg.gamma0 * z + cfg.delta0 * np.abs(z)
-    u = lfilter([1.0], [1.0, -cfg.phi], w[:-1])
+    u = _ar1(cfg.phi, w[:-1])
     log_sig2 = cfg.alpha0 / (1.0 - cfg.phi) + u[burn_in:]
     sigma = np.exp(0.5 * log_sig2)
     return Path(sigma, sigma * z[burn_in + 1:], cfg, seed, burn_in)
@@ -263,8 +275,7 @@ def _sre_initial_state(cfg: SreSvConfig, b1: float) -> float:
 
 def simulate_sre_sv(cfg: SreSvConfig, n: int, burn_in: int = DEFAULT_BURN_IN,
                     seed: RngSeed = RngSeed(0)) -> Path:
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_length(n, burn_in)
     total = burn_in + n
     src = cfg.pair_source
     if isinstance(src, Garch11Pair):
@@ -297,8 +308,7 @@ def simulate_sre_sv(cfg: SreSvConfig, n: int, burn_in: int = DEFAULT_BURN_IN,
 
 def simulate_ma_sv(cfg: MaSvConfig, n: int, seed: RngSeed = RngSeed(0)) -> Path:
     """Exact stationary simulation; q extra innovations replace a burn-in."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_length(n, 0)
     q = len(cfg.psi) - 1
     eta = draw(cfg.eta, seed.generator(0), n + q)
     # valid-mode convolution gives Y_t = sum_j psi_j eta_{t-j} exactly
@@ -317,6 +327,7 @@ def simulate(cfg: ModelConfig, n: int, burn_in: int = DEFAULT_BURN_IN,
     if isinstance(cfg, SreSvConfig):
         return simulate_sre_sv(cfg, n, burn_in, seed)
     if isinstance(cfg, MaSvConfig):
+        _check_length(n, burn_in)  # burn_in is unused here, but still checked
         return simulate_ma_sv(cfg, n, seed)
     raise TypeError(f"not a model config: {cfg!r}")
 
@@ -378,16 +389,24 @@ def config_from_json(obj: dict) -> ModelConfig:
     raise ValueError(f"unknown model family {fam!r}")
 
 
+# rows formatted per block: a block's floats come out of one .tolist(), and
+# memory stays bounded by the block, not by the path length
+_CSV_BLOCK = 8192
+
+
+def write_csv_rows(fh, header: str, fmt: str, columns) -> None:
+    """Write `header`, then row t of `columns` as `fmt % (t, *values)`."""
+    fh.write(header)
+    for i in range(0, len(columns[0]), _CSV_BLOCK):
+        block = [c[i:i + _CSV_BLOCK].tolist() for c in columns]
+        rows = zip(range(i, i + _CSV_BLOCK), *block)
+        fh.write("".join([fmt % r for r in rows]))
+
+
 def path_to_csv(path: Path, file) -> None:
     """Write `t,sigma,x` rows at full double precision."""
-    close = False
     if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
-        file = open(file, "w")
-        close = True
-    try:
-        file.write("t,sigma,x\n")
-        for t in range(path.n):
-            file.write(f"{t},{path.sigma[t]:.17g},{path.x[t]:.17g}\n")
-    finally:
-        if close:
-            file.close()
+        with open(file, "w") as fh:
+            return path_to_csv(path, fh)
+    write_csv_rows(file, "t,sigma,x\n", "%d,%.17g,%.17g\n",
+                   (path.sigma, path.x))

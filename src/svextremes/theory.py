@@ -139,6 +139,12 @@ def _log_a_sample(problem: KestenProblem, g: np.random.Generator,
         return np.log(a)
 
 
+def _check_mc_reps(mc_reps: int) -> None:
+    # a standard error needs two replicates
+    if mc_reps < 2:
+        raise ValueError("mc_reps must be >= 2")
+
+
 def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
                  tol: float = 1e-4, seed: RngSeed = RngSeed(0)) -> KestenRoot:
     """Solve mean(A_i^kappa) = 1 over one common-random-numbers sample.
@@ -146,8 +152,7 @@ def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
     The sample is drawn once and sorted, so the root depends only on the
     multiset of draws; bisection runs until |mean(A^kappa) - 1| < tol.
     """
-    if mc_reps < 2:
-        raise ValueError("mc_reps must be >= 2")
+    _check_mc_reps(mc_reps)
     la = np.sort(_log_a_sample(problem, seed.generator(), mc_reps))
     if not la[-1] > 0.0:  # no draw above 1: E A^kappa < 1 for every kappa
         raise ValueError("no finite tail index in bracket")
@@ -236,6 +241,7 @@ def theta_sigma_sre(problem: KestenProblem, alpha: float,
     variables. Reports the binomial standard error and the fraction of
     replicates that reached trunc_T without resolving (truncation risk).
     """
+    _check_mc_reps(mc_reps)
     if trunc_T < 1:
         raise ValueError("trunc_T must be >= 1")
     _check_alpha(problem, alpha)
@@ -287,6 +293,7 @@ def theta_sigma_sre_quadrature(problem: KestenProblem, alpha: float,
     the trapezoid rule on a log-spaced grid. Independent of the change-of-
     variables estimator in everything but the sup law itself.
     """
+    _check_mc_reps(mc_reps)
     g = seed.generator()
     sup, hit = _sup_log_products(problem, g, mc_reps, trunc_T)
     sup_sorted = np.sort(sup)
@@ -320,6 +327,7 @@ def theta_x_sre(problem: KestenProblem, z: InnovationSpec, alpha: float,
     |Z_1| draws, so m = 1 returns exactly 1 (the empty max is zero) and
     the sequence over m' is non-increasing replicate by replicate.
     """
+    _check_mc_reps(mc_reps)
     if m < 1:
         raise ValueError("m must be >= 1")
     ap = alpha * p
@@ -379,6 +387,7 @@ def theta_x_ma(psi, alpha: float, p: float, z: InnovationSpec,
     Coefficients are normalized by max |psi_j| first, so scaling every
     psi_j by a common factor cannot move the result.
     """
+    _check_mc_reps(mc_reps)
     w = np.abs(np.asarray(psi, dtype=float))
     if w.size == 0 or not np.any(w > 0):
         raise ValueError("psi needs at least one nonzero coefficient")

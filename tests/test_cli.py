@@ -1,15 +1,20 @@
 """End-to-end CLI tests through click's runner."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from svextremes import (Garch11Pair, MaSvConfig, SreSvConfig, config_to_json,
-                        constant, laplace, pareto, std_normal)
-from svextremes.cli import main
+import svextremes
+from svextremes import (Garch11Pair, MaSvConfig, RngSeed, SreSvConfig,
+                        config_to_json, constant, laplace, pareto,
+                        path_to_csv, simulate, std_normal)
+from svextremes.cli import _read_path_csv, main
 from svextremes.models import ExpAr1Config
 
 
@@ -239,3 +244,71 @@ def test_experiment_preset(runner, workdir):
     assert Path("o/extremogram.csv").exists()
     r = invoke(runner, "experiment", "preset", "fig3")
     assert r.exit_code != 0
+
+
+def test_import_cli_loads_no_scipy_stats_signal_or_special():
+    # re-analysing a stored path must not pay for these imports
+    code = ("import sys, svextremes.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.signal', "
+            "'scipy.special') if m in sys.modules))")
+    src = str(Path(svextremes.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_read_path_csv_round_trips_bits(tmp_path):
+    path = simulate(ExpAr1Config(phi=0.9, eta=laplace(4.0), z=std_normal()),
+                    2000, burn_in=100, seed=RngSeed(3))
+    path_to_csv(path, tmp_path / "path.csv")
+    sigma, x = _read_path_csv(str(tmp_path / "path.csv"))
+    assert np.array_equal(sigma, path.sigma)
+    assert np.array_equal(x, path.x)
+    assert sigma.flags.c_contiguous and x.flags.c_contiguous
+
+
+def test_read_path_csv_finds_columns_by_name(tmp_path):
+    fp = tmp_path / "p.csv"
+    fp.write_text("x, t ,sigma\n-1.5,0,2\n0.25,1,0.5\n")
+    sigma, x = _read_path_csv(str(fp))
+    assert sigma.tolist() == [2.0, 0.5]
+    assert x.tolist() == [-1.5, 0.25]
+
+
+def test_read_path_csv_one_row(tmp_path):
+    fp = tmp_path / "p.csv"
+    fp.write_text("t,sigma,x\n0,2,-3\n")
+    sigma, x = _read_path_csv(str(fp))
+    assert sigma.shape == (1,) and x.shape == (1,)
+    assert (sigma[0], x[0]) == (2.0, -3.0)
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("t,sigma\n0,1\n", "missing column x"),
+    ("t,sig,x\n0,1,1\n", "missing column sigma"),
+    ("t,sigma,x\n0,1,1\n1,,1\n", "could not convert string ''"),
+    ("t,sigma,x\n0,1,1\n1,abc,1\n", "could not convert string 'abc'"),
+    ("t,sigma,x\n0,1,1\n1,1\n", "invalid column index"),
+    ("t,sigma,x\n", "no data rows"),
+    ("", "missing column"),
+], ids=["no-x", "no-sigma", "empty-field", "malformed-field", "short-row",
+        "header-only", "empty-file"])
+def test_bad_path_csv_rejected(runner, workdir, text, reason):
+    Path("bad.csv").write_text(text)
+    r = invoke(runner, "hill", "--input", "bad.csv", "--k", 1)
+    assert r.exit_code != 0
+    assert isinstance(r.exception, SystemExit)  # a message, no traceback
+    assert "bad path csv bad.csv" in r.output
+    assert reason in r.output
+
+
+@pytest.mark.parametrize("reps", [0, 1])
+def test_theta_theory_mc_reps_below_two_rejected(runner, workdir, reps):
+    r = invoke(runner, "theta-theory", "--which", "theta-x-ma", "--model",
+               "ma.json", "--alpha", 4, "--mc-reps", reps)
+    assert r.exit_code != 0
+    assert isinstance(r.exception, SystemExit)
+    assert "mc_reps must be >= 2" in r.output

@@ -54,6 +54,24 @@ def test_tail_prob_laplace():
         pytest.approx(0.5e-4, rel=1e-12)
 
 
+@pytest.mark.parametrize("spec", [std_normal(), student_t(2.5),
+                                  student_t(4.0), student_t(30.5),
+                                  student_t(3.0, standardized=False)],
+                         ids=lambda s: f"{s.kind}-{s.df}-{s.standardized}")
+def test_tail_prob_equals_scipy_stats_bit_for_bit(spec):
+    from scipy import stats
+
+    x = np.linspace(-40.0, 40.0, 20_001)
+    if spec.kind == "std_normal":
+        ref = stats.norm.sf(x)
+    else:
+        scale = math.sqrt(spec.df / (spec.df - 2.0)) if spec.standardized \
+            else 1.0
+        ref = stats.t.sf(x * scale, spec.df)
+    got = np.array([tail_prob(spec, v) for v in x.tolist()])
+    assert np.array_equal(got, ref)
+
+
 @pytest.mark.parametrize("spec", [std_normal(), student_t(4.0),
                                   laplace(4.0), pareto(4.0)])
 def test_empirical_survival_matches_tail_prob(spec):

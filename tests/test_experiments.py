@@ -8,7 +8,9 @@ import pytest
 import svextremes
 from svextremes import (ExperimentConfig, ExperimentReport, Garch11Pair,
                         PRESET_NAMES, RngSeed, SreSvConfig, laplace,
-                        preset_config, run_experiment, simulate, std_normal)
+                        preset_config, run_experiment, simulate, std_normal,
+                        student_t)
+from svextremes.experiments import _fig1_model, _write_figure_csv
 from svextremes.models import ExpAr1Config
 
 
@@ -51,6 +53,7 @@ def test_empty_analysis_list_writes_path_only(tmp_path):
     assert report.results == ()
     assert report.version == svextremes.__version__
     assert "simulate" in report.timings
+    assert "write_path_csv" in report.timings
 
 
 def test_analysis_results_recorded(tmp_path):
@@ -173,6 +176,26 @@ def test_preset_configs_construct():
     assert not preset_config("fig2-sv", RngSeed(5)).model.garch_returns
     with pytest.raises(ValueError, match="unknown preset"):
         preset_config("fig3", RngSeed(5))
+
+
+def test_fig1_right_is_gaussian_log_ar1_with_t4_returns():
+    # the classical case the paper's abstract cites: Gaussian log-volatility
+    # with regularly varying Z, so sigma is lighter-tailed than Z
+    assert _fig1_model("right") == ExpAr1Config(phi=0.9, eta=std_normal(),
+                                                z=student_t(4.0))
+    assert preset_config("fig1-right", RngSeed(0)).model == \
+        _fig1_model("right")
+
+
+def test_figure_csv_bytes_match_per_row_formatting(tmp_path):
+    # the reference is the row-at-a-time writer the fast one replaced
+    x = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, -2.0, 2.0,
+                  1.0, -1.0])
+    lo, hi = np.float64(-1.0), np.float64(1.0)
+    _write_figure_csv(tmp_path / "figure.csv", x, lo, hi)
+    ref = ["t,x,exceed_low,exceed_high"] + [
+        f"{t},{v:.17g},{int(v < lo)},{int(v > hi)}" for t, v in enumerate(x)]
+    assert (tmp_path / "figure.csv").read_text() == "\n".join(ref) + "\n"
 
 
 def _adjacent_mark_fraction(name, n_seeds=50):

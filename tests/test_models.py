@@ -12,7 +12,7 @@ from svextremes import (DEFAULT_BURN_IN, EgarchConfig, ExpAr1Config,
                         constant, hill, laplace, pareto, path_to_csv,
                         simulate, std_normal, student_t)
 from svextremes.distributions import draw
-from svextremes.models import simulate_ma_sv
+from svextremes.models import _CSV_BLOCK, simulate_ma_sv
 
 import exact_laws
 
@@ -293,6 +293,12 @@ def test_n_must_be_positive():
             simulate(cfg, 0, seed=SEED)
 
 
+@pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: type(c).__name__)
+def test_negative_burn_in_rejected(cfg):
+    with pytest.raises(ValueError, match="burn_in must be >= 0"):
+        simulate(cfg, 10, burn_in=-1, seed=SEED)
+
+
 # -- serialization --------------------------------------------------------
 
 @pytest.mark.parametrize("cfg", ALL_CONFIGS + [
@@ -329,6 +335,20 @@ def test_path_csv_roundtrip():
     # 17 significant digits round-trips doubles exactly
     assert np.array_equal(data["sigma"], path.sigma)
     assert np.array_equal(data["x"], path.x)
+
+
+def test_path_csv_bytes_match_per_row_formatting():
+    # the reference is the row-at-a-time writer the fast one replaced; the
+    # path spans three write blocks
+    path = simulate(fig2_config(), 2 * _CSV_BLOCK + 3, burn_in=100,
+                    seed=SEED)
+    path.sigma[:6] = [np.nan, np.inf, -0.0, 5e-324, 1e-310, 1.5]
+    path.x[:6] = [-np.inf, 1.7976931348623157e308, 0.1, -2.5e-17, 3.0, -0.0]
+    buf = io.StringIO()
+    path_to_csv(path, buf)
+    ref = ["t,sigma,x"] + [f"{t},{path.sigma[t]:.17g},{path.x[t]:.17g}"
+                           for t in range(path.n)]
+    assert buf.getvalue().split("\n") == ref + [""]
 
 
 def test_default_burn_in_value():

@@ -1,0 +1,40 @@
+"""The red-test status script: summary parsing and the documented ids."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location(
+        "red_status", ROOT / "scripts" / "red_status.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_documented_red_ids_name_existing_tests():
+    for test_id in _load().DOCUMENTED_RED:
+        file, name = test_id.split("::")
+        assert f"\ndef {name}(" in (ROOT / file).read_text(), test_id
+
+
+def test_failing_ids_and_compare():
+    rs = _load()
+    red = rs.DOCUMENTED_RED
+    summary = "\n".join([
+        "..F.",
+        "=========================== short test summary info ===",
+        f"FAILED {red[0]} - AssertionError: assert 0.657 >= 0.9",
+        "FAILED tests/test_cli.py::test_x[a-b] - ValueError: a - b",
+        "ERROR tests/test_broken.py - ImportError: no module",
+        "2 failed, 5 passed, 1 error in 1.00s",
+    ])
+    failed = rs.failing_ids(summary)
+    assert failed == {red[0], "tests/test_cli.py::test_x[a-b]",
+                      "tests/test_broken.py"}
+    groups = rs.compare({red[0], "tests/test_new.py::test_y"})
+    assert groups == {"still red": [red[0]],
+                      "now passing": sorted(red[1:]),
+                      "new failures": ["tests/test_new.py::test_y"]}

@@ -81,6 +81,24 @@ def test_kesten_problem_validation():
         kesten_index(garch_problem(), mc_reps=1)
 
 
+@pytest.mark.parametrize("reps", [0, 1])
+@pytest.mark.parametrize("call", [
+    lambda n: theta_sigma_sre(zero_problem(), alpha=1.0, mc_reps=n),
+    lambda n: theta_sigma_sre_quadrature(zero_problem(), alpha=1.0,
+                                         mc_reps=n),
+    lambda n: theta_x_sre(zero_problem(), std_normal(), alpha=1.0, p=1.0,
+                          m=2, mc_reps=n),
+    lambda n: theta_x_ma((1.0, 1.0), alpha=4.0, p=1.0, z=std_normal(),
+                         mc_reps=n),
+    lambda n: theta_x_ma((1.0, 1.0), alpha=4.0, p=1.0, z=constant(1.0),
+                         mc_reps=n),
+], ids=["theta_sigma_sre", "quadrature", "theta_x_sre", "theta_x_ma",
+        "theta_x_ma-constant-z"])
+def test_mc_reps_below_two_rejected(call, reps):
+    with pytest.raises(ValueError, match="mc_reps must be >= 2"):
+        call(reps)
+
+
 # -- theta_sigma ----------------------------------------------------------
 
 def test_theta_sigma_zero_multiplier_is_one():
