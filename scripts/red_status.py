@@ -3,9 +3,9 @@
 Runs the tier-1 suite once and compares its failing tests with the three
 that are documented as red (README, "A deliberate caveat"): they claim
 that the phi = 0.9 exponential AR(1) model does not cluster, which its
-exact law contradicts. Prints three lists: documented red tests still
-failing, documented red tests now passing, and new failures. Changes,
-skips or marks no test.
+exact law contradicts. Prints the suite's wall time and its five slowest
+tests, then three lists: documented red tests still failing, documented
+red tests now passing, and new failures. Changes, skips or marks no test.
 
 Exit status: 0 when every failure is a documented one, 1 when a new test
 fails, 2 when pytest itself did not run to the end.
@@ -16,6 +16,7 @@ Usage (from the repository root): python scripts/red_status.py
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,6 +41,21 @@ def failing_ids(summary: str) -> set:
     return out
 
 
+def slowest(output: str) -> list:
+    """The timing lines of pytest's "slowest N durations" section."""
+    lines = iter(output.splitlines())
+    for line in lines:
+        if line.startswith("=") and "slowest" in line:
+            break
+    out = []
+    for line in lines:
+        if line.startswith("="):
+            break
+        if line.strip() and not line.startswith("("):
+            out.append(line.strip())
+    return out
+
+
 def compare(failed: set) -> dict:
     red = set(DOCUMENTED_RED)
     return {"still red": sorted(failed & red),
@@ -51,12 +67,18 @@ def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    t0 = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rfE",
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "--durations=5",
          "--continue-on-collection-errors", "-p", "no:cacheprovider"],
         cwd=ROOT, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
     lines = proc.stdout.strip().splitlines()
     print(f"tier-1: {lines[-1] if lines else '(no output)'}")
+    print(f"tier-1 wall time: {wall:.1f} s")
+    print("slowest tests:")
+    for line in slowest(proc.stdout):
+        print(f"  {line}")
     if proc.returncode not in (0, 1):
         print(proc.stdout[-4000:] + proc.stderr[-4000:])
         print(f"pytest exited with status {proc.returncode}")

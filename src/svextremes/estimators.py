@@ -14,7 +14,15 @@ Estimator conventions, used consistently below:
   * standard errors are binomial for the extremogram and the
     anticlustering diagnostic, and a circular block bootstrap (block =
     declustering length) for the three theta estimators, since serial
-    dependence invalidates i.i.d. formulas.
+    dependence invalidates i.i.d. formulas;
+  * the three theta estimators and their bootstrap take the sorted
+    exceedance indices (ExceedanceSet), never the n-long indicator
+    series: a bootstrap replicate maps the exceedances inside each
+    sampled block to their resampled positions. Every count and gap is
+    an integer, so the results are bit-equal to resampling the
+    indicator series;
+  * values must be one-dimensional and free of NaN; hill, the theta
+    estimators and the extremogram raise ValueError otherwise.
 """
 
 from __future__ import annotations
@@ -24,7 +32,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .models import DEFAULT_BURN_IN, ModelConfig, simulate
 from .distributions import InnovationSpec, moment_pos
@@ -79,10 +86,21 @@ class ExceedanceSet:
     n: int
 
 
+def _values_1d(values) -> np.ndarray:
+    """values as a 1-D float array; NaN and other shapes are rejected."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(
+            f"values must be one-dimensional, got shape {v.shape}")
+    if np.isnan(v).any():
+        raise ValueError("values contain NaN")
+    return v
+
+
 def exceedances(values, u: float) -> ExceedanceSet:
-    v = np.asarray(values)
-    idx = np.flatnonzero(v > u)
-    return ExceedanceSet(float(u), idx, v.size)
+    """Sorted indices of the values strictly above u."""
+    v = _values_1d(values)
+    return ExceedanceSet(float(u), np.flatnonzero(v > u), v.size)
 
 
 # -- tail index -----------------------------------------------------------
@@ -96,7 +114,7 @@ def hill(values, k: int) -> HillResult:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    v = np.asarray(values, dtype=float)
+    v = _values_1d(values)
     v = v[v > 0]
     if v.size < k + 1:
         raise ValueError("need at least k+1 strictly positive values")
@@ -114,15 +132,13 @@ def hill(values, k: int) -> HillResult:
 
 # -- extremal index estimators --------------------------------------------
 
-def _blocks_core(e: np.ndarray, block_len: int) -> float:
-    n = e.size
-    n_exc = int(e.sum())
+def _blocks_core(idx: np.ndarray, n: int, block_len: int) -> float:
+    n_exc = idx.size
     if n_exc == 0:
         return np.nan
     nb = -(-n // block_len)
-    padded = np.zeros(nb * block_len, dtype=bool)
-    padded[:n] = e
-    k_blocks = int(padded.reshape(nb, block_len).any(axis=1).sum())
+    # idx is sorted, so the block numbers idx // block_len are too
+    k_blocks = int(np.count_nonzero(np.diff(idx // block_len))) + 1
     if k_blocks == nb:
         # every block hit: log(1 - K/b) is undefined, fall back to K/N
         return min(1.0, k_blocks / n_exc)
@@ -130,19 +146,17 @@ def _blocks_core(e: np.ndarray, block_len: int) -> float:
     return min(1.0, th)
 
 
-def _runs_core(e: np.ndarray, run_len: int) -> float:
-    idx = np.flatnonzero(e)
+def _runs_core(idx: np.ndarray, run_len: int) -> float:
     if idx.size == 0:
         return np.nan
-    # append run_len non-exceedances so trailing windows read as clear
-    ep = np.concatenate([e, np.zeros(run_len, dtype=bool)])
-    win = sliding_window_view(ep[1:], run_len)
-    clear = ~win[idx].any(axis=1)
-    return min(1.0, float(clear.sum()) / idx.size)
+    # an exceedance is clear when the next one is more than run_len away;
+    # the last one is always clear, since positions past the end are not
+    # exceedances
+    clear = int(np.count_nonzero(np.diff(idx) > run_len)) + 1
+    return min(1.0, float(clear) / idx.size)
 
 
-def _intervals_core(e: np.ndarray) -> float:
-    idx = np.flatnonzero(e)
+def _intervals_core(idx: np.ndarray) -> float:
     n_exc = idx.size
     if n_exc < 2:
         return np.nan
@@ -157,28 +171,66 @@ def _intervals_core(e: np.ndarray) -> float:
     return min(1.0, num / den)
 
 
-def _bootstrap_stderr(e: np.ndarray, stat, block_len: int, n_boot: int,
-                      threads: int = 1) -> float:
-    """Circular block bootstrap over the exceedance indicator series."""
+def _resample(idx2: np.ndarray, below2: np.ndarray, starts: np.ndarray,
+              lens: np.ndarray, block_len: int) -> np.ndarray:
+    """Exceedance positions of one circular block bootstrap series.
+
+    Block j of the resampled series copies the lens[j] positions from
+    starts[j] on, taken mod n, into positions j*block_len onwards. On the
+    series repeated twice a block never wraps: idx2 holds the sorted
+    exceedance indices of that doubled series, and below2[k] counts those
+    at positions < k, for 0 <= k <= 2n. The result is sorted.
+    """
+    lo = below2[starts]
+    cnt = below2[starts + lens] - lo
+    # only the blocks that hold an exceedance contribute
+    k = np.flatnonzero(cnt)
+    cnt = cnt[k]
+    first = np.cumsum(cnt) - cnt
+    src = np.arange(int(cnt.sum())) + np.repeat(lo[k] - first, cnt)
+    return idx2[src] + np.repeat(k * block_len - starts[k], cnt)
+
+
+def _bootstrap_stderr(idx: np.ndarray, n: int, stat, block_len: int,
+                      n_boot: int, threads: int = 1) -> float:
+    """Circular block bootstrap of stat over the sorted exceedance indices.
+
+    Replicate i draws its block starts from its own Philox stream, so the
+    result does not depend on `threads`; each thread runs one contiguous
+    range of replicates.
+    """
     if n_boot < 2:
         return 0.0
-    n = e.size
     block_len = int(min(max(block_len, 1), n))
     nb = -(-n // block_len)
-    offsets = np.arange(block_len)
+    lens = np.minimum(block_len, n - np.arange(nb) * block_len)
+    idx2 = np.concatenate((idx, idx + n))
+    below2 = np.zeros(2 * n + 1, dtype=np.intp)
+    below2[idx2 + 1] = 1
+    np.cumsum(below2, out=below2)
 
     def one(i: int) -> float:
         g = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(_BOOTSTRAP_SEED, spawn_key=(i,))))
         starts = g.integers(0, n, size=nb)
-        idx = (starts[:, None] + offsets[None, :]).ravel()[:n] % n
-        return stat(e[idx])
+        return stat(_resample(idx2, below2, starts, lens, block_len))
 
-    vals = np.asarray(chunked_map(one, n_boot, threads), dtype=float)
+    parts = max(1, min(threads, n_boot))
+    cuts = [n_boot * k // parts for k in range(parts + 1)]
+    ranges = chunked_map(
+        lambda k: [one(i) for i in range(cuts[k], cuts[k + 1])],
+        parts, threads)
+    vals = np.asarray([v for r in ranges for v in r], dtype=float)
     vals = vals[np.isfinite(vals)]
     if vals.size < 2:
         return 0.0
     return float(np.std(vals, ddof=1))
+
+
+def _theta_input(values, u: float, n_boot: int) -> ExceedanceSet:
+    if n_boot < 0:
+        raise ValueError("n_boot must be >= 0")
+    return exceedances(values, u)
 
 
 def blocks_theta(values, u: float, block_len: int, n_boot: int = 100,
@@ -195,11 +247,12 @@ def blocks_theta(values, u: float, block_len: int, n_boot: int = 100,
     """
     if block_len < 1:
         raise ValueError("block_len must be >= 1")
-    e = np.asarray(values) > u
-    th = _blocks_core(e, block_len)
+    ex = _theta_input(values, u, n_boot)
+    th = _blocks_core(ex.indices, ex.n, block_len)
     if np.isnan(th):
         raise ValueError("empty exceedance set")
-    se = _bootstrap_stderr(e, lambda r: _blocks_core(r, block_len),
+    se = _bootstrap_stderr(ex.indices, ex.n,
+                           lambda r: _blocks_core(r, ex.n, block_len),
                            block_len, n_boot, threads)
     return ThetaEstimate(th, "blocks",
                          {"block_len": block_len, "u": float(u)}, se)
@@ -210,11 +263,12 @@ def runs_theta(values, u: float, run_len: int, n_boot: int = 100,
     """Fraction of exceedances followed by run_len clear positions."""
     if run_len < 1:
         raise ValueError("run_len must be >= 1")
-    e = np.asarray(values) > u
-    th = _runs_core(e, run_len)
+    ex = _theta_input(values, u, n_boot)
+    th = _runs_core(ex.indices, run_len)
     if np.isnan(th):
         raise ValueError("empty exceedance set")
-    se = _bootstrap_stderr(e, lambda r: _runs_core(r, run_len),
+    se = _bootstrap_stderr(ex.indices, ex.n,
+                           lambda r: _runs_core(r, run_len),
                            run_len, n_boot, threads)
     return ThetaEstimate(th, "runs",
                          {"run_len": run_len, "u": float(u)}, se)
@@ -230,13 +284,13 @@ def intervals_theta(values, u: float, n_boot: int = 100,
     Depends on the data only through the exceedance times, so it is
     invariant under strictly increasing transformations of the values.
     """
-    e = np.asarray(values) > u
-    th = _intervals_core(e)
+    ex = _theta_input(values, u, n_boot)
+    th = _intervals_core(ex.indices)
     if np.isnan(th):
         raise ValueError("insufficient exceedances")
-    gaps = np.diff(np.flatnonzero(e))
-    mean_gap = int(max(1, round(float(np.mean(gaps)))))
-    se = _bootstrap_stderr(e, _intervals_core, mean_gap, n_boot, threads)
+    mean_gap = int(max(1, round(float(np.mean(np.diff(ex.indices))))))
+    se = _bootstrap_stderr(ex.indices, ex.n, _intervals_core, mean_gap,
+                           n_boot, threads)
     return ThetaEstimate(th, "intervals", {"u": float(u)}, se)
 
 
@@ -263,7 +317,7 @@ def extremogram(values, lags, q: float) -> ExtremogramResult:
     conditioning count averages the left and right pair members, which
     makes the estimate exactly invariant under time reversal.
     """
-    v = np.asarray(values, dtype=float)
+    v = _values_1d(values)
     n = v.size
     lags = np.asarray(sorted(int(h) for h in lags), dtype=int)
     if lags.size == 0:

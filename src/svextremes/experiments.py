@@ -9,8 +9,10 @@ a JSON-friendly config. Running it writes, into an output directory:
 
 Failures inside a single analysis are recorded in the report (with the
 error message) instead of aborting the run; simulation or config failures
-do abort. Re-running from the config embedded in a report reproduces
-every output byte for byte, timings excepted.
+do abort. Warnings raised inside an analysis are recorded in its entry,
+as a "warnings" list that is present only when it is not empty.
+Re-running from the config embedded in a report reproduces every output
+byte for byte, timings excepted.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 
@@ -275,12 +278,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
         seen[kind] = ordinal + 1
         entry = {"analysis": kind, "index": i}
         t0 = time.perf_counter()
-        try:
-            entry.update(_run_one(kind, spec, cfg, path, out, i, ordinal,
-                                  threads))
-        except Exception as e:  # recorded, not fatal
-            entry["error"] = f"{type(e).__name__}: {e}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                entry.update(_run_one(kind, spec, cfg, path, out, i,
+                                      ordinal, threads))
+            except Exception as e:  # recorded, not fatal
+                entry["error"] = f"{type(e).__name__}: {e}"
         timings[f"analysis_{i}_{kind}"] = time.perf_counter() - t0
+        if caught:
+            entry["warnings"] = [f"{w.category.__name__}: {w.message}"
+                                 for w in caught]
         results.append(entry)
 
     report = ExperimentReport(cfg, tuple(results), timings, __version__)

@@ -140,6 +140,34 @@ def test_theta_estimators_reject_empty():
         runs_theta(indicator_series(10, [3]), u=0.5, run_len=0)
 
 
+@pytest.mark.parametrize("values, message", [
+    (np.ones((20, 20)), "one-dimensional"),
+    (np.float64(3.0), "one-dimensional"),
+    (np.r_[np.arange(1.0, 200.0), np.nan], "contain NaN"),
+])
+def test_estimators_reject_bad_values(values, message):
+    calls = (lambda: hill(values, k=2),
+             lambda: blocks_theta(values, 0.5, block_len=5),
+             lambda: runs_theta(values, 0.5, run_len=5),
+             lambda: intervals_theta(values, 0.5),
+             lambda: extremogram(values, (1,), q=0.9))
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_theta_estimators_check_n_boot():
+    v = indicator_series(50, [3, 4, 20, 21, 40])
+    calls = (lambda b: blocks_theta(v, 0.5, block_len=5, n_boot=b),
+             lambda b: runs_theta(v, 0.5, run_len=5, n_boot=b),
+             lambda b: intervals_theta(v, 0.5, n_boot=b))
+    for call in calls:
+        with pytest.raises(ValueError, match="n_boot must be >= 0"):
+            call(-1)
+        # 0 and 1 replicates mean no bootstrap
+        assert call(0).stderr == call(1).stderr == 0.0
+
+
 # -- extremal index: i.i.d. calibration and invariances -------------------
 
 def test_blocks_iid_near_one():

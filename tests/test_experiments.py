@@ -85,6 +85,23 @@ def test_analysis_error_recorded_not_fatal(tmp_path):
     assert report.results[2]["alpha_hat"] > 0
 
 
+def test_analysis_warnings_recorded_per_entry(tmp_path):
+    # sigma has nothing above its own maximum, so level 1.0 is dropped
+    # with a warning, once in each breiman analysis
+    dropped = "UserWarning: no exceedances at level 1.0; grid point dropped"
+    breiman = {"analysis": "breiman", "alpha": 4.0, "q_grid": [0.99, 1.0]}
+    cfg = small_config(analyses=({"analysis": "hill", "k": 100}, breiman,
+                                 breiman))
+    report = run_experiment(cfg, tmp_path / "out")
+    assert "warnings" not in report.results[0]
+    assert report.results[1]["warnings"] == [dropped]
+    assert report.results[2]["warnings"] == [dropped]
+    assert report.results[1]["levels"] == [0.99]
+    blob = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert blob["results"][1]["warnings"] == [dropped]
+    assert "warnings" not in blob["results"][0]
+
+
 def test_figure_csv_marks_exceedances(tmp_path):
     cfg = small_config(analyses=({"analysis": "figure", "q_low": 0.05,
                                   "q_high": 0.95},), n=400)

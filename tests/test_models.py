@@ -191,9 +191,11 @@ def test_egarch_sigma_tail_index():
 
 def test_garch_sv_sigma_tail_index():
     # Kesten index of A = 0.1 eta^2 + 0.89 is 2.00, so sigma has index 4.
-    # Hill at k=2000 sits near the top of the band; seeds 0 and 1 land at
-    # 4.57 and 4.63, just outside, so the check is pinned to a seed whose
-    # value 4.27 has a comfortable margin on both sides.
+    # Hill at k=2000 scatters widely around it: seeds 0-7 read 4.57, 4.63,
+    # 4.27, 5.61, 4.76, 3.83, 5.48 and 3.80, so only seeds 0, 2, 5 and 7
+    # fall inside the band, seed 0 just 0.03 below its top. The multiplier
+    # is close to critical (E log A = -0.0185). The check is pinned to
+    # seed 2, whose value 4.27 has a margin on both sides.
     a = _hill_sigma(fig2_config(), seed=RngSeed(2))
     assert 3.4 <= a <= 4.6
     path = simulate(fig2_config(), 1_000_000, seed=RngSeed(2))

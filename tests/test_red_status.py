@@ -38,3 +38,21 @@ def test_failing_ids_and_compare():
     assert groups == {"still red": [red[0]],
                       "now passing": sorted(red[1:]),
                       "new failures": ["tests/test_new.py::test_y"]}
+
+
+def test_slowest_reads_the_durations_section():
+    output = "\n".join([
+        "..F.",
+        "============================= slowest 5 durations ==============",
+        "12.33s call     tests/test_acceptance.py::test_criterion_08_anti",
+        "3.48s setup    tests/test_theory.py::test_x",
+        "",
+        "(3 durations < 0.005s hidden.  Use -vv to show these durations.)",
+        "=========================== short test summary info ===",
+        "FAILED tests/test_cli.py::test_y - AssertionError",
+        "1 failed, 3 passed in 16.00s",
+    ])
+    assert _load().slowest(output) == [
+        "12.33s call     tests/test_acceptance.py::test_criterion_08_anti",
+        "3.48s setup    tests/test_theory.py::test_x"]
+    assert _load().slowest("4 passed in 1.00s") == []
