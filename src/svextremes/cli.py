@@ -18,7 +18,8 @@ import numpy as np
 
 from . import estimators as est
 from . import theory
-from .experiments import (ExperimentConfig, PRESET_NAMES, preset_config,
+from .experiments import (ExperimentConfig, PRESET_NAMES,
+                          _write_extremogram_csv, preset_config,
                           run_experiment)
 from .models import config_from_json, path_to_csv, simulate, DEFAULT_BURN_IN
 from .rng import RngSeed
@@ -226,10 +227,7 @@ def extremogram(ctx, model, input_csv, n, burn_in, lags, q, series):
     except ValueError as e:
         raise click.ClickException(str(e))
     out_dir = _out_dir(ctx)
-    lines = ["lag,chi_hat,stderr"]
-    for h, c, s in zip(r.lags, r.chi_hat, r.stderr):
-        lines.append(f"{h},{c:.17g},{s:.17g}")
-    (out_dir / "extremogram.csv").write_text("\n".join(lines) + "\n")
+    _write_extremogram_csv(out_dir / "extremogram.csv", r)
     _echo_json({"series": series, "q": r.q, "u": r.u, "lags": list(r.lags),
                 "chi_hat": [float(c) for c in r.chi_hat],
                 "stderr": [float(s) for s in r.stderr],

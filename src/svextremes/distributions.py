@@ -16,6 +16,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,6 +52,12 @@ class InnovationSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
+        for name in ("df", "rate", "alpha", "c"):
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, numbers.Real)
+                                          and math.isfinite(value)):
+                raise ValueError(f"{self.kind} requires a finite {name}, "
+                                 f"got {value!r}")
         if self.kind == "student_t":
             if self.df is None or not self.df > 0:
                 raise ValueError("student_t requires df > 0")

@@ -22,7 +22,8 @@ Estimator conventions, used consistently below:
     an integer, so the results are bit-equal to resampling the
     indicator series;
   * values must be one-dimensional and free of NaN; hill, the theta
-    estimators and the extremogram raise ValueError otherwise.
+    estimators, the extremogram and breiman_ratio raise ValueError
+    otherwise.
 """
 
 from __future__ import annotations
@@ -456,8 +457,8 @@ def breiman_ratio(sigma_values, x_values, q_grid, alpha: float,
     is computed from the noise spec when one is given. Grid points with
     an empty numerator or denominator are dropped with a warning.
     """
-    sig = np.asarray(sigma_values, dtype=float)
-    x = np.asarray(x_values, dtype=float)
+    sig = _values_1d(sigma_values)
+    x = _values_1d(x_values)
     if sig.size != x.size:
         raise ValueError("sigma and x series must have equal length")
     target = moment_pos(z, float(alpha)) if z is not None else None

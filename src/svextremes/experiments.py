@@ -41,6 +41,16 @@ _ANALYSES = ("hill", "theta", "extremogram", "breiman", "anticluster",
              "theory", "figure")
 
 
+def _whole_number(name: str, value) -> int:
+    """value as an int; a float must be integral, as JSON may spell 10
+    as 10.0, and anything else is rejected."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: object
@@ -51,6 +61,9 @@ class ExperimentConfig:
     label: str = ""
 
     def __post_init__(self):
+        for name in ("n", "burn_in"):
+            object.__setattr__(self, name,
+                               _whole_number(name, getattr(self, name)))
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.burn_in < 0:
@@ -71,10 +84,9 @@ class ExperimentConfig:
     @staticmethod
     def from_json(obj: dict) -> "ExperimentConfig":
         return ExperimentConfig(model=config_from_json(obj["model"]),
-                                n=int(obj["n"]),
+                                n=obj["n"],
                                 seed=RngSeed.from_json(obj["seed"]),
-                                burn_in=int(obj.get("burn_in",
-                                                    DEFAULT_BURN_IN)),
+                                burn_in=obj.get("burn_in", DEFAULT_BURN_IN),
                                 analyses=tuple(obj.get("analyses", ())),
                                 label=str(obj.get("label", "")))
 
@@ -240,7 +252,7 @@ def _write_figure_csv(fp: FsPath, x: np.ndarray, lo: float,
                       hi: float) -> None:
     with open(fp, "w") as fh:
         write_csv_rows(fh, "t,x,exceed_low,exceed_high\n",
-                       "%d,%.17g,%d,%d\n", (x, x < lo, x > hi))
+                       (x, x < lo, x > hi))
 
 
 def _json_default(o):

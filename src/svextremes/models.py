@@ -22,8 +22,10 @@ arguments give bit-identical paths.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Union
 
 import numpy as np
@@ -399,18 +401,234 @@ def config_from_json(obj: dict) -> ModelConfig:
     raise ValueError(f"unknown model family {fam!r}")
 
 
-# rows formatted per block: a block's floats come out of one .tolist(), and
-# memory stays bounded by the block, not by the path length
+# -- CSV artifacts --------------------------------------------------------
+# A block of rows is built as a matrix of 64-bit words that hold eight
+# output bytes each, in little-endian order, next to a keep mask of the
+# same shape with one 0/1 byte per output byte; the block's CSV text is
+# the kept bytes in row order. Every step is a numpy operation over the
+# rows of the block, and memory stays bounded by the block, not by the
+# path length.
 _CSV_BLOCK = 8192
 
+# '%.17g' fast path. A double v in _G17_RANGE has the 17 significant
+# digits N = round(|v| 10^(16-E)) in [10^16, 10^17), E its decimal
+# exponent. 10^(16-E) is held as a double-double (hi, lo) and |v| hi is
+# formed exactly with Dekker's two-product, so the computed N plus its
+# fraction is within 1e-14 of the exact product, and rounding to N is
+# exact unless the fraction lies within _G17_TIE of 1/2. Those values,
+# and all values outside the range (0, NaN, inf, subnormals), go through
+# Python's %.
+_G17_RANGE = (1e-250, 1e250)
+_G17_EMIN, _G17_EMAX = -252, 251  # E of the range, with room for a fix
+_G17_TIE = 1e-9
+_DEKKER_SPLIT = 134217729.0  # 2**27 + 1
+_ONES = 0x0101010101010101
+_CSV_WORD = np.dtype("<u8")  # the byte order the keep mask relies on
 
-def write_csv_rows(fh, header: str, fmt: str, columns) -> None:
-    """Write `header`, then row t of `columns` as `fmt % (t, *values)`."""
+
+def _right_word(s: bytes) -> int:
+    """The word that ends with the bytes s."""
+    return int.from_bytes(s.rjust(8, b"\0"), "little")
+
+
+def _byte_words(b) -> np.ndarray:
+    """Rows of 8k bytes as k rows of little-endian words, one per column."""
+    b = np.ascontiguousarray(b, dtype=np.uint8)
+    return np.ascontiguousarray(b.view(_CSV_WORD).astype(np.uint64).T)
+
+
+@functools.cache
+def _g17_tables() -> SimpleNamespace:
+    """Tables of the '%.17g' kernel, indexed by E - _G17_EMIN; built on
+    first use so that importing the package does not pay for them."""
+    e = np.arange(_G17_EMIN, _G17_EMAX + 1)
+    hi, lo = [], []
+    for k in (16 - e).tolist():
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        h = num / den  # int / int rounds correctly
+        h_num, h_den = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    hi = np.array(hi)
+    split = hi * _DEKKER_SPLIT
+    hi_head = split - (split - hi)
+
+    # %g: fixed notation for -4 <= E < 17, else d.ddd e+dd; the digits
+    # take the point after int_len of them, at byte `point` (18: none)
+    fixed = (e >= -4) & (e < 17)
+    int_len = np.where(fixed, np.maximum(e + 1, 0), 1)
+    point = np.where(fixed & (e < 0), 18, int_len)[:, None]
+    p = np.arange(24)
+    zeros = [b"0." + b"0" * (-x - 1) if f and x < 0 else b""
+             for f, x in zip(fixed.tolist(), e.tolist())]
+    lead = [s for z in zeros for s in (z, b"-" + z)]
+    exp = [b"" if f else b"e%+03d" % x
+           for f, x in zip(fixed.tolist(), e.tolist())]
+
+    quad = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    return SimpleNamespace(
+        hi=hi, lo=np.array(lo), hi_head=hi_head, hi_tail=hi - hi_head,
+        int_len=int_len, point=point[:, 0],
+        from_digit=_byte_words(((p < point) & (p < 17)) * 0xFF),
+        from_shifted=_byte_words(((p > point) & (p < 18)) * 0xFF),
+        at_point=_byte_words((p == point) * ord(".")),
+        keep_digits=_byte_words(p < np.arange(19)[:, None]),
+        # the sign and "0.0.." of E < 0 end word 0, at [2 (E - EMIN) + neg]
+        lead=np.array([_right_word(s) for s in lead], np.uint64),
+        keep_lead=np.array([_right_word(b"\1" * len(s)) for s in lead],
+                           np.uint64),
+        exp=np.array([int.from_bytes(b"\0\0" + s, "little") for s in exp],
+                     np.uint64),
+        keep_exp=np.array([int.from_bytes(b"\0\0" + b"\1" * len(s), "little")
+                           for s in exp], np.uint64),
+        # ASCII of 0000-9999 as words, and the place of the last nonzero
+        # digit among the four
+        quad=((48 + quad) << 8 * np.arange(4)).sum(axis=1).astype(np.uint64),
+        quad_last=3 - np.argmax(quad[:, ::-1] != 0, axis=1),
+        keep_suffix=np.array([_ONES << 8 * (8 - k) & 2 ** 64 - 1
+                              for k in range(9)], np.uint64))
+
+
+def _g17_digits(tb, a, eo):
+    """N = round(a 10^(16-E)) for E = eo + _G17_EMIN, and the signed
+    remainder a 10^(16-E) - N, correct to 1e-14."""
+    hi, hi_head, hi_tail = tb.hi[eo], tb.hi_head[eo], tb.hi_tail[eo]
+    p = a * hi
+    split = a * _DEKKER_SPLIT
+    a_head = split - (split - a)
+    a_tail = a - a_head
+    err = (((a_head * hi_head - p) + a_head * hi_tail + a_tail * hi_head)
+           + a_tail * hi_tail)  # a hi - p, exactly
+    whole = np.floor(p)
+    frac = (p - whole) + (err + a * tb.lo[eo])
+    up = np.floor(frac + 0.5)
+    return whole.astype(np.int64) + up.astype(np.int64), frac - up
+
+
+def _g17_words(v: np.ndarray, sep: int, words, keep) -> np.ndarray:
+    """Write '%.17g' % value and the byte `sep` into four words per value.
+
+    Word 0 ends with the sign and the "0.0.." of fixed notation, bytes
+    8-25 hold the 17 digits with the point inserted, 26-30 the exponent
+    and 31 `sep`; `keep` selects the bytes of the %g layout. Returns the
+    indices of the values that Python's % formatted instead.
+    """
+    tb = _g17_tables()
+    a = np.abs(v)
+    fast = (a >= _G17_RANGE[0]) & (a <= _G17_RANGE[1])
+    a[~fast] = 1.0
+    eo = np.floor(np.log10(a)).astype(np.intp) - _G17_EMIN
+    n17, rem = _g17_digits(tb, a, eo)
+    # log10 can miss E by one next to a power of ten, and N can round up
+    # to 10^17: E moves by one where the product, before rounding, leaves
+    # [10^16, 10^17 - 1/2)
+    low = (n17 < 10 ** 16) | ((n17 == 10 ** 16) & (rem < 0))
+    off = (n17 >= 10 ** 17).astype(np.intp) - low
+    fix = np.flatnonzero(off)
+    if fix.size:
+        eo[fix] += off[fix]
+        n17[fix], rem[fix] = _g17_digits(tb, a[fix], eo[fix])
+    slow = np.flatnonzero(~fast | (np.abs(rem) > 0.5 - _G17_TIE)
+                          | (n17 < 10 ** 16) | (n17 >= 10 ** 17))
+    n17[slow] = 10 ** 16  # keeps the digit tables in range
+
+    # the digits as three words: 0-7, 8-15 and 16
+    head = n17 // 10 ** 9
+    mid = (n17 - head * 10 ** 9) // 10
+    last = n17 - head * 10 ** 9 - mid * 10
+    q0, q2 = head // 10000, mid // 10000
+    q1, q3 = head - q0 * 10000, mid - q2 * 10000
+    d = (tb.quad[q0] | tb.quad[q1] << 32, tb.quad[q2] | tb.quad[q3] << 32,
+         (last + 48).astype(np.uint64))
+    shifted = (d[0] << 8, d[1] << 8 | d[0] >> 56, d[2] << 8 | d[1] >> 56)
+    last_nz = tb.quad_last[q0]
+    for q, base in ((q1, 4), (q2, 8), (q3, 12)):
+        np.copyto(last_nz, base + tb.quad_last[q], where=q != 0)
+    last_nz[last != 0] = 16
+    # trailing zeros go, but not those before the point
+    kept = np.maximum(last_nz, tb.int_len[eo] - 1)
+    kept_len = kept + 1 + (kept >= tb.point[eo])
+
+    lead = 2 * eo + (v < 0)
+    words[:, 0] = tb.lead[lead]
+    keep[:, 0] = tb.keep_lead[lead]
+    for i in range(3):
+        words[:, i + 1] = (d[i] & tb.from_digit[i][eo]
+                           | shifted[i] & tb.from_shifted[i][eo]
+                           | tb.at_point[i][eo])
+        keep[:, i + 1] = tb.keep_digits[i][kept_len]
+    words[:, 3] |= tb.exp[eo] | sep << 56
+    keep[:, 3] |= tb.keep_exp[eo] | 1 << 56
+
+    if slow.size:
+        text = [("%.17g" % x).encode("ascii") for x in v[slow].tolist()]
+        words[slow] = np.frombuffer(b"".join(s.ljust(32, b"\0")
+                                             for s in text),
+                                    _CSV_WORD).reshape(-1, 4)
+        words[slow, 3] |= sep << 56
+        size = np.array([len(s) for s in text])[:, None]
+        byte = np.arange(32)
+        keep[slow] = ((byte < size) | (byte == 31)).astype(np.uint8).view(
+            _CSV_WORD)
+    return slow
+
+
+def _index_words(start: int, words, keep) -> None:
+    """Write '%d,' of each row index from `start` on, right-aligned in
+    the words of each row."""
+    tb = _g17_tables()
+    rows, width = words.shape
+    stop = start + rows
+    t = np.arange(start, stop, dtype=np.int64)
+    digits = np.ones(t.size, np.int64)
+    power = 10
+    while power < stop:
+        digits += t >= power
+        power *= 10
+    # t 10 as 8 width digits with leading zeros; its last 0 becomes ','
+    t10 = t * 10
+    for w in range(width):
+        below = width - 1 - w
+        chunk = t10 // 10 ** (8 * below) % 10 ** 8
+        hi4 = chunk // 10000
+        words[:, w] = tb.quad[hi4] | tb.quad[chunk - hi4 * 10000] << 32
+        keep[:, w] = tb.keep_suffix[np.clip(digits + 1 - 8 * below, 0, 8)]
+    words[:, -1] ^= (ord("0") ^ ord(",")) << 56
+
+
+def write_csv_rows(fh, header: str, columns) -> None:
+    """Write `header`, then the row `t,<columns at t>` for each index t.
+
+    A float64 column is written as '%.17g' and a bool column as '%d', so
+    the text equals `fmt % (t, *values)` row by row, byte for byte, for
+    every value. The rows are formatted by numpy, a block at a time; the
+    floats it cannot prove exact (0, NaN, inf, subnormal and |v| outside
+    [1e-250, 1e250], and values a hair from a rounding tie) are formatted
+    by Python's % one by one.
+    """
+    for c in columns:
+        if c.dtype not in (np.float64, np.bool_):
+            raise TypeError(f"cannot write a {c.dtype} column")
     fh.write(header)
-    for i in range(0, len(columns[0]), _CSV_BLOCK):
-        block = [c[i:i + _CSV_BLOCK].tolist() for c in columns]
-        rows = zip(range(i, i + _CSV_BLOCK), *block)
-        fh.write("".join([fmt % r for r in rows]))
+    n = len(columns[0])
+    width = (len(str(max(n - 1, 0))) + 8) // 8
+    seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
+    spans = np.cumsum([0, width] + [4 if c.dtype == np.float64 else 1
+                                    for c in columns])
+    for i in range(0, n, _CSV_BLOCK):
+        rows = min(_CSV_BLOCK, n - i)
+        words = np.empty((rows, spans[-1]), _CSV_WORD)
+        keep = np.empty_like(words)
+        _index_words(i, words[:, :width], keep[:, :width])
+        for c, sep, a, b in zip(columns, seps, spans[1:], spans[2:]):
+            block = c[i:i + rows]
+            if block.dtype == np.bool_:
+                words[:, a] = block + 48 | sep << 8
+                keep[:, a] = 0x0101
+            else:
+                _g17_words(block, sep, words[:, a:b], keep[:, a:b])
+        fh.write(words.view(np.uint8)[keep.view(np.bool_)].tobytes()
+                 .decode("ascii"))
 
 
 def path_to_csv(path: Path, file) -> None:
@@ -418,5 +636,4 @@ def path_to_csv(path: Path, file) -> None:
     if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
         with open(file, "w") as fh:
             return path_to_csv(path, fh)
-    write_csv_rows(file, "t,sigma,x\n", "%d,%.17g,%.17g\n",
-                   (path.sigma, path.x))
+    write_csv_rows(file, "t,sigma,x\n", (path.sigma, path.x))

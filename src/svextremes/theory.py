@@ -153,13 +153,18 @@ def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
     multiset of draws; bisection runs until |mean(A^kappa) - 1| < tol.
     """
     _check_mc_reps(mc_reps)
-    la = np.sort(_log_a_sample(problem, seed.generator(), mc_reps))
+    # at most two n-long arrays are alive at once: the sample is sorted in
+    # place, each f(kappa) takes one temporary, and A^kappa overwrites
+    # the sample at the end
+    la = _log_a_sample(problem, seed.generator(), mc_reps)
+    la.sort()
     if not la[-1] > 0.0:  # no draw above 1: E A^kappa < 1 for every kappa
         raise ValueError("no finite tail index in bracket")
 
     def f(kappa: float) -> float:
+        t = np.multiply(kappa, la)
         with np.errstate(over="ignore"):
-            return float(np.mean(np.exp(kappa * la))) - 1.0
+            return float(np.mean(np.exp(t, out=t))) - 1.0
 
     lo, hi = problem.kappa_min, problem.kappa_max
     f_lo, f_hi = f(lo), f(hi)
@@ -177,8 +182,9 @@ def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
             hi = kappa
         else:
             lo = kappa
+    la *= kappa
     with np.errstate(over="ignore"):
-        pow_a = np.exp(kappa * la)
+        pow_a = np.exp(la, out=la)
     se = float(np.std(pow_a, ddof=1) / math.sqrt(mc_reps))
     return KestenRoot(float(kappa), se, mc_reps,
                       (problem.kappa_min, problem.kappa_max))

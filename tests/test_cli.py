@@ -11,9 +11,10 @@ import pytest
 from click.testing import CliRunner
 
 import svextremes
-from svextremes import (Garch11Pair, MaSvConfig, RngSeed, SreSvConfig,
-                        config_to_json, constant, laplace, pareto,
-                        path_to_csv, simulate, std_normal)
+from svextremes import (ExperimentConfig, Garch11Pair, MaSvConfig, RngSeed,
+                        SreSvConfig, config_to_json, constant, laplace,
+                        pareto, path_to_csv, run_experiment, simulate,
+                        std_normal)
 from svextremes.cli import _read_path_csv, main
 from svextremes.models import ExpAr1Config
 
@@ -259,6 +260,39 @@ def test_import_cli_loads_no_scipy_stats_signal_or_special():
                          text=True, env=env, check=True).stdout
     assert out.strip() == "[]"
 
+
+def test_import_cli_builds_no_csv_tables():
+    # the '%.17g' writer builds its tables on the first write, not at
+    # import, and neither step loads a module the import did not
+    code = ("import io, sys, numpy, svextremes.cli, svextremes.models as m; "
+            "before = set(sys.modules); "
+            "print(m._g17_tables.cache_info().currsize); "
+            "m.write_csv_rows(io.StringIO(), 'h', (numpy.ones(3),)); "
+            "print(m._g17_tables.cache_info().currsize); "
+            "print(sorted(set(sys.modules) - before), "
+            "sorted(k for k in ('fractions', 'decimal') if k in before))")
+    src = str(Path(svextremes.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out.split("\n") == ["0", "1", "[] []", ""]
+
+
+def test_extremogram_csv_matches_the_experiment_writer(runner, workdir):
+    model = json.loads(Path("garch.json").read_text())
+    cfg = ExperimentConfig.from_json({
+        "model": model, "n": 20000, "burn_in": 1000,
+        "seed": RngSeed(3).to_json(),
+        "analyses": [{"analysis": "extremogram", "lags": [1, 2, 3],
+                      "q": 0.99}]})
+    run_experiment(cfg, "e")
+    r = invoke(runner, "--seed", 3, "--out", "c", "extremogram", "--input",
+               "e/path.csv", "--lags", "1,2,3", "--q", 0.99)
+    assert r.exit_code == 0
+    assert Path("c/extremogram.csv").read_bytes() == \
+        Path("e/extremogram.csv").read_bytes()
 
 def test_read_path_csv_round_trips_bits(tmp_path):
     path = simulate(ExpAr1Config(phi=0.9, eta=laplace(4.0), z=std_normal()),

@@ -160,3 +160,15 @@ def test_json_field_names():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         InnovationSpec.from_json({"kind": "gamma", "rate": 1.0})
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: pareto(math.inf), "pareto requires a finite alpha"),
+    (lambda: laplace(math.inf), "laplace requires a finite rate"),
+    (lambda: student_t(math.inf), "student_t requires a finite df"),
+    (lambda: InnovationSpec.from_json({"kind": "laplace", "rate": "4"}),
+     "laplace requires a finite rate, got '4'"),
+])
+def test_infinite_parameters_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

@@ -150,7 +150,9 @@ def test_estimators_reject_bad_values(values, message):
              lambda: blocks_theta(values, 0.5, block_len=5),
              lambda: runs_theta(values, 0.5, run_len=5),
              lambda: intervals_theta(values, 0.5),
-             lambda: extremogram(values, (1,), q=0.9))
+             lambda: extremogram(values, (1,), q=0.9),
+             lambda: breiman_ratio(values, np.ones(5), (0.9,), alpha=2.0),
+             lambda: breiman_ratio(np.ones(5), values, (0.9,), alpha=2.0))
     for call in calls:
         with pytest.raises(ValueError, match=message):
             call()

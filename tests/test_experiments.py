@@ -36,6 +36,25 @@ def test_config_validation():
                          burn_in=-1)
 
 
+def test_config_rejects_fractional_n_and_burn_in():
+    with pytest.raises(ValueError, match="n must be a whole number, got 10.5"):
+        small_config(n=10.5)
+    with pytest.raises(ValueError, match="burn_in must be a whole number"):
+        ExperimentConfig(model=small_model(), n=10, seed=RngSeed(0),
+                         burn_in=2.5)
+
+
+def test_config_from_json_rejects_fractional_n_and_keeps_integral_floats():
+    obj = small_config().to_json()
+    with pytest.raises(ValueError, match="n must be a whole number"):
+        ExperimentConfig.from_json({**obj, "n": 10.5})
+    with pytest.raises(ValueError, match="burn_in must be a whole number"):
+        ExperimentConfig.from_json({**obj, "burn_in": "1000"})
+    cfg = ExperimentConfig.from_json({**obj, "n": 1000000.0,
+                                      "burn_in": 100.0})
+    assert (cfg.n, cfg.burn_in) == (1000000, 100)
+    assert type(cfg.n) is int and type(cfg.burn_in) is int
+
 def test_config_json_roundtrip():
     cfg = small_config(analyses=({"analysis": "hill", "k": 100},
                                  {"analysis": "theta", "method": "blocks",

@@ -46,6 +46,16 @@ def test_kesten_garch_multipliers_match_quadrature_oracle():
     assert r.f_stderr > 0
 
 
+def test_kesten_index_bit_equal_to_out_of_place_formula():
+    # kesten_index works in place to bound its memory; the reference is
+    # the sorted copy and the fresh A^kappa array it replaced
+    seed = RngSeed(5)
+    r = kesten_index(garch_problem(), mc_reps=50_000, seed=seed)
+    la = np.sort(np.log(garch_problem().draw_a(seed.generator(), 50_000)))
+    pow_a = np.exp(r.kappa * la)
+    assert abs(float(np.mean(pow_a)) - 1.0) < 1e-4
+    assert r.f_stderr == float(np.std(pow_a, ddof=1) / math.sqrt(50_000))
+
 def test_kesten_lognormal_closed_form():
     # log A ~ Normal(-1/2, 1) has E A^kappa = exp(-kappa/2 + kappa^2/2),
     # equal to 1 at kappa = 1
