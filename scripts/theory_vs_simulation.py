@@ -39,14 +39,17 @@ def garch_block(seed: int, n: int, mc_reps: int, threads: int):
     tq = sv.theta_sigma_sre_quadrature(problem, root.kappa,
                                        mc_reps=mc_reps // 2,
                                        seed=sv.RngSeed(seed, 3))
-    print(f"theta_sigma         mc = {ts.value:.4f}  quad = {tq.value:.4f}")
+    print(f"theta_sigma         mc = {ts.value:.4f}  (risk "
+          f"{ts.truncation['risk_fraction']:.4f})  quad = {tq.value:.4f}  "
+          f"(risk {tq.truncation['risk_fraction']:.4f})")
 
     tx = sv.theta_x_sre(problem, cfg.z, root.kappa, cfg.p, m=50,
                         mc_reps=mc_reps, seed=sv.RngSeed(seed, 4),
                         threads=threads)
     shown = [1, 2, 5, 10, 25, 50]
     print("theta_x m-sequence  " +
-          "  ".join(f"m={m}: {tx.sequence[m - 1]:.3f}" for m in shown))
+          "  ".join(f"m={m}: {tx.sequence[m - 1]:.3f}" for m in shown) +
+          f"  (live at m=50 {tx.truncation['live_fraction']:.4f})")
 
     path = sv.simulate(cfg, n, seed=sv.RngSeed(seed, 5))
     v = np.abs(path.x)

@@ -49,7 +49,7 @@ def _load_model(path: str):
     try:
         with open(path) as fh:
             return config_from_json(json.load(fh))
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError) as e:
         raise click.ClickException(f"bad model config {path}: {e}")
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,6 +33,14 @@ __all__ = [
 ]
 
 KINDS = ("std_normal", "student_t", "laplace", "pareto", "constant")
+
+
+def finite_real(v) -> bool:
+    """v is a real number, not a bool, that a float holds finitely."""
+    # compared with the largest float, as math.isfinite overflows on a
+    # huge int
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -54,8 +63,7 @@ class InnovationSpec:
             raise ValueError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
         for name in ("df", "rate", "alpha", "c"):
             value = getattr(self, name)
-            if value is not None and not (isinstance(value, numbers.Real)
-                                          and math.isfinite(value)):
+            if value is not None and not finite_real(value):
                 raise ValueError(f"{self.kind} requires a finite {name}, "
                                  f"got {value!r}")
         if self.kind == "student_t":
@@ -91,7 +99,16 @@ class InnovationSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "InnovationSpec":
+        if not isinstance(obj, dict):
+            raise ValueError(f"innovation spec must be a JSON object, "
+                             f"got {obj!r}")
+        if "kind" not in obj:
+            raise ValueError("missing field 'kind'")
         kind = obj["kind"]
+        std = obj.get("standardized")
+        if std is not None and not isinstance(std, bool):
+            raise ValueError(f"field 'standardized' must be true or false, "
+                             f"got {std!r}")
         kw = {k: obj[k] for k in ("df", "standardized", "rate", "alpha", "c") if k in obj}
         return InnovationSpec(kind, **kw)
 

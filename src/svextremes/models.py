@@ -30,7 +30,7 @@ from typing import Union
 
 import numpy as np
 
-from .distributions import InnovationSpec, draw, moment_abs
+from .distributions import InnovationSpec, draw, finite_real, moment_abs
 from .rng import RngSeed
 
 __all__ = [
@@ -107,8 +107,13 @@ class Garch11Pair:
             raise ValueError("alpha1 and beta1 must be >= 0")
 
     def draw_a(self, g: np.random.Generator, size: int) -> np.ndarray:
+        # alpha1 e e + beta1 in the same operation order, with one
+        # temporary fewer than the expression
         e = draw(self.eta, g, size)
-        return self.alpha1 * e * e + self.beta1
+        t = self.alpha1 * e
+        t *= e
+        t += self.beta1
+        return t
 
 
 @dataclass(frozen=True)
@@ -369,35 +374,72 @@ def config_to_json(cfg: ModelConfig) -> dict:
     raise TypeError(f"not a model config: {cfg!r}")
 
 
+def _field(obj: dict, key: str):
+    if key not in obj:
+        raise ValueError(f"missing field {key!r}")
+    return obj[key]
+
+
+def _real(obj: dict, key: str) -> float:
+    v = _field(obj, key)
+    if not finite_real(v):
+        raise ValueError(f"field {key!r} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _flag(obj: dict, key: str) -> bool:
+    v = obj.get(key, False)
+    if not isinstance(v, bool):
+        raise ValueError(f"field {key!r} must be true or false, got {v!r}")
+    return v
+
+
+def _object(v, what: str) -> dict:
+    if not isinstance(v, dict):
+        raise ValueError(f"{what} must be a JSON object, got {v!r}")
+    return v
+
+
+def _spec(obj: dict, key: str) -> InnovationSpec:
+    try:
+        return InnovationSpec.from_json(_field(obj, key))
+    except ValueError as e:
+        raise ValueError(f"field {key!r}: {e}") from None
+
+
 def config_from_json(obj: dict) -> ModelConfig:
+    """The model config a config_to_json dict describes.
+
+    A non-object config, a missing field or a field of the wrong type
+    raises a ValueError that names the field.
+    """
+    _object(obj, "model config")
     fam = obj.get("family")
     if fam == "expar1":
-        return ExpAr1Config(float(obj["phi"]),
-                            InnovationSpec.from_json(obj["eta"]),
-                            InnovationSpec.from_json(obj["z"]))
+        return ExpAr1Config(_real(obj, "phi"), _spec(obj, "eta"),
+                            _spec(obj, "z"))
     if fam == "egarch":
-        return EgarchConfig(float(obj["alpha0"]), float(obj["gamma0"]),
-                            float(obj["delta0"]), float(obj["phi"]),
-                            InnovationSpec.from_json(obj["z"]),
-                            bool(obj.get("light_tailed", False)))
+        return EgarchConfig(_real(obj, "alpha0"), _real(obj, "gamma0"),
+                            _real(obj, "delta0"), _real(obj, "phi"),
+                            _spec(obj, "z"), _flag(obj, "light_tailed"))
     if fam == "sresv":
-        pair = obj["pair"]
-        if pair["type"] == "garch11":
-            src = Garch11Pair(float(pair["alpha0"]), float(pair["alpha1"]),
-                              float(pair["beta1"]),
-                              InnovationSpec.from_json(pair["eta"]))
-        elif pair["type"] == "generic":
-            src = GenericPair(InnovationSpec.from_json(pair["a"]),
-                              InnovationSpec.from_json(pair["b"]))
+        pair = _object(_field(obj, "pair"), "field 'pair'")
+        if pair.get("type") == "garch11":
+            src = Garch11Pair(_real(pair, "alpha0"), _real(pair, "alpha1"),
+                              _real(pair, "beta1"), _spec(pair, "eta"))
+        elif pair.get("type") == "generic":
+            src = GenericPair(_spec(pair, "a"), _spec(pair, "b"))
         else:
             raise ValueError(f"unknown pair type {pair.get('type')!r}")
-        return SreSvConfig(float(obj["p"]), src,
-                           InnovationSpec.from_json(obj["z"]),
-                           bool(obj.get("garch_returns", False)))
+        return SreSvConfig(_real(obj, "p"), src, _spec(obj, "z"),
+                           _flag(obj, "garch_returns"))
     if fam == "masv":
-        return MaSvConfig(float(obj["p"]), tuple(obj["psi"]),
-                          InnovationSpec.from_json(obj["eta"]),
-                          InnovationSpec.from_json(obj["z"]))
+        psi = _field(obj, "psi")
+        if not (isinstance(psi, list) and all(map(finite_real, psi))):
+            raise ValueError(f"field 'psi' must be a list of finite numbers, "
+                             f"got {psi!r}")
+        return MaSvConfig(_real(obj, "p"), tuple(psi), _spec(obj, "eta"),
+                          _spec(obj, "z"))
     raise ValueError(f"unknown model family {fam!r}")
 
 

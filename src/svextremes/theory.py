@@ -22,6 +22,14 @@ Conventions: alpha always denotes the index of sigma^p (the Kesten root),
 so sigma and X are regularly varying with index alpha * p. Monte Carlo
 work is split into fixed chunks with one substream per chunk and reduced
 in chunk order, making results independent of the thread count.
+
+The SRE walks stop each replicate at the step where its contribution is
+settled and draw only for the live ones. Both theta_sigma routes share
+_sup_log_products, which stops a walk once its sup passes the caller's
+cap or its log product falls L / alpha below its sup (L = _LUNDBERG_L
+= 30): when E A^alpha = 1, Lundberg's inequality bounds the chance of a
+later climb above that sup by e^-L, whatever alpha is. theta_x_sre
+drops a replicate once its running max reaches |Z_1|^{alpha p}.
 """
 
 from __future__ import annotations
@@ -47,7 +55,8 @@ __all__ = [
 # collide with the model module's probe (stream 0 on the same master)
 _CALIBRATION_SEED = RngSeed(0x5EED_CA1B, 1)
 _CALIBRATION_DRAWS = 100_000
-_LOG_FLOOR = -30.0
+# L of the Lundberg stop in _sup_log_products
+_LUNDBERG_L = 30.0
 _CHUNK = 65_536
 
 ASampler = Union[Garch11Pair, InnovationSpec, Callable]
@@ -207,30 +216,38 @@ def _check_alpha(problem: KestenProblem, alpha: float) -> None:
 
 
 def _sup_log_products(problem: KestenProblem, g: np.random.Generator,
-                      size: int, trunc_T: int):
-    """Running sup of log prod_{j<=t} A_j per replicate, with early stop.
+                      cap: np.ndarray, trunc_T: int, alpha: float):
+    """Sup over t >= 1 of log prod_{j<=t} A_j per replicate, one per cap.
 
-    Once the log product falls below _LOG_FLOOR a later climb back above
-    the recorded sup is negligible at reported precision, so the replicate
-    stops. Returns (sup_log, hit_horizon) where hit_horizon flags
-    replicates still unresolved at trunc_T. Live replicates are kept in
-    compacted arrays so the per-step cost tracks the survivor count.
+    A replicate stops at the first step where its sup passes its cap, its
+    log product lies _LUNDBERG_L / alpha below its sup, or its log product
+    is -inf (a zero multiplier). A stopped sup above the cap is a lower
+    bound, which is all a caller asking "sup <= cap?" needs. When
+    E A^alpha = 1, Lundberg's inequality bounds the chance that the walk
+    later climbs back above a sup it has fallen L / alpha below by e^-L.
+    Returns (sup_log, hit_horizon), where hit_horizon flags replicates
+    still unresolved at trunc_T. Live replicates are kept in compacted
+    arrays, so the per-step cost tracks the survivor count.
     """
+    size = cap.size
     sup_out = np.empty(size)
     hit = np.zeros(size, dtype=bool)
     idx = np.arange(size)
     logprod = np.zeros(size)
     sup = np.full(size, -np.inf)
+    depth = _LUNDBERG_L / alpha
     for _ in range(trunc_T):
         if idx.size == 0:
             return sup_out, hit
-        logprod = logprod + _log_a_sample(problem, g, idx.size)
+        logprod += _log_a_sample(problem, g, idx.size)
         np.maximum(sup, logprod, out=sup)
-        dead = logprod < _LOG_FLOOR
-        if dead.any():
-            sup_out[idx[dead]] = sup[dead]
-            keep = ~dead
-            idx, logprod, sup = idx[keep], logprod[keep], sup[keep]
+        # <= also stops a zero product, where sup and logprod are both -inf
+        done = (sup > cap) | (logprod <= sup - depth)
+        if done.any():
+            sup_out[idx[done]] = sup[done]
+            keep = ~done
+            idx, logprod, sup, cap = (idx[keep], logprod[keep], sup[keep],
+                                      cap[keep])
     sup_out[idx] = sup
     hit[idx] = True
     return sup_out, hit
@@ -242,10 +259,13 @@ def theta_sigma_sre(problem: KestenProblem, alpha: float,
                     threads: int = 1) -> ThetaTheoryResult:
     """Extremal index of the SRE volatility sequence.
 
-    Uses theta_sigma = E 1{sup_{t>=1} prod_{j<=t} A_j <= 1/Y} with
+    Uses theta_sigma = P(sup_{t>=1} prod_{j<=t} A_j <= 1/Y) with
     Y ~ Pareto(alpha), which is the integral above after the change of
-    variables. Reports the binomial standard error and the fraction of
-    replicates that reached trunc_T without resolving (truncation risk).
+    variables. Each replicate's walk stops once its sup passes
+    b = -log Y (a failure) or its log product falls _LUNDBERG_L / alpha
+    below its sup (a success, wrong with probability at most e^-L).
+    Reports the binomial standard error and the fraction of replicates
+    still unresolved at trunc_T (truncation risk), counted as successes.
     """
     _check_mc_reps(mc_reps)
     if trunc_T < 1:
@@ -255,24 +275,10 @@ def theta_sigma_sre(problem: KestenProblem, alpha: float,
 
     def one(i: int):
         g = seed.generator(i)
-        size = sizes[i]
-        u = 1.0 - g.random(size)          # (0, 1]
+        u = 1.0 - g.random(sizes[i])      # (0, 1]
         b = np.log(u) / alpha             # -log Y <= 0
-        logprod = np.zeros(size)
-        succ = 0
-        for _ in range(trunc_T):
-            if b.size == 0:
-                break
-            logprod = logprod + _log_a_sample(problem, g, b.size)
-            failed = logprod > b
-            done_ok = ~failed & (logprod < _LOG_FLOOR)
-            succ += int(done_ok.sum())
-            keep = ~(failed | done_ok)
-            logprod, b = logprod[keep], b[keep]
-        # unresolved at the horizon: the sup has not exceeded b yet, so
-        # count as success and report the fraction as truncation risk
-        risk = b.size
-        return succ + risk, risk
+        sup, hit = _sup_log_products(problem, g, b, trunc_T, alpha)
+        return int(np.count_nonzero(sup <= b)), int(np.count_nonzero(hit))
 
     parts = chunked_map(one, len(sizes), threads)
     succ = sum(p[0] for p in parts)
@@ -296,12 +302,14 @@ def theta_sigma_sre_quadrature(problem: KestenProblem, alpha: float,
 
     Samples the sup of products once, forms its empirical distribution
     function G, and evaluates alpha Int_1^ymax G(1/y) y^{-alpha-1} dy by
-    the trapezoid rule on a log-spaced grid. Independent of the change-of-
-    variables estimator in everything but the sup law itself.
+    the trapezoid rule on a log-spaced grid. The integrand reads G only
+    at -log y <= 0, so every walk stops once its sup passes 0. Independent
+    of the change-of-variables estimator in everything but the sup law.
     """
     _check_mc_reps(mc_reps)
     g = seed.generator()
-    sup, hit = _sup_log_products(problem, g, mc_reps, trunc_T)
+    sup, hit = _sup_log_products(problem, g, np.zeros(mc_reps), trunc_T,
+                                 alpha)
     sup_sorted = np.sort(sup)
     y_max = max(10.0, 1e14 ** (1.0 / alpha))
     y = np.exp(np.linspace(0.0, math.log(y_max), grid_points))
@@ -331,7 +339,11 @@ def theta_x_sre(problem: KestenProblem, z: InnovationSpec, alpha: float,
 
     Self-normalized ratio estimator: numerator and denominator share the
     |Z_1| draws, so m = 1 returns exactly 1 (the empty max is zero) and
-    the sequence over m' is non-increasing replicate by replicate.
+    the sequence over m' is non-increasing replicate by replicate. A
+    replicate whose running max has reached |Z_1|^{alpha p} adds 0 at
+    every later m', so it stops there and only the live ones draw Z and A.
+    The truncation record gives live_fraction, the share of replicates
+    still unresolved at m.
     """
     _check_mc_reps(mc_reps)
     if m < 1:
@@ -343,32 +355,37 @@ def theta_x_sre(problem: KestenProblem, z: InnovationSpec, alpha: float,
 
     def one(i: int):
         g = seed.generator(i)
-        size = sizes[i]
-        t1 = np.abs(draw(z, g, size)) ** ap
-        best = np.zeros(size)
-        logprod = np.zeros(size)
-        num = np.empty(m)
-        num[0] = float(t1.sum())
+        t1 = np.abs(draw(z, g, sizes[i])) ** ap
+        sd, ssd = float(t1.sum()), float((t1 * t1).sum())
+        num = np.zeros(m)
+        num[0] = sd
+        best = np.zeros(t1.size)
+        logprod = np.zeros(t1.size)
         for j in range(1, m):
-            zj = np.abs(draw(z, g, size)) ** p
-            logprod = logprod + _log_a_sample(problem, g, size)
+            zj = np.abs(draw(z, g, t1.size)) ** p
+            logprod += _log_a_sample(problem, g, t1.size)
             with np.errstate(over="ignore", under="ignore"):
                 cand = zj ** alpha * np.exp(alpha * logprod)
             np.maximum(best, cand, out=best)
-            num[j] = float(np.clip(t1 - best, 0.0, None).sum())
-        n_fin = np.clip(t1 - best, 0.0, None)
-        return (num, float(t1.sum()), float((n_fin * n_fin).sum()),
-                float((t1 * t1).sum()), float((n_fin * t1).sum()))
+            live = best < t1
+            if not live.all():
+                t1, best, logprod = t1[live], best[live], logprod[live]
+            num[j] = float((t1 - best).sum())
+        gap = t1 - best
+        return (num, sd, float((gap * gap).sum()), ssd,
+                float((gap * t1).sum()), t1.size)
 
     parts = chunked_map(one, len(sizes), threads)
     num = np.zeros(m)
     sd = ssn = ssd = snd = 0.0
-    for pnum, psd, pssn, pssd, psnd in parts:
+    live = 0
+    for pnum, psd, pssn, pssd, psnd, plive in parts:
         num += pnum
         sd += psd
         ssn += pssn
         ssd += pssd
         snd += psnd
+        live += plive
     seq = num / sd
     value = float(seq[-1])
     nbar = num[-1] / mc_reps
@@ -378,7 +395,9 @@ def theta_x_sre(problem: KestenProblem, z: InnovationSpec, alpha: float,
     cov = snd / mc_reps - nbar * dbar
     var_ratio = max(var_n + value * value * var_d - 2.0 * value * cov, 0.0)
     se = math.sqrt(var_ratio / mc_reps) / dbar
-    return ThetaTheoryResult(value, se, {"m": m}, mc_reps, sequence=seq)
+    return ThetaTheoryResult(value, se,
+                             {"m": m, "live_fraction": live / mc_reps},
+                             mc_reps, sequence=seq)
 
 
 def theta_x_ma(psi, alpha: float, p: float, z: InnovationSpec,

@@ -153,3 +153,51 @@ def ma_theta_runs(u):
     num, _ = quad(integrand, 1.0, u - 1.0, points=(0.5 * u,), epsabs=0.0,
                   epsrel=1e-10, limit=200)
     return num / pareto_pair_survival(u)
+
+
+# -- two-point multipliers: log A = +h with probability P, else -h --------
+# E A^alpha = 1 at alpha = log(Q/P) / h, where e^{alpha h} = Q/P, and the
+# log products are h times a +-1 random walk S_t with upward probability
+# P. Every value below depends on P alone, not on h.
+
+P_UP = 0.3
+Q_DOWN = 1.0 - P_UP
+
+
+def two_point_alpha(h):
+    """The Kesten index of the two-point multipliers with step h."""
+    return math.log(Q_DOWN / P_UP) / h
+
+
+def two_point_theta_sigma():
+    """theta_sigma = E(1 - sup_{t>=1} Pi_t^alpha)_+ = (Q - P)^2 / Q.
+
+    Pi_t^alpha = (Q/P)^{S_t}, so only walks with sup S = -1 add: the first
+    step goes down (Q) and the walk never returns to 0 (1 - P/Q). Each
+    adds 1 - P/Q.
+    """
+    return (Q_DOWN - P_UP) ** 2 / Q_DOWN
+
+
+def two_point_theta_x_sequence(m):
+    """theta_x_sre's sequence for m' = 1..m with Z == 1.
+
+    The m'-th value is E(1 - (Q/P)^{M_{m'-1}})_+, with M_k the running max
+    of S over steps 1..k (the empty max adds nothing, so the first value
+    is 1). A walk adds only while M <= -1, so the dynamic programme tracks
+    the probability of each (position, max) pair among those walks.
+    """
+    r = P_UP / Q_DOWN
+    out = [1.0]
+    states = {(-1, -1): Q_DOWN}
+    for _ in range(1, m):
+        out.append(sum(w * (1.0 - r ** -mx) for (_, mx), w in states.items()))
+        nxt = {}
+        for (pos, mx), w in states.items():
+            down = (pos - 1, mx)
+            nxt[down] = nxt.get(down, 0.0) + w * Q_DOWN
+            if pos + 1 <= -1:
+                up = (pos + 1, max(mx, pos + 1))
+                nxt[up] = nxt.get(up, 0.0) + w * P_UP
+        states = nxt
+    return np.array(out)

@@ -6,17 +6,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import tempfile
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import svextremes
-from svextremes import (ExperimentConfig, Garch11Pair, MaSvConfig, RngSeed,
-                        SreSvConfig, config_to_json, constant, laplace,
-                        pareto, path_to_csv, run_experiment, simulate,
-                        std_normal)
+from svextremes import (ExperimentConfig, Garch11Pair, GenericPair,
+                        MaSvConfig, RngSeed, SreSvConfig, config_to_json,
+                        constant, laplace, pareto, path_to_csv,
+                        run_experiment, simulate, std_normal, student_t)
 from svextremes.cli import _read_path_csv, main
-from svextremes.models import ExpAr1Config
+from svextremes.models import EgarchConfig, ExpAr1Config
 
 
 @pytest.fixture()
@@ -77,6 +81,102 @@ def test_bad_seed_and_threads_rejected(runner, workdir):
     r = invoke(runner, "--threads", 0, "simulate", "--model", "garch.json",
                "--n", 10)
     assert r.exit_code != 0
+
+
+# one config of each family and pair type, as config_to_json writes them
+VALID_MODELS = [config_to_json(c) for c in (
+    ExpAr1Config(phi=0.9, eta=laplace(4.0), z=student_t(4.0)),
+    EgarchConfig(alpha0=0.1, gamma0=0.5, delta0=0.5, phi=0.5,
+                 z=laplace(2.0)),
+    SreSvConfig(p=2.0, pair_source=Garch11Pair(1e-7, 0.1, 0.89,
+                                               std_normal()),
+                z=std_normal()),
+    SreSvConfig(p=1.0, pair_source=GenericPair(constant(0.5), pareto(4.0)),
+                z=constant(1.0)),
+    MaSvConfig(p=1.0, psi=(1.0, 0.5), eta=pareto(4.0), z=std_normal()),
+)]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner,
+                                     max_size=3)),
+    max_leaves=8)
+
+
+def _field_paths(obj, prefix=()):
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+def _replace(obj, path, value):
+    out = json.loads(json.dumps(obj))
+    inner = out
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return out
+
+
+# a valid config with one field, at any depth, replaced by any JSON value
+MUTATED_MODELS = st.sampled_from(VALID_MODELS).flatmap(
+    lambda cfg: st.builds(_replace, st.just(cfg),
+                          st.sampled_from(list(_field_paths(cfg))),
+                          JSON_VALUES))
+
+
+def simulate_model_json(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "model.json"
+        model.write_text(json.dumps(obj))
+        return CliRunner().invoke(main, [
+            "--out", str(Path(tmp) / "o"), "simulate", "--model",
+            str(model), "--n", "20", "--burn-in", "10"])
+
+
+def assert_bad_model_config(r):
+    # a ClickException ends the runner with SystemExit; any other
+    # exception would be a traceback for the user
+    assert r.exit_code != 0
+    assert isinstance(r.exception, SystemExit), repr(r.exception)
+    assert "bad model config" in r.output
+
+
+@pytest.mark.parametrize("obj, field", [
+    ([], "model config must be a JSON object"),
+    ({**VALID_MODELS[0], "phi": [1]}, "field 'phi'"),
+    ({**VALID_MODELS[2], "pair": "x"}, "field 'pair'"),
+    ({**VALID_MODELS[0], "eta": 3}, "field 'eta'"),
+    (_replace(VALID_MODELS[2], ("pair", "eta"), 3), "field 'eta'"),
+    ({**VALID_MODELS[1], "light_tailed": "no"}, "field 'light_tailed'"),
+    ({**VALID_MODELS[4], "psi": [1, None]}, "field 'psi'"),
+    ({**VALID_MODELS[0], "phi": 10 ** 400}, "field 'phi'"),
+    (_replace(VALID_MODELS[0], ("z", "standardized"), 1),
+     "field 'standardized'"),
+    ({k: v for k, v in VALID_MODELS[0].items() if k != "phi"},
+     "missing field 'phi'"),
+])
+def test_simulate_bad_model_config_names_the_field(obj, field):
+    r = simulate_model_json(obj)
+    assert_bad_model_config(r)
+    assert field in r.output
+
+
+@given(obj=JSON_VALUES)
+@settings(max_examples=60, deadline=None)
+def test_simulate_any_json_value_is_a_bad_model_config(obj):
+    assert_bad_model_config(simulate_model_json(obj))
+
+
+@given(obj=MUTATED_MODELS)
+@settings(max_examples=80, deadline=None)
+def test_simulate_mutated_model_config_never_a_traceback(obj):
+    r = simulate_model_json(obj)
+    if r.exit_code != 0:
+        assert_bad_model_config(r)
 
 
 def test_hill_from_model_and_from_csv(runner, workdir):

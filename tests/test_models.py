@@ -254,6 +254,14 @@ def test_generic_pair_kinds():
     GenericPair(pareto(4.0), constant(0.0))
 
 
+def test_garch_draw_a_bit_equal_to_expression():
+    # draw_a works in place; the reference is the one-line expression
+    pair = fig2_pair()
+    e = draw(pair.eta, SEED.generator(), 100_000)
+    a = pair.draw_a(SEED.generator(), 100_000)
+    assert np.array_equal(a, pair.alpha1 * e * e + pair.beta1)
+
+
 def test_nonstationary_multipliers_rejected():
     pair = Garch11Pair(alpha0=1e-7, alpha1=0.1, beta1=1.0, eta=std_normal())
     with pytest.raises(ValueError, match="no stationary solution"):

@@ -9,6 +9,9 @@ Frozen oracle values and their provenance:
   * theta_x_sre sequence for the multipliers above (alpha=2, p=2, Z normal),
     400k-replicate reference run: m=2: 0.8516, m=5: 0.6176, m=10: 0.4594,
     m=25: 0.3225, m=50: 0.2733.
+  * two-point multipliers log A = +-h, P(+h) = 0.3: theta_sigma and the
+    Z == 1 theta_x_sre sequence in closed form / by dynamic programming
+    (exact_laws.two_point_*), the same for every h.
 """
 
 import math
@@ -20,6 +23,8 @@ from svextremes import (Garch11Pair, KestenProblem, RngSeed,
                         ThetaTheoryResult, constant, kesten_index, pareto,
                         std_normal, student_t, theta_sigma_sre,
                         theta_sigma_sre_quadrature, theta_x_ma, theta_x_sre)
+
+import exact_laws
 
 KAPPA_ORACLE = 1.9954946282347668
 MA_THETA_ORACLE = 0.924413657462314
@@ -33,6 +38,14 @@ def garch_problem():
 
 def zero_problem():
     return KestenProblem(constant(0.0))
+
+
+def two_point_problem(h):
+    # log A = +h with probability P_UP, else -h
+    def sampler(g, size):
+        return np.exp(np.where(g.random(size) < exact_laws.P_UP, h, -h))
+
+    return KestenProblem(sampler)
 
 
 # -- Kesten index ---------------------------------------------------------
@@ -128,6 +141,24 @@ def test_theta_sigma_two_routes_agree():
     assert mc.mc_stderr > 0
 
 
+@pytest.mark.parametrize("h", [0.5, 12.0])
+def test_theta_sigma_matches_two_point_law(h):
+    # at h = 12 (alpha ~ 0.07) a walk must fall ~425 below its sup before
+    # a climb back is negligible; a fixed floor at log Pi = -30 read high
+    r = theta_sigma_sre(two_point_problem(h), exact_laws.two_point_alpha(h),
+                        mc_reps=200_000, seed=RngSeed(1))
+    assert abs(r.value - exact_laws.two_point_theta_sigma()) < 4 * r.mc_stderr
+    assert r.truncation["risk_fraction"] == 0.0
+
+
+def test_theta_sigma_quadrature_matches_two_point_law():
+    r = theta_sigma_sre_quadrature(two_point_problem(0.5),
+                                   exact_laws.two_point_alpha(0.5),
+                                   mc_reps=200_000, seed=RngSeed(1))
+    assert abs(r.value - exact_laws.two_point_theta_sigma()) < r.mc_stderr
+    assert r.truncation["risk_fraction"] == 0.0
+
+
 def test_theta_sigma_rejects_wrong_alpha():
     with pytest.raises(ValueError, match="alpha inconsistent"):
         theta_sigma_sre(garch_problem(), alpha=3.0, mc_reps=1000)
@@ -167,6 +198,37 @@ def test_theta_x_sre_sequence_matches_reference_run():
     assert np.all(np.diff(r.sequence) <= 0)
     assert r.sequence[0] == 1.0
     assert r.value == r.sequence[-1]
+
+
+def test_theta_x_sre_matches_two_point_law():
+    # Z == 1: the m-th value is E(1 - e^{alpha h M_{m-1}})_+; an explicit m
+    # reads the same value as the longer run's sequence at that m
+    exact = exact_laws.two_point_theta_x_sequence(50)
+    args = dict(problem=two_point_problem(0.5), z=constant(1.0),
+                alpha=exact_laws.two_point_alpha(0.5), p=1.0,
+                mc_reps=200_000, seed=RngSeed(1))
+    full = theta_x_sre(m=50, **args)
+    for m in (2, 5, 10, 50):
+        r = theta_x_sre(m=m, **args)
+        assert abs(r.value - exact[m - 1]) < 4 * r.mc_stderr
+        assert r.value == full.sequence[m - 1]
+
+
+def test_theta_x_sre_live_fraction():
+    # replicates whose running max reached |Z_1|^{alpha p} stop; the
+    # rest are live, all of them at m = 1 and with A == 0 (max stays 0)
+    one = theta_x_sre(garch_problem(), std_normal(), alpha=2.0, p=2.0, m=1,
+                      mc_reps=1000)
+    assert one.truncation == {"m": 1, "live_fraction": 1.0}
+    flat = theta_x_sre(zero_problem(), std_normal(), alpha=1.0, p=1.0, m=5,
+                       mc_reps=2000)
+    assert flat.truncation["live_fraction"] == 1.0
+    fig2 = [theta_x_sre(garch_problem(), std_normal(), alpha=2.0, p=2.0,
+                        m=m, mc_reps=20_000, seed=RngSeed(3))
+            for m in (2, 50)]
+    lf = [r.truncation["live_fraction"] for r in fig2]
+    assert 0.0 < lf[1] < lf[0] < 1.0
+    assert 0.02 < lf[1] < 0.1  # about 5% still unresolved at m = 50
 
 
 def test_theta_x_sre_thread_invariant():
