@@ -4,45 +4,33 @@ Global flags (before the subcommand) pick the master seed, the output
 directory, and the worker thread count; the thread count never changes
 numerical results, only wall time. Model configs are JSON files in the
 same schema the library's config_to_json produces. Subcommands write
-their outputs under --out and echo a JSON summary to stdout.
+their outputs under --out and echo a JSON summary to stdout. The path
+and theory commands run the experiment analysis of the same name from
+experiments.ANALYSES on one spec; they write no path.csv or report.json.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+from dataclasses import replace
 from pathlib import Path as FsPath
 
 import click
 import numpy as np
 
 from . import estimators as est
-from . import theory
-from .experiments import (ExperimentConfig, PRESET_NAMES,
-                          _write_extremogram_csv, preset_config,
-                          run_experiment)
+from .experiments import (ANALYSES, AnalysisInputs, ExperimentConfig,
+                          PRESET_NAMES, _json_text, _write_json,
+                          preset_config, run_experiment)
 from .models import config_from_json, path_to_csv, simulate, DEFAULT_BURN_IN
 from .rng import RngSeed
 
 _SERIES = click.Choice(["x", "x_abs", "sigma"])
 
 
-def _json_default(o):
-    if isinstance(o, np.generic):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON serializable: {type(o).__name__}")
-
-
 def _echo_json(obj) -> None:
-    click.echo(json.dumps(obj, indent=2, sort_keys=True,
-                          default=_json_default))
-
-
-def _write_json(fp: FsPath, obj) -> None:
-    fp.write_text(json.dumps(obj, indent=2, sort_keys=True,
-                             default=_json_default) + "\n")
+    click.echo(_json_text(obj))
 
 
 def _load_model(path: str):
@@ -78,34 +66,31 @@ def _read_path_csv(path: str):
     return sigma, x
 
 
-def _get_series(ctx, model, input_csv, n, burn_in, series):
-    """Series values either from a stored path.csv or a fresh simulation."""
+def _path_inputs(ctx, model, input_csv, n, burn_in) -> AnalysisInputs:
+    """A stored path.csv or a fresh simulation, as analysis inputs."""
     if (model is None) == (input_csv is None):
         raise click.ClickException("give exactly one of --model or --input")
     if input_csv is not None:
         sigma, x = _read_path_csv(input_csv)
-    else:
-        cfg = _load_model(model)
-        path = _sim(cfg, n, ctx, burn_in)
-        sigma, x = path.sigma, path.x
-    if series == "x":
-        return x
-    if series == "x_abs":
-        return np.abs(x)
-    return sigma
+        return replace(ctx.obj, sigma=sigma, x=x)
+    cfg = _load_model(model)
+    path = _sim(cfg, n, ctx, burn_in)
+    return replace(ctx.obj, sigma=path.sigma, x=path.x, model=cfg,
+                   burn_in=burn_in)
 
 
-def _sim(cfg, n, ctx, burn_in):
+def _analysis(kind: str, spec: dict, run: AnalysisInputs) -> dict:
     try:
-        return simulate(cfg, n, burn_in=burn_in, seed=ctx.obj["seed"])
+        return ANALYSES[kind](spec, run)
     except ValueError as e:
         raise click.ClickException(str(e))
 
 
-def _out_dir(ctx) -> FsPath:
-    out = FsPath(ctx.obj["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _sim(cfg, n, ctx, burn_in):
+    try:
+        return simulate(cfg, n, burn_in=burn_in, seed=ctx.obj.seed)
+    except ValueError as e:
+        raise click.ClickException(str(e))
 
 
 @click.group()
@@ -124,7 +109,8 @@ def main(ctx, seed, out, threads):
         raise click.ClickException(str(e))
     if threads < 1:
         raise click.ClickException("threads must be >= 1")
-    ctx.obj = {"seed": rs, "out": out, "threads": threads}
+    # the inputs every analysis shares; a command adds its path and model
+    ctx.obj = AnalysisInputs(None, None, None, rs, FsPath(out), threads)
 
 
 @main.command("simulate")
@@ -138,9 +124,9 @@ def simulate_cmd(ctx, model, n, burn_in):
     """Simulate a path and write it as CSV."""
     cfg = _load_model(model)
     path = _sim(cfg, n, ctx, burn_in)
-    out = _out_dir(ctx)
-    path_to_csv(path, out / "path.csv")
-    _echo_json({"path_csv": str(out / "path.csv"), "n": path.n,
+    csv = ctx.obj.artifact("path.csv")
+    path_to_csv(path, csv)
+    _echo_json({"path_csv": str(csv), "n": path.n,
                 "sigma_max": float(path.sigma.max()),
                 "x_absmax": float(np.abs(path.x).max())})
 
@@ -158,14 +144,9 @@ def simulate_cmd(ctx, model, n, burn_in):
 @click.pass_context
 def hill(ctx, model, input_csv, n, burn_in, k, series):
     """Hill estimate of the tail index of a series."""
-    v = _get_series(ctx, model, input_csv, n, burn_in, series)
-    try:
-        r = est.hill(v, k)
-    except ValueError as e:
-        raise click.ClickException(str(e))
-    out = {"series": series, "k": r.k, "alpha_hat": r.alpha_hat,
-           "ci_low": r.ci_low, "ci_high": r.ci_high}
-    _write_json(_out_dir(ctx) / "hill.json", out)
+    run = _path_inputs(ctx, model, input_csv, n, burn_in)
+    out = _analysis("hill", {"k": k, "series": series}, run)
+    _write_json(run.artifact("hill.json"), out)
     _echo_json(out)
 
 
@@ -187,22 +168,11 @@ def hill(ctx, model, input_csv, n, burn_in, k, series):
 def theta_est(ctx, model, input_csv, n, burn_in, method, q, block_len,
               run_len, series):
     """Blocks, runs or intervals estimate of the extremal index."""
-    v = _get_series(ctx, model, input_csv, n, burn_in, series)
-    u = float(np.quantile(v, q))
-    threads = ctx.obj["threads"]
-    try:
-        if method == "blocks":
-            r = est.blocks_theta(v, u, block_len, threads=threads)
-        elif method == "runs":
-            r = est.runs_theta(v, u, run_len, threads=threads)
-        else:
-            r = est.intervals_theta(v, u, threads=threads)
-    except ValueError as e:
-        raise click.ClickException(str(e))
-    out = {"theta_hat": r.theta_hat, "method": r.method,
-           "tuning": dict(r.tuning), "stderr": r.stderr, "q": q, "u": u,
-           "series": series}
-    _write_json(_out_dir(ctx) / "theta.json", out)
+    run = _path_inputs(ctx, model, input_csv, n, burn_in)
+    out = _analysis("theta", {"method": method, "q": q,
+                              "block_len": block_len, "run_len": run_len,
+                              "series": series}, run)
+    _write_json(run.artifact("theta.json"), out)
     _echo_json(out)
 
 
@@ -220,18 +190,15 @@ def theta_est(ctx, model, input_csv, n, burn_in, method, q, block_len,
 @click.pass_context
 def extremogram(ctx, model, input_csv, n, burn_in, lags, q, series):
     """Sample extremogram at the given lags."""
-    v = _get_series(ctx, model, input_csv, n, burn_in, series)
+    run = _path_inputs(ctx, model, input_csv, n, burn_in)
     try:
         lag_list = [int(s) for s in lags.split(",") if s.strip()]
-        r = est.extremogram(v, lag_list, q)
     except ValueError as e:
         raise click.ClickException(str(e))
-    out_dir = _out_dir(ctx)
-    _write_extremogram_csv(out_dir / "extremogram.csv", r)
-    _echo_json({"series": series, "q": r.q, "u": r.u, "lags": list(r.lags),
-                "chi_hat": [float(c) for c in r.chi_hat],
-                "stderr": [float(s) for s in r.stderr],
-                "csv": str(out_dir / "extremogram.csv")})
+    out = _analysis("extremogram",
+                    {"lags": lag_list, "q": q, "series": series}, run)
+    out["csv"] = str(run.out / out["csv"])
+    _echo_json(out)
 
 
 @main.command("theta-theory")
@@ -252,37 +219,15 @@ def extremogram(ctx, model, input_csv, n, burn_in, lags, q, series):
 def theta_theory(ctx, which, model, alpha, m, mc_reps, tol, trunc_t):
     """Evaluate a theoretical tail or extremal-index quantity."""
     cfg = _load_model(model)
-    seed = ctx.obj["seed"]
-    threads = ctx.obj["threads"]
-    if mc_reps is None:
-        mc_reps = 1_000_000 if which in ("kesten", "theta-x-sre") else 200_000
-    try:
-        if which == "kesten":
-            problem = theory.KestenProblem(cfg.pair_source)
-            r = theory.kesten_index(problem, mc_reps=mc_reps, tol=tol,
-                                    seed=seed)
-            out = {"which": which, **r.to_json()}
-        else:
-            if alpha is None:
-                raise click.ClickException("--alpha is required")
-            if which == "theta-sigma":
-                problem = theory.KestenProblem(cfg.pair_source)
-                r = theory.theta_sigma_sre(problem, alpha, mc_reps=mc_reps,
-                                           trunc_T=trunc_t, seed=seed,
-                                           threads=threads)
-            elif which == "theta-x-sre":
-                problem = theory.KestenProblem(cfg.pair_source)
-                r = theory.theta_x_sre(problem, cfg.z, alpha, cfg.p, m,
-                                       mc_reps=mc_reps, seed=seed,
-                                       threads=threads)
-            else:
-                r = theory.theta_x_ma(cfg.psi, alpha, cfg.p, cfg.z,
-                                      mc_reps=mc_reps, seed=seed,
-                                      threads=threads)
-            out = {"which": which, **r.to_json()}
-    except (ValueError, AttributeError) as e:
-        raise click.ClickException(str(e))
-    _write_json(_out_dir(ctx) / "theory.json", out)
+    if alpha is None and which != "kesten":
+        raise click.ClickException("--alpha is required")
+    spec = {"which": which.replace("-", "_"), "alpha": alpha, "m": m,
+            "tol": tol, "trunc_T": trunc_t}
+    if mc_reps is not None:
+        spec["mc_reps"] = mc_reps
+    out = {**_analysis("theory", spec, replace(ctx.obj, model=cfg)),
+           "which": which}
+    _write_json(ctx.obj.artifact("theory.json"), out)
     _echo_json(out)
 
 
@@ -300,11 +245,8 @@ def theta_theory(ctx, which, model, alpha, m, mc_reps, tol, trunc_t):
 @click.pass_context
 def diagnose(ctx, model, n, burn_in, k, q, alpha):
     """Battery: Hill, three theta estimates, extremogram, tail transfer."""
-    cfg = _load_model(model)
-    path = _sim(cfg, n, ctx, burn_in)
-    threads = ctx.obj["threads"]
+    run = _path_inputs(ctx, model, None, n, burn_in)
     k = k if k is not None else max(n // 50, 10)
-    x_abs = np.abs(path.x)
     out = {"n": n, "q": q, "k": k}
     errors = {}
 
@@ -314,30 +256,26 @@ def diagnose(ctx, model, n, burn_in, k, q, alpha):
         except ValueError as e:
             errors[name] = str(e)
 
-    attempt("hill_sigma", lambda: est.hill(path.sigma, k).alpha_hat)
-    attempt("hill_x_abs", lambda: est.hill(x_abs, k).alpha_hat)
-    u = float(np.quantile(x_abs, q))
-    out["u"] = u
-    attempt("theta_blocks",
-            lambda: est.blocks_theta(x_abs, u, 100, threads=threads).theta_hat)
-    attempt("theta_runs",
-            lambda: est.runs_theta(x_abs, u, 10, threads=threads).theta_hat)
-    attempt("theta_intervals",
-            lambda: est.intervals_theta(x_abs, u, threads=threads).theta_hat)
+    def value(kind, key, **spec):
+        return lambda: ANALYSES[kind](spec, run)[key]
+
+    attempt("hill_sigma", value("hill", "alpha_hat", k=k, series="sigma"))
+    attempt("hill_x_abs", value("hill", "alpha_hat", k=k))
+    attempt("u", lambda: float(np.quantile(np.abs(run.x), q)))
+    for method in ("blocks", "runs", "intervals"):
+        attempt(f"theta_{method}", value("theta", "theta_hat",
+                                         method=method, q=q))
+    # the chi values only: diagnose writes no extremogram.csv
     attempt("extremogram",
-            lambda: [float(c) for c in
-                     est.extremogram(x_abs, list(range(1, 11)), q).chi_hat])
+            lambda: est.extremogram(np.abs(run.x), range(1, 11),
+                                    q).chi_hat.tolist())
     a = alpha if alpha is not None else out.get("hill_x_abs")
     if a is not None:
-        attempt("breiman_ratio",
-                lambda: [float(v) for v in
-                         est.breiman_ratio(path.sigma, path.x,
-                                           [0.99, 0.995, 0.999], a,
-                                           z=cfg.z).ratios])
+        attempt("breiman_ratio", value("breiman", "ratios", alpha=a))
         out["breiman_alpha"] = float(a)
     if errors:
         out["errors"] = errors
-    _write_json(_out_dir(ctx) / "diagnose.json", out)
+    _write_json(run.artifact("diagnose.json"), out)
     _echo_json(out)
 
 
@@ -354,7 +292,7 @@ def experiment_run(ctx, config):
     try:
         with open(config) as fh:
             cfg = ExperimentConfig.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError) as e:
+    except (OSError, ValueError) as e:
         raise click.ClickException(f"bad experiment config: {e}")
     _run_and_echo(ctx, cfg)
 
@@ -364,14 +302,14 @@ def experiment_run(ctx, config):
 @click.pass_context
 def experiment_preset(ctx, name):
     """Run a built-in preset experiment."""
-    cfg = preset_config(name, ctx.obj["seed"])
+    cfg = preset_config(name, ctx.obj.seed)
     _run_and_echo(ctx, cfg)
 
 
 def _run_and_echo(ctx, cfg: ExperimentConfig) -> None:
-    out = FsPath(ctx.obj["out"])
+    out = ctx.obj.out
     try:
-        report = run_experiment(cfg, out, threads=ctx.obj["threads"])
+        report = run_experiment(cfg, out, threads=ctx.obj.threads)
     except ValueError as e:
         raise click.ClickException(str(e))
     summary = {"out": str(out), "n_analyses": len(report.results),

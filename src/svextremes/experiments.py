@@ -1,4 +1,4 @@
-"""Reproducible experiment driver.
+"""Reproducible experiment driver and the one analysis registry.
 
 An experiment is one simulated path plus a list of analyses, described by
 a JSON-friendly config. Running it writes, into an output directory:
@@ -7,10 +7,16 @@ a JSON-friendly config. Running it writes, into an output directory:
   * report.json     config echo, analysis results, timings, version
   * extremogram*.csv, figure.csv   when those analyses are requested
 
+ANALYSES maps each analysis kind to one function (spec, AnalysisInputs)
+-> report entry, built from the result's own to_json(). run_experiment
+calls it for every spec of the config; the CLI's path and theory
+commands call it for one spec, so they print the entry's keys.
+
 Failures inside a single analysis are recorded in the report (with the
 error message) instead of aborting the run; simulation or config failures
-do abort. Warnings raised inside an analysis are recorded in its entry,
-as a "warnings" list that is present only when it is not empty.
+do abort, and a malformed config raises a ValueError that names the
+field. Warnings raised inside an analysis are recorded in its entry, as
+a "warnings" list that is present only when it is not empty.
 Re-running from the config embedded in a report reproduces every output
 byte for byte, timings excepted.
 """
@@ -21,8 +27,9 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path as FsPath
+from typing import Optional
 
 import numpy as np
 
@@ -30,15 +37,12 @@ from . import estimators as est
 from . import theory
 from .distributions import laplace, std_normal, student_t
 from .models import (DEFAULT_BURN_IN, ExpAr1Config, Garch11Pair, MaSvConfig,
-                     Path, SreSvConfig, config_from_json, config_to_json,
-                     path_to_csv, simulate, write_csv_rows)
+                     SreSvConfig, _field, _object, config_from_json,
+                     config_to_json, path_to_csv, simulate, write_csv_rows)
 from .rng import RngSeed
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
            "preset_config", "PRESET_NAMES"]
-
-_ANALYSES = ("hill", "theta", "extremogram", "breiman", "anticluster",
-             "theory", "figure")
 
 
 def _whole_number(name: str, value) -> int:
@@ -72,7 +76,7 @@ class ExperimentConfig:
                            tuple(dict(a) for a in self.analyses))
         for a in self.analyses:
             kind = a.get("analysis")
-            if kind not in _ANALYSES:
+            if not isinstance(kind, str) or kind not in ANALYSES:
                 raise ValueError(f"unknown analysis {kind!r}")
 
     def to_json(self) -> dict:
@@ -83,11 +87,22 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(obj: dict) -> "ExperimentConfig":
-        return ExperimentConfig(model=config_from_json(obj["model"]),
-                                n=obj["n"],
-                                seed=RngSeed.from_json(obj["seed"]),
+        """The config a to_json dict describes; a malformed one raises a
+        ValueError that names the field."""
+        _object(obj, "experiment config")
+        try:
+            model = config_from_json(_field(obj, "model"))
+        except ValueError as e:
+            raise ValueError(f"field 'model': {e}") from None
+        analyses = obj.get("analyses", [])
+        if not (isinstance(analyses, list)
+                and all(isinstance(a, dict) for a in analyses)):
+            raise ValueError("field 'analyses' must be a list of objects, "
+                             f"got {analyses!r}")
+        return ExperimentConfig(model=model, n=_field(obj, "n"),
+                                seed=RngSeed.from_json(_field(obj, "seed")),
                                 burn_in=obj.get("burn_in", DEFAULT_BURN_IN),
-                                analyses=tuple(obj.get("analyses", ())),
+                                analyses=tuple(analyses),
                                 label=str(obj.get("label", "")))
 
 
@@ -110,142 +125,145 @@ class ExperimentReport:
                                 str(obj["version"]))
 
 
-def _series(path: Path, name: str) -> np.ndarray:
-    if name == "x":
-        return path.x
-    if name == "x_abs":
-        return np.abs(path.x)
-    if name == "sigma":
-        return path.sigma
-    raise ValueError(f"unknown series {name!r}; use x, x_abs or sigma")
+@dataclass(frozen=True)
+class AnalysisInputs:
+    """What an analysis reads besides its spec: the path (sigma and x),
+    the model that made it (None for a stored path.csv), the seed of its
+    own randomness, its artifact directory, and ordinal, the number of
+    earlier analyses of its kind in the run."""
+
+    sigma: Optional[np.ndarray]
+    x: Optional[np.ndarray]
+    model: object
+    seed: RngSeed
+    out: FsPath
+    threads: int = 1
+    burn_in: int = DEFAULT_BURN_IN
+    ordinal: int = 0
+
+    def series(self, name: str) -> np.ndarray:
+        if name == "x":
+            return self.x
+        if name == "x_abs":
+            return np.abs(self.x)
+        if name == "sigma":
+            return self.sigma
+        raise ValueError(f"unknown series {name!r}; use x, x_abs or sigma")
+
+    def artifact(self, name: str) -> FsPath:
+        """The path of an artifact file, creating the directory first."""
+        self.out.mkdir(parents=True, exist_ok=True)
+        return self.out / name
 
 
-def _theta_json(r: est.ThetaEstimate) -> dict:
-    return {"theta_hat": r.theta_hat, "method": r.method,
-            "tuning": dict(r.tuning), "stderr": r.stderr}
+def _hill(spec: dict, run: AnalysisInputs) -> dict:
+    series = spec.get("series", "x_abs")
+    r = est.hill(run.series(series), int(spec["k"]))
+    return {"series": series, **r.to_json()}
 
 
-def _run_one(kind: str, spec: dict, cfg: ExperimentConfig, path: Path,
-             out_dir: FsPath, index: int, ordinal: int,
-             threads: int) -> dict:
-    # fresh randomness for resampling analyses lives in a namespaced child
-    # seed so it cannot overlap the simulation streams
-    sub_seed = cfg.seed.child(1000 + index)
-    if kind == "hill":
-        series = spec.get("series", "x_abs")
-        r = est.hill(_series(path, series), int(spec["k"]))
-        return {"series": series, "k": r.k, "alpha_hat": r.alpha_hat,
-                "ci_low": r.ci_low, "ci_high": r.ci_high}
-    if kind == "theta":
-        method = spec["method"]
-        series = spec.get("series", "x_abs")
-        q = float(spec.get("q", 0.995))
-        v = _series(path, series)
-        u = float(np.quantile(v, q))
-        if method == "blocks":
-            r = est.blocks_theta(v, u, int(spec.get("block_len", 100)),
-                                 threads=threads)
-        elif method == "runs":
-            r = est.runs_theta(v, u, int(spec.get("run_len", 10)),
-                               threads=threads)
-        elif method == "intervals":
-            r = est.intervals_theta(v, u, threads=threads)
-        else:
-            raise ValueError(f"unknown theta method {method!r}")
-        out = _theta_json(r)
-        out.update({"series": series, "q": q, "u": u})
-        return out
-    if kind == "extremogram":
-        series = spec.get("series", "x_abs")
-        lags = [int(h) for h in spec["lags"]]
-        q = float(spec.get("q", 0.99))
-        r = est.extremogram(_series(path, series), lags, q)
-        name = ("extremogram.csv" if ordinal == 0
-                else f"extremogram_{ordinal + 1}.csv")
-        _write_extremogram_csv(out_dir / name, r)
-        return {"series": series, "q": r.q, "u": r.u,
-                "lags": list(r.lags), "chi_hat": [float(c) for c in r.chi_hat],
-                "stderr": [float(s) for s in r.stderr], "csv": name}
-    if kind == "breiman":
-        q_grid = [float(q) for q in spec.get("q_grid", (0.99, 0.995, 0.999))]
-        alpha = float(spec["alpha"])
-        r = est.breiman_ratio(path.sigma, path.x, q_grid, alpha,
-                              z=cfg.model.z)
-        return {"alpha": alpha, **r.to_json()}
-    if kind == "anticluster":
-        m_grid = [int(m) for m in spec["m_grid"]]
-        r_n = int(spec.get("r_n", math.isqrt(cfg.n)))
-        r = est.anticluster_diag(cfg.model, m_grid, r_n,
-                                 float(spec.get("y", 1.0)), cfg.n,
-                                 reps=int(spec.get("reps", 200)),
-                                 seed=sub_seed, burn_in=cfg.burn_in)
-        return {"m_grid": list(r.m_grid),
-                "estimates": [float(v) for v in r.estimates],
-                "stderrs": [float(s) for s in r.stderrs],
-                "n_windows": r.n_windows, "a_n": r.a_n, "u": r.u,
-                "r_n": r.r_n, "y": r.y}
-    if kind == "theory":
-        return _run_theory(spec, cfg, sub_seed, threads)
-    if kind == "figure":
-        q_low = float(spec.get("q_low", 0.01))
-        q_high = float(spec.get("q_high", 0.99))
-        lo = float(np.quantile(path.x, q_low))
-        hi = float(np.quantile(path.x, q_high))
-        _write_figure_csv(out_dir / "figure.csv", path.x, lo, hi)
-        return {"q_low": q_low, "q_high": q_high, "threshold_low": lo,
-                "threshold_high": hi, "csv": "figure.csv"}
-    raise ValueError(f"unknown analysis {kind!r}")
+def _theta(spec: dict, run: AnalysisInputs) -> dict:
+    method = spec["method"]
+    series = spec.get("series", "x_abs")
+    q = float(spec.get("q", 0.995))
+    v = run.series(series)
+    u = float(np.quantile(v, q))
+    if method == "blocks":
+        r = est.blocks_theta(v, u, int(spec.get("block_len", 100)),
+                             threads=run.threads)
+    elif method == "runs":
+        r = est.runs_theta(v, u, int(spec.get("run_len", 10)),
+                           threads=run.threads)
+    elif method == "intervals":
+        r = est.intervals_theta(v, u, threads=run.threads)
+    else:
+        raise ValueError(f"unknown theta method {method!r}")
+    return {**r.to_json(), "series": series, "q": q, "u": u}
 
 
-def _problem_from_model(model) -> theory.KestenProblem:
-    if not isinstance(model, SreSvConfig):
-        raise ValueError("kesten/theta analyses need an sresv model")
-    return theory.KestenProblem(model.pair_source)
+def _extremogram(spec: dict, run: AnalysisInputs) -> dict:
+    series = spec.get("series", "x_abs")
+    lags = [int(h) for h in spec["lags"]]
+    q = float(spec.get("q", 0.99))
+    r = est.extremogram(run.series(series), lags, q)
+    name = ("extremogram.csv" if run.ordinal == 0
+            else f"extremogram_{run.ordinal + 1}.csv")
+    lines = ["lag,chi_hat,stderr"] + [
+        f"{h},{c:.17g},{s:.17g}" for h, c, s in zip(r.lags, r.chi_hat,
+                                                    r.stderr)]
+    run.artifact(name).write_text("\n".join(lines) + "\n")
+    return {"series": series, **r.to_json(), "csv": name}
 
 
-def _run_theory(spec: dict, cfg: ExperimentConfig, sub_seed: RngSeed,
-                threads: int) -> dict:
+def _breiman(spec: dict, run: AnalysisInputs) -> dict:
+    q_grid = [float(q) for q in spec.get("q_grid", (0.99, 0.995, 0.999))]
+    alpha = float(spec["alpha"])
+    r = est.breiman_ratio(run.sigma, run.x, q_grid, alpha, z=run.model.z)
+    return {"alpha": alpha, **r.to_json()}
+
+
+def _anticluster(spec: dict, run: AnalysisInputs) -> dict:
+    n = run.x.size
+    m_grid = [int(m) for m in spec["m_grid"]]
+    r_n = int(spec.get("r_n", math.isqrt(n)))
+    r = est.anticluster_diag(run.model, m_grid, r_n,
+                             float(spec.get("y", 1.0)), n,
+                             reps=int(spec.get("reps", 200)),
+                             seed=run.seed, burn_in=run.burn_in)
+    out = r.to_json()
+    del out["n"]  # the path length, which the report's config holds
+    return out
+
+
+def _theory(spec: dict, run: AnalysisInputs) -> dict:
     which = spec["which"]
-    if which == "kesten":
-        r = theory.kesten_index(_problem_from_model(cfg.model),
-                                mc_reps=int(spec.get("mc_reps", 1_000_000)),
-                                tol=float(spec.get("tol", 1e-4)),
-                                seed=sub_seed)
-        return {"which": which, **r.to_json()}
-    if which == "theta_sigma":
-        r = theory.theta_sigma_sre(_problem_from_model(cfg.model),
-                                   alpha=float(spec["alpha"]),
-                                   mc_reps=int(spec.get("mc_reps", 200_000)),
-                                   trunc_T=int(spec.get("trunc_T", 10_000)),
-                                   seed=sub_seed, threads=threads)
-        return {"which": which, **r.to_json()}
-    if which == "theta_x_sre":
-        model = cfg.model
-        if not isinstance(model, SreSvConfig):
-            raise ValueError("theta_x_sre needs an sresv model")
-        r = theory.theta_x_sre(theory.KestenProblem(model.pair_source),
-                               z=model.z, alpha=float(spec["alpha"]),
-                               p=model.p, m=int(spec.get("m", 50)),
-                               mc_reps=int(spec.get("mc_reps", 1_000_000)),
-                               seed=sub_seed, threads=threads)
-        return {"which": which, **r.to_json()}
+    model = run.model
     if which == "theta_x_ma":
-        model = cfg.model
         if not isinstance(model, MaSvConfig):
             raise ValueError("theta_x_ma needs a masv model")
         r = theory.theta_x_ma(model.psi, alpha=float(spec["alpha"]),
                               p=model.p, z=model.z,
                               mc_reps=int(spec.get("mc_reps", 200_000)),
-                              seed=sub_seed, threads=threads)
+                              seed=run.seed, threads=run.threads)
         return {"which": which, **r.to_json()}
-    raise ValueError(f"unknown theory quantity {which!r}")
+    if which not in ("kesten", "theta_sigma", "theta_x_sre"):
+        raise ValueError(f"unknown theory quantity {which!r}")
+    if not isinstance(model, SreSvConfig):
+        raise ValueError(f"{which} needs an sresv model")
+    problem = theory.KestenProblem(model.pair_source)
+    if which == "kesten":
+        r = theory.kesten_index(problem,
+                                mc_reps=int(spec.get("mc_reps", 1_000_000)),
+                                tol=float(spec.get("tol", 1e-4)),
+                                seed=run.seed)
+    elif which == "theta_sigma":
+        r = theory.theta_sigma_sre(problem, alpha=float(spec["alpha"]),
+                                   mc_reps=int(spec.get("mc_reps", 200_000)),
+                                   trunc_T=int(spec.get("trunc_T", 10_000)),
+                                   seed=run.seed, threads=run.threads)
+    else:
+        r = theory.theta_x_sre(problem, z=model.z, alpha=float(spec["alpha"]),
+                               p=model.p, m=int(spec.get("m", 50)),
+                               mc_reps=int(spec.get("mc_reps", 1_000_000)),
+                               seed=run.seed, threads=run.threads)
+    return {"which": which, **r.to_json()}
 
 
-def _write_extremogram_csv(fp: FsPath, r: est.ExtremogramResult) -> None:
-    lines = ["lag,chi_hat,stderr"]
-    for h, c, s in zip(r.lags, r.chi_hat, r.stderr):
-        lines.append(f"{h},{c:.17g},{s:.17g}")
-    fp.write_text("\n".join(lines) + "\n")
+def _figure(spec: dict, run: AnalysisInputs) -> dict:
+    q_low = float(spec.get("q_low", 0.01))
+    q_high = float(spec.get("q_high", 0.99))
+    lo = float(np.quantile(run.x, q_low))
+    hi = float(np.quantile(run.x, q_high))
+    _write_figure_csv(run.artifact("figure.csv"), run.x, lo, hi)
+    return {"q_low": q_low, "q_high": q_high, "threshold_low": lo,
+            "threshold_high": hi, "csv": "figure.csv"}
+
+
+# analysis kind -> function (spec, inputs) -> report entry; the CLI's path
+# and theory commands call the same functions
+ANALYSES = {"hill": _hill, "theta": _theta, "extremogram": _extremogram,
+            "breiman": _breiman, "anticluster": _anticluster,
+            "theory": _theory, "figure": _figure}
 
 
 def _write_figure_csv(fp: FsPath, x: np.ndarray, lo: float,
@@ -263,9 +281,12 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o).__name__}")
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
+
+
 def _write_json(fp: FsPath, obj) -> None:
-    fp.write_text(json.dumps(obj, indent=2, sort_keys=True,
-                             default=_json_default) + "\n")
+    fp.write_text(_json_text(obj) + "\n")
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir,
@@ -284,6 +305,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
 
     results = []
     seen = {}
+    run = AnalysisInputs(path.sigma, path.x, cfg.model, cfg.seed, out,
+                         threads, cfg.burn_in)
     for i, spec in enumerate(cfg.analyses):
         kind = spec["analysis"]
         ordinal = seen.get(kind, 0)
@@ -293,8 +316,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                entry.update(_run_one(kind, spec, cfg, path, out, i,
-                                      ordinal, threads))
+                # resampling analyses draw from a namespaced child seed,
+                # which cannot overlap the simulation streams
+                entry.update(ANALYSES[kind](spec, replace(
+                    run, seed=cfg.seed.child(1000 + i), ordinal=ordinal)))
             except Exception as e:  # recorded, not fatal
                 entry["error"] = f"{type(e).__name__}: {e}"
         timings[f"analysis_{i}_{kind}"] = time.perf_counter() - t0

@@ -136,14 +136,12 @@ class GenericPair:
         return draw(self.a, g, size)
 
 
-def _check_stationarity(pair) -> None:
-    """Reject pairs whose multipliers fail E log A < 0.
+def _check_stationarity(a: np.ndarray) -> None:
+    """Reject multiplier draws a whose law fails E log A < 0.
 
-    Monte Carlo with a fixed internal seed: require mean + 3 SE < 0.
-    A == 0 draws contribute -inf, which is fine (they only help).
+    Monte Carlo on draws from a fixed internal seed: require mean + 3 SE
+    < 0. A == 0 draws contribute -inf, which is fine (they only help).
     """
-    g = _CALIBRATION_SEED.generator()
-    a = pair.draw_a(g, _CALIBRATION_DRAWS)
     with np.errstate(divide="ignore"):
         la = np.log(a)
     m = float(np.mean(la))
@@ -179,7 +177,8 @@ class SreSvConfig:
                 raise ValueError("garch_returns needs Garch11 multipliers")
         else:
             raise TypeError("pair_source must be Garch11Pair or GenericPair")
-        _check_stationarity(self.pair_source)
+        _check_stationarity(self.pair_source.draw_a(
+            _CALIBRATION_SEED.generator(), _CALIBRATION_DRAWS))
 
 
 @dataclass(frozen=True)

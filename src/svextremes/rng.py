@@ -69,7 +69,19 @@ class RngSeed:
 
     @staticmethod
     def from_json(obj: dict) -> "RngSeed":
-        return RngSeed(int(obj["master_seed"]), int(obj.get("stream_id", 0)))
+        """The seed a to_json dict describes; a malformed one, or a field
+        that is a bool or not an integer, raises a ValueError naming it."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"seed must be a JSON object, got {obj!r}")
+        if "master_seed" not in obj:
+            raise ValueError("missing field 'master_seed'")
+        fields = {"master_seed": obj["master_seed"],
+                  "stream_id": obj.get("stream_id", 0)}
+        for name, v in fields.items():
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(
+                    f"field {name!r} must be an integer, got {v!r}")
+        return RngSeed(**fields)
 
 
 def chunk_sizes(total: int, chunk: int) -> list[int]:

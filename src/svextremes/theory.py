@@ -42,7 +42,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .distributions import InnovationSpec, draw, moment_abs
-from .models import Garch11Pair
+from .models import _CALIBRATION_DRAWS, Garch11Pair, _check_stationarity
 from .rng import RngSeed, chunk_sizes, chunked_map
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
 # calibration stream for construction-time checks; stream 1 so it cannot
 # collide with the model module's probe (stream 0 on the same master)
 _CALIBRATION_SEED = RngSeed(0x5EED_CA1B, 1)
-_CALIBRATION_DRAWS = 100_000
 # L of the Lundberg stop in _sup_log_products
 _LUNDBERG_L = 30.0
 _CHUNK = 65_536
@@ -91,13 +90,7 @@ class KestenProblem:
         a = self.draw_a(_CALIBRATION_SEED.generator(), _CALIBRATION_DRAWS)
         if a.min() < 0:
             raise ValueError("a_sampler produced negative values")
-        with np.errstate(divide="ignore"):
-            la = np.log(a)
-        m = float(np.mean(la))
-        if not np.isneginf(m):
-            se = float(np.std(la, ddof=1) / math.sqrt(la.size))
-            if not m + 3.0 * se < 0.0:
-                raise ValueError("no stationary solution")
+        _check_stationarity(a)
 
     def draw_a(self, g: np.random.Generator, size: int) -> np.ndarray:
         if isinstance(self.a_sampler, Garch11Pair):
@@ -152,6 +145,27 @@ def _check_mc_reps(mc_reps: int) -> None:
     # a standard error needs two replicates
     if mc_reps < 2:
         raise ValueError("mc_reps must be >= 2")
+
+
+def _chunk_totals(parts: list) -> list:
+    """Elementwise sums of the per-chunk result tuples, in chunk order."""
+    totals = list(parts[0])
+    for part in parts[1:]:
+        totals = [t + v for t, v in zip(totals, part)]
+    return totals
+
+
+def _ratio_stderr(n: int, sn: float, sd: float, ssn: float, ssd: float,
+                  snd: float) -> float:
+    """Delta-method standard error of sn / sd, from the sums over n
+    replicates of N, D, N^2, D^2 and N D."""
+    value = sn / sd
+    nbar, dbar = sn / n, sd / n
+    var_n = ssn / n - nbar * nbar
+    var_d = ssd / n - dbar * dbar
+    cov = snd / n - nbar * dbar
+    var_ratio = max(var_n + value * value * var_d - 2.0 * value * cov, 0.0)
+    return math.sqrt(var_ratio / n) / dbar
 
 
 def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
@@ -280,9 +294,7 @@ def theta_sigma_sre(problem: KestenProblem, alpha: float,
         sup, hit = _sup_log_products(problem, g, b, trunc_T, alpha)
         return int(np.count_nonzero(sup <= b)), int(np.count_nonzero(hit))
 
-    parts = chunked_map(one, len(sizes), threads)
-    succ = sum(p[0] for p in parts)
-    risk = sum(p[1] for p in parts)
+    succ, risk = _chunk_totals(chunked_map(one, len(sizes), threads))
     value = succ / mc_reps
     se = math.sqrt(max(value * (1.0 - value), 0.0) / mc_reps)
     risk_frac = risk / mc_reps
@@ -305,6 +317,9 @@ def theta_sigma_sre_quadrature(problem: KestenProblem, alpha: float,
     the trapezoid rule on a log-spaced grid. The integrand reads G only
     at -log y <= 0, so every walk stops once its sup passes 0. Independent
     of the change-of-variables estimator in everything but the sup law.
+    Up to the grid, the value is the mean over replicates of
+    (1 - e^{alpha sup})_+, so its standard error is their sd over
+    sqrt(mc_reps).
     """
     _check_mc_reps(mc_reps)
     g = seed.generator()
@@ -317,7 +332,9 @@ def theta_sigma_sre_quadrature(problem: KestenProblem, alpha: float,
     cdf = np.searchsorted(sup_sorted, -np.log(y), side="right") / mc_reps
     integrand = alpha * cdf * y ** (-alpha - 1.0)
     value = float(np.trapezoid(integrand, y))
-    se = 1.0 / math.sqrt(mc_reps)  # dominated by the sup-sample noise
+    # a zero product (sup -inf) adds 1, a sup above 0 adds nothing
+    se = float(np.std(np.maximum(-np.expm1(alpha * sup), 0.0), ddof=1)
+               / math.sqrt(mc_reps))
     risk_frac = float(np.mean(hit))
     return ThetaTheoryResult(min(value, 1.0), se,
                              {"trunc_T": trunc_T, "risk_fraction": risk_frac,
@@ -375,27 +392,11 @@ def theta_x_sre(problem: KestenProblem, z: InnovationSpec, alpha: float,
         return (num, sd, float((gap * gap).sum()), ssd,
                 float((gap * t1).sum()), t1.size)
 
-    parts = chunked_map(one, len(sizes), threads)
-    num = np.zeros(m)
-    sd = ssn = ssd = snd = 0.0
-    live = 0
-    for pnum, psd, pssn, pssd, psnd, plive in parts:
-        num += pnum
-        sd += psd
-        ssn += pssn
-        ssd += pssd
-        snd += psnd
-        live += plive
+    num, sd, ssn, ssd, snd, live = _chunk_totals(
+        chunked_map(one, len(sizes), threads))
     seq = num / sd
-    value = float(seq[-1])
-    nbar = num[-1] / mc_reps
-    dbar = sd / mc_reps
-    var_n = ssn / mc_reps - nbar * nbar
-    var_d = ssd / mc_reps - dbar * dbar
-    cov = snd / mc_reps - nbar * dbar
-    var_ratio = max(var_n + value * value * var_d - 2.0 * value * cov, 0.0)
-    se = math.sqrt(var_ratio / mc_reps) / dbar
-    return ThetaTheoryResult(value, se,
+    se = _ratio_stderr(mc_reps, num[-1], sd, ssn, ssd, snd)
+    return ThetaTheoryResult(float(seq[-1]), se,
                              {"m": m, "live_fraction": live / mc_reps},
                              mc_reps, sequence=seq)
 
@@ -436,19 +437,8 @@ def theta_x_ma(psi, alpha: float, p: float, z: InnovationSpec,
         return (float(n_i.sum()), float(d_i.sum()), float((n_i * n_i).sum()),
                 float((d_i * d_i).sum()), float((n_i * d_i).sum()))
 
-    parts = chunked_map(one, len(sizes), threads)
-    sn = sd = ssn = ssd = snd = 0.0
-    for a_, b_, c_, d_, e_ in parts:
-        sn += a_
-        sd += b_
-        ssn += c_
-        ssd += d_
-        snd += e_
-    value = sn / sd
-    nbar, dbar = sn / mc_reps, sd / mc_reps
-    var_n = ssn / mc_reps - nbar * nbar
-    var_d = ssd / mc_reps - dbar * dbar
-    cov = snd / mc_reps - nbar * dbar
-    var_ratio = max(var_n + value * value * var_d - 2.0 * value * cov, 0.0)
-    se = math.sqrt(var_ratio / mc_reps) / dbar
-    return ThetaTheoryResult(float(value), se, {}, mc_reps)
+    sn, sd, ssn, ssd, snd = _chunk_totals(
+        chunked_map(one, len(sizes), threads))
+    return ThetaTheoryResult(float(sn / sd),
+                             _ratio_stderr(mc_reps, sn, sd, ssn, ssd, snd),
+                             {}, mc_reps)

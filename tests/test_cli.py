@@ -272,6 +272,11 @@ def test_theta_theory_model_mismatch(runner, workdir):
     r = invoke(runner, "theta-theory", "--which", "kesten", "--model",
                "ma.json")
     assert r.exit_code != 0
+    assert "sresv model" in r.output
+    r = invoke(runner, "theta-theory", "--which", "theta-x-ma", "--model",
+               "garch.json", "--alpha", 4)
+    assert r.exit_code != 0
+    assert "masv model" in r.output
 
 
 def test_theta_theory_thread_invariance(runner, workdir):
@@ -293,6 +298,21 @@ def test_diagnose(runner, workdir):
         assert key in res, key
     assert len(res["extremogram"]) == 10
     assert "errors" not in res
+
+
+def test_quantile_out_of_range_is_no_traceback(runner, workdir):
+    r = invoke(runner, "--out", "o", "theta-est", "--model", "garch.json",
+               "--n", 2000, "--burn-in", 100, "--method", "blocks",
+               "--q", 1.5)
+    assert r.exit_code != 0
+    assert isinstance(r.exception, SystemExit)
+    assert "Quantiles must be in the range [0, 1]" in r.output
+    r = invoke(runner, "--out", "o", "diagnose", "--model", "garch.json",
+               "--n", 2000, "--burn-in", 100, "--q", 1.5)
+    assert r.exit_code == 0
+    errors = json.loads(r.output)["errors"]
+    assert set(errors) == {"u", "theta_blocks", "theta_runs",
+                           "theta_intervals", "extremogram"}
 
 
 def test_experiment_run(runner, workdir):
@@ -333,6 +353,60 @@ def test_experiment_run_bad_config_fails(runner, workdir):
         {"model": {"family": "arch"}, "n": 10, "seed": {"master_seed": 0}}))
     r = invoke(runner, "experiment", "run", "bad2.json")
     assert r.exit_code != 0
+
+
+def experiment_config_json(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "exp.json"
+        config.write_text(json.dumps(obj))
+        return CliRunner().invoke(main, [
+            "--out", str(Path(tmp) / "o"), "experiment", "run",
+            str(config)])
+
+
+def assert_bad_experiment_config(r):
+    assert r.exit_code != 0
+    assert isinstance(r.exception, SystemExit), repr(r.exception)
+    assert "bad experiment config" in r.output
+
+
+VALID_EXPERIMENT = {"model": VALID_MODELS[0], "n": 10,
+                    "seed": {"master_seed": 0}}
+
+
+@pytest.mark.parametrize("obj, field", [
+    ([], "experiment config must be a JSON object"),
+    ({**VALID_EXPERIMENT, "seed": 5}, "seed must be a JSON object, got 5"),
+    ({**VALID_EXPERIMENT, "seed": {}}, "missing field 'master_seed'"),
+    ({**VALID_EXPERIMENT, "seed": {"master_seed": True}},
+     "field 'master_seed' must be an integer"),
+    ({**VALID_EXPERIMENT, "seed": {"master_seed": 1.5}},
+     "field 'master_seed' must be an integer"),
+    ({**VALID_EXPERIMENT, "seed": {"master_seed": -1}}, "master_seed must"),
+    ({**VALID_EXPERIMENT, "seed": {"master_seed": 0, "stream_id": "1"}},
+     "field 'stream_id' must be an integer"),
+    ({k: v for k, v in VALID_EXPERIMENT.items() if k != "n"},
+     "missing field 'n'"),
+    ({k: v for k, v in VALID_EXPERIMENT.items() if k != "seed"},
+     "missing field 'seed'"),
+    ({**VALID_EXPERIMENT, "n": "10"}, "n must be a whole number"),
+    ({**VALID_EXPERIMENT, "model": {"family": "arch"}}, "field 'model'"),
+    ({**VALID_EXPERIMENT, "analyses": [3]}, "field 'analyses'"),
+    ({**VALID_EXPERIMENT, "analyses": {"analysis": "hill"}},
+     "field 'analyses'"),
+    ({**VALID_EXPERIMENT, "analyses": [{"analysis": []}]},
+     "unknown analysis"),
+])
+def test_experiment_run_bad_config_names_the_field(obj, field):
+    r = experiment_config_json(obj)
+    assert_bad_experiment_config(r)
+    assert field in r.output
+
+
+@given(obj=JSON_VALUES)
+@settings(max_examples=60, deadline=None)
+def test_experiment_run_any_json_value_is_a_bad_config(obj):
+    assert_bad_experiment_config(experiment_config_json(obj))
 
 
 def test_experiment_preset(runner, workdir):
@@ -380,19 +454,40 @@ def test_import_cli_builds_no_csv_tables():
     assert out.split("\n") == ["0", "1", "[] []", ""]
 
 
-def test_extremogram_csv_matches_the_experiment_writer(runner, workdir):
+@pytest.mark.parametrize("spec, args", [
+    ({"analysis": "hill", "k": 200}, ("hill", "--k", 200)),
+    ({"analysis": "theta", "method": "blocks", "q": 0.99, "block_len": 50},
+     ("theta-est", "--method", "blocks", "--q", 0.99, "--block-len", 50)),
+    ({"analysis": "theta", "method": "runs", "q": 0.99, "run_len": 5},
+     ("theta-est", "--method", "runs", "--q", 0.99, "--run-len", 5)),
+    ({"analysis": "theta", "method": "intervals", "q": 0.99},
+     ("theta-est", "--method", "intervals", "--q", 0.99)),
+    ({"analysis": "extremogram", "lags": [1, 2, 3], "q": 0.99},
+     ("extremogram", "--lags", "1,2,3", "--q", 0.99)),
+], ids=["hill", "theta-blocks", "theta-runs", "theta-intervals",
+        "extremogram"])
+def test_cli_matches_the_experiment_entry(runner, workdir, spec, args):
+    # a path command on the experiment's own path.csv prints the
+    # experiment's report entry and writes the same CSV
     model = json.loads(Path("garch.json").read_text())
     cfg = ExperimentConfig.from_json({
         "model": model, "n": 20000, "burn_in": 1000,
-        "seed": RngSeed(3).to_json(),
-        "analyses": [{"analysis": "extremogram", "lags": [1, 2, 3],
-                      "q": 0.99}]})
+        "seed": RngSeed(3).to_json(), "analyses": [spec]})
     run_experiment(cfg, "e")
-    r = invoke(runner, "--seed", 3, "--out", "c", "extremogram", "--input",
-               "e/path.csv", "--lags", "1,2,3", "--q", 0.99)
+    entry = json.loads(Path("e/report.json").read_text())["results"][0]
+    assert "error" not in entry
+    r = invoke(runner, "--seed", 3, "--out", "c", args[0], "--input",
+               "e/path.csv", *args[1:])
     assert r.exit_code == 0
-    assert Path("c/extremogram.csv").read_bytes() == \
-        Path("e/extremogram.csv").read_bytes()
+
+    def strip(obj):
+        return {k: v for k, v in obj.items()
+                if k not in ("analysis", "index", "csv")}
+
+    assert strip(json.loads(r.output)) == strip(entry)
+    if args[0] == "extremogram":
+        assert Path("c/extremogram.csv").read_bytes() == \
+            Path("e/extremogram.csv").read_bytes()
 
 def test_read_path_csv_round_trips_bits(tmp_path):
     path = simulate(ExpAr1Config(phi=0.9, eta=laplace(4.0), z=std_normal()),

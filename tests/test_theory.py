@@ -159,6 +159,20 @@ def test_theta_sigma_quadrature_matches_two_point_law():
     assert r.truncation["risk_fraction"] == 0.0
 
 
+def test_theta_sigma_quadrature_reports_the_replicate_stderr():
+    # a replicate adds 1 - P/Q when its walk never returns to 0, which
+    # happens with probability Q - P, and 0 otherwise: sd 0.2799
+    mc_reps = 200_000
+    r = theta_sigma_sre_quadrature(two_point_problem(0.5),
+                                   exact_laws.two_point_alpha(0.5),
+                                   mc_reps=mc_reps, seed=RngSeed(1))
+    p, q = exact_laws.P_UP, exact_laws.Q_DOWN
+    sd = (1.0 - p / q) * math.sqrt((q - p) * (1.0 - (q - p)))
+    assert abs(sd - 0.2799) < 1e-4
+    se = sd / math.sqrt(mc_reps)
+    assert abs(r.mc_stderr - se) < 0.1 * se
+
+
 def test_theta_sigma_rejects_wrong_alpha():
     with pytest.raises(ValueError, match="alpha inconsistent"):
         theta_sigma_sre(garch_problem(), alpha=3.0, mc_reps=1000)
