@@ -421,18 +421,50 @@ def test_experiment_preset(runner, workdir):
     assert r.exit_code != 0
 
 
+NO_SCIPY_RUN = """
+import json, os, sys, tempfile
+import svextremes as sv
+from svextremes.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+
+after_import = scipy_modules()
+pair = sv.Garch11Pair(alpha0=1e-7, alpha1=0.1, beta1=0.89,
+                      eta=sv.std_normal())
+models = [
+    sv.ExpAr1Config(phi=0.9, eta=sv.laplace(4.0), z=sv.std_normal()),
+    sv.EgarchConfig(alpha0=0.1, gamma0=0.5, delta0=0.5, phi=0.5,
+                    z=sv.laplace(1.0)),
+    sv.SreSvConfig(p=2.0, pair_source=pair, z=sv.std_normal()),
+    sv.MaSvConfig(p=1.0, psi=(1.0, 0.5), eta=sv.pareto(4.0),
+                  z=sv.student_t(8.0)),
+]
+os.chdir(tempfile.mkdtemp())
+for i, cfg in enumerate(models):
+    with open(f"m{i}.json", "w") as fh:
+        json.dump(sv.config_to_json(cfg), fh)
+    main(["--out", f"o{i}", "simulate", "--model", f"m{i}.json",
+          "--n", "2000", "--burn-in", "100"], standalone_mode=False)
+with open("fig1.json", "w") as fh:
+    json.dump(sv.preset_config("fig1-left", sv.RngSeed(3)).to_json(), fh)
+main(["--out", "e", "experiment", "run", "fig1.json"], standalone_mode=False)
+print(json.dumps([after_import, scipy_modules()]))
+"""
+
+
 def test_import_cli_loads_no_scipy_stats_signal_or_special():
-    # re-analysing a stored path must not pay for these imports
-    code = ("import sys, svextremes.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.signal', "
-            "'scipy.special') if m in sys.modules))")
+    # neither importing the CLI nor simulating every family nor running
+    # a fig1 experiment loads any scipy module
     src = str(Path(svextremes.__file__).parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                [src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True).stdout
-    assert out.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN],
+                         capture_output=True, text=True, env=env,
+                         check=True).stdout
+    assert json.loads(out.splitlines()[-1]) == [[], []]
 
 
 def test_import_cli_builds_no_csv_tables():

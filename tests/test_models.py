@@ -2,9 +2,12 @@
 
 import io
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from svextremes import (DEFAULT_BURN_IN, EgarchConfig, ExpAr1Config,
                         Garch11Pair, GenericPair, MaSvConfig, RngSeed,
@@ -12,7 +15,8 @@ from svextremes import (DEFAULT_BURN_IN, EgarchConfig, ExpAr1Config,
                         constant, hill, laplace, pareto, path_to_csv,
                         simulate, std_normal, student_t)
 from svextremes.distributions import draw
-from svextremes.models import _CSV_BLOCK, simulate_ma_sv
+from svextremes.models import (_AR1_BLOCK, _AR1_TILE, _CSV_BLOCK, _ar1,
+                               simulate_ma_sv)
 
 import exact_laws
 
@@ -153,6 +157,81 @@ def test_garch_returns_flag_changes_noise_only():
     p_g = simulate(garch, 2000, burn_in=500, seed=SEED)
     assert np.array_equal(p_sv.sigma, p_g.sigma)
     assert not np.array_equal(p_sv.x, p_g.x)
+
+
+@pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: type(c).__name__)
+def test_path_is_a_prefix_of_the_longer_path(cfg):
+    # block and tile boundaries of the AR(1) scan fall inside these paths
+    for n, k in ((1, 70), (_AR1_BLOCK - 1, 1), (_AR1_BLOCK * _AR1_TILE, 9000)):
+        short = simulate(cfg, n, burn_in=100, seed=SEED)
+        long = simulate(cfg, n + k, burn_in=100, seed=SEED)
+        assert np.array_equal(short.sigma, long.sigma[:n])
+        assert np.array_equal(short.x, long.x[:n])
+
+
+# -- the AR(1) scan ---------------------------------------------------------
+
+_TILE_LEN = _AR1_BLOCK * _AR1_TILE
+SCAN_LENGTHS = (1, _AR1_BLOCK - 1, _AR1_BLOCK, _AR1_BLOCK + 1, _TILE_LEN - 1,
+                _TILE_LEN, _TILE_LEN + 1, 100_007)
+# fractional bits of the exact recursion's state; the unit normal
+# inputs used here are multiples of 2^-100 or coarser
+_FIXED = 200
+
+
+def _exact_ar1(phi, w):
+    """y_t = phi y_{t-1} + w_t from y_0 = w_0 in rational arithmetic, each
+    y_t rounded once to a double.
+
+    The state is an integer multiple of 2^-_FIXED; the floor of phi y is
+    the only inexact step, and the error it leaves is below
+    2^-_FIXED / (1 - |phi|), far beneath one rounding of any y_t here.
+    """
+    phi = Fraction(phi)
+    a, shift = phi.numerator, phi.denominator.bit_length() - 1
+    y, out = 0, []
+    for v in w.tolist():
+        num, den = v.as_integer_ratio()  # den is a power of two
+        if den.bit_length() > _FIXED + 1:
+            raise ValueError(f"{v!r} is finer than 2^-{_FIXED}")
+        y = (a * y >> shift) + (num << _FIXED + 1 - den.bit_length())
+        # int to float rounds correctly, and the power of two is exact
+        out.append(math.ldexp(float(y), -_FIXED))
+    return np.array(out)
+
+
+def _abs_sum(phi, w):
+    """S = max_t sum_{s<=t} |phi|^(t-s) |w_s|, the scale of the errors."""
+    return lfilter([1.0], [1.0, -abs(phi)], np.abs(w)).max()
+
+
+@pytest.mark.parametrize("phi", [-0.99, -0.5, 0.0, 0.3, 0.9, 0.999])
+@pytest.mark.parametrize("sign", ["mixed", "positive"])
+def test_ar1_scan_matches_exact_recursion_and_lfilter(phi, sign):
+    # Error bound of the scan: (24 + 4 / (1 - |phi|^64)) 2^-53 S. Doubling
+    # over six levels moves each term by at most 18 roundings (its rounded
+    # power, product and sum per level); chaining the carries adds 3 per
+    # block, damped by |phi|^64 per block; the carry correction adds 3.
+    # The sequential recursion of lfilter rounds twice per step, damped by
+    # |phi| per step: it is within 2 2^-53 S / (1 - |phi|) of exact.
+    w = RngSeed(23).generator().standard_normal(SCAN_LENGTHS[-1])
+    if sign == "positive":
+        w = np.abs(w)  # no cancellation: the carries grow as large as S
+    exact = _exact_ar1(phi, w)
+    for n in SCAN_LENGTHS:
+        y = _ar1(phi, w[:n])
+        s = _abs_sum(phi, w[:n])
+        scan_bound = (24 + 4 / (1 - abs(phi) ** _AR1_BLOCK)) * 2.0 ** -53 * s
+        lfilter_bound = 2 * 2.0 ** -53 * s / (1 - abs(phi))
+        assert np.abs(y - exact[:n]).max() <= scan_bound, n
+        ref = lfilter([1.0], [1.0, -phi], w[:n])
+        assert np.abs(y - ref).max() <= scan_bound + lfilter_bound, n
+
+
+def test_ar1_scan_phi_zero_returns_w_exactly():
+    w = RngSeed(24).generator().standard_normal(_TILE_LEN + 1)
+    for n in SCAN_LENGTHS[:-1]:
+        assert np.array_equal(_ar1(0.0, w[:n]), w[:n])
 
 
 # -- tail index of sigma (Hill with k=2000 on n=10^6 paths) ----------------
