@@ -1,10 +1,10 @@
 """Print one sha256 per output of a fixed battery of CLI commands.
 
 Every path command (simulate, hill, theta-est with each method,
-extremogram, theta-theory with each quantity, diagnose), two commands
-that must fail, and one `experiment run` whose config uses all seven
-analysis kinds run at fixed seeds, each as a `python -m svextremes`
-process on the sources of this checkout. Each output line is
+extremogram, theta-theory with each quantity and on a generic SRE pair,
+diagnose), two commands that must fail, and one `experiment run` whose
+config uses all seven analysis kinds run at fixed seeds, each as a
+`python -m svextremes` process on the sources of this checkout. Each output line is
 
     <command>:<output> <sha256 or value>
 
@@ -39,6 +39,10 @@ MODELS = {
                                z=sv.std_normal()),
     "ma.json": sv.MaSvConfig(p=1.0, psi=(1.0, 0.5), eta=sv.pareto(4.0),
                              z=sv.student_t(8.0)),
+    # A == 0: a generic pair whose multiplier law has no Kesten root
+    "generic.json": sv.SreSvConfig(
+        p=1.0, pair_source=sv.GenericPair(sv.constant(0.0), sv.pareto(3.0)),
+        z=sv.std_normal()),
 }
 
 # every experiment analysis kind, the theory quantities that fit an SRE
@@ -100,6 +104,10 @@ COMMANDS = [
                                  "theta-theory", "--which", "theta-x-ma",
                                  "--model", "ma.json", "--alpha", "4",
                                  "--mc-reps", "20000")),
+    ("theta-theory-generic", ("--seed", "7", "--out", "o", "theta-theory",
+                              "--which", "theta-sigma", "--model",
+                              "generic.json", "--alpha", "1",
+                              "--mc-reps", "20000")),
     ("diagnose", ("--seed", "6", "--out", "o", "diagnose", "--model",
                   "garch.json", "--n", "20000", "--burn-in", "1000")),
     ("fail-model-mismatch", ("--out", "o", "theta-theory", "--which",

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _BOOTSTRAP_SEED = 0xB0075
+_ANTICLUSTER_CALIBRATION = 10  # anticluster_diag's a_n run, in units of n
 
 
 @dataclass(frozen=True)
@@ -375,13 +376,12 @@ class AnticlusterResult:
 
 def anticluster_diag(cfg: ModelConfig, m, r_n: int, y: float, n: int,
                      reps: int, seed: RngSeed,
-                     burn_in: int = DEFAULT_BURN_IN,
-                     calibration_factor: int = 10) -> AnticlusterResult:
+                     burn_in: int = DEFAULT_BURN_IN) -> AnticlusterResult:
     """Estimate P(max_{m <= |t| <= r_n} |X_t| > y a_n given |X_0| > y a_n).
 
     a_n is the empirical (1 - 1/n) quantile of |X| from a calibration run
-    of length calibration_factor * n. Because exceedances of a_n occur
-    about once per n observations, windows are collected from successive
+    of length _ANTICLUSTER_CALIBRATION * n. Because exceedances of a_n
+    occur about once per n observations, windows are collected from successive
     independent path segments until `reps` are found (or a simulation
     budget of about 4 reps * n draws runs out).
     """
@@ -393,7 +393,7 @@ def anticluster_diag(cfg: ModelConfig, m, r_n: int, y: float, n: int,
     if reps < 1 or n < 2:
         raise ValueError("need reps >= 1 and n >= 2")
 
-    cal = simulate(cfg, calibration_factor * n, burn_in, seed.child(0))
+    cal = simulate(cfg, _ANTICLUSTER_CALIBRATION * n, burn_in, seed.child(0))
     a_n = float(np.quantile(np.abs(cal.x), 1.0 - 1.0 / n))
     u = y * a_n
 

@@ -41,15 +41,15 @@ __all__ = [
     "ExpAr1Config", "EgarchConfig", "Garch11Pair", "GenericPair",
     "SreSvConfig", "MaSvConfig", "ModelConfig", "Path",
     "simulate_exp_ar1", "simulate_egarch", "simulate_sre_sv",
-    "simulate_ma_sv", "simulate",
+    "simulate_ma_sv", "simulate", "probe_multipliers",
     "config_to_json", "config_from_json", "path_to_csv",
     "DEFAULT_BURN_IN",
 ]
 
 DEFAULT_BURN_IN = 10_000
 
-# internal seed for the construction-time stationarity probe of SRE pairs;
-# fixed so that config validation itself is deterministic
+# internal seed for the construction-time probe of multiplier laws; fixed
+# so that validation itself is deterministic
 _CALIBRATION_SEED = RngSeed(0x5EED_CA1B, 0)
 _CALIBRATION_DRAWS = 100_000
 
@@ -140,20 +140,21 @@ class GenericPair:
         return draw(self.a, g, size)
 
 
-def _check_stationarity(a: np.ndarray) -> None:
-    """Reject multiplier draws a whose law fails E log A < 0.
-
-    Monte Carlo on draws from a fixed internal seed: require mean + 3 SE
-    < 0. A == 0 draws contribute -inf, which is fine (they only help).
+def probe_multipliers(draw_a) -> np.ndarray:
+    """Draws of A by draw_a(generator, size) on a fixed internal seed,
+    rejected if one is negative or if they fail E log A < 0 (mean + 3 SE
+    < 0). A == 0 draws contribute -inf, which is fine (they only help).
     """
-    with np.errstate(divide="ignore"):
+    a = draw_a(_CALIBRATION_SEED.generator(), _CALIBRATION_DRAWS)
+    if a.min() < 0:
+        raise ValueError("A must be non-negative, got negative values")
+    with np.errstate(divide="ignore", invalid="ignore"):
         la = np.log(a)
-    m = float(np.mean(la))
-    if np.isneginf(m):
-        return
-    se = float(np.std(la, ddof=1) / np.sqrt(la.size))
-    if not m + 3.0 * se < 0.0:
+        m = float(np.mean(la))
+        se = float(np.std(la, ddof=1) / np.sqrt(la.size))
+    if not (m == -np.inf or m + 3.0 * se < 0.0):
         raise ValueError("no stationary solution")
+    return a
 
 
 @dataclass(frozen=True)
@@ -181,8 +182,7 @@ class SreSvConfig:
                 raise ValueError("garch_returns needs Garch11 multipliers")
         else:
             raise TypeError("pair_source must be Garch11Pair or GenericPair")
-        _check_stationarity(self.pair_source.draw_a(
-            _CALIBRATION_SEED.generator(), _CALIBRATION_DRAWS))
+        probe_multipliers(self.pair_source.draw_a)
 
 
 @dataclass(frozen=True)

@@ -49,9 +49,6 @@ class RngSeed:
                                     spawn_key=(int(self.stream_id), *map(int, path)))
         return np.random.Generator(np.random.Philox(ss))
 
-    def with_stream(self, stream_id: int) -> "RngSeed":
-        return RngSeed(self.master_seed, stream_id)
-
     def child(self, *path: int) -> "RngSeed":
         """Derived seed for a nested component that itself needs an RngSeed.
 

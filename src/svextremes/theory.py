@@ -3,8 +3,9 @@
 Four quantities, all tied to the stochastic recurrence / moving average
 structure of the volatility:
 
-  * kesten_index: the root kappa of E A^kappa = 1, the power-law index of
-    the stationary solution of sigma_t^p = A_t sigma_{t-1}^p + B_t.
+  * kesten_index: the root kappa in [0.001, 64] of E A^kappa = 1, the
+    power-law index of the stationary solution of
+    sigma_t^p = A_t sigma_{t-1}^p + B_t.
   * theta_sigma_sre: the volatility extremal index
         theta_sigma = alpha Int_1^inf P(sup_{t>=1} prod_{j<=t} A_j <= 1/y)
                       y^{-alpha-1} dy,
@@ -18,10 +19,13 @@ structure of the volatility:
     volatility, E max_j |Z_j|^{alpha p} |psi_j|^alpha /
     (E|Z|^{alpha p} sum_j |psi_j|^alpha), exact for constant Z.
 
-Conventions: alpha always denotes the index of sigma^p (the Kesten root),
-so sigma and X are regularly varying with index alpha * p. Monte Carlo
-work is split into fixed chunks with one substream per chunk and reduced
-in chunk order, making results independent of the thread count.
+The SRE routines take the law of A as a KestenProblem, which any SRE
+pair gives and which models.probe_multipliers checks as it checks an
+SreSvConfig. Conventions: alpha always denotes the index of sigma^p (the
+Kesten root), so sigma and X are regularly varying with index alpha * p.
+Monte Carlo work is split into fixed chunks with one substream per chunk
+and reduced in chunk order, making results independent of the thread
+count.
 
 The SRE walks stop each replicate at the step where its contribution is
 settled and draw only for the live ones. Both theta_sigma routes share
@@ -37,12 +41,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .distributions import InnovationSpec, draw, moment_abs
-from .models import _CALIBRATION_DRAWS, Garch11Pair, _check_stationarity
+from .models import probe_multipliers
 from .rng import RngSeed, chunk_sizes, chunked_map
 
 __all__ = [
@@ -51,52 +55,37 @@ __all__ = [
     "theta_x_sre", "theta_x_ma",
 ]
 
-# calibration stream for construction-time checks; stream 1 so it cannot
-# collide with the model module's probe (stream 0 on the same master)
-_CALIBRATION_SEED = RngSeed(0x5EED_CA1B, 1)
+_KAPPA_BRACKET = (1e-3, 64.0)  # where kesten_index looks for kappa
+_GRID_POINTS = 10_000  # of the theta_sigma_sre_quadrature grid
 # L of the Lundberg stop in _sup_log_products
 _LUNDBERG_L = 30.0
 _CHUNK = 65_536
 
-ASampler = Union[Garch11Pair, InnovationSpec, Callable]
-
 
 @dataclass(frozen=True)
 class KestenProblem:
-    """A non-negative multiplier law A together with a root bracket.
+    """The law of the multiplier A of sigma_t^p = A_t sigma_{t-1}^p + B_t.
 
-    a_sampler is a Garch11Pair (A = alpha1 eta^2 + beta1), a non-negative
-    InnovationSpec, or a callable (generator, size) -> array. Construction
-    runs a fixed calibration sample and rejects laws with E log A >= 0
-    ("no stationary solution"). Whether P(A > 1) > 0, which a finite
-    Kesten index additionally needs, is checked by kesten_index itself so
-    that degenerate laws (A == 0) can still be used for the theta
-    formulas, where they are meaningful. The calibration sample is kept
-    (10^5 doubles, 0.8 MB) for the alpha check of the theta routes.
+    a_sampler is any SRE pair (an object with draw_a: Garch11Pair,
+    GenericPair), an InnovationSpec, or a callable (generator, size) ->
+    array. Construction runs models.probe_multipliers, the probe of
+    SreSvConfig, so a law fails here exactly when its model does.
+    Whether P(A > 1) > 0, which a finite Kesten index additionally needs,
+    is checked by kesten_index itself so that degenerate laws (A == 0)
+    can still be used for the theta formulas, where they are meaningful.
+    The calibration sample (10^5 doubles, 0.8 MB) is kept for the alpha
+    check of the theta routes.
     """
 
-    a_sampler: ASampler
-    kappa_min: float = 1e-3
-    kappa_max: float = 64.0
+    a_sampler: object
     _calibration: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 < self.kappa_min < self.kappa_max:
-            raise ValueError("need 0 < kappa_min < kappa_max")
-        if isinstance(self.a_sampler, InnovationSpec):
-            spec = self.a_sampler
-            ok = spec.kind == "pareto" or (spec.kind == "constant" and spec.c >= 0)
-            if not ok:
-                raise ValueError("a_sampler spec must be non-negative "
-                                 "(pareto or constant >= 0)")
-        a = self.draw_a(_CALIBRATION_SEED.generator(), _CALIBRATION_DRAWS)
-        if a.min() < 0:
-            raise ValueError("a_sampler produced negative values")
-        _check_stationarity(a)
-        object.__setattr__(self, "_calibration", a)
+        object.__setattr__(self, "_calibration",
+                           probe_multipliers(self.draw_a))
 
     def draw_a(self, g: np.random.Generator, size: int) -> np.ndarray:
-        if isinstance(self.a_sampler, Garch11Pair):
+        if hasattr(self.a_sampler, "draw_a"):
             return self.a_sampler.draw_a(g, size)
         if isinstance(self.a_sampler, InnovationSpec):
             return draw(self.a_sampler, g, size)
@@ -144,10 +133,13 @@ def _log_a_sample(problem: KestenProblem, g: np.random.Generator,
         return np.log(a)
 
 
-def _check_mc_reps(mc_reps: int) -> None:
-    # a standard error needs two replicates
+def _check_args(mc_reps: int, **positive: float) -> None:
+    # a standard error needs two replicates; alpha and p are exponents
     if mc_reps < 2:
         raise ValueError("mc_reps must be >= 2")
+    for name, v in positive.items():
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {v!r}")
 
 
 def _chunk_totals(parts: list) -> list:
@@ -178,7 +170,7 @@ def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
     The sample is drawn once and sorted, so the root depends only on the
     multiset of draws; bisection runs until |mean(A^kappa) - 1| < tol.
     """
-    _check_mc_reps(mc_reps)
+    _check_args(mc_reps)
     # at most two n-long arrays are alive at once: the sample is sorted in
     # place, each f(kappa) takes one temporary, and A^kappa overwrites
     # the sample at the end
@@ -192,7 +184,7 @@ def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
         with np.errstate(over="ignore"):
             return float(np.mean(np.exp(t, out=t))) - 1.0
 
-    lo, hi = problem.kappa_min, problem.kappa_max
+    lo, hi = _KAPPA_BRACKET
     f_lo, f_hi = f(lo), f(hi)
     if f_lo > 0.0 or not np.isfinite(f_lo):
         raise ValueError("no finite tail index in bracket")
@@ -212,8 +204,7 @@ def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
     with np.errstate(over="ignore"):
         pow_a = np.exp(la, out=la)
     se = float(np.std(pow_a, ddof=1) / math.sqrt(mc_reps))
-    return KestenRoot(float(kappa), se, mc_reps,
-                      (problem.kappa_min, problem.kappa_max))
+    return KestenRoot(float(kappa), se, mc_reps, _KAPPA_BRACKET)
 
 
 def _check_alpha(problem: KestenProblem, alpha: float) -> None:
@@ -284,7 +275,7 @@ def theta_sigma_sre(problem: KestenProblem, alpha: float,
     Reports the binomial standard error and the fraction of replicates
     still unresolved at trunc_T (truncation risk), counted as successes.
     """
-    _check_mc_reps(mc_reps)
+    _check_args(mc_reps, alpha=alpha)
     if trunc_T < 1:
         raise ValueError("trunc_T must be >= 1")
     _check_alpha(problem, alpha)
@@ -311,8 +302,8 @@ def theta_sigma_sre(problem: KestenProblem, alpha: float,
 
 def theta_sigma_sre_quadrature(problem: KestenProblem, alpha: float,
                                mc_reps: int = 200_000, trunc_T: int = 10_000,
-                               seed: RngSeed = RngSeed(0),
-                               grid_points: int = 10_000) -> ThetaTheoryResult:
+                               seed: RngSeed = RngSeed(0)
+                               ) -> ThetaTheoryResult:
     """Cross-check route: direct integration over y on a log grid.
 
     Samples the sup of products once, forms its empirical distribution
@@ -324,13 +315,15 @@ def theta_sigma_sre_quadrature(problem: KestenProblem, alpha: float,
     (1 - e^{alpha sup})_+, so its standard error is their sd over
     sqrt(mc_reps).
     """
-    _check_mc_reps(mc_reps)
+    _check_args(mc_reps, alpha=alpha)
+    if trunc_T < 1:
+        raise ValueError("trunc_T must be >= 1")
     g = seed.generator()
     sup, hit = _sup_log_products(problem, g, np.zeros(mc_reps), trunc_T,
                                  alpha)
     sup_sorted = np.sort(sup)
     y_max = max(10.0, 1e14 ** (1.0 / alpha))
-    y = np.exp(np.linspace(0.0, math.log(y_max), grid_points))
+    y = np.exp(np.linspace(0.0, math.log(y_max), _GRID_POINTS))
     # G(1/y) = P(sup_log <= -log y)
     cdf = np.searchsorted(sup_sorted, -np.log(y), side="right") / mc_reps
     integrand = alpha * cdf * y ** (-alpha - 1.0)
@@ -341,7 +334,7 @@ def theta_sigma_sre_quadrature(problem: KestenProblem, alpha: float,
     risk_frac = float(np.mean(hit))
     return ThetaTheoryResult(min(value, 1.0), se,
                              {"trunc_T": trunc_T, "risk_fraction": risk_frac,
-                              "grid_points": grid_points},
+                              "grid_points": _GRID_POINTS},
                              mc_reps)
 
 
@@ -365,7 +358,7 @@ def theta_x_sre(problem: KestenProblem, z: InnovationSpec, alpha: float,
     The truncation record gives live_fraction, the share of replicates
     still unresolved at m.
     """
-    _check_mc_reps(mc_reps)
+    _check_args(mc_reps, alpha=alpha, p=p)
     if m < 1:
         raise ValueError("m must be >= 1")
     ap = alpha * p
@@ -414,9 +407,10 @@ def theta_x_ma(psi, alpha: float, p: float, z: InnovationSpec,
     For constant Z the Z factors cancel and the closed form
     max_j |psi_j|^alpha / sum_j |psi_j|^alpha is returned exactly.
     Coefficients are normalized by max |psi_j| first, so scaling every
-    psi_j by a common factor cannot move the result.
+    psi_j by a common factor cannot move the result. A ratio of sums
+    above 1 (theta near 1) reads 1; mc_stderr is the uncapped ratio's.
     """
-    _check_mc_reps(mc_reps)
+    _check_args(mc_reps, alpha=alpha, p=p)
     w = np.abs(np.asarray(psi, dtype=float))
     if w.size == 0 or not np.any(w > 0):
         raise ValueError("psi needs at least one nonzero coefficient")
@@ -448,6 +442,6 @@ def theta_x_ma(psi, alpha: float, p: float, z: InnovationSpec,
 
     sn, sd, ssn, ssd, snd = _chunk_totals(
         chunked_map(one, len(sizes), threads))
-    return ThetaTheoryResult(float(sn / sd),
+    return ThetaTheoryResult(min(float(sn / sd), 1.0),
                              _ratio_stderr(mc_reps, sn, sd, ssn, ssd, snd),
                              {}, mc_reps)

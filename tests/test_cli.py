@@ -566,6 +566,52 @@ def test_bad_path_csv_rejected(runner, workdir, text, reason):
     assert reason in r.output
 
 
+@pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("which, model", [
+    ("theta-sigma", "garch.json"), ("theta-x-sre", "garch.json"),
+    ("theta-x-ma", "ma.json")])
+def test_theta_theory_bad_alpha_is_no_traceback(runner, workdir, which,
+                                                model, alpha):
+    r = invoke(runner, "theta-theory", "--which", which, "--model", model,
+               "--alpha", alpha, "--mc-reps", 100)
+    assert r.exit_code != 0
+    assert isinstance(r.exception, SystemExit)
+    assert "alpha must be finite and > 0" in r.output
+
+
+@pytest.fixture()
+def zero_multiplier_model(workdir):
+    # A == 0: sigma^p = B, a generic pair without clustering or Kesten root
+    cfg = SreSvConfig(p=1.0, pair_source=GenericPair(constant(0.0),
+                                                     pareto(3.0)),
+                      z=std_normal())
+    Path("generic.json").write_text(json.dumps(config_to_json(cfg)))
+    return cfg
+
+
+def test_theta_theory_reads_a_generic_pair(runner, zero_multiplier_model):
+    r = invoke(runner, "--out", "o", "theta-theory", "--which",
+               "theta-sigma", "--model", "generic.json", "--alpha", 1,
+               "--mc-reps", 1000)
+    assert r.exit_code == 0
+    assert json.loads(r.output)["value"] == 1.0
+    r = invoke(runner, "theta-theory", "--which", "kesten", "--model",
+               "generic.json", "--mc-reps", 1000)
+    assert r.exit_code != 0
+    assert isinstance(r.exception, SystemExit)
+    assert "Error: no finite tail index in bracket" in r.output
+
+
+def test_experiment_theory_on_a_generic_pair(tmp_path, zero_multiplier_model):
+    cfg = ExperimentConfig(model=zero_multiplier_model, n=200,
+                           seed=RngSeed(3), burn_in=10,
+                           analyses=({"analysis": "theory",
+                                      "which": "kesten", "mc_reps": 1000},))
+    report = run_experiment(cfg, tmp_path / "o")
+    assert report.results[0]["error"] == (
+        "ValueError: no finite tail index in bracket")
+
+
 @pytest.mark.parametrize("reps", [0, 1])
 def test_theta_theory_mc_reps_below_two_rejected(runner, workdir, reps):
     r = invoke(runner, "theta-theory", "--which", "theta-x-ma", "--model",

@@ -29,11 +29,6 @@ def test_spawn_paths_differ():
     assert not np.array_equal(a, b)
 
 
-def test_with_stream():
-    s = RngSeed(5, 0).with_stream(3)
-    assert s.master_seed == 5 and s.stream_id == 3
-
-
 def test_child_is_deterministic_and_distinct():
     s = RngSeed(17, 2)
     assert s.child(4) == s.child(4)

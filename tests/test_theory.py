@@ -19,10 +19,12 @@ import math
 import numpy as np
 import pytest
 
-from svextremes import (Garch11Pair, KestenProblem, RngSeed,
-                        ThetaTheoryResult, constant, kesten_index, pareto,
-                        std_normal, student_t, theta_sigma_sre,
-                        theta_sigma_sre_quadrature, theta_x_ma, theta_x_sre)
+from svextremes import (Garch11Pair, GenericPair, KestenProblem, RngSeed,
+                        SreSvConfig, ThetaTheoryResult, constant,
+                        kesten_index, laplace, pareto, std_normal, student_t,
+                        theta_sigma_sre, theta_sigma_sre_quadrature,
+                        theta_x_ma, theta_x_sre)
+from svextremes.models import probe_multipliers
 
 import exact_laws
 
@@ -85,10 +87,11 @@ def test_kesten_bounded_multiplier_has_no_root():
 
 
 def test_kesten_bracket_too_small():
-    prob = KestenProblem(Garch11Pair(alpha0=1e-7, alpha1=0.1, beta1=0.89,
-                                     eta=std_normal()), kappa_max=1.0)
+    # the two-point law at h = 0.01 has its root log(Q/P)/h = 84.7, above
+    # the bracket's upper end 64
+    assert exact_laws.two_point_alpha(0.01) > 64.0
     with pytest.raises(ValueError, match="no finite tail index"):
-        kesten_index(prob, mc_reps=50_000)
+        kesten_index(two_point_problem(0.01), mc_reps=50_000)
 
 
 def test_kesten_problem_validation():
@@ -98,10 +101,73 @@ def test_kesten_problem_validation():
         KestenProblem(std_normal())
     with pytest.raises(ValueError, match="negative values"):
         KestenProblem(lambda g, size: g.normal(size=size))
-    with pytest.raises(ValueError, match="kappa_min"):
-        KestenProblem(constant(0.5), kappa_min=0.0)
     with pytest.raises(ValueError, match="mc_reps"):
         kesten_index(garch_problem(), mc_reps=1)
+
+
+# a GARCH pair at the edge of stationarity: on the probe's 10^5 draws
+# mean log A is -3.3 standard errors, just past the -3 it needs
+NEAR_CRITICAL = Garch11Pair(alpha0=1e-7, alpha1=0.1, beta1=0.9068,
+                            eta=std_normal())
+
+
+@pytest.mark.parametrize("pair, stationary", [
+    (NEAR_CRITICAL, True),
+    (Garch11Pair(alpha0=1e-7, alpha1=0.1, beta1=0.95, eta=std_normal()),
+     False),
+    (GenericPair(pareto(4.0), constant(1.0)), False),
+    (GenericPair(constant(0.0), pareto(3.0)), True),
+], ids=["near-critical", "garch-explosive", "pareto-a", "zero-a"])
+def test_model_and_kesten_problem_share_one_probe(pair, stationary):
+    # one probe: a pair simulates exactly when its multiplier law is a
+    # KestenProblem, and both see the same calibration draws
+    if not stationary:
+        with pytest.raises(ValueError, match="no stationary solution"):
+            SreSvConfig(p=2.0, pair_source=pair, z=std_normal())
+        with pytest.raises(ValueError, match="no stationary solution"):
+            KestenProblem(pair)
+        return
+    SreSvConfig(p=2.0, pair_source=pair, z=std_normal())
+    assert np.array_equal(KestenProblem(pair)._calibration,
+                          probe_multipliers(pair.draw_a))
+
+
+def test_generic_pair_draws_its_own_multiplier():
+    pair = GenericPair(constant(0.0), pareto(3.0))
+    prob = KestenProblem(pair)
+    assert not prob._calibration.any()
+    assert theta_sigma_sre(prob, alpha=1.0, mc_reps=1000).value == 1.0
+    with pytest.raises(ValueError, match="no finite tail index"):
+        kesten_index(prob, mc_reps=1000)
+    half = KestenProblem(GenericPair(constant(0.5), pareto(3.0)))
+    assert np.all(half.draw_a(RngSeed(0).generator(), 5) == 0.5)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("name, call", [
+    ("alpha", lambda v: theta_sigma_sre(zero_problem(), alpha=v,
+                                        mc_reps=100)),
+    ("alpha", lambda v: theta_sigma_sre_quadrature(zero_problem(), alpha=v,
+                                                   mc_reps=100)),
+    ("alpha", lambda v: theta_x_sre(zero_problem(), std_normal(), alpha=v,
+                                    p=1.0, m=2, mc_reps=100)),
+    ("p", lambda v: theta_x_sre(zero_problem(), std_normal(), alpha=1.0,
+                                p=v, m=2, mc_reps=100)),
+    ("alpha", lambda v: theta_x_ma((1.0, 1.0), alpha=v, p=1.0,
+                                   z=std_normal(), mc_reps=100)),
+    ("p", lambda v: theta_x_ma((1.0, 1.0), alpha=4.0, p=v,
+                               z=std_normal(), mc_reps=100)),
+    ("alpha", lambda v: theta_x_ma((1.0, 1.0), alpha=v, p=1.0,
+                                   z=constant(1.0))),
+    ("p", lambda v: theta_x_ma((1.0, 1.0), alpha=4.0, p=v,
+                               z=constant(1.0))),
+], ids=["theta_sigma_sre", "quadrature", "theta_x_sre-alpha",
+        "theta_x_sre-p", "theta_x_ma-alpha", "theta_x_ma-p",
+        "theta_x_ma-constant-z-alpha", "theta_x_ma-constant-z-p"])
+def test_alpha_and_p_must_be_finite_and_positive(name, call, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+        call(bad)
 
 
 @pytest.mark.parametrize("reps", [0, 1])
@@ -187,6 +253,9 @@ def test_theta_sigma_truncation_warning():
     assert r.truncation["risk_fraction"] > 0.01
     with pytest.raises(ValueError, match="trunc_T"):
         theta_sigma_sre(garch_problem(), alpha=2.0, mc_reps=100, trunc_T=0)
+    with pytest.raises(ValueError, match="trunc_T"):
+        theta_sigma_sre_quadrature(garch_problem(), alpha=2.0, mc_reps=100,
+                                   trunc_T=0)
 
 
 # -- theta_x for SRE volatility -------------------------------------------
@@ -304,6 +373,18 @@ def test_theta_x_ma_thread_invariant():
     b = theta_x_ma((1.0, 1.0), alpha=4.0, p=1.0, z=std_normal(),
                    mc_reps=100_000, seed=RngSeed(2), threads=4)
     assert a.value == b.value
+
+
+@pytest.mark.parametrize("z", [laplace(1.0), student_t(8.0)],
+                         ids=["laplace", "student_t"])
+def test_theta_x_ma_capped_at_one(z):
+    # the ratio of sample sums reads 1.047 +- 0.021 (Laplace) and
+    # 1.0005 +- 0.019 (t(8)) at this seed; 2e5 replicates give 0.986
+    r = theta_x_ma((0.189, -0.523), alpha=3.0, p=1.0, z=z, mc_reps=20011,
+                   seed=RngSeed(2))
+    assert r.value == 1.0
+    assert 0.015 < r.mc_stderr < 0.025  # the uncapped ratio's
+    assert r.mc_reps == 20011
 
 
 def test_theta_x_ma_validation():
