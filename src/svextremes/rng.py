@@ -12,7 +12,9 @@ then never change a result, only the wall-clock time.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,16 +95,63 @@ def chunk_sizes(total: int, chunk: int) -> list[int]:
     return out
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# Helper threads shared by every chunked_map call: they start on first
+# use and idle between calls. A thread started per call can start before
+# the previous one has handed back its malloc arena; it then opens another
+# one, and the freed blocks kept there raise the peak RSS.
+_HELPERS = ThreadPoolExecutor(thread_name_prefix="svextremes-chunk")
+
+
 def chunked_map(fn, n_chunks: int, threads: int = 1) -> list:
     """Evaluate fn(0..n_chunks-1) and return results in index order.
 
-    With threads > 1 the calls run on a thread pool; the caller must make
-    fn(i) depend only on i (e.g. by deriving a substream from i), so the
-    result list is identical for every thread count.
+    The calling thread is one of the workers: with w = min(threads,
+    n_chunks, usable CPUs) > 1 it takes chunks together with up to w - 1
+    helper threads, each pulling the next index from one shared counter.
+    A helper still busy with another call's chunks is not waited for:
+    the workers present do every chunk. The caller must make fn(i)
+    depend only on i (e.g. by deriving a substream from i), so the result
+    list is identical for every thread count. When a call raises, no
+    worker starts another chunk, and the exception is raised once every
+    worker has stopped (the caller's own first).
     """
-    if n_chunks == 0:
-        return []
-    if threads <= 1 or n_chunks == 1:
+    workers = min(threads, n_chunks, _usable_cpus())
+    if workers <= 1:
         return [fn(i) for i in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=min(threads, n_chunks)) as ex:
-        return list(ex.map(fn, range(n_chunks)))
+    out = [None] * n_chunks
+    lock = threading.Lock()
+    todo = iter(range(n_chunks))
+
+    def work():
+        nonlocal todo
+        try:
+            while True:
+                with lock:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                out[i] = fn(i)
+        except BaseException:
+            with lock:
+                todo = iter(())
+            raise
+
+    helpers = [_HELPERS.submit(work) for _ in range(workers - 1)]
+    try:
+        work()
+    finally:
+        # a helper that has not started has nothing left to do; one that
+        # has is waited for, so no chunk runs after the return
+        started = [f for f in helpers if not f.cancel()]
+        wait(started)
+    for f in started:
+        f.result()
+    return out

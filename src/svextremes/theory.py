@@ -23,17 +23,21 @@ The SRE routines take the law of A as a KestenProblem, which any SRE
 pair gives and which models.probe_multipliers checks as it checks an
 SreSvConfig. Conventions: alpha always denotes the index of sigma^p (the
 Kesten root), so sigma and X are regularly varying with index alpha * p.
-Monte Carlo work is split into fixed chunks with one substream per chunk
-and reduced in chunk order, making results independent of the thread
-count.
+Monte Carlo work is split into fixed chunks (2^15 replicates for the SRE
+routines, 2^16 values for theta_x_ma) with one substream per chunk and
+reduced in chunk order, making results independent of the thread count;
+rng.chunked_map runs the chunks on the calling thread and helpers.
 
 The SRE walks stop each replicate at the step where its contribution is
 settled and draw only for the live ones. Both theta_sigma routes share
 _sup_log_products, which stops a walk once its sup passes the caller's
 cap or its log product falls L / alpha below its sup (L = _LUNDBERG_L
 = 30): when E A^alpha = 1, Lundberg's inequality bounds the chance of a
-later climb above that sup by e^-L, whatever alpha is. theta_x_sre
-drops a replicate once its running max reaches |Z_1|^{alpha p}.
+later climb above that sup by e^-L, whatever alpha is. It advances the
+live walks in block steps of up to 2^15 draws, so a few survivors take
+many steps per numpy call. theta_x_sre drops a replicate once its
+running max reaches |Z_1|^{alpha p}. A count of 0 (no success, no live
+replicate) would make theta read 0 and raises a ValueError instead.
 """
 
 from __future__ import annotations
@@ -59,7 +63,9 @@ _KAPPA_BRACKET = (1e-3, 64.0)  # where kesten_index looks for kappa
 _GRID_POINTS = 10_000  # of the theta_sigma_sre_quadrature grid
 # L of the Lundberg stop in _sup_log_products
 _LUNDBERG_L = 30.0
-_CHUNK = 65_536
+_BLOCK = 2 ** 15  # most values one block step of _sup_log_products draws
+_CHUNK = 2 ** 15  # replicates per chunk of theta_sigma_sre and theta_x_sre
+_MA_CHUNK = 2 ** 16  # values (replicates x len(psi)) per theta_x_ma chunk
 
 
 @dataclass(frozen=True)
@@ -163,6 +169,15 @@ def _ratio_stderr(n: int, sn: float, sd: float, ssn: float, ssd: float,
     return math.sqrt(var_ratio / n) / dbar
 
 
+def _check_count(count: int, mc_reps: int, what: str) -> None:
+    """A theta estimate needs a count above 0; at 0 it reads 0, which
+    says only that theta is below what mc_reps replicates resolve."""
+    if count == 0:
+        raise ValueError(f"{what} is 0 of mc_reps={mc_reps} replicates: "
+                         "theta is below the Monte Carlo resolution; "
+                         "increase mc_reps")
+
+
 def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
                  tol: float = 1e-4, seed: RngSeed = RngSeed(0)) -> KestenRoot:
     """Solve mean(A_i^kappa) = 1 over one common-random-numbers sample.
@@ -228,34 +243,56 @@ def _sup_log_products(problem: KestenProblem, g: np.random.Generator,
     """Sup over t >= 1 of log prod_{j<=t} A_j per replicate, one per cap.
 
     A replicate stops at the first step where its sup passes its cap, its
-    log product lies _LUNDBERG_L / alpha below its sup, or its log product
-    is -inf (a zero multiplier). A stopped sup above the cap is a lower
-    bound, which is all a caller asking "sup <= cap?" needs. When
-    E A^alpha = 1, Lundberg's inequality bounds the chance that the walk
-    later climbs back above a sup it has fallen L / alpha below by e^-L.
+    log product lies _LUNDBERG_L / alpha below its sup (this includes a
+    log product of -inf, from a zero multiplier), or its walk reaches
+    trunc_T steps. A stopped sup above the cap is a lower bound, which is
+    all a caller asking "sup <= cap?" needs. When E A^alpha = 1,
+    Lundberg's inequality bounds the chance that the walk later climbs
+    back above a sup it has fallen L / alpha below by e^-L.
+
+    The walks advance in block steps: with L live replicates, one draw of
+    k = clamp(_BLOCK // L, 1, trunc_T - t) log-multipliers per replicate
+    forms an (L, k) array, row-major, so the stream depends only on the
+    live counts. The carried log product joins column 0 before the row
+    cumsum, so every partial sum is added left to right as a step-by-step
+    walk adds it; a running max gives the sups, and each row stops at its
+    first column that meets a rule. Stopped rows drop out, so the cost
+    tracks the survivor count, and a block holds at most max(L, _BLOCK)
+    values.
     Returns (sup_log, hit_horizon), where hit_horizon flags replicates
-    still unresolved at trunc_T. Live replicates are kept in compacted
-    arrays, so the per-step cost tracks the survivor count.
+    still unresolved at trunc_T.
     """
     size = cap.size
     sup_out = np.empty(size)
     hit = np.zeros(size, dtype=bool)
     idx = np.arange(size)
-    logprod = np.zeros(size)
-    sup = np.full(size, -np.inf)
+    # every walk starts at log product 0 with no sup: one value each,
+    # broadcast until the first block gives each replicate its own
+    logprod, sup = np.zeros(1), np.full(1, -np.inf)
     depth = _LUNDBERG_L / alpha
-    for _ in range(trunc_T):
-        if idx.size == 0:
-            return sup_out, hit
-        logprod += _log_a_sample(problem, g, idx.size)
-        np.maximum(sup, logprod, out=sup)
+    # the running sups and their Lundberg floors, reused block to block
+    bufs = np.empty((2, max(size, _BLOCK)))
+    t = 0
+    while idx.size and t < trunc_T:
+        n = idx.size
+        k = min(max(_BLOCK // n, 1), trunc_T - t)
+        t += k
+        walk = _log_a_sample(problem, g, n * k).reshape(n, k)
+        walk[:, 0] += logprod
+        np.cumsum(walk, axis=1, out=walk)
+        run = np.maximum.accumulate(walk, axis=1,
+                                    out=bufs[0, :n * k].reshape(n, k))
+        np.maximum(run, sup[:, None], out=run)
+        floor = np.subtract(run, depth, out=bufs[1, :n * k].reshape(n, k))
         # <= also stops a zero product, where sup and logprod are both -inf
-        done = (sup > cap) | (logprod <= sup - depth)
-        if done.any():
-            sup_out[idx[done]] = sup[done]
-            keep = ~done
-            idx, logprod, sup, cap = (idx[keep], logprod[keep], sup[keep],
-                                      cap[keep])
+        done = run > cap[:, None]
+        done |= walk <= floor
+        stop = done.any(axis=1)
+        rows = np.flatnonzero(stop)
+        sup_out[idx[rows]] = run[rows, done[rows].argmax(axis=1)]
+        keep = ~stop
+        idx, cap = idx[keep], cap[keep]
+        logprod, sup = walk[keep, -1], run[keep, -1]  # copies, not views
     sup_out[idx] = sup
     hit[idx] = True
     return sup_out, hit
@@ -283,12 +320,15 @@ def theta_sigma_sre(problem: KestenProblem, alpha: float,
 
     def one(i: int):
         g = seed.generator(i)
-        u = 1.0 - g.random(sizes[i])      # (0, 1]
-        b = np.log(u) / alpha             # -log Y <= 0
+        b = g.random(sizes[i])
+        np.subtract(1.0, b, out=b)        # U in (0, 1]
+        np.log(b, out=b)
+        b /= alpha                        # -log Y = log(U) / alpha <= 0
         sup, hit = _sup_log_products(problem, g, b, trunc_T, alpha)
         return int(np.count_nonzero(sup <= b)), int(np.count_nonzero(hit))
 
     succ, risk = _chunk_totals(chunked_map(one, len(sizes), threads))
+    _check_count(succ, mc_reps, "the success count")
     value = succ / mc_reps
     se = math.sqrt(max(value * (1.0 - value), 0.0) / mc_reps)
     risk_frac = risk / mc_reps
@@ -321,6 +361,8 @@ def theta_sigma_sre_quadrature(problem: KestenProblem, alpha: float,
     g = seed.generator()
     sup, hit = _sup_log_products(problem, g, np.zeros(mc_reps), trunc_T,
                                  alpha)
+    _check_count(int(np.count_nonzero(sup <= 0.0)), mc_reps,
+                 "the count of sups <= 0")
     sup_sorted = np.sort(sup)
     y_max = max(10.0, 1e14 ** (1.0 / alpha))
     y = np.exp(np.linspace(0.0, math.log(y_max), _GRID_POINTS))
@@ -336,6 +378,15 @@ def theta_sigma_sre_quadrature(problem: KestenProblem, alpha: float,
                              {"trunc_T": trunc_T, "risk_fraction": risk_frac,
                               "grid_points": _GRID_POINTS},
                              mc_reps)
+
+
+def _abs_power(z: InnovationSpec, g: np.random.Generator, n: int,
+               e: float) -> np.ndarray:
+    """|Z|^e for n draws of z, computed in the draw's own buffer."""
+    v = draw(z, g, n)
+    np.abs(v, out=v)
+    v **= e
+    return v
 
 
 def _check_z_moment(z: InnovationSpec, r: float) -> None:
@@ -368,14 +419,14 @@ def theta_x_sre(problem: KestenProblem, z: InnovationSpec, alpha: float,
 
     def one(i: int):
         g = seed.generator(i)
-        t1 = np.abs(draw(z, g, sizes[i])) ** ap
+        t1 = _abs_power(z, g, sizes[i], ap)
         sd, ssd = float(t1.sum()), float((t1 * t1).sum())
         num = np.zeros(m)
         num[0] = sd
         best = np.zeros(t1.size)
         logprod = np.zeros(t1.size)
         for j in range(1, m):
-            zj = np.abs(draw(z, g, t1.size)) ** p
+            zj = _abs_power(z, g, t1.size, p)
             logprod += _log_a_sample(problem, g, t1.size)
             with np.errstate(over="ignore", under="ignore"):
                 cand = zj ** alpha * np.exp(alpha * logprod)
@@ -390,6 +441,8 @@ def theta_x_sre(problem: KestenProblem, z: InnovationSpec, alpha: float,
 
     num, sd, ssn, ssd, snd, live = _chunk_totals(
         chunked_map(one, len(sizes), threads))
+    # a live replicate adds t1 - best > 0, so the numerator is 0 iff none is
+    _check_count(live, mc_reps, f"the count of replicates live at m={m}")
     seq = num / sd
     se = _ratio_stderr(mc_reps, num[-1], sd, ssn, ssd, snd)
     return ThetaTheoryResult(float(seq[-1]), se,
@@ -423,20 +476,24 @@ def theta_x_ma(psi, alpha: float, p: float, z: InnovationSpec,
         return ThetaTheoryResult(1.0 / rsum, 0.0, {}, 0)
     _check_z_moment(z, ap)
     q1 = w.size
-    sizes = chunk_sizes(mc_reps, max(_CHUNK // q1, 1))
+    sizes = chunk_sizes(mc_reps, max(_MA_CHUNK // q1, 1))
 
     def one(i: int):
         g = seed.generator(i)
         size = sizes[i]
-        t = np.abs(draw(z, g, size * q1)).reshape(size, q1) ** ap
-        # the row max of t r as a running max over the columns: a max is
-        # exact in any order, and this skips the row-wise reduction
+        t = _abs_power(z, g, size * q1, ap).reshape(size, q1)
+        # the row max of t r and the row sum of t over the columns: no
+        # row-wise reduction, which holds the interpreter lock on short
+        # rows. Summed left to right, as numpy sums rows of fewer than 8
         n_i = t[:, 0] * r[0]
+        d_i = t[:, 0].copy()
         col = np.empty(size)
         for j in range(1, q1):
             np.multiply(t[:, j], r[j], out=col)
             np.maximum(n_i, col, out=n_i)
-        d_i = t.mean(axis=1) * rsum
+            d_i += t[:, j]
+        d_i /= q1
+        d_i *= rsum
         return (float(n_i.sum()), float(d_i.sum()), float((n_i * n_i).sum()),
                 float((d_i * d_i).sum()), float((n_i * d_i).sum()))
 

@@ -579,6 +579,18 @@ def test_theta_theory_bad_alpha_is_no_traceback(runner, workdir, which,
     assert "alpha must be finite and > 0" in r.output
 
 
+@pytest.mark.parametrize("which", ["theta-sigma", "theta-x-sre"])
+def test_theta_theory_zero_count_is_no_traceback(runner, workdir, which):
+    # at seed 0 none of 10 replicates succeeds (theta-sigma) or is still
+    # live at m = 50 (theta-x-sre): a 0 says theta is below the resolution
+    r = invoke(runner, "--seed", 0, "theta-theory", "--which", which,
+               "--model", "garch.json", "--alpha", 2, "--mc-reps", 10)
+    assert r.exit_code != 0
+    assert isinstance(r.exception, SystemExit)
+    assert "is 0 of mc_reps=10 replicates" in r.output
+    assert "theta must lie" not in r.output
+
+
 @pytest.fixture()
 def zero_multiplier_model(workdir):
     # A == 0: sigma^p = B, a generic pair without clustering or Kesten root

@@ -1,8 +1,13 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svextremes import rng
 from svextremes.rng import RngSeed, chunk_sizes, chunked_map
 
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
@@ -74,3 +79,69 @@ def test_chunked_map_thread_invariance_with_rng():
         return float(seed.generator(i).random())
 
     assert chunked_map(one, 12, 1) == chunked_map(one, 12, 4)
+
+
+def test_chunked_map_threads_capped_at_usable_cpus():
+    # one OS thread per requested worker would be a million threads
+    out = chunked_map(lambda i: threading.get_ident(), 64, threads=10**6)
+    assert len(out) == 64
+    assert 1 <= len(set(out)) <= rng._usable_cpus()
+
+
+@pytest.mark.parametrize("where", ["caller", "pool"])
+def test_chunked_map_passes_on_an_exception(monkeypatch, where):
+    # two workers even on a one-CPU machine: the caller and one helper
+    monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
+    caller = threading.get_ident()
+    entered = {True: threading.Event(), False: threading.Event()}
+    started = []
+
+    def fn(i):
+        started.append(i)
+        on_caller = threading.get_ident() == caller
+        entered[on_caller].set()
+        if on_caller == (where == "caller"):
+            raise ValueError(f"chunk {i} failed")
+        # leave chunks for the other worker to fail on
+        assert entered[not on_caller].wait(10)
+        return i
+
+    with pytest.raises(ValueError, match="chunk .* failed"):
+        chunked_map(fn, 200, threads=2)
+    assert len(started) < 200  # no worker started a chunk after the raise
+
+
+def test_chunked_map_takes_every_chunk_once_under_contention(monkeypatch):
+    # more workers than cores and a short switch interval: a lost update
+    # of the shared chunk counter would run a chunk twice or skip one
+    monkeypatch.setattr(rng, "_usable_cpus", lambda: 8)
+    taken = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = chunked_map(lambda i: taken.append(i) or i, 3000, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == list(range(3000))
+    assert sorted(taken) == list(range(3000))
+
+
+def test_chunked_map_nested_calls_finish_on_a_busy_pool(monkeypatch):
+    # one helper thread, busy with the outer call: an inner call's helper
+    # task never starts, so the inner caller does every chunk itself
+    pool = ThreadPoolExecutor(max_workers=1)
+    monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(rng, "_HELPERS", pool)
+    result = []
+
+    def outer():
+        result.append(chunked_map(
+            lambda i: chunked_map(lambda j: 10 * i + j, 3, threads=2),
+            4, threads=2))
+
+    runner = threading.Thread(target=outer, daemon=True)
+    runner.start()
+    runner.join(timeout=30)
+    assert not runner.is_alive()
+    assert result == [[[10 * i + j for j in range(3)] for i in range(4)]]
+    pool.shutdown()

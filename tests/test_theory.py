@@ -24,7 +24,10 @@ from svextremes import (Garch11Pair, GenericPair, KestenProblem, RngSeed,
                         kesten_index, laplace, pareto, std_normal, student_t,
                         theta_sigma_sre, theta_sigma_sre_quadrature,
                         theta_x_ma, theta_x_sre)
+from svextremes import theory
+from svextremes.distributions import draw
 from svextremes.models import probe_multipliers
+from svextremes.rng import chunk_sizes
 
 import exact_laws
 
@@ -258,6 +261,112 @@ def test_theta_sigma_truncation_warning():
                                    trunc_T=0)
 
 
+def scalar_sup_walks(problem, g, cap, trunc_T, alpha):
+    """theory._sup_log_products one replicate and one step at a time.
+
+    Draws what the block steps draw: with L walks live after t steps, a
+    row of k = clamp(2^15 // L, 1, trunc_T - t) log-multipliers for each,
+    row by row. Each walk then adds its row left to right and stops at
+    the first step where its sup passes its cap, its log product lies
+    30 / alpha or more below its sup, or its horizon trunc_T is reached.
+    """
+    depth = 30.0 / alpha
+    n = cap.size
+    logprod, sup = [0.0] * n, [-math.inf] * n
+    sup_out, hit = [0.0] * n, [False] * n
+    live, t = list(range(n)), 0
+    while live and t < trunc_T:
+        k = min(max(2 ** 15 // len(live), 1), trunc_T - t)
+        t += k
+        with np.errstate(divide="ignore"):
+            la = np.log(problem.draw_a(g, len(live) * k)).tolist()
+        still = []
+        for row, r in enumerate(live):
+            for a in la[row * k:(row + 1) * k]:
+                logprod[r] += a
+                sup[r] = max(sup[r], logprod[r])
+                if sup[r] > cap[r] or logprod[r] <= sup[r] - depth:
+                    sup_out[r] = sup[r]
+                    break
+            else:
+                still.append(r)
+        live = still
+    for r in live:
+        sup_out[r], hit[r] = sup[r], True
+    return np.array(sup_out), np.array(hit)
+
+
+def zero_or_two_point_problem(h):
+    # the two-point law, with A = 0 (log A = -inf) 5% of the time
+    def sampler(g, size):
+        a = np.exp(np.where(g.random(size) < exact_laws.P_UP, h, -h))
+        a[g.random(size) < 0.05] = 0.0
+        return a
+
+    return KestenProblem(sampler)
+
+
+@pytest.mark.parametrize("case", ["cap", "lundberg", "zero", "horizon"])
+def test_sup_log_products_matches_a_scalar_walk(case):
+    alpha = exact_laws.two_point_alpha(0.5)
+    g = np.random.default_rng(7)
+    if case == "cap":  # theta_sigma_sre's caps log(U) / alpha
+        prob, n, trunc_T = garch_problem(), 300, 10_000
+        alpha = 2.0
+        cap = np.log(1.0 - g.random(n)) / alpha
+    elif case == "lundberg":  # caps out of reach: only the floor stops
+        # walks of ~1000 steps span blocks, where the order of the sums
+        # shows in the last bits
+        prob, n, trunc_T = garch_problem(), 300, 10_000
+        alpha = 2.0
+        cap = np.full(n, np.inf)
+    elif case == "zero":
+        prob, n, trunc_T = zero_or_two_point_problem(0.5), 300, 10_000
+        cap = np.zeros(n)
+    else:  # 100 walks take blocks of 327 steps; 500 ends inside the second
+        prob, n, trunc_T = garch_problem(), 100, 500
+        alpha = 2.0
+        cap = np.full(n, np.inf)
+    sup, hit = theory._sup_log_products(prob, np.random.default_rng(3), cap,
+                                        trunc_T, alpha)
+    ref_sup, ref_hit = scalar_sup_walks(prob, np.random.default_rng(3), cap,
+                                        trunc_T, alpha)
+    assert np.array_equal(sup.view(np.int64), ref_sup.view(np.int64))
+    assert np.array_equal(hit, ref_hit)
+    stopped = ~hit
+    if case == "cap":
+        assert np.any(sup > cap) and np.any(stopped & (sup <= cap))
+    elif case == "lundberg":
+        assert stopped.all() and np.all(np.isfinite(sup))
+    elif case == "zero":
+        assert np.any(sup == -np.inf) and stopped.all()
+    else:
+        assert 0 < np.count_nonzero(hit) < n
+
+
+def test_theta_sigma_thread_invariant():
+    # four chunks of 2^15 replicates or fewer
+    args = dict(alpha=2.0, mc_reps=3 * 2 ** 15 + 1000, seed=RngSeed(6))
+    runs = [theta_sigma_sre(garch_problem(), threads=t, **args).to_json()
+            for t in (1, 2, 3, 5)]
+    assert all(r == runs[0] for r in runs[1:])
+
+
+def test_zero_count_names_mc_reps():
+    # no replicate of 10 succeeds: theta would read 0, which only says it
+    # lies below what 10 replicates resolve
+    with pytest.raises(ValueError, match=r"success count is 0 of mc_reps=10"):
+        theta_sigma_sre(garch_problem(), alpha=2.0, mc_reps=10,
+                        seed=RngSeed(0))
+    with pytest.raises(ValueError,
+                       match=r"live at m=50 is 0 of mc_reps=10"):
+        theta_x_sre(garch_problem(), std_normal(), alpha=2.0, p=2.0, m=50,
+                    mc_reps=10, seed=RngSeed(0))
+    with pytest.raises(ValueError, match=r"sups <= 0 is 0 of mc_reps=10"):
+        theta_sigma_sre_quadrature(garch_problem(), alpha=2.0, mc_reps=10,
+                                   seed=RngSeed(4))
+
+
 # -- theta_x for SRE volatility -------------------------------------------
 
 def test_theta_x_sre_m_one_is_exactly_one():
@@ -373,6 +482,28 @@ def test_theta_x_ma_thread_invariant():
     b = theta_x_ma((1.0, 1.0), alpha=4.0, p=1.0, z=std_normal(),
                    mc_reps=100_000, seed=RngSeed(2), threads=4)
     assert a.value == b.value
+
+
+@pytest.mark.parametrize("q", range(1, 8))
+def test_theta_x_ma_equals_the_row_mean_formula(q):
+    # the denominator as a row mean of t, chunk by chunk, bit for bit
+    psi, alpha, p, z = np.linspace(1.0, -0.4, q), 3.0, 1.5, laplace(1.0)
+    mc_reps, seed = 70_001, RngSeed(5)
+    r = theta_x_ma(psi, alpha=alpha, p=p, z=z, mc_reps=mc_reps, seed=seed)
+    w = np.abs(psi)
+    rr = (w / w.max()) ** alpha
+    sums = [0.0] * 5
+    for i, size in enumerate(chunk_sizes(mc_reps, max(2 ** 16 // q, 1))):
+        t = np.abs(draw(z, seed.generator(i), size * q)).reshape(
+            size, q) ** (alpha * p)
+        n_i = (t * rr).max(axis=1)
+        d_i = t.mean(axis=1) * float(rr.sum())
+        part = (n_i.sum(), d_i.sum(), (n_i * n_i).sum(), (d_i * d_i).sum(),
+                (n_i * d_i).sum())
+        sums = [a + float(b) for a, b in zip(sums, part)]
+    sn, sd = sums[0], sums[1]
+    assert r.value == min(sn / sd, 1.0)
+    assert r.mc_stderr == theory._ratio_stderr(mc_reps, *sums)
 
 
 @pytest.mark.parametrize("z", [laplace(1.0), student_t(8.0)],
