@@ -1,8 +1,11 @@
 """Regenerate the four reference-figure experiments.
 
 Writes one subdirectory per preset (path.csv, figure.csv, extremogram.csv,
-report.json). The figure CSVs mark exceedances of the empirical 1% and
-99% quantiles, which is what the plots in the write-up are built from.
+report.json). Each figure.csv lists the exceedance marks, one `t,x,side`
+row per value of x below its empirical 1% quantile (side `low`) or above
+its 99% quantile (side `high`); the plots in the write-up draw path.csv
+and mark these rows. Prints per preset the two thresholds, the mark
+counts and any analysis errors.
 
 Usage: python scripts/reproduce_figures.py [--seed 42] [--out figs]
 """
@@ -28,8 +31,9 @@ def main():
         summary = {}
         for r in report.results:
             if r["analysis"] == "figure":
-                summary["exceed_low"] = r["threshold_low"]
-                summary["exceed_high"] = r["threshold_high"]
+                for key in ("threshold_low", "threshold_high",
+                            "marks_low", "marks_high"):
+                    summary[key] = r[key]
             if "error" in r:
                 summary.setdefault("errors", []).append(r["error"])
         print(name, json.dumps(summary))

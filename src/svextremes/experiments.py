@@ -5,7 +5,9 @@ a JSON-friendly config. Running it writes, into an output directory:
 
   * path.csv        the simulated path (t, sigma, x)
   * report.json     config echo, analysis results, timings, version
-  * extremogram*.csv, figure.csv   when those analyses are requested
+  * extremogram*.csv   when those analyses are requested
+  * figure.csv      one row (t, x, side) per exceedance mark, when a
+                    figure analysis is requested; path.csv holds the rest
 
 ANALYSES maps each analysis kind to one function (spec, AnalysisInputs)
 -> report entry, built from the result's own to_json(). run_experiment
@@ -15,8 +17,9 @@ commands call it for one spec, so they print the entry's keys.
 Failures inside a single analysis are recorded in the report (with the
 error message) instead of aborting the run; simulation or config failures
 do abort, and a malformed config raises a ValueError that names the
-field. Warnings raised inside an analysis are recorded in its entry, as
-a "warnings" list that is present only when it is not empty.
+field, as does a figure spec whose quantile levels are out of order or
+outside (0, 1). Warnings raised inside an analysis are recorded in its
+entry, as a "warnings" list that is present only when it is not empty.
 Re-running from the config embedded in a report reproduces every output
 byte for byte, timings excepted.
 """
@@ -38,7 +41,7 @@ from . import theory
 from .distributions import laplace, std_normal, student_t
 from .models import (DEFAULT_BURN_IN, ExpAr1Config, Garch11Pair, MaSvConfig,
                      SreSvConfig, _field, _object, config_from_json,
-                     config_to_json, path_to_csv, simulate, write_csv_rows)
+                     config_to_json, path_to_csv, simulate)
 from .rng import RngSeed
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
@@ -78,6 +81,8 @@ class ExperimentConfig:
             kind = a.get("analysis")
             if not isinstance(kind, str) or kind not in ANALYSES:
                 raise ValueError(f"unknown analysis {kind!r}")
+            if kind == "figure":
+                _figure_levels(a)
 
     def to_json(self) -> dict:
         return {"model": config_to_json(self.model), "n": self.n,
@@ -249,14 +254,33 @@ def _theory(spec: dict, run: AnalysisInputs) -> dict:
     return {"which": which, **r.to_json()}
 
 
+def _figure_levels(spec: dict) -> tuple:
+    """The spec's (q_low, q_high): finite numbers in (0, 1) with q_low <
+    q_high, else a ValueError that names the field."""
+    levels = []
+    for name, default in (("q_low", 0.01), ("q_high", 0.99)):
+        q = spec.get(name, default)
+        if (isinstance(q, bool)
+                or not isinstance(q, (int, float, np.integer, np.floating))
+                or not 0.0 < q < 1.0):
+            raise ValueError(f"figure {name} must be a finite number in "
+                             f"(0, 1), got {q!r}")
+        levels.append(float(q))
+    if not levels[0] < levels[1]:
+        raise ValueError(f"figure q_low must be below q_high, got "
+                         f"q_low={levels[0]!r}, q_high={levels[1]!r}")
+    return tuple(levels)
+
+
 def _figure(spec: dict, run: AnalysisInputs) -> dict:
-    q_low = float(spec.get("q_low", 0.01))
-    q_high = float(spec.get("q_high", 0.99))
+    q_low, q_high = _figure_levels(spec)
     lo = float(np.quantile(run.x, q_low))
     hi = float(np.quantile(run.x, q_high))
-    _write_figure_csv(run.artifact("figure.csv"), run.x, lo, hi)
+    marks_low, marks_high = _write_figure_csv(run.artifact("figure.csv"),
+                                              run.x, lo, hi)
     return {"q_low": q_low, "q_high": q_high, "threshold_low": lo,
-            "threshold_high": hi, "csv": "figure.csv"}
+            "threshold_high": hi, "marks_low": marks_low,
+            "marks_high": marks_high, "csv": "figure.csv"}
 
 
 # analysis kind -> function (spec, inputs) -> report entry; the CLI's path
@@ -267,10 +291,17 @@ ANALYSES = {"hill": _hill, "theta": _theta, "extremogram": _extremogram,
 
 
 def _write_figure_csv(fp: FsPath, x: np.ndarray, lo: float,
-                      hi: float) -> None:
+                      hi: float) -> tuple:
+    """Write a `t,x,side` row per mark in increasing t, side `low` where
+    x < lo and `high` where x > hi; return the two mark counts."""
+    low, high = x < lo, x > hi
+    t = np.flatnonzero(low | high)
     with open(fp, "w") as fh:
-        write_csv_rows(fh, "t,x,exceed_low,exceed_high\n",
-                       (x, x < lo, x > hi))
+        fh.write("t,x,side\n")
+        fh.writelines("%d,%.17g,%s\n" % (i, v, "low" if is_low else "high")
+                      for i, v, is_low in zip(t.tolist(), x[t].tolist(),
+                                              low[t].tolist()))
+    return int(np.count_nonzero(low)), int(np.count_nonzero(high))
 
 
 def _json_default(o):

@@ -691,34 +691,29 @@ def _index_words(start: int, words, keep) -> None:
 def write_csv_rows(fh, header: str, columns) -> None:
     """Write `header`, then the row `t,<columns at t>` for each index t.
 
-    A float64 column is written as '%.17g' and a bool column as '%d', so
-    the text equals `fmt % (t, *values)` row by row, byte for byte, for
-    every value. The rows are formatted by numpy, a block at a time; the
-    floats it cannot prove exact (0, NaN, inf, subnormal and |v| outside
-    [1e-250, 1e250], and values a hair from a rounding tie) are formatted
-    by Python's % one by one.
+    Each column is float64 and written as '%.17g', so the text equals
+    `fmt % (t, *values)` row by row, byte for byte, for every value. The
+    rows are formatted by numpy, a block at a time; the floats it cannot
+    prove exact (0, NaN, inf, subnormal and |v| outside [1e-250, 1e250],
+    and values a hair from a rounding tie) are formatted by Python's %
+    one by one.
     """
     for c in columns:
-        if c.dtype not in (np.float64, np.bool_):
+        if c.dtype != np.float64:
             raise TypeError(f"cannot write a {c.dtype} column")
     fh.write(header)
     n = len(columns[0])
     width = (len(str(max(n - 1, 0))) + 8) // 8
     seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
-    spans = np.cumsum([0, width] + [4 if c.dtype == np.float64 else 1
-                                    for c in columns])
     for i in range(0, n, _CSV_BLOCK):
         rows = min(_CSV_BLOCK, n - i)
-        words = np.empty((rows, spans[-1]), _CSV_WORD)
+        words = np.empty((rows, width + 4 * len(columns)), _CSV_WORD)
         keep = np.empty_like(words)
         _index_words(i, words[:, :width], keep[:, :width])
-        for c, sep, a, b in zip(columns, seps, spans[1:], spans[2:]):
-            block = c[i:i + rows]
-            if block.dtype == np.bool_:
-                words[:, a] = block + 48 | sep << 8
-                keep[:, a] = 0x0101
-            else:
-                _g17_words(block, sep, words[:, a:b], keep[:, a:b])
+        for j, (c, sep) in enumerate(zip(columns, seps)):
+            a = width + 4 * j
+            _g17_words(c[i:i + rows], sep, words[:, a:a + 4],
+                       keep[:, a:a + 4])
         fh.write(words.view(np.uint8)[keep.view(np.bool_)].tobytes()
                  .decode("ascii"))
 

@@ -396,6 +396,12 @@ VALID_EXPERIMENT = {"model": VALID_MODELS[0], "n": 10,
      "field 'analyses'"),
     ({**VALID_EXPERIMENT, "analyses": [{"analysis": []}]},
      "unknown analysis"),
+    ({**VALID_EXPERIMENT, "analyses": [{"analysis": "figure",
+                                        "q_low": 1.5}]},
+     "figure q_low must be a finite number in (0, 1), got 1.5"),
+    ({**VALID_EXPERIMENT, "analyses": [{"analysis": "figure", "q_low": 0.99,
+                                        "q_high": 0.01}]},
+     "figure q_low must be below q_high"),
 ])
 def test_experiment_run_bad_config_names_the_field(obj, field):
     r = experiment_config_json(obj)

@@ -21,8 +21,7 @@ from test_models import fig2_config
 
 
 def reference(columns) -> str:
-    fmt = "%d" + "".join(",%d" if c.dtype == np.bool_ else ",%.17g"
-                         for c in columns) + "\n"
+    fmt = "%d" + ",%.17g" * len(columns) + "\n"
     rows = zip(range(len(columns[0])), *(c.tolist() for c in columns))
     return "h\n" + "".join(fmt % r for r in rows)
 
@@ -120,10 +119,14 @@ def test_exact_seventeen_digit_ties():
 
 
 def test_bool_columns_and_block_edges():
+    # three float columns across two block edges, with slow-path values on
+    # the first; a bool column is rejected
     n = 2 * _CSV_BLOCK + 3
     x = np.random.default_rng(3).standard_normal(n)
     x[_CSV_BLOCK - 2:_CSV_BLOCK + 2] = [0.0, np.nan, -np.inf, 1e-320]
-    assert_matches_reference(x, x < -1.0, x > 1.0)
+    assert_matches_reference(x, -x, np.exp(x))
+    with pytest.raises(TypeError, match="bool"):
+        write_csv_rows(io.StringIO(), "h\n", (x, x > 1.0))
 
 
 @pytest.mark.parametrize("start, rows, width", [

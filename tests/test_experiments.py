@@ -121,23 +121,58 @@ def test_analysis_warnings_recorded_per_entry(tmp_path):
     assert "warnings" not in blob["results"][0]
 
 
+def read_marks(fp):
+    """figure.csv as (t, x, side) arrays."""
+    lines = fp.read_text().splitlines()
+    assert lines[0] == "t,x,side"
+    rows = [line.split(",") for line in lines[1:]]
+    return (np.array([int(r[0]) for r in rows], dtype=np.intp),
+            np.array([float(r[1]) for r in rows]),
+            np.array([r[2] for r in rows], dtype=object))
+
+
 def test_figure_csv_marks_exceedances(tmp_path):
     cfg = small_config(analyses=({"analysis": "figure", "q_low": 0.05,
                                   "q_high": 0.95},), n=400)
     report = run_experiment(cfg, tmp_path / "out")
     entry = report.results[0]
-    lines = (tmp_path / "out" / "figure.csv").read_text().splitlines()
-    assert lines[0] == "t,x,exceed_low,exceed_high"
-    assert len(lines) == 401
-    data = np.genfromtxt(tmp_path / "out" / "figure.csv", delimiter=",",
-                         names=True)
+    t, x, side = read_marks(tmp_path / "out" / "figure.csv")
     path = simulate(cfg.model, cfg.n, burn_in=cfg.burn_in, seed=cfg.seed)
-    assert np.array_equal(data["x"], path.x)
-    assert np.array_equal(data["exceed_high"],
-                          (path.x > entry["threshold_high"]).astype(float))
-    assert np.array_equal(data["exceed_low"],
-                          (path.x < entry["threshold_low"]).astype(float))
-    assert data["exceed_high"].sum() == pytest.approx(0.05 * 400, abs=5)
+    low = np.flatnonzero(path.x < entry["threshold_low"])
+    high = np.flatnonzero(path.x > entry["threshold_high"])
+    assert np.array_equal(t, np.union1d(low, high))
+    assert np.array_equal(x, path.x[t])
+    assert np.array_equal(t[side == "low"], low)
+    assert np.array_equal(t[side == "high"], high)
+    assert set(side) == {"low", "high"}
+    assert (entry["marks_low"], entry["marks_high"]) == (low.size, high.size)
+    assert high.size == pytest.approx(0.05 * 400, abs=5)
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"q_low": 1.5}, "q_low"), ({"q_low": 0.0}, "q_low"),
+    ({"q_low": -0.1}, "q_low"), ({"q_low": float("nan")}, "q_low"),
+    ({"q_low": "0.01"}, "q_low"), ({"q_low": True}, "q_low"),
+    ({"q_high": 1.0}, "q_high"), ({"q_high": float("inf")}, "q_high"),
+    ({"q_high": None}, "q_high"),
+    ({"q_low": 0.99, "q_high": 0.01}, "q_low must be below q_high"),
+    ({"q_low": 0.5, "q_high": 0.5}, "q_low must be below q_high"),
+    ({"q_low": 0.995}, "q_low must be below q_high")])
+def test_figure_spec_rejected_where_it_enters(spec, field):
+    # swapped levels would mark rows as both low and high
+    analyses = ({"analysis": "figure", **spec},)
+    with pytest.raises(ValueError, match=f"figure {field}"):
+        small_config(analyses=analyses)
+    blob = small_config().to_json()
+    blob["analyses"] = list(analyses)
+    with pytest.raises(ValueError, match=f"figure {field}"):
+        ExperimentConfig.from_json(blob)
+
+
+def test_figure_spec_accepts_levels_in_order():
+    for spec in ({}, {"q_low": 0.2}, {"q_high": np.float64(0.5)},
+                 {"q_low": 1e-9, "q_high": 1 - 1e-9}):
+        small_config(analyses=({"analysis": "figure", **spec},))
 
 
 def test_extremogram_csv_naming(tmp_path):
@@ -224,29 +259,50 @@ def test_fig1_right_is_gaussian_log_ar1_with_t4_returns():
 
 
 def test_figure_csv_bytes_match_per_row_formatting(tmp_path):
-    # the reference is the row-at-a-time writer the fast one replaced
+    # the reference formats each mark with Python's %; (-1, -0.5) marks
+    # -0.0 and 5e-324 high, (inf, inf) marks every value but nan and
+    # inf low, and nan thresholds mark nothing
     x = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, -2.0, 2.0,
                   1.0, -1.0])
-    lo, hi = np.float64(-1.0), np.float64(1.0)
-    _write_figure_csv(tmp_path / "figure.csv", x, lo, hi)
-    ref = ["t,x,exceed_low,exceed_high"] + [
-        f"{t},{v:.17g},{int(v < lo)},{int(v > hi)}" for t, v in enumerate(x)]
-    assert (tmp_path / "figure.csv").read_text() == "\n".join(ref) + "\n"
+    for lo, hi in ((-1.0, 1.0), (-1.0, -0.5), (np.inf, np.inf),
+                   (np.nan, np.nan)):
+        lo, hi = np.float64(lo), np.float64(hi)
+        counts = _write_figure_csv(tmp_path / "figure.csv", x, lo, hi)
+        ref = "t,x,side\n" + "".join(
+            "%d,%.17g,%s\n" % (t, v, "low" if v < lo else "high")
+            for t, v in enumerate(x.tolist()) if v < lo or v > hi)
+        assert (tmp_path / "figure.csv").read_text() == ref, (lo, hi)
+        assert counts == (np.count_nonzero(x < lo),
+                          np.count_nonzero(x > hi))
+
+
+def _preset_marks(name, seed):
+    # the marks of the preset's figure, low or high, as a bool per step
+    cfg = preset_config(name, RngSeed(0))
+    fig = next(a for a in cfg.analyses if a["analysis"] == "figure")
+    x = simulate(cfg.model, cfg.n, burn_in=cfg.burn_in, seed=seed).x
+    return ((x < np.quantile(x, fig["q_low"]))
+            | (x > np.quantile(x, fig["q_high"])))
 
 
 def _adjacent_mark_fraction(name, n_seeds=50):
-    # share of seeds whose preset figure.csv marks (exceed_low | exceed_high)
-    # contain an adjacent pair
-    cfg = preset_config(name, RngSeed(0))
-    fig = next(a for a in cfg.analyses if a["analysis"] == "figure")
+    # share of seeds whose preset figure.csv marks contain an adjacent pair
     hits = 0
     for s in range(n_seeds):
-        x = simulate(cfg.model, cfg.n, burn_in=cfg.burn_in,
-                     seed=RngSeed(s)).x
-        e = ((x < np.quantile(x, fig["q_low"]))
-             | (x > np.quantile(x, fig["q_high"])))
+        e = _preset_marks(name, RngSeed(s))
         hits += bool(np.any(e[1:] & e[:-1]))
     return hits / n_seeds
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fig1_figure_csv_holds_the_marks_of_the_adjacency_check(tmp_path,
+                                                                seed):
+    run_experiment(preset_config("fig1-left", RngSeed(seed)), tmp_path)
+    t, _, _ = read_marks(tmp_path / "figure.csv")
+    assert np.array_equal(t,
+                          np.flatnonzero(_preset_marks("fig1-left",
+                                                       RngSeed(seed))))
+    assert t.size == 20
 
 
 def test_fig2_preset_shows_clustered_exceedances():
