@@ -1,8 +1,8 @@
 """Print one sha256 per output of a fixed battery of CLI commands.
 
-Every path command (simulate, hill, theta-est with each method,
-extremogram, theta-theory with each quantity and on a generic SRE pair,
-diagnose), two commands that must fail, and one `experiment run` whose
+Every path command (simulate on a GARCH and an EGARCH model, hill,
+theta-est with each method, extremogram, theta-theory with each quantity
+and on a generic SRE pair, diagnose), two commands that must fail, and one `experiment run` whose
 config uses all seven analysis kinds run at fixed seeds, each as a
 `python -m svextremes` process on the sources of this checkout. Each output line is
 
@@ -37,6 +37,8 @@ MODELS = {
     "garch.json": sv.SreSvConfig(p=2.0, pair_source=PAIR, z=sv.std_normal()),
     "ar.json": sv.ExpAr1Config(phi=0.9, eta=sv.laplace(4.0),
                                z=sv.std_normal()),
+    "egarch.json": sv.EgarchConfig(alpha0=0.0, gamma0=0.5, delta0=0.5,
+                                   phi=0.5, z=sv.laplace(2.0)),
     "ma.json": sv.MaSvConfig(p=1.0, psi=(1.0, 0.5), eta=sv.pareto(4.0),
                              z=sv.student_t(8.0)),
     # A == 0: a generic pair whose multiplier law has no Kesten root
@@ -79,6 +81,9 @@ INPUT = ("--input", "path/path.csv")
 COMMANDS = [
     ("simulate", ("--seed", "1", "--out", "path", "simulate", "--model",
                   "garch.json", "--n", "20000", "--burn-in", "1000")),
+    ("simulate-egarch", ("--seed", "8", "--out", "o", "simulate", "--model",
+                         "egarch.json", "--n", "20000", "--burn-in",
+                         "1000")),
     ("hill", ("--out", "o", "hill", *INPUT, "--k", "200")),
     ("hill-model", ("--seed", "2", "--out", "o", "hill", "--model",
                     "ar.json", "--n", "5000", "--burn-in", "100", "--k",

@@ -99,7 +99,7 @@ def _sim(cfg, n, ctx, burn_in):
 @click.option("--out", type=click.Path(file_okay=False), default="svx-out",
               show_default=True, help="Output directory.")
 @click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker threads; does not affect results.")
+              help="Monte Carlo worker threads; do not affect results.")
 @click.pass_context
 def main(ctx, seed, out, threads):
     """Simulation and tail/cluster analysis for SV models."""

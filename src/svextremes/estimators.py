@@ -14,7 +14,8 @@ Estimator conventions, used consistently below:
   * standard errors are binomial for the extremogram and the
     anticlustering diagnostic, and a circular block bootstrap (block =
     declustering length) for the three theta estimators, since serial
-    dependence invalidates i.i.d. formulas;
+    dependence invalidates i.i.d. formulas; the bootstrap replicates run
+    on the calling thread, whatever `threads` a caller passes;
   * the three theta estimators and their bootstrap take the sorted
     exceedance indices (ExceedanceSet), never the n-long indicator
     series: a bootstrap replicate maps the exceedances inside each
@@ -36,7 +37,7 @@ import numpy as np
 
 from .models import DEFAULT_BURN_IN, ModelConfig, simulate
 from .distributions import InnovationSpec, moment_pos
-from .rng import RngSeed, chunked_map
+from .rng import RngSeed
 
 __all__ = [
     "HillResult", "ThetaEstimate", "ExceedanceSet", "ExtremogramResult",
@@ -173,56 +174,56 @@ def _intervals_core(idx: np.ndarray) -> float:
     return min(1.0, num / den)
 
 
-def _resample(idx2: np.ndarray, below2: np.ndarray, starts: np.ndarray,
-              lens: np.ndarray, block_len: int) -> np.ndarray:
+def _resample(idx2: np.ndarray, full: np.ndarray, starts: np.ndarray,
+              block_len: int) -> np.ndarray:
     """Exceedance positions of one circular block bootstrap series.
 
-    Block j of the resampled series copies the lens[j] positions from
-    starts[j] on, taken mod n, into positions j*block_len onwards. On the
-    series repeated twice a block never wraps: idx2 holds the sorted
-    exceedance indices of that doubled series, and below2[k] counts those
-    at positions < k, for 0 <= k <= 2n. The result is sorted.
+    Block j of the resampled series copies the block_len positions from
+    starts[j] on, taken mod n, into positions j*block_len onwards, and the
+    series stops at n. On the series repeated twice a block never wraps:
+    idx2 holds the sorted exceedance indices of that doubled series, and
+    full[s] counts those in [s, s + block_len), for 0 <= s < n. The
+    result is sorted.
     """
-    lo = below2[starts]
-    cnt = below2[starts + lens] - lo
+    cnt = full[starts]
     # only the blocks that hold an exceedance contribute
     k = np.flatnonzero(cnt)
-    cnt = cnt[k]
+    cnt = cnt[k].astype(np.intp)
+    s = starts[k]
     first = np.cumsum(cnt) - cnt
-    src = np.arange(int(cnt.sum())) + np.repeat(lo[k] - first, cnt)
-    return idx2[src] + np.repeat(k * block_len - starts[k], cnt)
+    src = (np.arange(int(cnt.sum()))
+           + np.repeat(np.searchsorted(idx2, s) - first, cnt))
+    out = idx2[src] + np.repeat(k * block_len - s, cnt)
+    return out[:np.searchsorted(out, full.size)]
 
 
 def _bootstrap_stderr(idx: np.ndarray, n: int, stat, block_len: int,
-                      n_boot: int, threads: int = 1) -> float:
+                      n_boot: int) -> float:
     """Circular block bootstrap of stat over the sorted exceedance indices.
 
-    Replicate i draws its block starts from its own Philox stream, so the
-    result does not depend on `threads`; each thread runs one contiguous
-    range of replicates.
+    Replicate i draws its block starts from its own Philox stream. The
+    replicates run on the calling thread: each is a few small numpy
+    calls, for which helper threads would only contend for the GIL.
     """
     if n_boot < 2:
         return 0.0
     block_len = int(min(max(block_len, 1), n))
     nb = -(-n // block_len)
-    lens = np.minimum(block_len, n - np.arange(nb) * block_len)
     idx2 = np.concatenate((idx, idx + n))
-    below2 = np.zeros(2 * n + 1, dtype=np.intp)
-    below2[idx2 + 1] = 1
-    np.cumsum(below2, out=below2)
-
-    def one(i: int) -> float:
+    # below[k] counts the exceedances of the doubled series before k;
+    # each count in full is at most block_len, which its type holds
+    below = np.zeros(n + block_len + 1, dtype=np.intp)
+    below[idx2[idx2 < n + block_len] + 1] = 1
+    np.cumsum(below, out=below)
+    full = np.empty(n, np.min_scalar_type(block_len))
+    np.subtract(below[block_len:block_len + n], below[:n], out=full,
+                casting="unsafe")
+    vals = np.empty(n_boot)
+    for i in range(n_boot):
         g = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(_BOOTSTRAP_SEED, spawn_key=(i,))))
         starts = g.integers(0, n, size=nb)
-        return stat(_resample(idx2, below2, starts, lens, block_len))
-
-    parts = max(1, min(threads, n_boot))
-    cuts = [n_boot * k // parts for k in range(parts + 1)]
-    ranges = chunked_map(
-        lambda k: [one(i) for i in range(cuts[k], cuts[k + 1])],
-        parts, threads)
-    vals = np.asarray([v for r in ranges for v in r], dtype=float)
+        vals[i] = stat(_resample(idx2, full, starts, block_len))
     vals = vals[np.isfinite(vals)]
     if vals.size < 2:
         return 0.0
@@ -245,7 +246,8 @@ def blocks_theta(values, u: float, block_len: int, n_boot: int = 100,
     The plain ratio K/N is biased low on i.i.d. data, towards
     (1 - e^-lambda)/lambda with lambda = N block_len / n exceedances per
     block; the log form removes that bias. When K = b the log form is
-    undefined and K/N (capped at 1) is returned.
+    undefined and K/N (capped at 1) is returned. threads is unused: the
+    bootstrap runs on the calling thread.
     """
     if block_len < 1:
         raise ValueError("block_len must be >= 1")
@@ -255,14 +257,17 @@ def blocks_theta(values, u: float, block_len: int, n_boot: int = 100,
         raise ValueError("empty exceedance set")
     se = _bootstrap_stderr(ex.indices, ex.n,
                            lambda r: _blocks_core(r, ex.n, block_len),
-                           block_len, n_boot, threads)
+                           block_len, n_boot)
     return ThetaEstimate(th, "blocks",
                          {"block_len": block_len, "u": float(u)}, se)
 
 
 def runs_theta(values, u: float, run_len: int, n_boot: int = 100,
                threads: int = 1) -> ThetaEstimate:
-    """Fraction of exceedances followed by run_len clear positions."""
+    """Fraction of exceedances followed by run_len clear positions.
+
+    threads is unused: the bootstrap runs on the calling thread.
+    """
     if run_len < 1:
         raise ValueError("run_len must be >= 1")
     ex = _theta_input(values, u, n_boot)
@@ -271,7 +276,7 @@ def runs_theta(values, u: float, run_len: int, n_boot: int = 100,
         raise ValueError("empty exceedance set")
     se = _bootstrap_stderr(ex.indices, ex.n,
                            lambda r: _runs_core(r, run_len),
-                           run_len, n_boot, threads)
+                           run_len, n_boot)
     return ThetaEstimate(th, "runs",
                          {"run_len": run_len, "u": float(u)}, se)
 
@@ -285,6 +290,7 @@ def intervals_theta(values, u: float, n_boot: int = 100,
       min(1, 2 (sum (T_i-1))^2 / ((N-1) sum (T_i-1)(T_i-2)))  otherwise.
     Depends on the data only through the exceedance times, so it is
     invariant under strictly increasing transformations of the values.
+    threads is unused: the bootstrap runs on the calling thread.
     """
     ex = _theta_input(values, u, n_boot)
     th = _intervals_core(ex.indices)
@@ -292,7 +298,7 @@ def intervals_theta(values, u: float, n_boot: int = 100,
         raise ValueError("insufficient exceedances")
     mean_gap = int(max(1, round(float(np.mean(np.diff(ex.indices))))))
     se = _bootstrap_stderr(ex.indices, ex.n, _intervals_core, mean_gap,
-                           n_boot, threads)
+                           n_boot)
     return ThetaEstimate(th, "intervals", {"u": float(u)}, se)
 
 

@@ -18,8 +18,9 @@ Failures inside a single analysis are recorded in the report (with the
 error message) instead of aborting the run; simulation or config failures
 do abort, and a malformed config raises a ValueError that names the
 field, as does a figure spec whose quantile levels are out of order or
-outside (0, 1). Warnings raised inside an analysis are recorded in its
-entry, as a "warnings" list that is present only when it is not empty.
+outside (0, 1), or a theta or extremogram spec whose q is. Warnings
+raised inside an analysis are recorded in its entry, as a "warnings"
+list that is present only when it is not empty.
 Re-running from the config embedded in a report reproduces every output
 byte for byte, timings excepted.
 """
@@ -83,6 +84,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown analysis {kind!r}")
             if kind == "figure":
                 _figure_levels(a)
+            elif kind in ("theta", "extremogram") and "q" in a:
+                _level(kind, "q", a["q"])
 
     def to_json(self) -> dict:
         return {"model": config_to_json(self.model), "n": self.n,
@@ -174,13 +177,11 @@ def _theta(spec: dict, run: AnalysisInputs) -> dict:
     v = run.series(series)
     u = float(np.quantile(v, q))
     if method == "blocks":
-        r = est.blocks_theta(v, u, int(spec.get("block_len", 100)),
-                             threads=run.threads)
+        r = est.blocks_theta(v, u, int(spec.get("block_len", 100)))
     elif method == "runs":
-        r = est.runs_theta(v, u, int(spec.get("run_len", 10)),
-                           threads=run.threads)
+        r = est.runs_theta(v, u, int(spec.get("run_len", 10)))
     elif method == "intervals":
-        r = est.intervals_theta(v, u, threads=run.threads)
+        r = est.intervals_theta(v, u)
     else:
         raise ValueError(f"unknown theta method {method!r}")
     return {**r.to_json(), "series": series, "q": q, "u": u}
@@ -254,18 +255,22 @@ def _theory(spec: dict, run: AnalysisInputs) -> dict:
     return {"which": which, **r.to_json()}
 
 
+def _level(kind: str, name: str, q) -> float:
+    """q as a float if it is a finite number in (0, 1), else a ValueError
+    that names the analysis kind and the field."""
+    if (isinstance(q, bool)
+            or not isinstance(q, (int, float, np.integer, np.floating))
+            or not 0.0 < q < 1.0):
+        raise ValueError(f"{kind} {name} must be a finite number in "
+                         f"(0, 1), got {q!r}")
+    return float(q)
+
+
 def _figure_levels(spec: dict) -> tuple:
     """The spec's (q_low, q_high): finite numbers in (0, 1) with q_low <
     q_high, else a ValueError that names the field."""
-    levels = []
-    for name, default in (("q_low", 0.01), ("q_high", 0.99)):
-        q = spec.get(name, default)
-        if (isinstance(q, bool)
-                or not isinstance(q, (int, float, np.integer, np.floating))
-                or not 0.0 < q < 1.0):
-            raise ValueError(f"figure {name} must be a finite number in "
-                             f"(0, 1), got {q!r}")
-        levels.append(float(q))
+    levels = [_level("figure", name, spec.get(name, default))
+              for name, default in (("q_low", 0.01), ("q_high", 0.99))]
     if not levels[0] < levels[1]:
         raise ValueError(f"figure q_low must be below q_high, got "
                          f"q_low={levels[0]!r}, q_high={levels[1]!r}")

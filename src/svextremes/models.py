@@ -18,10 +18,10 @@ Families:
 
 Simulators are pure functions of (config, n, burn_in, seed); identical
 arguments give bit-identical paths, and a path of length n is a prefix
-of the path of length n + k at the same seed and burn-in. The AR(1)
-recursions of ExpAR1 and EGARCH share one numpy scan (_ar1), blocked at
-fixed indices, so neither needs scipy; its values agree with the
-sequential recursion up to rounding.
+of the path of length n + k at the same seed and burn-in. ExpAR1, EGARCH
+and SRE-SV follow one affine recursion y_t = a_t y_{t-1} + b_t, run by
+one numpy scan (_ar1) blocked at fixed indices; its values agree with
+the sequential recursion up to rounding.
 """
 
 from __future__ import annotations
@@ -237,56 +237,60 @@ def _check_length(n: int, burn_in: int) -> None:
 
 
 _AR1_BLOCK = 64  # steps combined by doubling; a power of two
-_AR1_TILE = 512  # blocks per tile: the tile and its scratch take 512 KB
+# blocks per tile: each tile and scratch array takes 32 KB, below the
+# allocator's mmap threshold; the result does not depend on it
+_AR1_TILE = 64
 
 
-def _power(phi: float, k: int) -> float:
-    """phi^k, correctly rounded: int / int rounds correctly."""
-    num, den = phi.as_integer_ratio()
-    return num ** k / den ** k
-
-
-def _ar1(phi: float, w: np.ndarray) -> np.ndarray:
-    """y_t = phi y_{t-1} + w_t from y_0 = w_0.
+def _ar1(a, b, y0: float = 0.0) -> np.ndarray:
+    """y_t = a_t y_{t-1} + b_t from y_{-1} = y0; a and b are each a float
+    or an n-long array.
 
     Numpy-only scan over blocks of _AR1_BLOCK steps at fixed indices. A
     tile of blocks is transposed so that step j of every block is one
-    contiguous row; the steps of each block are combined by doubling
-    (row j gains phi^d row j-d for d = 1, 2, 4, ..), the block-end
-    values are chained in index order into the carry of each block, and
-    row j gains phi^(j+1) times that carry. Every value takes the same
-    operations whatever the length of w, so the result depends only on
-    (phi, w) and a prefix of w gives a prefix of the result. Each y_t is
-    within (24 + 4 / (1 - |phi|^64)) 2^-53 max_t sum_s |phi|^(t-s) |w_s|
-    of the exact recursion.
+    contiguous row. By doubling, row j composes its (a, b) pair with that
+    of row j-d (b_j += a_j b_{j-d}, then a_j *= a_{j-d}) for d = 1, 2, 4,
+    ..; the block carries are chained in index order, and row j gains a_j
+    (by then the block's product of a up to j) times the block's carry.
+    The result depends only on (a, b, y0), so a prefix of the input gives
+    a prefix of the result.
+
+    A term of y_t that has passed F factors of a takes at most
+    65 F / 64 + 8 roundings. So for non-negative a, b and y0, y_t is
+    within (8 y_t + 65 Z_t / 64) 2^-53 of exact, to first order, where
+    Z_t = a_t (Z_{t-1} + y_{t-1}), Z_{-1} = 0: a relative error of
+    (8 + 65 L_t / 64) 2^-53 at the mean number of factors L_t = Z_t / y_t.
     """
-    phi = float(phi)
-    n = w.size
+    a_rows = np.ndim(a) > 0
+    n = np.broadcast(a, b).size
     blocks = -(-n // _AR1_BLOCK)
     y = np.zeros(blocks * _AR1_BLOCK)
-    y[:n] = w
+    y[:n] = b
     rows = y.reshape(blocks, _AR1_BLOCK)
-    # d = 1, 2, 4, .., _AR1_BLOCK / 2
-    doubling = [(d, _power(phi, d))
-                for d in (1 << i for i in range(_AR1_BLOCK.bit_length() - 1))]
-    carry_gain = np.array([_power(phi, j + 1)
-                           for j in range(_AR1_BLOCK)])[:, None]
-    block_gain = _power(phi, _AR1_BLOCK)
-    tile = np.empty((_AR1_BLOCK, min(_AR1_TILE, blocks)))
-    tmp = np.empty_like(tile)
-    carry = 0.0
+    cols = min(_AR1_TILE, blocks)
+    tile, tmp = np.empty((_AR1_BLOCK, cols)), np.empty((_AR1_BLOCK, cols))
+    gain = np.empty((_AR1_BLOCK, cols if a_rows else 1))
+    carry = float(y0)
     for r in range(0, blocks, _AR1_TILE):
         rows_r = rows[r:r + _AR1_TILE]
-        s, t = tile[:, :len(rows_r)], tmp[:, :len(rows_r)]
+        k = len(rows_r)
+        s, t = tile[:, :k], tmp[:, :k]
         s[...] = rows_r.T
-        for d, gain in doubling:
-            np.multiply(s[:-d], gain, out=t[:-d])
-            s[d:] += t[:-d]
+        # resize pads a last block that runs past the end with repeats,
+        # which reach only the values past the end
+        g = gain[:, :k] if a_rows else gain
+        g[...] = (np.resize(a[r * _AR1_BLOCK:(r + k) * _AR1_BLOCK],
+                            (k, _AR1_BLOCK)).T if a_rows else a)
+        for d in (1 << i for i in range(_AR1_BLOCK.bit_length() - 1)):
+            np.multiply(g[d:], s[:-d], out=t[d:])
+            s[d:] += t[d:]
+            g[d:] *= g[:-d]  # numpy buffers the overlapping operands
         carries = []
-        for end in s[-1].tolist():
+        for ga, sb in zip(np.broadcast_to(g[-1], k).tolist(),
+                          s[-1].tolist()):
             carries.append(carry)
-            carry = block_gain * carry + end
-        np.multiply(carry_gain, carries, out=t)
+            carry = ga * carry + sb
+        np.multiply(g, carries, out=t)
         s += t
         rows_r[...] = s.T
     return y[:n]
@@ -330,9 +334,6 @@ def _sre_initial_state(cfg: SreSvConfig, b1: float) -> float:
     return max(b1, 0.0)
 
 
-_SRE_BLOCK = 8192
-
-
 def simulate_sre_sv(cfg: SreSvConfig, n: int, burn_in: int = DEFAULT_BURN_IN,
                     seed: RngSeed = RngSeed(0)) -> Path:
     _check_length(n, burn_in)
@@ -342,8 +343,7 @@ def simulate_sre_sv(cfg: SreSvConfig, n: int, burn_in: int = DEFAULT_BURN_IN,
         # eta_{-burn-1} .. eta_{n-1}; A_t uses eta_{t-1}
         eta = draw(src.eta, seed.generator(0), total + 1)
         a = src.alpha1 * eta[:-1] ** 2 + src.beta1
-        b = np.full(total, float(src.alpha0))
-        b1 = float(src.alpha0)
+        b = b1 = float(src.alpha0)
     else:
         a = src.draw_a(seed.generator(0), total)
         b = draw(src.b, seed.generator(2), total + 1)
@@ -352,19 +352,7 @@ def simulate_sre_sv(cfg: SreSvConfig, n: int, burn_in: int = DEFAULT_BURN_IN,
     if np.all(b == 0.0) and b1 == 0.0:
         warnings.warn("degenerate volatility: B == 0 yields the zero path")
 
-    # the recursion runs over Python floats, one .tolist() block at a
-    # time, which rounds exactly as numpy scalars do but runs faster; the
-    # blocks keep the lists small next to the path
-    v = float(_sre_initial_state(cfg, b1))
-    state = np.empty(total)
-    for i in range(0, total, _SRE_BLOCK):
-        out = []
-        for at, bt in zip(a[i:i + _SRE_BLOCK].tolist(),
-                          b[i:i + _SRE_BLOCK].tolist()):
-            v = at * v + bt
-            out.append(v)
-        state[i:i + len(out)] = out
-    sigma = state[burn_in:] ** (1.0 / cfg.p)
+    sigma = _ar1(a, b, _sre_initial_state(cfg, b1))[burn_in:] ** (1.0 / cfg.p)
 
     if cfg.garch_returns:
         noise = eta[burn_in + 1:]  # eta_t aligned with sigma_t

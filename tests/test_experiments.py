@@ -175,6 +175,25 @@ def test_figure_spec_accepts_levels_in_order():
         small_config(analyses=({"analysis": "figure", **spec},))
 
 
+@pytest.mark.parametrize("q", [1.5, 0.0, 1.0, float("nan"), "0.99", True])
+@pytest.mark.parametrize("spec", [
+    {"analysis": "theta", "method": "intervals"},
+    {"analysis": "extremogram", "lags": [1]}], ids=["theta", "extremogram"])
+def test_quantile_spec_rejected_where_it_enters(spec, q):
+    # a q outside (0, 1) used to pass the config, simulate the path and
+    # leave numpy's "Quantiles must be in the range [0, 1]" in the entry
+    kind = spec["analysis"]
+    analyses = ({**spec, "q": q},)
+    cfg = dict(model=ExpAr1Config(phi=0.5, eta=laplace(4.0), z=std_normal()),
+               n=200, seed=RngSeed(1))
+    with pytest.raises(ValueError, match=f"{kind} q must be a finite number"):
+        ExperimentConfig(**cfg, analyses=analyses)
+    blob = ExperimentConfig(**cfg).to_json()
+    blob["analyses"] = list(analyses)
+    with pytest.raises(ValueError, match=f"{kind} q must be a finite number"):
+        ExperimentConfig.from_json(blob)
+
+
 def test_extremogram_csv_naming(tmp_path):
     cfg = small_config(analyses=(
         {"analysis": "figure"},

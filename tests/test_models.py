@@ -14,6 +14,7 @@ from svextremes import (DEFAULT_BURN_IN, EgarchConfig, ExpAr1Config,
                         SreSvConfig, config_from_json, config_to_json,
                         constant, hill, laplace, pareto, path_to_csv,
                         simulate, std_normal, student_t)
+from svextremes import models
 from svextremes.distributions import draw
 from svextremes.models import (_AR1_BLOCK, _AR1_TILE, _CSV_BLOCK, _ar1,
                                simulate_ma_sv)
@@ -208,10 +209,13 @@ def _abs_sum(phi, w):
 @pytest.mark.parametrize("phi", [-0.99, -0.5, 0.0, 0.3, 0.9, 0.999])
 @pytest.mark.parametrize("sign", ["mixed", "positive"])
 def test_ar1_scan_matches_exact_recursion_and_lfilter(phi, sign):
-    # Error bound of the scan: (24 + 4 / (1 - |phi|^64)) 2^-53 S. Doubling
-    # over six levels moves each term by at most 18 roundings (its rounded
-    # power, product and sum per level); chaining the carries adds 3 per
-    # block, damped by |phi|^64 per block; the carry correction adds 3.
+    # (24 + 4 / (1 - |phi|^64)) 2^-53 S is the error bound of the former
+    # scan, which weighted each term by a correctly rounded power of phi:
+    # six doubling levels of 3 roundings each, 3 per chained carry, damped
+    # by |phi|^64 per block, and 3 for the carry correction. It is kept as
+    # a guard on the product scan, whose own bound (see _ar1 and the
+    # non-negative test below) grows with the mean lag 1 / (1 - |phi|) and
+    # is looser at phi near 1; measured errors stay inside the guard.
     # The sequential recursion of lfilter rounds twice per step, damped by
     # |phi| per step: it is within 2 2^-53 S / (1 - |phi|) of exact.
     w = RngSeed(23).generator().standard_normal(SCAN_LENGTHS[-1])
@@ -232,6 +236,86 @@ def test_ar1_scan_phi_zero_returns_w_exactly():
     w = RngSeed(24).generator().standard_normal(_TILE_LEN + 1)
     for n in SCAN_LENGTHS[:-1]:
         assert np.array_equal(_ar1(0.0, w[:n]), w[:n])
+
+
+_PREC = 200  # bits kept of the state of _exact_affine
+
+
+def _exact_affine(a, b, y0):
+    """y_t = a_t y_{t-1} + b_t from y_{-1} = y0, for non-negative doubles,
+    in integer arithmetic, each y_t rounded once to a double.
+
+    The state is m 2^e with m an integer. Keeping only the top _PREC bits
+    of m is the only inexact step; each step it moves the state by less
+    than 2^(1-_PREC) of itself, far beneath one rounding of a double even
+    after 10^5 steps.
+    """
+    def split(v):  # v = num 2^exp
+        num, den = v.as_integer_ratio()  # den is a power of two
+        return num, 1 - den.bit_length()
+
+    m, e = split(y0)
+    out = []
+    for at, bt in zip(a.tolist(), b.tolist()):
+        an, ae = split(at)
+        bn, be = split(bt)
+        m, e = m * an, e + ae
+        if e > be:
+            m, e = (m << e - be) + bn, be
+        else:
+            m += bn << be - e
+        drop = max(m.bit_length() - _PREC, 0)
+        m, e = m >> drop, e + drop
+        # int / int rounds correctly
+        out.append(m / (1 << -e) if e < 0 else float(m << e))
+    return np.array(out)
+
+
+def _affine_cases():
+    """(a, b, y0) with non-negative terms, each of SCAN_LENGTHS[-1] steps;
+    b is a float where the simulators pass one."""
+    n = SCAN_LENGTHS[-1]
+    g = RngSeed(25).generator()
+    garch = 0.1 * g.standard_normal(n) ** 2 + 0.89  # fig2's multipliers
+    stretches = garch * (np.arange(n) // 1000 % 3 != 0)
+    stretches[100:105] = 0.0
+    drift_free = np.exp(0.05 * g.standard_normal(n))  # no underflow
+    return {"garch": (garch, 1e-7, 1e-5),
+            "zero_a_stretches": (stretches, np.abs(g.standard_normal(n)),
+                                 1.0),
+            "zero_b": (drift_free, 0.0, 1.0)}
+
+
+@pytest.mark.parametrize("case", ["garch", "zero_a_stretches", "zero_b"])
+def test_affine_scan_within_its_relative_bound(case):
+    # For non-negative terms each rounding moves a term by a factor
+    # 1 + delta with |delta| <= 2^-53, and a term of y_t that has passed F
+    # factors of a takes at most 65 F / 64 + 8 roundings (see _ar1). So
+    #   |y_t - exact_t| <= (8 exact_t + 65 Z_t / 64) 2^-53,
+    # Z_t = a_t (Z_{t-1} + y_{t-1}) summing each term times its F, up to
+    # a relative O(n 2^-53) that the factor 1 + 1e-9 covers, as it covers
+    # the float rounding of Z_t here.
+    a, b, y0 = _affine_cases()[case]
+    exact = _exact_affine(a, np.broadcast_to(b, a.shape), y0)
+    z, prev, zs = 0.0, y0, []
+    for at, yt in zip(a.tolist(), exact.tolist()):
+        z = at * (z + prev)
+        prev = yt
+        zs.append(z)
+    bound = (8 * exact + 65 / 64 * np.array(zs)) * 2.0 ** -53 * (1 + 1e-9)
+    for n in SCAN_LENGTHS:
+        y = _ar1(a[:n], b if np.ndim(b) == 0 else b[:n], y0)
+        assert np.all(np.abs(y - exact[:n]) <= bound[:n]), n
+
+
+def test_affine_scan_tile_changes_no_bit(monkeypatch):
+    # _AR1_TILE sets how many blocks one numpy call covers, not the blocks
+    cases = _affine_cases().values()
+    ref = [_ar1(a, b, y0) for a, b, y0 in cases]
+    for tile in (1, 16, 128, 512):
+        monkeypatch.setattr(models, "_AR1_TILE", tile)
+        for (a, b, y0), y in zip(cases, ref):
+            assert np.array_equal(_ar1(a, b, y0), y), tile
 
 
 # -- tail index of sigma (Hill with k=2000 on n=10^6 paths) ----------------

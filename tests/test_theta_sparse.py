@@ -39,12 +39,10 @@ def assert_same(n, positions, tuning, n_boot, threads):
 
 def sparse_resample(e, starts, block_len):
     """_resample on the doubled index and count arrays it expects."""
-    n = e.size
-    nb = starts.size
-    lens = np.minimum(block_len, n - np.arange(nb) * block_len)
     e2 = np.concatenate((e, e))
-    below2 = np.concatenate(([0], np.cumsum(e2)))
-    return _resample(np.flatnonzero(e2), below2, starts, lens, block_len)
+    full = np.array([np.count_nonzero(e2[s:s + block_len])
+                     for s in range(e.size)])
+    return _resample(np.flatnonzero(e2), full, starts, block_len)
 
 
 @pytest.mark.parametrize("starts", [
