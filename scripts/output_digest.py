@@ -1,7 +1,8 @@
 """Print one sha256 per output of a fixed battery of CLI commands.
 
 Every path command (simulate on a GARCH and an EGARCH model, hill,
-theta-est with each method, extremogram, theta-theory with each quantity
+theta-est with each method, extremogram on a stored path and on sigma of
+a constant-volatility model, theta-theory with each quantity
 and on a generic SRE pair, diagnose), two commands that must fail, and one `experiment run` whose
 config uses all seven analysis kinds run at fixed seeds, each as a
 `python -m svextremes` process on the sources of this checkout. Each output line is
@@ -44,6 +45,12 @@ MODELS = {
     # A == 0: a generic pair whose multiplier law has no Kesten root
     "generic.json": sv.SreSvConfig(
         p=1.0, pair_source=sv.GenericPair(sv.constant(0.0), sv.pareto(3.0)),
+        z=sv.std_normal()),
+    # A == 0 and B == 1: sigma is 1 at every step, so the extremogram's
+    # threshold equals every value
+    "const.json": sv.SreSvConfig(
+        p=1.0, pair_source=sv.GenericPair(sv.constant(0.0),
+                                          sv.constant(1.0)),
         z=sv.std_normal()),
 }
 
@@ -94,6 +101,10 @@ COMMANDS = [
       for m in ("blocks", "runs", "intervals")),
     ("extremogram", ("--out", "o", "extremogram", *INPUT, "--lags",
                      "1,2,3,7", "--q", "0.98")),
+    ("extremogram-constant", ("--seed", "9", "--out", "o", "extremogram",
+                              "--model", "const.json", "--n", "2000",
+                              "--burn-in", "10", "--lags", "0,1,5",
+                              "--q", "0.9", "--series", "sigma")),
     ("theta-theory-kesten", ("--out", "o", "theta-theory", "--which",
                              "kesten", "--model", "garch.json",
                              "--mc-reps", "100000")),

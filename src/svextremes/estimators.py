@@ -1,7 +1,13 @@
 """Path statistics: tail index, extremal index, extremogram, diagnostics.
 
 Estimator conventions, used consistently below:
-  * an exceedance of a threshold u means value > u, strictly;
+  * exceedances(values, u), the sorted indices of the values strictly
+    above u, is the one exceedance representation: the three theta
+    estimators and their bootstrap, the extremogram and the
+    anticlustering check share it. Counts and gaps are integers, so each
+    result is bit-equal to its form on the n-long indicator series;
+  * the extremogram counts value >= u (a constant series reads as
+    perfect persistence): the exceedances of the float just below u;
   * thresholds are explicit; callers convert quantile levels to u with
     np.quantile (type-7 interpolation);
   * runs_theta treats indices past either end of the series as
@@ -14,22 +20,18 @@ Estimator conventions, used consistently below:
   * standard errors are binomial for the extremogram and the
     anticlustering diagnostic, and a circular block bootstrap (block =
     declustering length) for the three theta estimators, since serial
-    dependence invalidates i.i.d. formulas; the bootstrap replicates run
-    on the calling thread, whatever `threads` a caller passes;
-  * the three theta estimators and their bootstrap take the sorted
-    exceedance indices (ExceedanceSet), never the n-long indicator
-    series: a bootstrap replicate maps the exceedances inside each
-    sampled block to their resampled positions. Every count and gap is
-    an integer, so the results are bit-equal to resampling the
-    indicator series;
-  * values must be one-dimensional and free of NaN; hill, the theta
-    estimators, the extremogram and breiman_ratio raise ValueError
-    otherwise.
+    dependence invalidates i.i.d. formulas; its replicates run on the
+    calling thread, whatever `threads` a caller passes;
+  * values must be one-dimensional and free of NaN, and hill's k,
+    block_len and run_len integers (numpy's too) in range; otherwise
+    hill, the theta estimators, the extremogram and breiman_ratio raise
+    a ValueError that names the field.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -40,7 +42,7 @@ from .distributions import InnovationSpec, moment_pos
 from .rng import RngSeed
 
 __all__ = [
-    "HillResult", "ThetaEstimate", "ExceedanceSet", "ExtremogramResult",
+    "HillResult", "ThetaEstimate", "ExtremogramResult",
     "AnticlusterResult", "BreimanResult",
     "hill", "blocks_theta", "runs_theta", "intervals_theta",
     "extremogram", "anticluster_diag", "breiman_ratio", "exceedances",
@@ -82,13 +84,6 @@ class ThetaEstimate:
                 "stderr": self.stderr, "tuning": dict(self.tuning)}
 
 
-@dataclass(frozen=True)
-class ExceedanceSet:
-    u: float
-    indices: np.ndarray
-    n: int
-
-
 def _values_1d(values) -> np.ndarray:
     """values as a 1-D float array; NaN and other shapes are rejected."""
     v = np.asarray(values, dtype=float)
@@ -100,10 +95,17 @@ def _values_1d(values) -> np.ndarray:
     return v
 
 
-def exceedances(values, u: float) -> ExceedanceSet:
+def _check_int(name: str, value, low: int) -> int:
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return int(value)
+
+
+def exceedances(values, u: float) -> np.ndarray:
     """Sorted indices of the values strictly above u."""
-    v = _values_1d(values)
-    return ExceedanceSet(float(u), np.flatnonzero(v > u), v.size)
+    return np.flatnonzero(_values_1d(values) > u)
 
 
 # -- tail index -----------------------------------------------------------
@@ -115,8 +117,7 @@ def hill(values, k: int) -> HillResult:
     alpha_hat (1 +/- 1.96/sqrt(k)). Only strictly positive values enter;
     pass sigma or |X|.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    k = _check_int("k", k, 2)
     v = _values_1d(values)
     v = v[v > 0]
     if v.size < k + 1:
@@ -199,7 +200,7 @@ def _resample(idx2: np.ndarray, full: np.ndarray, starts: np.ndarray,
 
 def _bootstrap_stderr(idx: np.ndarray, n: int, stat, block_len: int,
                       n_boot: int) -> float:
-    """Circular block bootstrap of stat over the sorted exceedance indices.
+    """Circular block bootstrap of stat(indices, n) on sorted exceedances.
 
     Replicate i draws its block starts from its own Philox stream. The
     replicates run on the calling thread: each is a few small numpy
@@ -223,17 +224,29 @@ def _bootstrap_stderr(idx: np.ndarray, n: int, stat, block_len: int,
         g = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(_BOOTSTRAP_SEED, spawn_key=(i,))))
         starts = g.integers(0, n, size=nb)
-        vals[i] = stat(_resample(idx2, full, starts, block_len))
+        vals[i] = stat(_resample(idx2, full, starts, block_len), n)
     vals = vals[np.isfinite(vals)]
     if vals.size < 2:
         return 0.0
     return float(np.std(vals, ddof=1))
 
 
-def _theta_input(values, u: float, n_boot: int) -> ExceedanceSet:
+def _theta(method: str, tuning: dict, values, u: float, n_boot: int, stat,
+           block_len: int | None, too_few: str) -> ThetaEstimate:
+    """stat(indices, n) on the exceedances of u, NaN when they are too
+    few, and its bootstrap stderr over blocks of block_len (None: of the
+    mean gap between exceedances)."""
     if n_boot < 0:
         raise ValueError("n_boot must be >= 0")
-    return exceedances(values, u)
+    idx = exceedances(values, u)
+    n = len(values)
+    th = stat(idx, n)
+    if np.isnan(th):
+        raise ValueError(too_few)
+    if block_len is None:
+        block_len = int(max(1, round(float(np.mean(np.diff(idx))))))
+    se = _bootstrap_stderr(idx, n, stat, block_len, n_boot)
+    return ThetaEstimate(th, method, {**tuning, "u": float(u)}, se)
 
 
 def blocks_theta(values, u: float, block_len: int, n_boot: int = 100,
@@ -249,17 +262,10 @@ def blocks_theta(values, u: float, block_len: int, n_boot: int = 100,
     undefined and K/N (capped at 1) is returned. threads is unused: the
     bootstrap runs on the calling thread.
     """
-    if block_len < 1:
-        raise ValueError("block_len must be >= 1")
-    ex = _theta_input(values, u, n_boot)
-    th = _blocks_core(ex.indices, ex.n, block_len)
-    if np.isnan(th):
-        raise ValueError("empty exceedance set")
-    se = _bootstrap_stderr(ex.indices, ex.n,
-                           lambda r: _blocks_core(r, ex.n, block_len),
-                           block_len, n_boot)
-    return ThetaEstimate(th, "blocks",
-                         {"block_len": block_len, "u": float(u)}, se)
+    block_len = _check_int("block_len", block_len, 1)
+    return _theta("blocks", {"block_len": block_len}, values, u, n_boot,
+                  lambda idx, n: _blocks_core(idx, n, block_len), block_len,
+                  "empty exceedance set")
 
 
 def runs_theta(values, u: float, run_len: int, n_boot: int = 100,
@@ -268,17 +274,10 @@ def runs_theta(values, u: float, run_len: int, n_boot: int = 100,
 
     threads is unused: the bootstrap runs on the calling thread.
     """
-    if run_len < 1:
-        raise ValueError("run_len must be >= 1")
-    ex = _theta_input(values, u, n_boot)
-    th = _runs_core(ex.indices, run_len)
-    if np.isnan(th):
-        raise ValueError("empty exceedance set")
-    se = _bootstrap_stderr(ex.indices, ex.n,
-                           lambda r: _runs_core(r, run_len),
-                           run_len, n_boot)
-    return ThetaEstimate(th, "runs",
-                         {"run_len": run_len, "u": float(u)}, se)
+    run_len = _check_int("run_len", run_len, 1)
+    return _theta("runs", {"run_len": run_len}, values, u, n_boot,
+                  lambda idx, n: _runs_core(idx, run_len), run_len,
+                  "empty exceedance set")
 
 
 def intervals_theta(values, u: float, n_boot: int = 100,
@@ -290,16 +289,12 @@ def intervals_theta(values, u: float, n_boot: int = 100,
       min(1, 2 (sum (T_i-1))^2 / ((N-1) sum (T_i-1)(T_i-2)))  otherwise.
     Depends on the data only through the exceedance times, so it is
     invariant under strictly increasing transformations of the values.
-    threads is unused: the bootstrap runs on the calling thread.
+    The bootstrap resamples blocks of the mean gap. threads is unused:
+    the bootstrap runs on the calling thread.
     """
-    ex = _theta_input(values, u, n_boot)
-    th = _intervals_core(ex.indices)
-    if np.isnan(th):
-        raise ValueError("insufficient exceedances")
-    mean_gap = int(max(1, round(float(np.mean(np.diff(ex.indices))))))
-    se = _bootstrap_stderr(ex.indices, ex.n, _intervals_core, mean_gap,
-                           n_boot)
-    return ThetaEstimate(th, "intervals", {"u": float(u)}, se)
+    return _theta("intervals", {}, values, u, n_boot,
+                  lambda idx, n: _intervals_core(idx), None,
+                  "insufficient exceedances")
 
 
 # -- extremogram ----------------------------------------------------------
@@ -333,20 +328,22 @@ def extremogram(values, lags, q: float) -> ExtremogramResult:
     if (lags < 0).any() or (lags >= n / 2).any():
         raise ValueError("each lag must satisfy 0 <= lag < n/2")
     u = float(np.quantile(v, q))
-    # >= so that a sample sitting entirely at its own quantile (constant
-    # series) reads as perfect persistence rather than as no exceedances
-    e = v >= u
-    chi = np.empty(lags.size)
-    se = np.empty(lags.size)
+    # v >= u: the values above the float just below u, or all at -inf
+    idx = (np.arange(n) if u == -np.inf
+           else exceedances(v, np.nextafter(u, -np.inf)))
+    if idx.size == 0:  # else every lag below n/2 has a conditioning pair
+        raise ValueError("no exceedances")
+    # the left pair members are the indices below n - h, the right ones
+    # those from h on; a pair counts in both when idx + h is in idx too
+    cond = (np.searchsorted(idx, n - lags) + idx.size
+            - np.searchsorted(idx, lags))
+    both = np.empty(lags.size)
     for j, h in enumerate(lags):
-        left = e[:n - h]
-        right = e[h:]
-        both = int((left & right).sum())
-        cond = int(left.sum()) + int(right.sum())
-        if cond == 0:
-            raise ValueError("no exceedances")
-        chi[j] = 2.0 * both / cond
-        se[j] = math.sqrt(max(chi[j] * (1.0 - chi[j]), 0.0) / (cond / 2.0))
+        ends = idx + h  # past the end for the indices from n - h on
+        pos = np.searchsorted(idx, ends)
+        both[j] = np.count_nonzero(idx.take(pos, mode="clip") == ends)
+    chi = 2.0 * both / cond
+    se = np.sqrt(np.maximum(chi * (1.0 - chi), 0.0) / (cond / 2.0))
     return ExtremogramResult(float(q), u, lags, chi, se)
 
 
@@ -380,6 +377,12 @@ class AnticlusterResult:
                 "r_n": self.r_n, "y": self.y, "n": self.n}
 
 
+def _window_reach(exc: np.ndarray, t: int, r_n: int) -> int:
+    """Largest |s - t| over the sorted exceedances s in [t - r_n, t + r_n]."""
+    lo, hi = np.searchsorted(exc, (t - r_n, t + r_n + 1))
+    return int(max(t - exc[lo], exc[hi - 1] - t))
+
+
 def anticluster_diag(cfg: ModelConfig, m, r_n: int, y: float, n: int,
                      reps: int, seed: RngSeed,
                      burn_in: int = DEFAULT_BURN_IN) -> AnticlusterResult:
@@ -407,36 +410,31 @@ def anticluster_diag(cfg: ModelConfig, m, r_n: int, y: float, n: int,
     seg_len = max(width, min(n, 1_000_000))
     max_segments = max(8, 4 * math.ceil(reps * n / seg_len))
 
-    rows = []
+    # one integer per window: the largest |offset| of an exceedance from
+    # its centre, which is >= m exactly when the window hits at m
+    reach = []
     for s in range(max_segments):
-        if len(rows) >= reps:
+        if len(reach) >= reps:
             break
         seg = simulate(cfg, seg_len, burn_in, seed.child(1, s))
-        ax = np.abs(seg.x)
-        exc = np.flatnonzero(ax > u)
-        exc = exc[(exc >= r_n) & (exc < seg_len - r_n)]
+        exc = exceedances(np.abs(seg.x), u)
         last = -width
-        for t in exc:
-            if len(rows) >= reps:
+        for t in exc[(exc >= r_n) & (exc < seg_len - r_n)]:
+            if len(reach) >= reps:
                 break
             if t - last >= width:
-                rows.append(ax[t - r_n: t + r_n + 1] > u)
+                reach.append(_window_reach(exc, t, r_n))
                 last = t
-    if not rows:
+    if not reach:
         raise ValueError("threshold too high")
-    if len(rows) < reps:
-        warnings.warn(f"found only {len(rows)} of {reps} windows "
+    if len(reach) < reps:
+        warnings.warn(f"found only {len(reach)} of {reps} windows "
                       "within the simulation budget")
 
-    w = np.vstack(rows)
-    n_windows = w.shape[0]
-    est = np.empty(len(m_grid))
-    se = np.empty(len(m_grid))
-    for i, mv in enumerate(m_grid):
-        hit = w[:, r_n + mv:].any(axis=1) | w[:, :r_n - mv + 1].any(axis=1)
-        est[i] = float(hit.mean())
-        se[i] = math.sqrt(max(est[i] * (1.0 - est[i]), 0.0) / n_windows)
-    return AnticlusterResult(m_grid, est, se, n_windows, a_n, u,
+    reach = np.asarray(reach)
+    est = (reach >= np.asarray(m_grid)[:, None]).mean(axis=1)
+    se = np.sqrt(np.maximum(est * (1.0 - est), 0.0) / reach.size)
+    return AnticlusterResult(m_grid, est, se, reach.size, a_n, u,
                              int(r_n), float(y), int(n))
 
 

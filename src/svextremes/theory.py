@@ -139,13 +139,18 @@ def _log_a_sample(problem: KestenProblem, g: np.random.Generator,
         return np.log(a)
 
 
-def _check_args(mc_reps: int, **positive: float) -> None:
-    # a standard error needs two replicates; alpha and p are exponents
+def _check_args(mc_reps: int, finite: dict | None = None,
+                **positive: float) -> None:
+    # a standard error needs two replicates; alpha and p are exponents;
+    # finite maps a name to an array whose entries must all be finite
     if mc_reps < 2:
         raise ValueError("mc_reps must be >= 2")
     for name, v in positive.items():
         if not (math.isfinite(v) and v > 0):
             raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+    for name, v in (finite or {}).items():
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite, got {v.tolist()}")
 
 
 def _chunk_totals(parts: list) -> list:
@@ -185,7 +190,7 @@ def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
     The sample is drawn once and sorted, so the root depends only on the
     multiset of draws; bisection runs until |mean(A^kappa) - 1| < tol.
     """
-    _check_args(mc_reps)
+    _check_args(mc_reps, tol=tol)
     # at most two n-long arrays are alive at once: the sample is sorted in
     # place, each f(kappa) takes one temporary, and A^kappa overwrites
     # the sample at the end
@@ -463,8 +468,9 @@ def theta_x_ma(psi, alpha: float, p: float, z: InnovationSpec,
     psi_j by a common factor cannot move the result. A ratio of sums
     above 1 (theta near 1) reads 1; mc_stderr is the uncapped ratio's.
     """
-    _check_args(mc_reps, alpha=alpha, p=p)
-    w = np.abs(np.asarray(psi, dtype=float))
+    psi = np.asarray(psi, dtype=float)
+    _check_args(mc_reps, finite={"psi": psi}, alpha=alpha, p=p)
+    w = np.abs(psi)
     if w.size == 0 or not np.any(w > 0):
         raise ValueError("psi needs at least one nonzero coefficient")
     ap = alpha * p

@@ -1,10 +1,11 @@
-"""Indicator-series theta estimators: the reference for the sparse ones.
+"""Indicator-series estimators: the reference for the sparse ones.
 
 These are the blocks, runs and intervals estimators and their circular
-block bootstrap written over the n-long boolean exceedance series, as the
-package computed them before it moved to sorted exceedance indices. Each
-bootstrap replicate builds the resampled series in full. The package's
-estimators must return the same theta_hat and stderr bit for bit.
+block bootstrap, the extremogram and the anticlustering window rule,
+written over n-long boolean exceedance series as the package computed
+them before it moved to sorted exceedance indices. Each bootstrap
+replicate builds the resampled series in full. The package's estimators
+must return the same numbers bit for bit.
 """
 
 import math
@@ -107,3 +108,30 @@ def intervals_theta(values, u, n_boot=100, threads=1):
     mean_gap = int(max(1, round(float(np.mean(np.diff(np.flatnonzero(e)))))))
     se = bootstrap_stderr(e, intervals_core, mean_gap, n_boot, threads)
     return th, se
+
+
+def extremogram(values, lags, q):
+    """(u, chi_hat, stderr), with each lag's counts read from v >= u."""
+    v = np.asarray(values, dtype=float)
+    n = v.size
+    lags = sorted(int(h) for h in lags)
+    u = float(np.quantile(v, q))
+    e = v >= u
+    chi = np.empty(len(lags))
+    se = np.empty(len(lags))
+    for j, h in enumerate(lags):
+        left = e[:n - h]
+        right = e[h:]
+        both = int((left & right).sum())
+        cond = int(left.sum()) + int(right.sum())
+        if cond == 0:
+            raise ValueError("no exceedances")
+        chi[j] = 2.0 * both / cond
+        se[j] = math.sqrt(max(chi[j] * (1.0 - chi[j]), 0.0) / (cond / 2.0))
+    return u, chi, se
+
+
+def window_hits(w, r_n, m):
+    """Whether the window w = (|X_t| > u for |t| <= r_n), centred at
+    index r_n, holds an exceedance at some m <= |t| <= r_n."""
+    return bool(w[r_n + m:].any() | w[:r_n - m + 1].any())

@@ -158,6 +158,21 @@ def test_estimators_reject_bad_values(values, message):
             call()
 
 
+@pytest.mark.parametrize("call, field", [
+    (lambda v, k: hill(v, k), "k"),
+    (lambda v, k: blocks_theta(v, 1.5, block_len=k, n_boot=0), "block_len"),
+    (lambda v, k: runs_theta(v, 1.5, run_len=k, n_boot=0), "run_len"),
+])
+def test_integer_tuning_checked_where_it_enters(call, field):
+    v = np.arange(1.0, 41.0)
+    for bad in (2.5, 10.5, 3.0, "3"):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            call(v, bad)
+    # numpy integers are integers: the result equals the int one's
+    assert call(v, np.int32(3)) == call(v, 3)
+    assert call(v, np.int64(3)).to_json() == call(v, 3).to_json()
+
+
 def test_theta_estimators_check_n_boot():
     v = indicator_series(50, [3, 4, 20, 21, 40])
     calls = (lambda b: blocks_theta(v, 0.5, block_len=5, n_boot=b),

@@ -15,6 +15,7 @@ Frozen oracle values and their provenance:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,12 @@ def test_kesten_bracket_too_small():
     assert exact_laws.two_point_alpha(0.01) > 64.0
     with pytest.raises(ValueError, match="no finite tail index"):
         kesten_index(two_point_problem(0.01), mc_reps=50_000)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-4])
+def test_kesten_tol_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="^tol must be finite and > 0"):
+        kesten_index(garch_problem(), mc_reps=1000, tol=tol)
 
 
 def test_kesten_problem_validation():
@@ -525,6 +532,16 @@ def test_theta_x_ma_validation():
         theta_x_ma((1.0, 1.0), alpha=4.0, p=1.0, z=constant(0.0))
     with pytest.raises(ValueError, match="moment diverges"):
         theta_x_ma((1.0, 1.0), alpha=4.0, p=1.0, z=student_t(4.0))
+
+
+@pytest.mark.parametrize("psi", [(1.0, np.nan), (1.0, np.inf),
+                                 (-np.inf, 0.5)])
+@pytest.mark.parametrize("z", [std_normal(), constant(1.0)])
+def test_theta_x_ma_psi_must_be_finite(psi, z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic
+        with pytest.raises(ValueError, match="^psi must be finite"):
+            theta_x_ma(psi, alpha=4.0, p=1.0, z=z, mc_reps=100)
 
 
 # -- result record --------------------------------------------------------
