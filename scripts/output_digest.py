@@ -3,9 +3,11 @@
 Every path command (simulate on a GARCH and an EGARCH model, hill,
 theta-est with each method, extremogram on a stored path and on sigma of
 a constant-volatility model, theta-theory with each quantity
-and on a generic SRE pair, diagnose), two commands that must fail, and one `experiment run` whose
-config uses all seven analysis kinds run at fixed seeds, each as a
-`python -m svextremes` process on the sources of this checkout. Each output line is
+and on a generic SRE pair, diagnose), two commands that must fail, one
+`experiment run` whose config uses all seven analysis kinds, and the
+`fig1-right` preset (t(4) returns, so its report echoes a Student-t
+spec), run at fixed seeds, each as a `python -m svextremes` process on
+the sources of this checkout. Each output line is
 
     <command>:<output> <sha256 or value>
 
@@ -131,6 +133,8 @@ COMMANDS = [
     ("fail-extremogram-lag", ("--out", "o", "extremogram", *INPUT,
                               "--lags", "20000")),
     ("experiment-run", ("--out", "o", "experiment", "run", "exp.json")),
+    ("experiment-preset", ("--seed", "10", "--out", "o", "experiment",
+                           "preset", "fig1-right")),
 ]
 
 

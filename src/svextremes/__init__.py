@@ -10,39 +10,15 @@ against each other.
 
 __version__ = "0.1.0"
 
-from .distributions import (InnovationSpec, constant, laplace, moment_abs,
-                            moment_abs_mc, moment_pos, pareto,
-                            sample_innovation, std_normal, student_t,
-                            tail_prob)
-from .estimators import (AnticlusterResult, BreimanResult, ExtremogramResult,
-                         HillResult, ThetaEstimate, anticluster_diag,
-                         blocks_theta, breiman_ratio, extremogram, hill,
-                         intervals_theta, runs_theta)
-from .experiments import (ExperimentConfig, ExperimentReport, PRESET_NAMES,
-                          preset_config, run_experiment)
-from .models import (DEFAULT_BURN_IN, EgarchConfig, ExpAr1Config,
-                     Garch11Pair, GenericPair, MaSvConfig, Path, SreSvConfig,
-                     config_from_json, config_to_json, path_to_csv, simulate)
-from .rng import RngSeed
-from .theory import (KestenProblem, KestenRoot, ThetaTheoryResult,
-                     kesten_index, theta_sigma_sre,
-                     theta_sigma_sre_quadrature, theta_x_ma, theta_x_sre)
+# the public names are the modules' __all__ lists
+from . import distributions, estimators, experiments, models, rng, theory
+from .distributions import *  # noqa: F401,F403
+from .rng import *  # noqa: F401,F403
+from .models import *  # noqa: F401,F403
+from .estimators import *  # noqa: F401,F403
+from .theory import *  # noqa: F401,F403
+from .experiments import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "InnovationSpec", "std_normal", "student_t", "laplace", "pareto",
-    "constant", "sample_innovation", "tail_prob", "moment_abs",
-    "moment_abs_mc", "moment_pos",
-    "RngSeed",
-    "ExpAr1Config", "EgarchConfig", "Garch11Pair", "GenericPair",
-    "SreSvConfig", "MaSvConfig", "Path", "simulate", "config_to_json",
-    "config_from_json", "path_to_csv", "DEFAULT_BURN_IN",
-    "HillResult", "ThetaEstimate", "ExtremogramResult", "AnticlusterResult",
-    "BreimanResult", "hill", "blocks_theta", "runs_theta", "intervals_theta",
-    "extremogram", "anticluster_diag", "breiman_ratio",
-    "KestenProblem", "KestenRoot", "ThetaTheoryResult", "kesten_index",
-    "theta_sigma_sre", "theta_sigma_sre_quadrature", "theta_x_sre",
-    "theta_x_ma",
-    "ExperimentConfig", "ExperimentReport", "run_experiment",
-    "preset_config", "PRESET_NAMES",
-]
+__all__ = ["__version__", *distributions.__all__, *rng.__all__,
+           *models.__all__, *estimators.__all__, *theory.__all__,
+           *experiments.__all__]

@@ -28,7 +28,7 @@ from .rng import RngSeed
 __all__ = [
     "InnovationSpec",
     "std_normal", "student_t", "laplace", "pareto", "constant",
-    "sample_innovation", "draw", "tail_prob",
+    "sample_innovation", "tail_prob",
     "moment_abs", "moment_abs_mc", "moment_pos",
 ]
 

@@ -23,9 +23,10 @@ Estimator conventions, used consistently below:
     dependence invalidates i.i.d. formulas; its replicates run on the
     calling thread, whatever `threads` a caller passes;
   * values must be one-dimensional and free of NaN, and hill's k,
-    block_len and run_len integers (numpy's too) in range; otherwise
-    hill, the theta estimators, the extremogram and breiman_ratio raise
-    a ValueError that names the field.
+    block_len, run_len, the extremogram's lags and anticluster_diag's m
+    integers (numpy's too) in range; otherwise hill, the theta
+    estimators, the extremogram, anticluster_diag and breiman_ratio
+    raise a ValueError that names the field.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import DEFAULT_BURN_IN, ModelConfig, simulate
+from .models import DEFAULT_BURN_IN, JsonFields, ModelConfig, simulate
 from .distributions import InnovationSpec, moment_pos
 from .rng import RngSeed
 
@@ -45,7 +46,7 @@ __all__ = [
     "HillResult", "ThetaEstimate", "ExtremogramResult",
     "AnticlusterResult", "BreimanResult",
     "hill", "blocks_theta", "runs_theta", "intervals_theta",
-    "extremogram", "anticluster_diag", "breiman_ratio", "exceedances",
+    "extremogram", "anticluster_diag", "breiman_ratio",
 ]
 
 _BOOTSTRAP_SEED = 0xB0075
@@ -53,7 +54,7 @@ _ANTICLUSTER_CALIBRATION = 10  # anticluster_diag's a_n run, in units of n
 
 
 @dataclass(frozen=True)
-class HillResult:
+class HillResult(JsonFields):
     k: int
     alpha_hat: float
     ci_low: float
@@ -63,13 +64,9 @@ class HillResult:
         if not (self.alpha_hat > 0 and self.ci_low < self.alpha_hat < self.ci_high):
             raise ValueError("inconsistent Hill result")
 
-    def to_json(self) -> dict:
-        return {"k": self.k, "alpha_hat": self.alpha_hat,
-                "ci_low": self.ci_low, "ci_high": self.ci_high}
-
 
 @dataclass(frozen=True)
-class ThetaEstimate:
+class ThetaEstimate(JsonFields):
     theta_hat: float
     method: str
     tuning: dict
@@ -78,10 +75,6 @@ class ThetaEstimate:
     def __post_init__(self):
         if not 0.0 < self.theta_hat <= 1.0:
             raise ValueError("theta_hat must lie in (0, 1]")
-
-    def to_json(self) -> dict:
-        return {"method": self.method, "theta_hat": self.theta_hat,
-                "stderr": self.stderr, "tuning": dict(self.tuning)}
 
 
 def _values_1d(values) -> np.ndarray:
@@ -95,10 +88,10 @@ def _values_1d(values) -> np.ndarray:
     return v
 
 
-def _check_int(name: str, value, low: int) -> int:
+def _check_int(name: str, value, low: int | None = None) -> int:
     if not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
+    if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}")
     return int(value)
 
@@ -300,17 +293,12 @@ def intervals_theta(values, u: float, n_boot: int = 100,
 # -- extremogram ----------------------------------------------------------
 
 @dataclass(frozen=True)
-class ExtremogramResult:
+class ExtremogramResult(JsonFields):
     q: float
     u: float
     lags: np.ndarray
     chi_hat: np.ndarray
     stderr: np.ndarray
-
-    def to_json(self) -> dict:
-        return {"q": self.q, "u": self.u, "lags": self.lags.tolist(),
-                "chi_hat": self.chi_hat.tolist(),
-                "stderr": self.stderr.tolist()}
 
 
 def extremogram(values, lags, q: float) -> ExtremogramResult:
@@ -322,7 +310,7 @@ def extremogram(values, lags, q: float) -> ExtremogramResult:
     """
     v = _values_1d(values)
     n = v.size
-    lags = np.asarray(sorted(int(h) for h in lags), dtype=int)
+    lags = np.asarray(sorted(_check_int("lags", h) for h in lags), dtype=int)
     if lags.size == 0:
         raise ValueError("need at least one lag")
     if (lags < 0).any() or (lags >= n / 2).any():
@@ -350,7 +338,7 @@ def extremogram(values, lags, q: float) -> ExtremogramResult:
 # -- anticlustering diagnostic --------------------------------------------
 
 @dataclass
-class AnticlusterResult:
+class AnticlusterResult(JsonFields):
     """Conditional exceedance frequencies over two-sided windows.
 
     estimate[i] is the fraction of windows, centered at an exceedance of
@@ -368,13 +356,6 @@ class AnticlusterResult:
     r_n: int
     y: float
     n: int
-
-    def to_json(self) -> dict:
-        return {"m_grid": list(self.m_grid),
-                "estimates": self.estimates.tolist(),
-                "stderrs": self.stderrs.tolist(),
-                "n_windows": self.n_windows, "a_n": self.a_n, "u": self.u,
-                "r_n": self.r_n, "y": self.y, "n": self.n}
 
 
 def _window_reach(exc: np.ndarray, t: int, r_n: int) -> int:
@@ -394,7 +375,7 @@ def anticluster_diag(cfg: ModelConfig, m, r_n: int, y: float, n: int,
     independent path segments until `reps` are found (or a simulation
     budget of about 4 reps * n draws runs out).
     """
-    m_grid = tuple(int(v) for v in np.atleast_1d(m))
+    m_grid = tuple(_check_int("m", v) for v in np.atleast_1d(m).tolist())
     if len(m_grid) == 0:
         raise ValueError("need at least one m")
     if any(not 1 <= v < r_n for v in m_grid):
@@ -441,16 +422,11 @@ def anticluster_diag(cfg: ModelConfig, m, r_n: int, y: float, n: int,
 # -- Breiman ratio --------------------------------------------------------
 
 @dataclass
-class BreimanResult:
+class BreimanResult(JsonFields):
     levels: np.ndarray
     thresholds: np.ndarray
     ratios: np.ndarray
     target: float | None
-
-    def to_json(self) -> dict:
-        return {"levels": self.levels.tolist(),
-                "thresholds": self.thresholds.tolist(),
-                "ratios": self.ratios.tolist(), "target": self.target}
 
 
 def breiman_ratio(sigma_values, x_values, q_grid, alpha: float,

@@ -18,7 +18,9 @@ Failures inside a single analysis are recorded in the report (with the
 error message) instead of aborting the run; simulation or config failures
 do abort, and a malformed config raises a ValueError that names the
 field, as does a figure spec whose quantile levels are out of order or
-outside (0, 1), or a theta or extremogram spec whose q is. Warnings
+outside (0, 1), or a theta or extremogram spec whose q is. An analysis
+spec's integer fields (k, block_len, lags, mc_reps, ...) must be whole
+numbers, as n and burn_in must; a bad one is that entry's error. Warnings
 raised inside an analysis are recorded in its entry, as a "warnings"
 list that is present only when it is not empty.
 Re-running from the config embedded in a report reproduces every output
@@ -166,7 +168,7 @@ class AnalysisInputs:
 
 def _hill(spec: dict, run: AnalysisInputs) -> dict:
     series = spec.get("series", "x_abs")
-    r = est.hill(run.series(series), int(spec["k"]))
+    r = est.hill(run.series(series), _whole_number("k", spec["k"]))
     return {"series": series, **r.to_json()}
 
 
@@ -177,9 +179,11 @@ def _theta(spec: dict, run: AnalysisInputs) -> dict:
     v = run.series(series)
     u = float(np.quantile(v, q))
     if method == "blocks":
-        r = est.blocks_theta(v, u, int(spec.get("block_len", 100)))
+        r = est.blocks_theta(v, u, _whole_number(
+            "block_len", spec.get("block_len", 100)))
     elif method == "runs":
-        r = est.runs_theta(v, u, int(spec.get("run_len", 10)))
+        r = est.runs_theta(v, u, _whole_number(
+            "run_len", spec.get("run_len", 10)))
     elif method == "intervals":
         r = est.intervals_theta(v, u)
     else:
@@ -189,7 +193,7 @@ def _theta(spec: dict, run: AnalysisInputs) -> dict:
 
 def _extremogram(spec: dict, run: AnalysisInputs) -> dict:
     series = spec.get("series", "x_abs")
-    lags = [int(h) for h in spec["lags"]]
+    lags = [_whole_number("lags", h) for h in spec["lags"]]
     q = float(spec.get("q", 0.99))
     r = est.extremogram(run.series(series), lags, q)
     name = ("extremogram.csv" if run.ordinal == 0
@@ -210,11 +214,11 @@ def _breiman(spec: dict, run: AnalysisInputs) -> dict:
 
 def _anticluster(spec: dict, run: AnalysisInputs) -> dict:
     n = run.x.size
-    m_grid = [int(m) for m in spec["m_grid"]]
-    r_n = int(spec.get("r_n", math.isqrt(n)))
+    m_grid = [_whole_number("m_grid", m) for m in spec["m_grid"]]
+    r_n = _whole_number("r_n", spec.get("r_n", math.isqrt(n)))
     r = est.anticluster_diag(run.model, m_grid, r_n,
                              float(spec.get("y", 1.0)), n,
-                             reps=int(spec.get("reps", 200)),
+                             reps=_whole_number("reps", spec.get("reps", 200)),
                              seed=run.seed, burn_in=run.burn_in)
     out = r.to_json()
     del out["n"]  # the path length, which the report's config holds
@@ -227,31 +231,34 @@ def _theory(spec: dict, run: AnalysisInputs) -> dict:
     if which == "theta_x_ma":
         if not isinstance(model, MaSvConfig):
             raise ValueError("theta_x_ma needs a masv model")
+    elif which not in ("kesten", "theta_sigma", "theta_x_sre"):
+        raise ValueError(f"unknown theory quantity {which!r}")
+    elif not isinstance(model, SreSvConfig):
+        raise ValueError(f"{which} needs an sresv model")
+    mc_reps = _whole_number("mc_reps", spec.get(
+        "mc_reps",
+        1_000_000 if which in ("kesten", "theta_x_sre") else 200_000))
+    if which == "theta_x_ma":
         r = theory.theta_x_ma(model.psi, alpha=float(spec["alpha"]),
-                              p=model.p, z=model.z,
-                              mc_reps=int(spec.get("mc_reps", 200_000)),
+                              p=model.p, z=model.z, mc_reps=mc_reps,
                               seed=run.seed, threads=run.threads)
         return {"which": which, **r.to_json()}
-    if which not in ("kesten", "theta_sigma", "theta_x_sre"):
-        raise ValueError(f"unknown theory quantity {which!r}")
-    if not isinstance(model, SreSvConfig):
-        raise ValueError(f"{which} needs an sresv model")
     problem = theory.KestenProblem(model.pair_source)
     if which == "kesten":
-        r = theory.kesten_index(problem,
-                                mc_reps=int(spec.get("mc_reps", 1_000_000)),
+        r = theory.kesten_index(problem, mc_reps=mc_reps,
                                 tol=float(spec.get("tol", 1e-4)),
                                 seed=run.seed)
     elif which == "theta_sigma":
-        r = theory.theta_sigma_sre(problem, alpha=float(spec["alpha"]),
-                                   mc_reps=int(spec.get("mc_reps", 200_000)),
-                                   trunc_T=int(spec.get("trunc_T", 10_000)),
-                                   seed=run.seed, threads=run.threads)
+        r = theory.theta_sigma_sre(
+            problem, alpha=float(spec["alpha"]), mc_reps=mc_reps,
+            trunc_T=_whole_number("trunc_T", spec.get("trunc_T", 10_000)),
+            seed=run.seed, threads=run.threads)
     else:
         r = theory.theta_x_sre(problem, z=model.z, alpha=float(spec["alpha"]),
-                               p=model.p, m=int(spec.get("m", 50)),
-                               mc_reps=int(spec.get("mc_reps", 1_000_000)),
-                               seed=run.seed, threads=run.threads)
+                               p=model.p,
+                               m=_whole_number("m", spec.get("m", 50)),
+                               mc_reps=mc_reps, seed=run.seed,
+                               threads=run.threads)
     return {"which": which, **r.to_json()}
 
 

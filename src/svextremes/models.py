@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 from typing import Union
 
@@ -39,11 +39,8 @@ from .rng import RngSeed
 
 __all__ = [
     "ExpAr1Config", "EgarchConfig", "Garch11Pair", "GenericPair",
-    "SreSvConfig", "MaSvConfig", "ModelConfig", "Path",
-    "simulate_exp_ar1", "simulate_egarch", "simulate_sre_sv",
-    "simulate_ma_sv", "simulate", "probe_multipliers",
-    "config_to_json", "config_from_json", "path_to_csv",
-    "DEFAULT_BURN_IN",
+    "SreSvConfig", "MaSvConfig", "Path", "simulate", "config_to_json",
+    "config_from_json", "path_to_csv", "DEFAULT_BURN_IN",
 ]
 
 DEFAULT_BURN_IN = 10_000
@@ -388,6 +385,27 @@ def simulate(cfg: ModelConfig, n: int, burn_in: int = DEFAULT_BURN_IN,
 
 
 # -- serialization --------------------------------------------------------
+
+class JsonFields:
+    """Base of the result dataclasses: to_json() writes every field by
+    name, ndarrays and tuples as lists and dicts copied, and leaves out a
+    field still at a None default."""
+
+    def to_json(self) -> dict:
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is None and f.default is None:
+                continue
+            if isinstance(v, np.ndarray):
+                v = v.tolist()
+            elif isinstance(v, tuple):
+                v = list(v)
+            elif isinstance(v, dict):
+                v = dict(v)
+            out[f.name] = v
+        return out
+
 
 def config_to_json(cfg: ModelConfig) -> dict:
     if isinstance(cfg, ExpAr1Config):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RngSeed", "chunk_sizes", "chunked_map"]
+__all__ = ["RngSeed"]
 
 _U64_MAX = 2**64 - 1
 

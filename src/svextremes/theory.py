@@ -50,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from .distributions import InnovationSpec, draw, moment_abs
-from .models import probe_multipliers
+from .models import JsonFields, probe_multipliers
 from .rng import RngSeed, chunk_sizes, chunked_map
 
 __all__ = [
@@ -99,7 +99,7 @@ class KestenProblem:
 
 
 @dataclass(frozen=True)
-class KestenRoot:
+class KestenRoot(JsonFields):
     """Root of the empirical moment equation, with its precision."""
 
     kappa: float
@@ -107,13 +107,9 @@ class KestenRoot:
     mc_reps: int
     bracket: tuple
 
-    def to_json(self) -> dict:
-        return {"kappa": self.kappa, "f_stderr": self.f_stderr,
-                "mc_reps": self.mc_reps, "bracket": list(self.bracket)}
-
 
 @dataclass(frozen=True)
-class ThetaTheoryResult:
+class ThetaTheoryResult(JsonFields):
     value: float
     mc_stderr: float
     truncation: dict
@@ -123,13 +119,6 @@ class ThetaTheoryResult:
     def __post_init__(self):
         if not 0.0 < self.value <= 1.0:
             raise ValueError("theta must lie in (0, 1]")
-
-    def to_json(self) -> dict:
-        out = {"value": self.value, "mc_stderr": self.mc_stderr,
-               "truncation": dict(self.truncation), "mc_reps": self.mc_reps}
-        if self.sequence is not None:
-            out["sequence"] = np.asarray(self.sequence).tolist()
-        return out
 
 
 def _log_a_sample(problem: KestenProblem, g: np.random.Generator,

@@ -1,0 +1,144 @@
+"""The package API: each result's JSON is its fields, and the public
+names are the modules' __all__ lists."""
+
+import numpy as np
+import pytest
+
+import svextremes as sv
+from svextremes import (distributions, estimators, experiments, models, rng,
+                        theory)
+from svextremes.estimators import (AnticlusterResult, BreimanResult,
+                                   ExtremogramResult, HillResult,
+                                   ThetaEstimate)
+from svextremes.theory import KestenRoot, ThetaTheoryResult
+
+MODULES = (distributions, rng, models, estimators, theory, experiments)
+
+PUBLIC_NAMES = {
+    "__version__",
+    "InnovationSpec", "std_normal", "student_t", "laplace", "pareto",
+    "constant", "sample_innovation", "tail_prob", "moment_abs",
+    "moment_abs_mc", "moment_pos",
+    "RngSeed",
+    "ExpAr1Config", "EgarchConfig", "Garch11Pair", "GenericPair",
+    "SreSvConfig", "MaSvConfig", "Path", "simulate", "config_to_json",
+    "config_from_json", "path_to_csv", "DEFAULT_BURN_IN",
+    "HillResult", "ThetaEstimate", "ExtremogramResult", "AnticlusterResult",
+    "BreimanResult", "hill", "blocks_theta", "runs_theta", "intervals_theta",
+    "extremogram", "anticluster_diag", "breiman_ratio",
+    "KestenProblem", "KestenRoot", "ThetaTheoryResult", "kesten_index",
+    "theta_sigma_sre", "theta_sigma_sre_quadrature", "theta_x_sre",
+    "theta_x_ma",
+    "ExperimentConfig", "ExperimentReport", "run_experiment",
+    "preset_config", "PRESET_NAMES",
+}
+
+
+# -- result JSON ----------------------------------------------------------
+
+RESULTS = [
+    (HillResult(k=10, alpha_hat=2.0, ci_low=1.0, ci_high=3.0),
+     {"k": 10, "alpha_hat": 2.0, "ci_low": 1.0, "ci_high": 3.0}),
+    (ThetaEstimate(theta_hat=0.5, method="runs",
+                   tuning={"run_len": 5, "u": 1.5}, stderr=0.1),
+     {"method": "runs", "theta_hat": 0.5, "stderr": 0.1,
+      "tuning": {"run_len": 5, "u": 1.5}}),
+    (ExtremogramResult(q=0.9, u=1.25, lags=np.array([1, 3]),
+                       chi_hat=np.array([0.5, 0.25]),
+                       stderr=np.array([0.1, 0.05])),
+     {"q": 0.9, "u": 1.25, "lags": [1, 3], "chi_hat": [0.5, 0.25],
+      "stderr": [0.1, 0.05]}),
+    (AnticlusterResult(m_grid=(1, 5), estimates=np.array([0.5, 0.25]),
+                       stderrs=np.array([0.1, 0.1]), n_windows=20, a_n=3.0,
+                       u=1.5, r_n=10, y=0.5, n=1000),
+     {"m_grid": [1, 5], "estimates": [0.5, 0.25], "stderrs": [0.1, 0.1],
+      "n_windows": 20, "a_n": 3.0, "u": 1.5, "r_n": 10, "y": 0.5,
+      "n": 1000}),
+    (BreimanResult(levels=np.array([0.99, 0.995]),
+                   thresholds=np.array([2.0, 3.0]),
+                   ratios=np.array([1.5, 1.25]), target=1.0),
+     {"levels": [0.99, 0.995], "thresholds": [2.0, 3.0],
+      "ratios": [1.5, 1.25], "target": 1.0}),
+    (KestenRoot(kappa=2.0, f_stderr=1e-3, mc_reps=1000,
+                bracket=(1e-3, 64.0)),
+     {"kappa": 2.0, "f_stderr": 1e-3, "mc_reps": 1000,
+      "bracket": [1e-3, 64.0]}),
+    (ThetaTheoryResult(value=0.5, mc_stderr=0.01,
+                       truncation={"m": 2, "live_fraction": 0.25},
+                       mc_reps=1000, sequence=np.array([1.0, 0.5])),
+     {"value": 0.5, "mc_stderr": 0.01,
+      "truncation": {"m": 2, "live_fraction": 0.25}, "mc_reps": 1000,
+      "sequence": [1.0, 0.5]}),
+]
+
+
+def plain(obj):
+    """obj has only dicts, lists, str, int, float, bool and None in it."""
+    if isinstance(obj, dict):
+        return all(isinstance(k, str) and plain(v) for k, v in obj.items())
+    if isinstance(obj, list):
+        return all(plain(v) for v in obj)
+    return obj is None or type(obj) in (str, int, float, bool)
+
+
+@pytest.mark.parametrize("result, expected", RESULTS,
+                         ids=[type(r).__name__ for r, _ in RESULTS])
+def test_result_json_is_its_fields(result, expected):
+    out = result.to_json()
+    assert out == expected
+    assert plain(out)
+
+
+def test_result_json_copies_dicts():
+    est, _ = RESULTS[1]
+    out = est.to_json()
+    out["tuning"]["u"] = 0.0
+    assert est.tuning["u"] == 1.5
+
+
+def test_theta_theory_json_leaves_out_an_unset_sequence():
+    r = ThetaTheoryResult(value=0.5, mc_stderr=0.01, truncation={"T": 10},
+                          mc_reps=1000)
+    assert r.to_json() == {"value": 0.5, "mc_stderr": 0.01,
+                           "truncation": {"T": 10}, "mc_reps": 1000}
+
+
+def test_breiman_json_keeps_a_none_target():
+    r = BreimanResult(levels=np.array([0.99]), thresholds=np.array([2.0]),
+                      ratios=np.array([1.5]), target=None)
+    assert r.to_json() == {"levels": [0.99], "thresholds": [2.0],
+                           "ratios": [1.5], "target": None}
+
+
+# -- public names ---------------------------------------------------------
+
+def test_package_all_is_the_module_lists():
+    assert len(sv.__all__) == len(set(sv.__all__))
+    assert set(sv.__all__) == PUBLIC_NAMES
+    assert sv.__all__ == ["__version__",
+                          *(n for m in MODULES for n in m.__all__)]
+
+
+def test_each_public_name_is_its_module_object():
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(sv, name) is getattr(module, name), name
+
+
+def test_star_import_binds_exactly_the_public_names():
+    ns = {}
+    exec("from svextremes import *", ns)
+    del ns["__builtins__"]
+    assert set(ns) == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("module, name", [
+    (distributions, "draw"), (estimators, "exceedances"),
+    (models, "ModelConfig"), (models, "simulate_exp_ar1"),
+    (models, "simulate_egarch"), (models, "simulate_sre_sv"),
+    (models, "simulate_ma_sv"), (models, "probe_multipliers"),
+    (rng, "chunk_sizes"), (rng, "chunked_map")])
+def test_internal_names_stay_importable_by_module_path(module, name):
+    assert name not in module.__all__
+    assert not hasattr(sv, name)
+    assert hasattr(module, name)

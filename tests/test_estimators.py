@@ -311,6 +311,17 @@ def test_extremogram_lag_validation():
         extremogram(v, lags=(), q=0.9)
 
 
+def test_extremogram_rejects_non_integer_lags():
+    v = pareto_sample(1000)
+    with pytest.raises(ValueError, match="lags must be an integer, got 1.5"):
+        extremogram(v, lags=[1.5, 2.9], q=0.9)
+    with pytest.raises(ValueError, match="lags must be an integer"):
+        extremogram(v, lags=[1, 2.0], q=0.9)
+    r = extremogram(v, lags=np.array([2, 1], dtype=np.int32), q=0.9)
+    assert r.lags.tolist() == [1, 2]
+    assert np.array_equal(r.chi_hat, extremogram(v, (1, 2), q=0.9).chi_hat)
+
+
 # -- anticlustering diagnostic --------------------------------------------
 
 def constant_path_config():
@@ -362,6 +373,13 @@ def test_anticluster_validation():
     with pytest.raises(ValueError, match="reps >= 1"):
         anticluster_diag(cfg, m=(1,), r_n=10, y=0.5, n=1000, reps=0,
                          seed=SEED, burn_in=10)
+    for m in ((1, 2.5), 1.5, np.array([1.0, 2.0])):
+        with pytest.raises(ValueError, match="m must be an integer, got"):
+            anticluster_diag(cfg, m=m, r_n=10, y=0.5, n=1000, reps=5,
+                             seed=SEED, burn_in=10)
+    r = anticluster_diag(cfg, m=np.array([1, 5]), r_n=10, y=0.5, n=1000,
+                         reps=5, seed=SEED, burn_in=10)
+    assert r.m_grid == (1, 5) and type(r.m_grid[0]) is int
 
 
 # -- Breiman ratio --------------------------------------------------------

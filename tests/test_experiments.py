@@ -104,6 +104,59 @@ def test_analysis_error_recorded_not_fatal(tmp_path):
     assert report.results[2]["alpha_hat"] > 0
 
 
+def test_fractional_analysis_tuning_is_an_entry_error(tmp_path):
+    analyses = (
+        {"analysis": "theta", "method": "blocks", "q": 0.95,
+         "block_len": 10.5},
+        {"analysis": "hill", "k": 20.7},
+        {"analysis": "theta", "method": "runs", "run_len": 2.5},
+        {"analysis": "extremogram", "lags": [1, 2.5]},
+        {"analysis": "anticluster", "m_grid": [1.5]},
+        {"analysis": "anticluster", "m_grid": [1], "r_n": 10.5},
+        {"analysis": "anticluster", "m_grid": [1], "reps": 0.5})
+    cfg = ExperimentConfig(model=ExpAr1Config(phi=0.5, eta=std_normal(),
+                                              z=std_normal()),
+                           n=2000, seed=RngSeed(5), burn_in=100,
+                           analyses=analyses)
+    report = run_experiment(cfg, tmp_path / "out")
+    fields = ("block_len", "k", "run_len", "lags", "m_grid", "r_n", "reps")
+    for entry, name in zip(report.results, fields):
+        assert entry["error"].startswith(f"ValueError: {name} must be a "
+                                         "whole number, got ")
+
+
+def test_theory_tuning_is_read_as_whole_numbers(tmp_path):
+    analyses = (
+        {"analysis": "theory", "which": "kesten", "mc_reps": 1000.5},
+        {"analysis": "theory", "which": "theta_sigma", "alpha": 2.0,
+         "mc_reps": 1000, "trunc_T": 100.5},
+        {"analysis": "theory", "which": "theta_x_sre", "alpha": 2.0,
+         "mc_reps": 1000, "m": 2.5})
+    report = run_experiment(small_config(analyses=analyses, n=10),
+                            tmp_path / "out")
+    for entry, name in zip(report.results, ("mc_reps", "trunc_T", "m")):
+        assert entry["error"].startswith(f"ValueError: {name} must be a "
+                                         "whole number, got ")
+
+
+def test_integral_float_tuning_runs_as_its_int(tmp_path):
+    def results(k, block_len, mc_reps):
+        cfg = small_config(analyses=(
+            {"analysis": "hill", "k": k},
+            {"analysis": "theta", "method": "blocks", "q": 0.99,
+             "block_len": block_len},
+            {"analysis": "theory", "which": "kesten", "mc_reps": mc_reps}))
+        report = run_experiment(cfg, tmp_path / str(k))
+        return [{key: v for key, v in r.items() if key != "index"}
+                for r in report.results]
+
+    as_float = results(100.0, 50.0, 20_000.0)
+    assert as_float == results(100, 50, 20_000)
+    assert type(as_float[0]["k"]) is int
+    assert as_float[1]["tuning"]["block_len"] == 50
+    assert type(as_float[2]["mc_reps"]) is int
+
+
 def test_analysis_warnings_recorded_per_entry(tmp_path):
     # sigma has nothing above its own maximum, so level 1.0 is dropped
     # with a warning, once in each breiman analysis
