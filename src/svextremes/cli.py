@@ -191,10 +191,13 @@ def theta_est(ctx, model, input_csv, n, burn_in, method, q, block_len,
 def extremogram(ctx, model, input_csv, n, burn_in, lags, q, series):
     """Sample extremogram at the given lags."""
     run = _path_inputs(ctx, model, input_csv, n, burn_in)
-    try:
-        lag_list = [int(s) for s in lags.split(",") if s.strip()]
-    except ValueError as e:
-        raise click.ClickException(str(e))
+    lag_list = []
+    for s in filter(str.strip, lags.split(",")):
+        try:
+            lag_list.append(int(s))
+        except ValueError:
+            raise click.ClickException(
+                f"--lags must be comma-separated integers, got {s.strip()!r}")
     out = _analysis("extremogram",
                     {"lags": lag_list, "q": q, "series": series}, run)
     out["csv"] = str(run.out / out["csv"])

@@ -23,10 +23,10 @@ Estimator conventions, used consistently below:
     dependence invalidates i.i.d. formulas; its replicates run on the
     calling thread, whatever `threads` a caller passes;
   * values must be one-dimensional and free of NaN, and hill's k,
-    block_len, run_len, the extremogram's lags and anticluster_diag's m
-    integers (numpy's too) in range; otherwise hill, the theta
-    estimators, the extremogram, anticluster_diag and breiman_ratio
-    raise a ValueError that names the field.
+    block_len, run_len, the extremogram's lags and anticluster_diag's m,
+    r_n, reps and n integers (numpy's too) in range; otherwise hill, the
+    theta estimators, the extremogram, anticluster_diag and
+    breiman_ratio raise a ValueError that names the field.
 """
 
 from __future__ import annotations
@@ -375,6 +375,8 @@ def anticluster_diag(cfg: ModelConfig, m, r_n: int, y: float, n: int,
     independent path segments until `reps` are found (or a simulation
     budget of about 4 reps * n draws runs out).
     """
+    r_n, reps, n = _check_int("r_n", r_n), _check_int("reps", reps), \
+        _check_int("n", n)
     m_grid = tuple(_check_int("m", v) for v in np.atleast_1d(m).tolist())
     if len(m_grid) == 0:
         raise ValueError("need at least one m")
@@ -416,7 +418,7 @@ def anticluster_diag(cfg: ModelConfig, m, r_n: int, y: float, n: int,
     est = (reach >= np.asarray(m_grid)[:, None]).mean(axis=1)
     se = np.sqrt(np.maximum(est * (1.0 - est), 0.0) / reach.size)
     return AnticlusterResult(m_grid, est, se, reach.size, a_n, u,
-                             int(r_n), float(y), int(n))
+                             r_n, float(y), n)
 
 
 # -- Breiman ratio --------------------------------------------------------

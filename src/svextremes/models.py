@@ -266,22 +266,39 @@ def _ar1(a, b, y0: float = 0.0) -> np.ndarray:
     rows = y.reshape(blocks, _AR1_BLOCK)
     cols = min(_AR1_TILE, blocks)
     tile, tmp = np.empty((_AR1_BLOCK, cols)), np.empty((_AR1_BLOCK, cols))
-    gain = np.empty((_AR1_BLOCK, cols if a_rows else 1))
+    doublings = [1 << i for i in range(_AR1_BLOCK.bit_length() - 1)]
+
+    def gains(g):
+        # g before each doubling, then after the last, updated in place
+        for d in doublings:
+            yield g
+            g[d:] *= g[:-d]  # numpy buffers the overlapping operands
+        yield g
+
+    if a_rows:
+        gain = np.empty((_AR1_BLOCK, cols))
+    else:
+        # a constant a gives every tile the same (_AR1_BLOCK, 1) gains
+        const_gains = [g.copy() for g in gains(
+            np.full((_AR1_BLOCK, 1), a, dtype=float))]
     carry = float(y0)
     for r in range(0, blocks, _AR1_TILE):
         rows_r = rows[r:r + _AR1_TILE]
         k = len(rows_r)
         s, t = tile[:, :k], tmp[:, :k]
         s[...] = rows_r.T
-        # resize pads a last block that runs past the end with repeats,
-        # which reach only the values past the end
-        g = gain[:, :k] if a_rows else gain
-        g[...] = (np.resize(a[r * _AR1_BLOCK:(r + k) * _AR1_BLOCK],
-                            (k, _AR1_BLOCK)).T if a_rows else a)
-        for d in (1 << i for i in range(_AR1_BLOCK.bit_length() - 1)):
+        if a_rows:
+            # resize pads a last block that runs past the end with
+            # repeats, which reach only the values past the end
+            gain[:, :k] = np.resize(a[r * _AR1_BLOCK:(r + k) * _AR1_BLOCK],
+                                    (k, _AR1_BLOCK)).T
+            tile_gains = gains(gain[:, :k])
+        else:
+            tile_gains = iter(const_gains)
+        for d, g in zip(doublings, tile_gains):
             np.multiply(g[d:], s[:-d], out=t[d:])
             s[d:] += t[d:]
-            g[d:] *= g[:-d]  # numpy buffers the overlapping operands
+        g = next(tile_gains)
         carries = []
         for ga, sb in zip(np.broadcast_to(g[-1], k).tolist(),
                           s[-1].tolist()):

@@ -28,6 +28,13 @@ routines, 2^16 values for theta_x_ma) with one substream per chunk and
 reduced in chunk order, making results independent of the thread count;
 rng.chunked_map runs the chunks on the calling thread and helpers.
 
+kesten_index keeps one mc_reps-long array, its sorted log sample (8 MB
+at the default 10^6). It draws and logs A in slices of _LEAF = 2^16
+values, and sums A^kappa over the leaves of numpy's pairwise-summation
+tree (_pairwise) through one _LEAF-long buffer. Philox draws in sequence
+and the leaves are the tree's own, so kappa and f_stderr equal those of
+one large draw reduced by np.mean and np.std, bit for bit.
+
 The SRE walks stop each replicate at the step where its contribution is
 settled and draw only for the live ones. Both theta_sigma routes share
 _sup_log_products, which stops a walk once its sup passes the caller's
@@ -66,6 +73,7 @@ _LUNDBERG_L = 30.0
 _BLOCK = 2 ** 15  # most values one block step of _sup_log_products draws
 _CHUNK = 2 ** 15  # replicates per chunk of theta_sigma_sre and theta_x_sre
 _MA_CHUNK = 2 ** 16  # values (replicates x len(psi)) per theta_x_ma chunk
+_LEAF = 2 ** 16  # most values kesten_index draws or reduces at once
 
 
 @dataclass(frozen=True)
@@ -172,26 +180,62 @@ def _check_count(count: int, mc_reps: int, what: str) -> None:
                          "increase mc_reps")
 
 
+def _pairwise(lo: int, hi: int, leaf) -> float:
+    """Sum of leaf(i, j) over the leaves of numpy's pairwise-summation
+    tree on [lo, hi): a range is halved, the first half rounded down to
+    a multiple of 8, until each piece holds at most _LEAF values. When
+    leaf(i, j) is np.add.reduce of the values i..j-1, the result is
+    np.add.reduce of all of them, bit for bit."""
+    n = hi - lo
+    if n <= _LEAF:
+        return leaf(lo, hi)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(lo, lo + half, leaf) + _pairwise(lo + half, hi, leaf)
+
+
 def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
                  tol: float = 1e-4, seed: RngSeed = RngSeed(0)) -> KestenRoot:
     """Solve mean(A_i^kappa) = 1 over one common-random-numbers sample.
 
     The sample is drawn once and sorted, so the root depends only on the
     multiset of draws; bisection runs until |mean(A^kappa) - 1| < tol.
+
+    The sorted log sample is the one mc_reps-long array. A is drawn in
+    slices of _LEAF values from the one generator, each logged straight
+    into it; the sequential Philox stream makes this the sample of one
+    large draw. Each mean of A^kappa, and the final standard error, runs
+    over the leaves of numpy's pairwise-summation tree (_pairwise)
+    through one _LEAF-long scratch buffer, so every sum, and hence
+    kappa and f_stderr, equals that of np.mean and np.std(ddof=1) over
+    the whole A^kappa array, bit for bit.
     """
     _check_args(mc_reps, tol=tol)
-    # at most two n-long arrays are alive at once: the sample is sorted in
-    # place, each f(kappa) takes one temporary, and A^kappa overwrites
-    # the sample at the end
-    la = _log_a_sample(problem, seed.generator(), mc_reps)
+    g = seed.generator()
+    la = np.empty(mc_reps)
+    for lo in range(0, mc_reps, _LEAF):
+        hi = min(lo + _LEAF, mc_reps)
+        with np.errstate(divide="ignore"):
+            np.log(problem.draw_a(g, hi - lo), out=la[lo:hi])
     la.sort()
     if not la[-1] > 0.0:  # no draw above 1: E A^kappa < 1 for every kappa
         raise ValueError("no finite tail index in bracket")
+    buf = np.empty(min(mc_reps, _LEAF))
+
+    def sum_pow(kappa: float, center: Optional[float] = None) -> float:
+        # the sum of A^kappa, or of (A^kappa - center)^2
+        def leaf(lo: int, hi: int) -> float:
+            t = np.multiply(kappa, la[lo:hi], out=buf[:hi - lo])
+            with np.errstate(over="ignore"):
+                np.exp(t, out=t)
+            if center is not None:
+                t -= center
+                t *= t
+            return np.add.reduce(t)
+
+        return _pairwise(0, mc_reps, leaf)
 
     def f(kappa: float) -> float:
-        t = np.multiply(kappa, la)
-        with np.errstate(over="ignore"):
-            return float(np.mean(np.exp(t, out=t))) - 1.0
+        return float(sum_pow(kappa) / mc_reps) - 1.0
 
     lo, hi = _KAPPA_BRACKET
     f_lo, f_hi = f(lo), f(hi)
@@ -209,10 +253,9 @@ def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
             hi = kappa
         else:
             lo = kappa
-    la *= kappa
-    with np.errstate(over="ignore"):
-        pow_a = np.exp(la, out=la)
-    se = float(np.std(pow_a, ddof=1) / math.sqrt(mc_reps))
+    # np.std(ddof=1): the mean, then the squared deviations from it
+    var = sum_pow(kappa, sum_pow(kappa) / mc_reps) / (mc_reps - 1)
+    se = float(np.sqrt(var) / math.sqrt(mc_reps))
     return KestenRoot(float(kappa), se, mc_reps, _KAPPA_BRACKET)
 
 

@@ -245,6 +245,17 @@ def test_extremogram_csv(runner, workdir):
     assert [int(l.split(",")[0]) for l in lines[1:]] == [1, 2, 3]
 
 
+@pytest.mark.parametrize("lags, bad", [("1.5", "1.5"), ("1, x ,3", "x")])
+def test_extremogram_non_integer_lag_names_the_option(runner, workdir, lags,
+                                                      bad):
+    r = invoke(runner, "--out", "o", "extremogram", "--model", "ar.json",
+               "--n", 2000, "--lags", lags)
+    assert r.exit_code == 1
+    assert (f"Error: --lags must be comma-separated integers, got {bad!r}"
+            in r.output)
+    assert "invalid literal" not in r.output
+
+
 def test_theta_theory_kesten(runner, workdir):
     r = invoke(runner, "--seed", 0, "--out", "o", "theta-theory", "--which",
                "kesten", "--model", "garch.json", "--mc-reps", 100_000)

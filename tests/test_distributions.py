@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svextremes.distributions import (InnovationSpec, constant, laplace,
-                                      moment_abs, moment_abs_mc, moment_pos,
-                                      pareto, sample_innovation, std_normal,
-                                      student_t, tail_prob)
+from svextremes.distributions import (InnovationSpec, constant, draw,
+                                      laplace, moment_abs, moment_abs_mc,
+                                      moment_pos, pareto, sample_innovation,
+                                      std_normal, student_t, tail_prob)
 from svextremes.rng import RngSeed
 
 
@@ -23,6 +23,21 @@ def test_sampling_determinism():
     a = sample_innovation(std_normal(), 2, RngSeed(3))
     b = sample_innovation(std_normal(), 2, RngSeed(3))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("spec", [
+    std_normal(), student_t(5.0), student_t(3.0, standardized=False),
+    laplace(4.0), pareto(3.0), constant(1.5),
+], ids=["std_normal", "student_t", "student_t-raw", "laplace", "pareto",
+        "constant"])
+def test_draw_in_slices_equals_one_draw(spec):
+    # kesten_index draws its sample in 2^16-value slices from one
+    # generator; the sequential stream makes that the same sample
+    n, step = 3 * 2 ** 16 + 5, 2 ** 16
+    whole = draw(spec, RngSeed(7).generator(), n)
+    g = RngSeed(7).generator()
+    parts = [draw(spec, g, min(step, n - lo)) for lo in range(0, n, step)]
+    assert np.array_equal(np.concatenate(parts), whole)
 
 
 def test_pareto_sample_tail_frequency():

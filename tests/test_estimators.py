@@ -382,6 +382,26 @@ def test_anticluster_validation():
     assert r.m_grid == (1, 5) and type(r.m_grid[0]) is int
 
 
+@pytest.mark.parametrize("field, value", [
+    ("r_n", 10.5), ("n", 1000.5), ("reps", 5.0), ("r_n", "10"),
+])
+def test_anticluster_rejects_non_integer_sizes(field, value):
+    # a float r_n would run windows 22.0 wide; a float n failed in numpy
+    kw = {"r_n": 10, "n": 1000, "reps": 5, field: value}
+    with pytest.raises(ValueError,
+                       match=f"^{field} must be an integer, got {value!r}$"):
+        anticluster_diag(constant_path_config(), m=(1,), y=0.5, seed=SEED,
+                         burn_in=10, **kw)
+
+
+def test_anticluster_accepts_numpy_integer_sizes():
+    r = anticluster_diag(constant_path_config(), m=(1,), r_n=np.int64(10),
+                         y=0.5, n=np.int32(1000), reps=np.int64(5),
+                         seed=SEED, burn_in=10)
+    assert (r.r_n, r.n, r.n_windows) == (10, 1000, 5)
+    assert type(r.r_n) is int and type(r.n) is int
+
+
 # -- Breiman ratio --------------------------------------------------------
 
 def test_breiman_identity_noise():

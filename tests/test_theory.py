@@ -15,6 +15,7 @@ Frozen oracle values and their provenance:
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,6 +31,7 @@ from svextremes.distributions import draw
 from svextremes.models import probe_multipliers
 from svextremes.rng import chunk_sizes
 
+import dense_kesten
 import exact_laws
 
 KAPPA_ORACLE = 1.9954946282347668
@@ -65,23 +67,60 @@ def test_kesten_garch_multipliers_match_quadrature_oracle():
     assert r.f_stderr > 0
 
 
-def test_kesten_index_bit_equal_to_out_of_place_formula():
-    # kesten_index works in place to bound its memory; the reference is
-    # the sorted copy and the fresh A^kappa array it replaced
-    seed = RngSeed(5)
-    r = kesten_index(garch_problem(), mc_reps=50_000, seed=seed)
-    la = np.sort(np.log(garch_problem().draw_a(seed.generator(), 50_000)))
-    pow_a = np.exp(r.kappa * la)
-    assert abs(float(np.mean(pow_a)) - 1.0) < 1e-4
-    assert r.f_stderr == float(np.std(pow_a, ddof=1) / math.sqrt(50_000))
-
-def test_kesten_lognormal_closed_form():
+def lognormal_problem():
     # log A ~ Normal(-1/2, 1) has E A^kappa = exp(-kappa/2 + kappa^2/2),
     # equal to 1 at kappa = 1
     def sampler(g, size):
         return np.exp(g.normal(-0.5, 1.0, size))
 
-    r = kesten_index(KestenProblem(sampler), mc_reps=200_000, seed=RngSeed(0))
+    return KestenProblem(sampler)
+
+
+KESTEN_LAWS = {
+    "garch-normal": garch_problem,
+    "garch-t5": lambda: KestenProblem(Garch11Pair(
+        alpha0=1e-7, alpha1=0.1, beta1=0.89, eta=student_t(5.0))),
+    "two-point": lambda: two_point_problem(0.5),
+    "lognormal": lognormal_problem,
+}
+
+
+@pytest.mark.parametrize("mc_reps", [2, 7, 65_536, 65_537, 300_001,
+                                     1_000_000])
+@pytest.mark.parametrize("law", KESTEN_LAWS)
+def test_kesten_index_bit_equal_to_out_of_place_formula(law, mc_reps):
+    # kesten_index draws and reduces in slices to bound its memory; the
+    # reference draws once and takes np.mean and np.std of whole arrays.
+    # Sizes past 2^16 span several leaves of the pairwise-summation tree
+    seed = RngSeed(5)
+    try:
+        kappa, se = dense_kesten.kesten_dense(KESTEN_LAWS[law](), mc_reps,
+                                              seed)
+    except ValueError as e:
+        assert mc_reps <= 7, e  # only a handful of draws can miss the root
+        with pytest.raises(ValueError, match=f"^{e}$"):
+            kesten_index(KESTEN_LAWS[law](), mc_reps=mc_reps, seed=seed)
+        return
+    r = kesten_index(KESTEN_LAWS[law](), mc_reps=mc_reps, seed=seed)
+    assert r.kappa == kappa
+    assert r.f_stderr == se
+
+
+def test_kesten_index_holds_one_sample():
+    # the sorted 8 MB log sample is its only mc_reps-long array; the
+    # whole-array formula held two (16.0 MB)
+    prob = garch_problem()
+    tracemalloc.start()
+    try:
+        kesten_index(prob, mc_reps=1_000_000, seed=RngSeed(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10.5e6
+
+
+def test_kesten_lognormal_closed_form():
+    r = kesten_index(lognormal_problem(), mc_reps=200_000, seed=RngSeed(0))
     assert abs(r.kappa - 1.0) < 0.05
 
 
