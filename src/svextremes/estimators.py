@@ -18,10 +18,17 @@ Estimator conventions, used consistently below:
     block holds an exceedance the log form is undefined and the plain
     ratio K/N is returned instead;
   * standard errors are binomial for the extremogram and the
-    anticlustering diagnostic, and a circular block bootstrap (block =
-    declustering length) for the three theta estimators, since serial
-    dependence invalidates i.i.d. formulas; its replicates run on the
-    calling thread, whatever `threads` a caller passes;
+    anticlustering diagnostic. The three theta estimators share one
+    cluster bootstrap (Ferro & Segers, 2003), since serial dependence
+    invalidates i.i.d. formulas. It declusters the N exceedances with
+    the intervals estimate theta_hat: the C - 1 largest gaps, with C =
+    max(1, floor(theta_hat N)), separate C clusters, and gaps that tie
+    with the largest gap left inside a cluster stay inside too, so C can
+    shrink. A replicate draws C clusters and C - 1 of those gaps with
+    replacement, lays them out alternately from the sample's first
+    exceedance on and keeps the positions below n. Its cost follows C,
+    not n. The replicates run on the calling thread; the estimators
+    keep a `threads` argument, unused, because callers pass it;
   * values must be one-dimensional and free of NaN, and hill's k,
     block_len, run_len, the extremogram's lags and anticluster_diag's m,
     r_n, reps and n integers (numpy's too) in range; otherwise hill, the
@@ -50,6 +57,7 @@ __all__ = [
 ]
 
 _BOOTSTRAP_SEED = 0xB0075
+_BATCH_POSITIONS = 1 << 13  # bootstrap positions built per batch
 _ANTICLUSTER_CALIBRATION = 10  # anticluster_diag's a_n run, in units of n
 
 
@@ -168,56 +176,69 @@ def _intervals_core(idx: np.ndarray) -> float:
     return min(1.0, num / den)
 
 
-def _resample(idx2: np.ndarray, full: np.ndarray, starts: np.ndarray,
-              block_len: int) -> np.ndarray:
-    """Exceedance positions of one circular block bootstrap series.
+def _declustered(idx: np.ndarray) -> tuple:
+    """The clusters of N >= 2 sorted exceedances idx.
 
-    Block j of the resampled series copies the block_len positions from
-    starts[j] on, taken mod n, into positions j*block_len onwards, and the
-    series stops at n. On the series repeated twice a block never wraps:
-    idx2 holds the sorted exceedance indices of that doubled series, and
-    full[s] counts those in [s, s + block_len), for 0 <= s < n. The
-    result is sorted.
+    The intervals estimate theta_hat sets C = max(1, floor(theta_hat N))
+    clusters, separated by the C - 1 largest gaps. Gaps that tie with the
+    largest gap left inside a cluster stay inside too, so C can shrink.
+    Returns each cluster's first position in idx, its size and the C - 1
+    gaps between consecutive clusters.
     """
-    cnt = full[starts]
-    # only the blocks that hold an exceedance contribute
-    k = np.flatnonzero(cnt)
-    cnt = cnt[k].astype(np.intp)
-    s = starts[k]
-    first = np.cumsum(cnt) - cnt
-    src = (np.arange(int(cnt.sum()))
-           + np.repeat(np.searchsorted(idx2, s) - first, cnt))
-    out = idx2[src] + np.repeat(k * block_len - s, cnt)
-    return out[:np.searchsorted(out, full.size)]
+    n_exc = idx.size
+    c = max(1, math.floor(_intervals_core(idx) * n_exc))
+    gaps = np.diff(idx)
+    # c == n_exc: every gap separates two clusters
+    cut = (np.arange(gaps.size) if c == n_exc else np.flatnonzero(
+        gaps > np.partition(gaps, n_exc - 1 - c)[n_exc - 1 - c]))
+    first = np.concatenate(([0], cut + 1))
+    return first, np.diff(first, append=n_exc), gaps[cut]
 
 
-def _bootstrap_stderr(idx: np.ndarray, n: int, stat, block_len: int,
-                      n_boot: int) -> float:
-    """Circular block bootstrap of stat(indices, n) on sorted exceedances.
+def _bootstrap_stderr(idx: np.ndarray, n: int, stat, n_boot: int) -> float:
+    """Cluster bootstrap (Ferro & Segers, 2003) of stat(indices, n).
 
-    Replicate i draws its block starts from its own Philox stream. The
-    replicates run on the calling thread: each is a few small numpy
-    calls, for which helper threads would only contend for the GIL.
+    Replicate i draws, from its own Philox stream, C clusters and C - 1
+    intercluster gaps with replacement (_declustered), lays them out
+    alternately from the sample's first exceedance on and keeps the
+    positions below n. The positions of a batch of replicates are built
+    at once, about _BATCH_POSITIONS of them; everything runs on the
+    calling thread, since each replicate is a few small numpy calls, for
+    which helper threads would only contend for the GIL.
     """
-    if n_boot < 2:
+    if n_boot < 2 or idx.size < 2:  # one exceedance: every replicate is it
         return 0.0
-    block_len = int(min(max(block_len, 1), n))
-    nb = -(-n // block_len)
-    idx2 = np.concatenate((idx, idx + n))
-    # below[k] counts the exceedances of the doubled series before k;
-    # each count in full is at most block_len, which its type holds
-    below = np.zeros(n + block_len + 1, dtype=np.intp)
-    below[idx2[idx2 < n + block_len] + 1] = 1
-    np.cumsum(below, out=below)
-    full = np.empty(n, np.min_scalar_type(block_len))
-    np.subtract(below[block_len:block_len + n], below[:n], out=full,
-                casting="unsafe")
+    first, size, between = _declustered(idx)
+    c = first.size
+    # each exceedance's offset from the first one of its cluster
+    off = idx - np.repeat(idx[first], size)
+    span = off[first + size - 1]
     vals = np.empty(n_boot)
-    for i in range(n_boot):
-        g = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(_BOOTSTRAP_SEED, spawn_key=(i,))))
-        starts = g.integers(0, n, size=nb)
-        vals[i] = stat(_resample(idx2, full, starts, block_len), n)
+    per_batch = max(1, _BATCH_POSITIONS // idx.size)
+    for lo in range(0, n_boot, per_batch):
+        reps = range(lo, min(lo + per_batch, n_boot))
+        pick = np.empty((len(reps), c), np.intp)
+        gap = np.empty((len(reps), c - 1), np.intp)
+        for j, i in enumerate(reps):
+            g = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(_BOOTSTRAP_SEED, spawn_key=(i,))))
+            pick[j] = g.integers(0, c, size=c)
+            gap[j] = g.integers(0, c - 1, size=c - 1)
+        # the first drawn cluster starts at the sample's first exceedance,
+        # each later one after the span of the one before and a drawn gap
+        start = np.zeros(pick.shape, np.intp)
+        np.cumsum(span[pick[:, :-1]] + between[gap], axis=1,
+                  out=start[:, 1:])
+        start += idx[0]
+        cnt = size[pick].ravel()
+        end = np.cumsum(cnt)
+        pos = (off[np.arange(end[-1])
+                   + np.repeat(first[pick].ravel() - (end - cnt), cnt)]
+               + np.repeat(start.ravel(), cnt))
+        end = end[c - 1::c]
+        for i, a, b in zip(reps, np.concatenate(([0], end[:-1])), end):
+            r = pos[a:b]
+            vals[i] = stat(r[:np.searchsorted(r, n)], n)
     vals = vals[np.isfinite(vals)]
     if vals.size < 2:
         return 0.0
@@ -225,10 +246,9 @@ def _bootstrap_stderr(idx: np.ndarray, n: int, stat, block_len: int,
 
 
 def _theta(method: str, tuning: dict, values, u: float, n_boot: int, stat,
-           block_len: int | None, too_few: str) -> ThetaEstimate:
+           too_few: str) -> ThetaEstimate:
     """stat(indices, n) on the exceedances of u, NaN when they are too
-    few, and its bootstrap stderr over blocks of block_len (None: of the
-    mean gap between exceedances)."""
+    few, and its cluster bootstrap stderr."""
     if n_boot < 0:
         raise ValueError("n_boot must be >= 0")
     idx = exceedances(values, u)
@@ -236,9 +256,7 @@ def _theta(method: str, tuning: dict, values, u: float, n_boot: int, stat,
     th = stat(idx, n)
     if np.isnan(th):
         raise ValueError(too_few)
-    if block_len is None:
-        block_len = int(max(1, round(float(np.mean(np.diff(idx))))))
-    se = _bootstrap_stderr(idx, n, stat, block_len, n_boot)
+    se = _bootstrap_stderr(idx, n, stat, n_boot)
     return ThetaEstimate(th, method, {**tuning, "u": float(u)}, se)
 
 
@@ -252,12 +270,14 @@ def blocks_theta(values, u: float, block_len: int, n_boot: int = 100,
     The plain ratio K/N is biased low on i.i.d. data, towards
     (1 - e^-lambda)/lambda with lambda = N block_len / n exceedances per
     block; the log form removes that bias. When K = b the log form is
-    undefined and K/N (capped at 1) is returned. threads is unused: the
+    undefined and K/N (capped at 1) is returned. The stderr is the
+    cluster bootstrap's (module docstring), which declusters with the
+    intervals estimate, not with block_len. threads is unused: the
     bootstrap runs on the calling thread.
     """
     block_len = _check_int("block_len", block_len, 1)
     return _theta("blocks", {"block_len": block_len}, values, u, n_boot,
-                  lambda idx, n: _blocks_core(idx, n, block_len), block_len,
+                  lambda idx, n: _blocks_core(idx, n, block_len),
                   "empty exceedance set")
 
 
@@ -265,11 +285,13 @@ def runs_theta(values, u: float, run_len: int, n_boot: int = 100,
                threads: int = 1) -> ThetaEstimate:
     """Fraction of exceedances followed by run_len clear positions.
 
-    threads is unused: the bootstrap runs on the calling thread.
+    The stderr is the cluster bootstrap's (module docstring), which
+    declusters with the intervals estimate, not with run_len. threads is
+    unused: the bootstrap runs on the calling thread.
     """
     run_len = _check_int("run_len", run_len, 1)
     return _theta("runs", {"run_len": run_len}, values, u, n_boot,
-                  lambda idx, n: _runs_core(idx, run_len), run_len,
+                  lambda idx, n: _runs_core(idx, run_len),
                   "empty exceedance set")
 
 
@@ -282,11 +304,12 @@ def intervals_theta(values, u: float, n_boot: int = 100,
       min(1, 2 (sum (T_i-1))^2 / ((N-1) sum (T_i-1)(T_i-2)))  otherwise.
     Depends on the data only through the exceedance times, so it is
     invariant under strictly increasing transformations of the values.
-    The bootstrap resamples blocks of the mean gap. threads is unused:
-    the bootstrap runs on the calling thread.
+    The stderr is the cluster bootstrap's (module docstring), whose
+    clusters this estimate sets. threads is unused: the bootstrap runs
+    on the calling thread.
     """
     return _theta("intervals", {}, values, u, n_boot,
-                  lambda idx, n: _intervals_core(idx), None,
+                  lambda idx, n: _intervals_core(idx),
                   "insufficient exceedances")
 
 
@@ -436,13 +459,21 @@ def breiman_ratio(sigma_values, x_values, q_grid, alpha: float,
     """Empirical P(X > x)/P(sigma > x) at sigma-quantile levels.
 
     The ratio should approach EZ_+^alpha at high thresholds; the target
-    is computed from the noise spec when one is given. Grid points with
-    an empty numerator or denominator are dropped with a warning.
+    is computed from the noise spec when one is given. alpha must be a
+    finite number > 0 and each level of q_grid lie in (0, 1). Grid points
+    with an empty numerator or denominator are dropped with a warning.
     """
     sig = _values_1d(sigma_values)
     x = _values_1d(x_values)
     if sig.size != x.size:
         raise ValueError("sigma and x series must have equal length")
+    if not (isinstance(alpha, numbers.Real) and math.isfinite(alpha)
+            and alpha > 0):
+        raise ValueError(f"alpha must be a finite number > 0, got {alpha!r}")
+    q_grid = tuple(q_grid)
+    for q in q_grid:
+        if not (isinstance(q, numbers.Real) and 0.0 < q < 1.0):
+            raise ValueError(f"q_grid levels must lie in (0, 1), got {q!r}")
     target = moment_pos(z, float(alpha)) if z is not None else None
     levels, thresholds, ratios = [], [], []
     for q in q_grid:

@@ -18,9 +18,11 @@ Failures inside a single analysis are recorded in the report (with the
 error message) instead of aborting the run; simulation or config failures
 do abort, and a malformed config raises a ValueError that names the
 field, as does a figure spec whose quantile levels are out of order or
-outside (0, 1), or a theta or extremogram spec whose q is. An analysis
-spec's integer fields (k, block_len, lags, mc_reps, ...) must be whole
-numbers, as n and burn_in must; a bad one is that entry's error. Warnings
+outside (0, 1), a theta or extremogram spec whose q is, or a breiman
+spec with a q_grid level outside (0, 1) or an alpha that is not a
+finite number > 0. An analysis spec's integer fields (k, block_len,
+lags, mc_reps, ...) must be whole numbers, as n and burn_in must; a bad
+one is that entry's error. Warnings
 raised inside an analysis are recorded in its entry, as a "warnings"
 list that is present only when it is not empty.
 Re-running from the config embedded in a report reproduces every output
@@ -88,6 +90,8 @@ class ExperimentConfig:
                 _figure_levels(a)
             elif kind in ("theta", "extremogram") and "q" in a:
                 _level(kind, "q", a["q"])
+            elif kind == "breiman":
+                _breiman_levels(a)
 
     def to_json(self) -> dict:
         return {"model": config_to_json(self.model), "n": self.n,
@@ -205,10 +209,24 @@ def _extremogram(spec: dict, run: AnalysisInputs) -> dict:
     return {"series": series, **r.to_json(), "csv": name}
 
 
+def _breiman_levels(spec: dict) -> list:
+    """The spec's q_grid as floats in (0, 1), once its alpha, if it has
+    one, is a finite number > 0; else a ValueError that names the field."""
+    alpha = spec.get("alpha")
+    if alpha is not None and not (_is_number(alpha) and math.isfinite(alpha)
+                                  and alpha > 0):
+        raise ValueError(f"breiman alpha must be a finite number > 0, got "
+                         f"{alpha!r}")
+    q_grid = spec.get("q_grid", (0.99, 0.995, 0.999))
+    if not isinstance(q_grid, (list, tuple)):
+        raise ValueError(f"breiman q_grid must be a list, got {q_grid!r}")
+    return [_level("breiman", "q_grid", q) for q in q_grid]
+
+
 def _breiman(spec: dict, run: AnalysisInputs) -> dict:
-    q_grid = [float(q) for q in spec.get("q_grid", (0.99, 0.995, 0.999))]
     alpha = float(spec["alpha"])
-    r = est.breiman_ratio(run.sigma, run.x, q_grid, alpha, z=run.model.z)
+    r = est.breiman_ratio(run.sigma, run.x, _breiman_levels(spec), alpha,
+                          z=run.model.z)
     return {"alpha": alpha, **r.to_json()}
 
 
@@ -262,12 +280,15 @@ def _theory(spec: dict, run: AnalysisInputs) -> dict:
     return {"which": which, **r.to_json()}
 
 
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
 def _level(kind: str, name: str, q) -> float:
     """q as a float if it is a finite number in (0, 1), else a ValueError
     that names the analysis kind and the field."""
-    if (isinstance(q, bool)
-            or not isinstance(q, (int, float, np.integer, np.floating))
-            or not 0.0 < q < 1.0):
+    if not (_is_number(q) and 0.0 < q < 1.0):
         raise ValueError(f"{kind} {name} must be a finite number in "
                          f"(0, 1), got {q!r}")
     return float(q)

@@ -139,10 +139,20 @@ class GenericPair:
 
 def probe_multipliers(draw_a) -> np.ndarray:
     """Draws of A by draw_a(generator, size) on a fixed internal seed,
-    rejected if one is negative or if they fail E log A < 0 (mean + 3 SE
-    < 0). A == 0 draws contribute -inf, which is fine (they only help).
+    rejected unless they are a one-dimensional array of exactly size
+    values, free of NaN and non-negative, that passes E log A < 0 (mean
+    + 3 SE < 0). A == 0 draws contribute -inf, which is fine (they only
+    help).
     """
-    a = draw_a(_CALIBRATION_SEED.generator(), _CALIBRATION_DRAWS)
+    a = np.asarray(draw_a(_CALIBRATION_SEED.generator(), _CALIBRATION_DRAWS))
+    if a.ndim != 1:
+        raise ValueError("draws of A must be one-dimensional, got shape "
+                         f"{a.shape}")
+    if a.size != _CALIBRATION_DRAWS:
+        raise ValueError(f"asked for {_CALIBRATION_DRAWS} draws of A, got "
+                         f"{a.size}")
+    if np.isnan(a).any():
+        raise ValueError("draws of A contain NaN")
     if a.min() < 0:
         raise ValueError("A must be non-negative, got negative values")
     with np.errstate(divide="ignore", invalid="ignore"):

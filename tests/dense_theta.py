@@ -1,11 +1,11 @@
 """Indicator-series estimators: the reference for the sparse ones.
 
-These are the blocks, runs and intervals estimators and their circular
-block bootstrap, the extremogram and the anticlustering window rule,
-written over n-long boolean exceedance series as the package computed
-them before it moved to sorted exceedance indices. Each bootstrap
-replicate builds the resampled series in full. The package's estimators
-must return the same numbers bit for bit.
+These are the blocks, runs and intervals estimators, the extremogram and
+the anticlustering window rule, written over n-long boolean exceedance
+series as the package computed them before it moved to sorted exceedance
+indices, and the cluster bootstrap of the theta estimators (Ferro &
+Segers, 2003), whose replicates are built here as full n-long series.
+The package's estimators must return the same numbers bit for bit.
 """
 
 import math
@@ -58,26 +58,54 @@ def intervals_core(e):
     return min(1.0, num / den)
 
 
-def resample(e, starts, block_len):
-    """The resampled indicator series of one bootstrap replicate."""
+def clusters(e):
+    """The intervals declustering of the indicator series e, N >= 2: the
+    slices of e from each cluster's first exceedance to its last, and the
+    lengths of the non-exceedance runs between clusters."""
+    idx = np.flatnonzero(e)
+    gaps = np.diff(idx).tolist()
+    c = max(1, math.floor(intervals_core(e) * idx.size))
+    # the c - 1 largest gaps separate the clusters; while the smallest of
+    # them ties with the largest gap left inside, keep both inside
+    desc = sorted(gaps, reverse=True)
+    while 1 < c <= len(desc) and desc[c - 2] == desc[c - 1]:
+        c -= 1
+    cut = desc[c - 1] if c <= len(desc) else 0
+    parts, runs = [], []
+    lo = idx[0]
+    for a, b in zip(idx[:-1], idx[1:]):
+        if b - a > cut:
+            parts.append(e[lo:a + 1])
+            runs.append(b - a - 1)
+            lo = b
+    parts.append(e[lo:idx[-1] + 1])
+    assert len(parts) == c
+    return parts, runs
+
+
+def bootstrap_stderr(e, stat, n_boot, threads=1):
+    """The cluster bootstrap, each replicate built as an n-long series:
+    the sample's leading non-exceedances, then the drawn clusters with a
+    drawn run between each two, cut or padded with non-exceedances to n."""
     n = e.size
-    offsets = np.arange(block_len)
-    idx = (starts[:, None] + offsets[None, :]).ravel()[:n] % n
-    return e[idx]
-
-
-def bootstrap_stderr(e, stat, block_len, n_boot, threads=1):
-    if n_boot < 2:
+    if n_boot < 2 or np.count_nonzero(e) < 2:
         return 0.0
-    n = e.size
-    block_len = int(min(max(block_len, 1), n))
-    nb = -(-n // block_len)
+    parts, runs = clusters(e)
+    c = len(parts)
+    lead = int(np.argmax(e))
 
     def one(i):
         g = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(_BOOTSTRAP_SEED, spawn_key=(i,))))
-        starts = g.integers(0, n, size=nb)
-        return stat(resample(e, starts, block_len))
+        pick = g.integers(0, c, size=c)
+        gap = g.integers(0, c - 1, size=c - 1)
+        r = [np.zeros(lead, dtype=bool)]
+        for k in range(c):
+            r.append(parts[pick[k]])
+            if k < c - 1:
+                r.append(np.zeros(runs[gap[k]], dtype=bool))
+        r.append(np.zeros(n, dtype=bool))
+        return stat(np.concatenate(r)[:n])
 
     vals = np.asarray(chunked_map(one, n_boot, threads), dtype=float)
     vals = vals[np.isfinite(vals)]
@@ -89,24 +117,23 @@ def bootstrap_stderr(e, stat, block_len, n_boot, threads=1):
 def blocks_theta(values, u, block_len, n_boot=100, threads=1):
     e = np.asarray(values) > u
     th = blocks_core(e, block_len)
-    se = bootstrap_stderr(e, lambda r: blocks_core(r, block_len),
-                          block_len, n_boot, threads)
+    se = bootstrap_stderr(e, lambda r: blocks_core(r, block_len), n_boot,
+                          threads)
     return th, se
 
 
 def runs_theta(values, u, run_len, n_boot=100, threads=1):
     e = np.asarray(values) > u
     th = runs_core(e, run_len)
-    se = bootstrap_stderr(e, lambda r: runs_core(r, run_len),
-                          run_len, n_boot, threads)
+    se = bootstrap_stderr(e, lambda r: runs_core(r, run_len), n_boot,
+                          threads)
     return th, se
 
 
 def intervals_theta(values, u, n_boot=100, threads=1):
     e = np.asarray(values) > u
     th = intervals_core(e)
-    mean_gap = int(max(1, round(float(np.mean(np.diff(np.flatnonzero(e)))))))
-    se = bootstrap_stderr(e, intervals_core, mean_gap, n_boot, threads)
+    se = bootstrap_stderr(e, intervals_core, n_boot, threads)
     return th, se
 
 

@@ -430,6 +430,23 @@ def test_breiman_drops_empty_levels():
     assert r.target is None
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0, -4.0, "4"])
+def test_breiman_alpha_must_be_finite_and_positive(alpha):
+    # alpha = nan gave a NaN target, which JSON cannot hold, and alpha = 0
+    # the target E Z_+^0 = P(Z > 0) = 0.5
+    sig = pareto_sample(1000)
+    with pytest.raises(ValueError, match="^alpha must be a finite number"):
+        breiman_ratio(sig, sig, q_grid=(0.9,), alpha=alpha, z=std_normal())
+
+
+@pytest.mark.parametrize("q", [1.5, 1.0, 0.0, -0.1, np.nan])
+def test_breiman_levels_must_lie_in_unit_interval(q):
+    sig = pareto_sample(1000)
+    with pytest.raises(ValueError,
+                       match=r"^q_grid levels must lie in \(0, 1\)"):
+        breiman_ratio(sig, sig, q_grid=(0.9, q), alpha=4.0)
+
+
 def test_breiman_length_mismatch():
     with pytest.raises(ValueError, match="equal length"):
         breiman_ratio(np.ones(10), np.ones(11), q_grid=(0.9,), alpha=4.0)

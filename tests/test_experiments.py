@@ -1,13 +1,14 @@
 """Experiment-driver tests: artifacts, reproducibility, preset claims."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import svextremes
 from svextremes import (ExperimentConfig, ExperimentReport, Garch11Pair,
-                        PRESET_NAMES, RngSeed, SreSvConfig, laplace,
+                        PRESET_NAMES, RngSeed, SreSvConfig, constant, laplace,
                         preset_config, run_experiment, simulate, std_normal,
                         student_t)
 from svextremes.experiments import _fig1_model, _write_figure_csv
@@ -158,17 +159,19 @@ def test_integral_float_tuning_runs_as_its_int(tmp_path):
 
 
 def test_analysis_warnings_recorded_per_entry(tmp_path):
-    # sigma has nothing above its own maximum, so level 1.0 is dropped
-    # with a warning, once in each breiman analysis
-    dropped = "UserWarning: no exceedances at level 1.0; grid point dropped"
-    breiman = {"analysis": "breiman", "alpha": 4.0, "q_grid": [0.99, 1.0]}
+    # with Z = 1/2, x = sigma/2 never exceeds sigma's 0.99 quantile on
+    # this path, so that level is dropped with a warning, once in each
+    # breiman analysis
+    dropped = "UserWarning: no exceedances at level 0.99; grid point dropped"
+    breiman = {"analysis": "breiman", "alpha": 4.0, "q_grid": [0.5, 0.99]}
     cfg = small_config(analyses=({"analysis": "hill", "k": 100}, breiman,
                                  breiman))
+    cfg = replace(cfg, model=replace(cfg.model, z=constant(0.5)))
     report = run_experiment(cfg, tmp_path / "out")
     assert "warnings" not in report.results[0]
     assert report.results[1]["warnings"] == [dropped]
     assert report.results[2]["warnings"] == [dropped]
-    assert report.results[1]["levels"] == [0.99]
+    assert report.results[1]["levels"] == [0.5]
     blob = json.loads((tmp_path / "out" / "report.json").read_text())
     assert blob["results"][1]["warnings"] == [dropped]
     assert "warnings" not in blob["results"][0]
@@ -244,6 +247,28 @@ def test_quantile_spec_rejected_where_it_enters(spec, q):
     blob = ExperimentConfig(**cfg).to_json()
     blob["analyses"] = list(analyses)
     with pytest.raises(ValueError, match=f"{kind} q must be a finite number"):
+        ExperimentConfig.from_json(blob)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"q_grid": [0.99, 1.5]}, "breiman q_grid must be a finite number"),
+    ({"q_grid": [1.0]}, "breiman q_grid must be a finite number"),
+    ({"q_grid": ["0.99"]}, "breiman q_grid must be a finite number"),
+    ({"q_grid": 0.99}, "breiman q_grid must be a list"),
+    ({"alpha": float("nan")}, "breiman alpha must be a finite number > 0"),
+    ({"alpha": 0.0}, "breiman alpha must be a finite number > 0"),
+    ({"alpha": float("inf")}, "breiman alpha must be a finite number > 0"),
+    ({"alpha": "4"}, "breiman alpha must be a finite number > 0")])
+def test_breiman_spec_rejected_where_it_enters(spec, message):
+    # q_grid [1.5] used to simulate the path and then record numpy's
+    # "Quantiles must be in the range [0, 1]"; alpha nan wrote a NaN
+    # target, which is not JSON, and alpha 0 the target 0.5
+    analyses = ({"analysis": "breiman", "alpha": 4.0, **spec},)
+    with pytest.raises(ValueError, match=message):
+        small_config(analyses=analyses)
+    blob = small_config().to_json()
+    blob["analyses"] = list(analyses)
+    with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_json(blob)
 
 

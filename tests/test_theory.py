@@ -154,6 +154,26 @@ def test_kesten_problem_validation():
         kesten_index(garch_problem(), mc_reps=1)
 
 
+@pytest.mark.parametrize("sampler, message", [
+    (lambda g, size: np.exp(g.normal(-0.5, 1.0, size + 1)),
+     "asked for 100000 draws of A, got 100001"),
+    (lambda g, size: np.exp(g.normal(-0.5, 1.0, (size, 1))),
+     r"draws of A must be one-dimensional, got shape \(100000, 1\)"),
+    (lambda g, size: np.exp(g.normal(-0.5, 1.0, ())),
+     r"draws of A must be one-dimensional, got shape \(\)"),
+    (lambda g, size: np.where(np.arange(size) == 7, np.nan,
+                              np.exp(g.normal(-0.5, 1.0, size))),
+     "draws of A contain NaN"),
+], ids=["size-plus-one", "column", "scalar", "nan"])
+def test_callable_sampler_output_checked_by_the_probe(sampler, message):
+    # a bad sampler fails at construction, with a message that names the
+    # problem, not later inside kesten_index or as "no stationary solution"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        KestenProblem(sampler)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        probe_multipliers(sampler)
+
+
 # a GARCH pair at the edge of stationarity: on the probe's 10^5 draws
 # mean log A is -3.3 standard errors, just past the -3 it needs
 NEAR_CRITICAL = Garch11Pair(alpha0=1e-7, alpha1=0.1, beta1=0.9068,

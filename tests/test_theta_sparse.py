@@ -1,9 +1,10 @@
 """The theta estimators on exceedance indices against the indicator series.
 
-tests/dense_theta.py holds the estimators and their circular block
-bootstrap written over the n-long boolean series. The package works on
-the sorted exceedance indices; every gap and count is an integer, so the
-two must agree bit for bit in theta_hat and in stderr.
+tests/dense_theta.py holds the estimators written over the n-long boolean
+series, and a cluster bootstrap that builds each replicate as a full
+n-long series. The package declusters and resamples the sorted exceedance
+indices; every gap and count is an integer, so the two must agree bit for
+bit in theta_hat and in stderr.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import dense_theta as dense
 from svextremes import (Garch11Pair, RngSeed, SreSvConfig, blocks_theta,
                         intervals_theta, runs_theta, simulate, std_normal)
-from svextremes.estimators import _resample
+from svextremes.estimators import _declustered
 
 
 def series(n, positions):
@@ -35,30 +36,6 @@ def assert_same(n, positions, tuning, n_boot, threads):
                       intervals_theta(v, 0.5, n_boot, threads)))
     for (th, se), r in pairs:
         assert (r.theta_hat, r.stderr) == (th, se), r.method
-
-
-def sparse_resample(e, starts, block_len):
-    """_resample on the doubled index and count arrays it expects."""
-    e2 = np.concatenate((e, e))
-    full = np.array([np.count_nonzero(e2[s:s + block_len])
-                     for s in range(e.size)])
-    return _resample(np.flatnonzero(e2), full, starts, block_len)
-
-
-@pytest.mark.parametrize("starts", [
-    [8, 0, 9],   # block 0 wraps; the partial last block wraps
-    [6, 7, 0],   # block 0 ends exactly at n; block 1 wraps
-    [0, 4, 8],   # the identity resample
-    [9, 9, 9],   # every block wraps
-])
-def test_resample_matches_indicator_series(starts):
-    # n = 10 in blocks of 4: lengths 4, 4 and a partial last block of 2
-    e = np.zeros(10, dtype=bool)
-    e[[0, 1, 5, 9]] = True
-    starts = np.asarray(starts)
-    expected = np.flatnonzero(dense.resample(e, starts, 4))
-    got = sparse_resample(e, starts, 4)
-    assert got.tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -98,3 +75,90 @@ def test_garch_path_bit_equal_at_default_replicates():
                                                           threads=2))):
         assert (r.theta_hat, r.stderr) == (th, se), r.method
         assert se > 0
+
+
+# -- cluster bootstrap edge cases -----------------------------------------
+
+def declustered(positions):
+    first, size, between = _declustered(np.asarray(positions))
+    return first.tolist(), size.tolist(), between.tolist()
+
+
+def test_gaps_tied_across_the_cut_stay_inside_clusters():
+    # four runs of three, 10 apart: theta_hat = 1458/2376 sets C = 7, so
+    # the cut falls among the eight gaps of 1; all of them stay inside,
+    # and C shrinks to the four runs
+    positions = [0, 1, 2, 12, 13, 14, 24, 25, 26, 36, 37, 38]
+    assert intervals_theta(series(50, positions), 0.5,
+                           n_boot=0).theta_hat == 1458 / 2376
+    assert declustered(positions) == ([0, 3, 6, 9], [3, 3, 3, 3],
+                                      [10, 10, 10])
+    assert_same(50, positions, 5, n_boot=40, threads=1)
+
+
+def test_theta_one_makes_every_gap_a_separator():
+    # no gap above 2, so theta_hat = 1 and C = N: single-exceedance
+    # clusters, and the replicates reorder the gaps
+    positions = [0, 2, 3, 5, 6, 7, 9]
+    assert intervals_theta(series(30, positions), 0.5,
+                           n_boot=0).theta_hat == 1.0
+    assert declustered(positions) == ([0, 1, 2, 3, 4, 5, 6], [1] * 7,
+                                      [2, 1, 2, 1, 1, 2])
+    assert_same(30, positions, 3, n_boot=40, threads=1)
+    assert blocks_theta(series(30, positions), 0.5, 3).stderr > 0
+
+
+def test_all_gaps_tied_leaves_the_sample_unchanged():
+    # equal gaps give theta_hat = 1, so C = N and not 1: with N >= 2, C
+    # is always at least 2, since sum (T-1)(T-2) <= (max T - 2) sum (T-1)
+    # keeps theta_hat N above 2. Every replicate is then the sample.
+    positions = [4, 11, 18, 25, 32]
+    assert declustered(positions) == ([0, 1, 2, 3, 4], [1] * 5, [7] * 4)
+    assert_same(40, positions, 6, n_boot=40, threads=1)
+    for r in (blocks_theta(series(40, positions), 0.5, 6),
+              runs_theta(series(40, positions), 0.5, 6),
+              intervals_theta(series(40, positions), 0.5)):
+        assert r.stderr < 1e-15, r.method
+
+
+@pytest.mark.parametrize("positions", [(3, 17), (0, 99), (98, 99)])
+def test_two_exceedances(positions):
+    # N = 2: theta_hat = 1, two single-exceedance clusters and one gap
+    assert declustered(positions) == ([0, 1], [1, 1],
+                                      [positions[1] - positions[0]])
+    assert_same(100, positions, 10, n_boot=40, threads=1)
+
+
+def test_one_exceedance_has_no_bootstrap_spread():
+    v = series(100, [42])
+    assert blocks_theta(v, 0.5, 10).stderr == 0.0
+    assert runs_theta(v, 0.5, 10).stderr == 0.0
+    assert dense.blocks_theta(v, 0.5, 10) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("n_boot", [0, 1])
+def test_fewer_than_two_replicates_give_zero(n_boot):
+    positions = (0, 5, 6, 7, 30, 31, 60, 99)
+    assert_same(100, positions, 5, n_boot=n_boot, threads=1)
+    v = series(100, positions)
+    assert intervals_theta(v, 0.5, n_boot).stderr == 0.0
+
+
+def test_replicates_reach_both_ends_of_the_series():
+    # exceedances at 0 and n - 1: replicates start at 0, and the ones
+    # that run past n lose their last positions
+    positions = (0, 1, 2, 30, 31, 55, 56, 57, 58, 99)
+    assert_same(100, positions, 7, n_boot=100, threads=1)
+
+
+def test_threads_change_no_byte():
+    pair = Garch11Pair(alpha0=1e-7, alpha1=0.1, beta1=0.89, eta=std_normal())
+    model = SreSvConfig(p=2.0, pair_source=pair, z=std_normal())
+    v = np.abs(simulate(model, 20_000, burn_in=2000, seed=RngSeed(3)).x)
+    u = float(np.quantile(v, 0.99))
+    for call in (lambda t: blocks_theta(v, u, 100, threads=t),
+                 lambda t: runs_theta(v, u, 10, threads=t),
+                 lambda t: intervals_theta(v, u, threads=t)):
+        one, three = call(1), call(3)
+        assert one.to_json() == three.to_json()
+        assert one.stderr > 0
