@@ -1,16 +1,17 @@
 """Do the theta estimators' bootstrap standard errors match their spread?
 
-Simulates one path per seed, estimates the extremal index of |X| at the
-q-quantile with the blocks, runs and intervals estimators, and prints,
-per estimator, the mean of theta_hat, the median bootstrap stderr, the
-sd of theta_hat across the seeds and the ratio of the last two. With S
+Simulates one path per seed, estimates the extremal index of |X| at its
+Q-quantile with the blocks (BLOCK_LEN), runs (RUN_LEN) and intervals
+estimators, and prints, per estimator, the mean of theta_hat, the median
+bootstrap stderr, the sd of theta_hat across the seeds and the ratio of
+the last two. With S
 seeds the sd has a relative standard error of about 1/sqrt(2 (S - 1)),
 printed below the table; a calibrated stderr gives a ratio within a few
 of those of 1.
 
 Usage (from the repository root, with src on PYTHONPATH):
     python scripts/stderr_calibration.py [--model fig2-sv] [--n 100000]
-        [--seeds 300:340] [--q 0.995] [--block-len 100] [--run-len 10]
+        [--seeds 300:340]
 
 --model is a preset name (fig1-left, fig1-right, fig2-garch, fig2-sv) or
 a model JSON file as the CLI's --model reads it; --seeds is a half-open
@@ -25,6 +26,10 @@ import numpy as np
 
 import svextremes as sv
 
+Q = 0.995
+BLOCK_LEN = 100
+RUN_LEN = 10
+
 
 def load_model(name: str):
     if name in sv.PRESET_NAMES:
@@ -33,16 +38,15 @@ def load_model(name: str):
         return sv.config_from_json(json.load(f))
 
 
-def calibration(model, n: int, seeds, q: float, block_len: int,
-                run_len: int) -> dict:
+def calibration(model, n: int, seeds) -> dict:
     """estimator -> (theta_hat per seed, stderr per seed)."""
-    calls = {"runs": lambda v, u: sv.runs_theta(v, u, run_len),
-             "blocks": lambda v, u: sv.blocks_theta(v, u, block_len),
+    calls = {"runs": lambda v, u: sv.runs_theta(v, u, RUN_LEN),
+             "blocks": lambda v, u: sv.blocks_theta(v, u, BLOCK_LEN),
              "intervals": lambda v, u: sv.intervals_theta(v, u)}
     out = {name: ([], []) for name in calls}
     for s in seeds:
         v = np.abs(sv.simulate(model, n, seed=sv.RngSeed(s)).x)
-        u = float(np.quantile(v, q))
+        u = float(np.quantile(v, Q))
         for name, call in calls.items():
             r = call(v, u)
             out[name][0].append(r.theta_hat)
@@ -56,17 +60,13 @@ def main():
     ap.add_argument("--model", default="fig2-sv")
     ap.add_argument("--n", type=int, default=100_000)
     ap.add_argument("--seeds", default="300:340")
-    ap.add_argument("--q", type=float, default=0.995)
-    ap.add_argument("--block-len", type=int, default=100)
-    ap.add_argument("--run-len", type=int, default=10)
     args = ap.parse_args()
     first, stop = (int(s) for s in args.seeds.split(":"))
     seeds = range(first, stop)
 
-    table = calibration(load_model(args.model), args.n, seeds, args.q,
-                        args.block_len, args.run_len)
+    table = calibration(load_model(args.model), args.n, seeds)
     print(f"{args.model}, n = {args.n}, seeds {first}-{stop - 1}, "
-          f"q = {args.q}")
+          f"q = {Q}")
     print("| estimator | mean | median bootstrap se | sd across seeds "
           "| se / sd |")
     print("|---|---|---|---|---|")

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import DEFAULT_BURN_IN, JsonFields, ModelConfig, simulate
-from .distributions import InnovationSpec, moment_pos
+from .distributions import InnovationSpec, finite_real, moment_pos
 from .rng import RngSeed
 
 __all__ = [
@@ -201,8 +201,10 @@ def _bootstrap_stderr(idx: np.ndarray, n: int, stat, n_boot: int) -> float:
     Replicate i draws, from its own Philox stream, C clusters and C - 1
     intercluster gaps with replacement (_declustered), lays them out
     alternately from the sample's first exceedance on and keeps the
-    positions below n. The positions of a batch of replicates are built
-    at once, about _BATCH_POSITIONS of them; everything runs on the
+    positions below n. The positions of a batch of replicates, about
+    _BATCH_POSITIONS of them, are built by one set of numpy calls, as
+    their per-call overhead outweighs the work at a few hundred
+    exceedances; a batch's size bounds the memory. Everything runs on the
     calling thread, since each replicate is a few small numpy calls, for
     which helper threads would only contend for the GIL.
     """
@@ -230,12 +232,15 @@ def _bootstrap_stderr(idx: np.ndarray, n: int, stat, n_boot: int) -> float:
         np.cumsum(span[pick[:, :-1]] + between[gap], axis=1,
                   out=start[:, 1:])
         start += idx[0]
+        # the batch's drawn clusters laid end to end, replicate after
+        # replicate: the k-th entry is exceedance k - (end - cnt) of its
+        # drawn cluster, moved to that cluster's start
         cnt = size[pick].ravel()
         end = np.cumsum(cnt)
         pos = (off[np.arange(end[-1])
                    + np.repeat(first[pick].ravel() - (end - cnt), cnt)]
                + np.repeat(start.ravel(), cnt))
-        end = end[c - 1::c]
+        end = end[c - 1::c]  # each replicate's last drawn cluster
         for i, a, b in zip(reps, np.concatenate(([0], end[:-1])), end):
             r = pos[a:b]
             vals[i] = stat(r[:np.searchsorted(r, n)], n)
@@ -467,12 +472,11 @@ def breiman_ratio(sigma_values, x_values, q_grid, alpha: float,
     x = _values_1d(x_values)
     if sig.size != x.size:
         raise ValueError("sigma and x series must have equal length")
-    if not (isinstance(alpha, numbers.Real) and math.isfinite(alpha)
-            and alpha > 0):
+    if not (finite_real(alpha) and alpha > 0):
         raise ValueError(f"alpha must be a finite number > 0, got {alpha!r}")
     q_grid = tuple(q_grid)
     for q in q_grid:
-        if not (isinstance(q, numbers.Real) and 0.0 < q < 1.0):
+        if not (finite_real(q) and 0.0 < q < 1.0):
             raise ValueError(f"q_grid levels must lie in (0, 1), got {q!r}")
     target = moment_pos(z, float(alpha)) if z is not None else None
     levels, thresholds, ratios = [], [], []

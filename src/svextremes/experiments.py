@@ -43,7 +43,7 @@ import numpy as np
 
 from . import estimators as est
 from . import theory
-from .distributions import laplace, std_normal, student_t
+from .distributions import finite_real, laplace, std_normal, student_t
 from .models import (DEFAULT_BURN_IN, ExpAr1Config, Garch11Pair, MaSvConfig,
                      SreSvConfig, _field, _object, config_from_json,
                      config_to_json, path_to_csv, simulate)
@@ -213,8 +213,7 @@ def _breiman_levels(spec: dict) -> list:
     """The spec's q_grid as floats in (0, 1), once its alpha, if it has
     one, is a finite number > 0; else a ValueError that names the field."""
     alpha = spec.get("alpha")
-    if alpha is not None and not (_is_number(alpha) and math.isfinite(alpha)
-                                  and alpha > 0):
+    if alpha is not None and not (finite_real(alpha) and alpha > 0):
         raise ValueError(f"breiman alpha must be a finite number > 0, got "
                          f"{alpha!r}")
     q_grid = spec.get("q_grid", (0.99, 0.995, 0.999))
@@ -280,15 +279,10 @@ def _theory(spec: dict, run: AnalysisInputs) -> dict:
     return {"which": which, **r.to_json()}
 
 
-def _is_number(value) -> bool:
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool))
-
-
 def _level(kind: str, name: str, q) -> float:
     """q as a float if it is a finite number in (0, 1), else a ValueError
     that names the analysis kind and the field."""
-    if not (_is_number(q) and 0.0 < q < 1.0):
+    if not (finite_real(q) and 0.0 < q < 1.0):
         raise ValueError(f"{kind} {name} must be a finite number in "
                          f"(0, 1), got {q!r}")
     return float(q)

@@ -430,7 +430,8 @@ def test_breiman_drops_empty_levels():
     assert r.target is None
 
 
-@pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0, -4.0, "4"])
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0, -4.0, "4", 10**400,
+                                   True])
 def test_breiman_alpha_must_be_finite_and_positive(alpha):
     # alpha = nan gave a NaN target, which JSON cannot hold, and alpha = 0
     # the target E Z_+^0 = P(Z > 0) = 0.5

@@ -258,7 +258,9 @@ def test_quantile_spec_rejected_where_it_enters(spec, q):
     ({"alpha": float("nan")}, "breiman alpha must be a finite number > 0"),
     ({"alpha": 0.0}, "breiman alpha must be a finite number > 0"),
     ({"alpha": float("inf")}, "breiman alpha must be a finite number > 0"),
-    ({"alpha": "4"}, "breiman alpha must be a finite number > 0")])
+    ({"alpha": "4"}, "breiman alpha must be a finite number > 0"),
+    ({"alpha": 10**400}, "breiman alpha must be a finite number > 0"),
+    ({"alpha": True}, "breiman alpha must be a finite number > 0")])
 def test_breiman_spec_rejected_where_it_enters(spec, message):
     # q_grid [1.5] used to simulate the path and then record numpy's
     # "Quantiles must be in the range [0, 1]"; alpha nan wrote a NaN
