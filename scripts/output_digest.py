@@ -1,9 +1,10 @@
 """Print one sha256 per output of a fixed battery of CLI commands.
 
-Every path command (simulate on a GARCH and an EGARCH model, hill,
-theta-est with each method, extremogram on a stored path and on sigma of
-a constant-volatility model, theta-theory with each quantity
-and on a generic SRE pair, diagnose), two commands that must fail, one
+Every path command (simulate on a GARCH, an EGARCH, an exp-AR(1) and a
+generic SRE model, hill, theta-est with each method, extremogram on a
+stored path and on sigma of a constant-volatility model, theta-theory
+with each quantity and on a generic SRE pair, diagnose), two commands
+that must fail, one
 `experiment run` whose config uses all seven analysis kinds, and the
 `fig1-right` preset (t(4) returns, so its report echoes a Student-t
 spec), run at fixed seeds, each as a `python -m svextremes` process on
@@ -93,6 +94,13 @@ COMMANDS = [
     ("simulate-egarch", ("--seed", "8", "--out", "o", "simulate", "--model",
                          "egarch.json", "--n", "20000", "--burn-in",
                          "1000")),
+    # a float a at phi = 0.9, where the scan's products round, and an
+    # array a with an array b
+    ("simulate-ar", ("--seed", "11", "--out", "o", "simulate", "--model",
+                     "ar.json", "--n", "20000", "--burn-in", "1000")),
+    ("simulate-generic", ("--seed", "12", "--out", "o", "simulate",
+                          "--model", "generic.json", "--n", "20000",
+                          "--burn-in", "1000")),
     ("hill", ("--out", "o", "hill", *INPUT, "--k", "200")),
     ("hill-model", ("--seed", "2", "--out", "o", "hill", "--model",
                     "ar.json", "--n", "5000", "--burn-in", "100", "--k",

@@ -29,11 +29,12 @@ Estimator conventions, used consistently below:
     exceedance on and keeps the positions below n. Its cost follows C,
     not n. The replicates run on the calling thread; the estimators
     keep a `threads` argument, unused, because callers pass it;
-  * values must be one-dimensional and free of NaN, and hill's k,
+  * values must be one-dimensional and free of NaN, hill's k,
     block_len, run_len, the extremogram's lags and anticluster_diag's m,
-    r_n, reps and n integers (numpy's too) in range; otherwise hill, the
-    theta estimators, the extremogram, anticluster_diag and
-    breiman_ratio raise a ValueError that names the field.
+    r_n, reps and n integers (numpy's too) in range, and
+    anticluster_diag's y a finite number > 0; otherwise hill, the theta
+    estimators, the extremogram, anticluster_diag and breiman_ratio
+    raise a ValueError that names the field.
 """
 
 from __future__ import annotations
@@ -198,15 +199,16 @@ def _declustered(idx: np.ndarray) -> tuple:
 def _bootstrap_stderr(idx: np.ndarray, n: int, stat, n_boot: int) -> float:
     """Cluster bootstrap (Ferro & Segers, 2003) of stat(indices, n).
 
-    Replicate i draws, from its own Philox stream, C clusters and C - 1
-    intercluster gaps with replacement (_declustered), lays them out
-    alternately from the sample's first exceedance on and keeps the
-    positions below n. The positions of a batch of replicates, about
-    _BATCH_POSITIONS of them, are built by one set of numpy calls, as
-    their per-call overhead outweighs the work at a few hundred
-    exceedances; a batch's size bounds the memory. Everything runs on the
-    calling thread, since each replicate is a few small numpy calls, for
-    which helper threads would only contend for the GIL.
+    Replicate i draws C clusters and C - 1 intercluster gaps with
+    replacement (_declustered) from one Philox stream, by its i-th call
+    g.integers(0, high) with high = (C,) * C + (C - 1,) * (C - 1), lays
+    them out alternately from the sample's first exceedance on and keeps
+    the positions below n. A batch of replicates, about _BATCH_POSITIONS
+    positions, draws by one call over rows of high, which gives the same
+    values, and is built by one set of numpy calls, as their per-call
+    overhead outweighs the work at a few hundred exceedances. Everything
+    runs on the calling thread: helper threads would only contend for the
+    GIL over such small calls.
     """
     if n_boot < 2 or idx.size < 2:  # one exceedance: every replicate is it
         return 0.0
@@ -215,17 +217,14 @@ def _bootstrap_stderr(idx: np.ndarray, n: int, stat, n_boot: int) -> float:
     # each exceedance's offset from the first one of its cluster
     off = idx - np.repeat(idx[first], size)
     span = off[first + size - 1]
+    high = np.repeat([c, c - 1], [c, c - 1])
+    g = np.random.Generator(np.random.Philox(_BOOTSTRAP_SEED))
     vals = np.empty(n_boot)
     per_batch = max(1, _BATCH_POSITIONS // idx.size)
     for lo in range(0, n_boot, per_batch):
         reps = range(lo, min(lo + per_batch, n_boot))
-        pick = np.empty((len(reps), c), np.intp)
-        gap = np.empty((len(reps), c - 1), np.intp)
-        for j, i in enumerate(reps):
-            g = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(_BOOTSTRAP_SEED, spawn_key=(i,))))
-            pick[j] = g.integers(0, c, size=c)
-            gap[j] = g.integers(0, c - 1, size=c - 1)
+        draws = g.integers(0, np.broadcast_to(high, (len(reps), high.size)))
+        pick, gap = draws[:, :c], draws[:, c:]
         # the first drawn cluster starts at the sample's first exceedance,
         # each later one after the span of the one before and a drawn gap
         start = np.zeros(pick.shape, np.intp)
@@ -412,6 +411,8 @@ def anticluster_diag(cfg: ModelConfig, m, r_n: int, y: float, n: int,
         raise ValueError("need 1 <= m < r_n")
     if reps < 1 or n < 2:
         raise ValueError("need reps >= 1 and n >= 2")
+    if not (finite_real(y) and y > 0):
+        raise ValueError(f"y must be a finite number > 0, got {y!r}")
 
     cal = simulate(cfg, _ANTICLUSTER_CALIBRATION * n, burn_in, seed.child(0))
     a_n = float(np.quantile(np.abs(cal.x), 1.0 - 1.0 / n))

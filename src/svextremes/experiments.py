@@ -18,13 +18,15 @@ Failures inside a single analysis are recorded in the report (with the
 error message) instead of aborting the run; simulation or config failures
 do abort, and a malformed config raises a ValueError that names the
 field, as does a figure spec whose quantile levels are out of order or
-outside (0, 1), a theta or extremogram spec whose q is, or a breiman
-spec with a q_grid level outside (0, 1) or an alpha that is not a
-finite number > 0. An analysis spec's integer fields (k, block_len,
-lags, mc_reps, ...) must be whole numbers, as n and burn_in must; a bad
-one is that entry's error. Warnings
-raised inside an analysis are recorded in its entry, as a "warnings"
-list that is present only when it is not empty.
+outside (0, 1), a theta or extremogram spec whose q is, a breiman spec
+with a q_grid level outside (0, 1), and a spec that misses a required
+field or holds a lags, m_grid or q_grid that is not a list, or a
+breiman or theory alpha, theory tol or anticluster y that is not a
+finite number > 0 (_check_spec). An analysis spec's integer fields
+(k, block_len, lags, mc_reps, ...) must be whole numbers, as n and
+burn_in must; a bad one is that entry's error, as is an unknown series.
+Warnings raised inside an analysis are recorded in its entry, as a
+"warnings" list that is present only when it is not empty.
 Re-running from the config embedded in a report reproduces every output
 byte for byte, timings excepted.
 """
@@ -45,8 +47,9 @@ from . import estimators as est
 from . import theory
 from .distributions import finite_real, laplace, std_normal, student_t
 from .models import (DEFAULT_BURN_IN, ExpAr1Config, Garch11Pair, MaSvConfig,
-                     SreSvConfig, _field, _object, config_from_json,
-                     config_to_json, path_to_csv, simulate)
+                     SreSvConfig, _check_length, _field, _object,
+                     config_from_json, config_to_json, path_to_csv,
+                     simulate)
 from .rng import RngSeed
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
@@ -76,22 +79,14 @@ class ExperimentConfig:
         for name in ("n", "burn_in"):
             object.__setattr__(self, name,
                                _whole_number(name, getattr(self, name)))
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
+        _check_length(self.n, self.burn_in)
         object.__setattr__(self, "analyses",
                            tuple(dict(a) for a in self.analyses))
         for a in self.analyses:
             kind = a.get("analysis")
             if not isinstance(kind, str) or kind not in ANALYSES:
                 raise ValueError(f"unknown analysis {kind!r}")
-            if kind == "figure":
-                _figure_levels(a)
-            elif kind in ("theta", "extremogram") and "q" in a:
-                _level(kind, "q", a["q"])
-            elif kind == "breiman":
-                _breiman_levels(a)
+            _check_spec(kind, a)
 
     def to_json(self) -> dict:
         return {"model": config_to_json(self.model), "n": self.n,
@@ -210,16 +205,10 @@ def _extremogram(spec: dict, run: AnalysisInputs) -> dict:
 
 
 def _breiman_levels(spec: dict) -> list:
-    """The spec's q_grid as floats in (0, 1), once its alpha, if it has
-    one, is a finite number > 0; else a ValueError that names the field."""
-    alpha = spec.get("alpha")
-    if alpha is not None and not (finite_real(alpha) and alpha > 0):
-        raise ValueError(f"breiman alpha must be a finite number > 0, got "
-                         f"{alpha!r}")
-    q_grid = spec.get("q_grid", (0.99, 0.995, 0.999))
-    if not isinstance(q_grid, (list, tuple)):
-        raise ValueError(f"breiman q_grid must be a list, got {q_grid!r}")
-    return [_level("breiman", "q_grid", q) for q in q_grid]
+    """The spec's q_grid levels as floats in (0, 1), else a ValueError
+    that names the field."""
+    return [_level("breiman", "q_grid", q)
+            for q in spec.get("q_grid", (0.99, 0.995, 0.999))]
 
 
 def _breiman(spec: dict, run: AnalysisInputs) -> dict:
@@ -286,6 +275,46 @@ def _level(kind: str, name: str, q) -> float:
         raise ValueError(f"{kind} {name} must be a finite number in "
                          f"(0, 1), got {q!r}")
     return float(q)
+
+
+# by analysis kind: the fields a spec must hold (a theory spec alpha too,
+# for every quantity but kesten), the fields that must be lists and
+# those that must be finite numbers > 0 where a spec holds them
+_REQUIRED = {"hill": ("k",), "theta": ("method",), "extremogram": ("lags",),
+             "breiman": ("alpha",), "anticluster": ("m_grid",),
+             "theory": ("which",)}
+_LISTS = {"extremogram": ("lags",), "anticluster": ("m_grid",),
+          "breiman": ("q_grid",)}
+_POSITIVE = {"breiman": ("alpha",), "anticluster": ("y",),
+             "theory": ("alpha", "tol")}
+
+
+def _check_spec(kind: str, spec: dict) -> None:
+    """Raise a ValueError that names the kind and the field when a spec
+    misses a required field or holds a malformed list, level or positive
+    number; the whole-number and series rules stay the entry's."""
+    required = _REQUIRED.get(kind, ())
+    if kind == "theory" and spec.get("which") in (
+            "theta_sigma", "theta_x_sre", "theta_x_ma"):
+        required += ("alpha",)
+    for name in required:
+        if name not in spec:
+            raise ValueError(f"{kind} {name} is required")
+    for name in _LISTS.get(kind, ()):
+        v = spec.get(name, [])
+        if not isinstance(v, (list, tuple)):
+            raise ValueError(f"{kind} {name} must be a list, got {v!r}")
+    for name in _POSITIVE.get(kind, ()):
+        v = spec.get(name, 1.0)
+        if not (finite_real(v) and v > 0):
+            raise ValueError(f"{kind} {name} must be a finite number > 0, "
+                             f"got {v!r}")
+    if kind == "figure":
+        _figure_levels(spec)
+    elif kind == "breiman":
+        _breiman_levels(spec)
+    elif kind in ("theta", "extremogram") and "q" in spec:
+        _level(kind, "q", spec["q"])
 
 
 def _figure_levels(spec: dict) -> tuple:

@@ -251,16 +251,17 @@ _AR1_TILE = 64
 
 def _ar1(a, b, y0: float = 0.0) -> np.ndarray:
     """y_t = a_t y_{t-1} + b_t from y_{-1} = y0; a and b are each a float
-    or an n-long array.
+    or an n-long array, and a float a gives the bytes of np.full(n, a).
 
     Numpy-only scan over blocks of _AR1_BLOCK steps at fixed indices. A
     tile of blocks is transposed so that step j of every block is one
-    contiguous row. By doubling, row j composes its (a, b) pair with that
-    of row j-d (b_j += a_j b_{j-d}, then a_j *= a_{j-d}) for d = 1, 2, 4,
-    ..; the block carries are chained in index order, and row j gains a_j
-    (by then the block's product of a up to j) times the block's carry.
-    The result depends only on (a, b, y0), so a prefix of the input gives
-    a prefix of the result.
+    contiguous row, and so are the tile's gains, its values of a. By
+    doubling, row j composes its (a, b) pair with that of row j-d (b_j +=
+    a_j b_{j-d}, then a_j *= a_{j-d}) for d = 1, 2, 4, ..; the block
+    carries are chained in index order, and row j gains a_j (by then the
+    block's product of a up to j) times the block's carry. The result
+    depends only on (a, b, y0), so a prefix of the input gives a prefix
+    of the result.
 
     A term of y_t that has passed F factors of a takes at most
     65 F / 64 + 8 roundings. So for non-negative a, b and y0, y_t is
@@ -268,50 +269,32 @@ def _ar1(a, b, y0: float = 0.0) -> np.ndarray:
     Z_t = a_t (Z_{t-1} + y_{t-1}), Z_{-1} = 0: a relative error of
     (8 + 65 L_t / 64) 2^-53 at the mean number of factors L_t = Z_t / y_t.
     """
-    a_rows = np.ndim(a) > 0
     n = np.broadcast(a, b).size
+    a = np.broadcast_to(np.asarray(a, dtype=float), n)
     blocks = -(-n // _AR1_BLOCK)
     y = np.zeros(blocks * _AR1_BLOCK)
     y[:n] = b
     rows = y.reshape(blocks, _AR1_BLOCK)
     cols = min(_AR1_TILE, blocks)
-    tile, tmp = np.empty((_AR1_BLOCK, cols)), np.empty((_AR1_BLOCK, cols))
-    doublings = [1 << i for i in range(_AR1_BLOCK.bit_length() - 1)]
-
-    def gains(g):
-        # g before each doubling, then after the last, updated in place
-        for d in doublings:
-            yield g
-            g[d:] *= g[:-d]  # numpy buffers the overlapping operands
-        yield g
-
-    if a_rows:
-        gain = np.empty((_AR1_BLOCK, cols))
-    else:
-        # a constant a gives every tile the same (_AR1_BLOCK, 1) gains
-        const_gains = [g.copy() for g in gains(
-            np.full((_AR1_BLOCK, 1), a, dtype=float))]
+    tile, tmp, gain = (np.empty((_AR1_BLOCK, cols)) for _ in range(3))
     carry = float(y0)
     for r in range(0, blocks, _AR1_TILE):
         rows_r = rows[r:r + _AR1_TILE]
         k = len(rows_r)
-        s, t = tile[:, :k], tmp[:, :k]
+        s, t, g = tile[:, :k], tmp[:, :k], gain[:, :k]
         s[...] = rows_r.T
-        if a_rows:
-            # resize pads a last block that runs past the end with
-            # repeats, which reach only the values past the end
-            gain[:, :k] = np.resize(a[r * _AR1_BLOCK:(r + k) * _AR1_BLOCK],
-                                    (k, _AR1_BLOCK)).T
-            tile_gains = gains(gain[:, :k])
-        else:
-            tile_gains = iter(const_gains)
-        for d, g in zip(doublings, tile_gains):
+        # resize pads a last block that runs past the end with repeats,
+        # which reach only the values past the end
+        g[...] = np.resize(a[r * _AR1_BLOCK:(r + k) * _AR1_BLOCK],
+                           (k, _AR1_BLOCK)).T
+        d = 1
+        while d < _AR1_BLOCK:
             np.multiply(g[d:], s[:-d], out=t[d:])
             s[d:] += t[d:]
-        g = next(tile_gains)
+            g[d:] *= g[:-d]  # numpy buffers the overlapping operands
+            d *= 2
         carries = []
-        for ga, sb in zip(np.broadcast_to(g[-1], k).tolist(),
-                          s[-1].tolist()):
+        for ga, sb in zip(g[-1].tolist(), s[-1].tolist()):
             carries.append(carry)
             carry = ga * carry + sb
         np.multiply(g, carries, out=t)
@@ -322,7 +305,6 @@ def _ar1(a, b, y0: float = 0.0) -> np.ndarray:
 
 def simulate_exp_ar1(cfg: ExpAr1Config, n: int, burn_in: int = DEFAULT_BURN_IN,
                      seed: RngSeed = RngSeed(0)) -> Path:
-    _check_length(n, burn_in)
     eta = draw(cfg.eta, seed.generator(0), burn_in + n)
     y = _ar1(cfg.phi, eta)
     sigma = np.exp(y[burn_in:])
@@ -332,7 +314,6 @@ def simulate_exp_ar1(cfg: ExpAr1Config, n: int, burn_in: int = DEFAULT_BURN_IN,
 
 def simulate_egarch(cfg: EgarchConfig, n: int, burn_in: int = DEFAULT_BURN_IN,
                     seed: RngSeed = RngSeed(0)) -> Path:
-    _check_length(n, burn_in)
     # one shared Z stream: Z_{t-1} feeds the recursion, Z_t multiplies sigma_t
     z = draw(cfg.z, seed.generator(1), burn_in + n + 1)
     w = cfg.gamma0 * z + cfg.delta0 * np.abs(z)
@@ -360,7 +341,6 @@ def _sre_initial_state(cfg: SreSvConfig, b1: float) -> float:
 
 def simulate_sre_sv(cfg: SreSvConfig, n: int, burn_in: int = DEFAULT_BURN_IN,
                     seed: RngSeed = RngSeed(0)) -> Path:
-    _check_length(n, burn_in)
     total = burn_in + n
     src = cfg.pair_source
     if isinstance(src, Garch11Pair):
@@ -387,7 +367,6 @@ def simulate_sre_sv(cfg: SreSvConfig, n: int, burn_in: int = DEFAULT_BURN_IN,
 
 def simulate_ma_sv(cfg: MaSvConfig, n: int, seed: RngSeed = RngSeed(0)) -> Path:
     """Exact stationary simulation; q extra innovations replace a burn-in."""
-    _check_length(n, 0)
     q = len(cfg.psi) - 1
     eta = draw(cfg.eta, seed.generator(0), n + q)
     # valid-mode convolution gives Y_t = sum_j psi_j eta_{t-j} exactly
@@ -399,6 +378,7 @@ def simulate_ma_sv(cfg: MaSvConfig, n: int, seed: RngSeed = RngSeed(0)) -> Path:
 
 def simulate(cfg: ModelConfig, n: int, burn_in: int = DEFAULT_BURN_IN,
              seed: RngSeed = RngSeed(0)) -> Path:
+    _check_length(n, burn_in)
     if isinstance(cfg, ExpAr1Config):
         return simulate_exp_ar1(cfg, n, burn_in, seed)
     if isinstance(cfg, EgarchConfig):
@@ -406,7 +386,6 @@ def simulate(cfg: ModelConfig, n: int, burn_in: int = DEFAULT_BURN_IN,
     if isinstance(cfg, SreSvConfig):
         return simulate_sre_sv(cfg, n, burn_in, seed)
     if isinstance(cfg, MaSvConfig):
-        _check_length(n, burn_in)  # burn_in is unused here, but still checked
         return simulate_ma_sv(cfg, n, seed)
     raise TypeError(f"not a model config: {cfg!r}")
 

@@ -14,7 +14,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from svextremes.estimators import _BOOTSTRAP_SEED
-from svextremes.rng import chunked_map
 
 
 def blocks_core(e, block_len):
@@ -83,57 +82,55 @@ def clusters(e):
     return parts, runs
 
 
-def bootstrap_stderr(e, stat, n_boot, threads=1):
+def bootstrap_stderr(e, stat, n_boot):
     """The cluster bootstrap, each replicate built as an n-long series:
     the sample's leading non-exceedances, then the drawn clusters with a
-    drawn run between each two, cut or padded with non-exceedances to n."""
+    drawn run between each two, cut or padded with non-exceedances to n.
+    Replicate i draws its clusters, then its runs, by the i-th call of
+    one stream."""
     n = e.size
     if n_boot < 2 or np.count_nonzero(e) < 2:
         return 0.0
     parts, runs = clusters(e)
     c = len(parts)
     lead = int(np.argmax(e))
-
-    def one(i):
-        g = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(_BOOTSTRAP_SEED, spawn_key=(i,))))
-        pick = g.integers(0, c, size=c)
-        gap = g.integers(0, c - 1, size=c - 1)
+    g = np.random.Generator(np.random.Philox(_BOOTSTRAP_SEED))
+    vals = []
+    for _ in range(n_boot):
+        draw = g.integers(0, [c] * c + [c - 1] * (c - 1))
+        pick, gap = draw[:c], draw[c:]
         r = [np.zeros(lead, dtype=bool)]
         for k in range(c):
             r.append(parts[pick[k]])
             if k < c - 1:
                 r.append(np.zeros(runs[gap[k]], dtype=bool))
         r.append(np.zeros(n, dtype=bool))
-        return stat(np.concatenate(r)[:n])
-
-    vals = np.asarray(chunked_map(one, n_boot, threads), dtype=float)
+        vals.append(stat(np.concatenate(r)[:n]))
+    vals = np.asarray(vals, dtype=float)
     vals = vals[np.isfinite(vals)]
     if vals.size < 2:
         return 0.0
     return float(np.std(vals, ddof=1))
 
 
-def blocks_theta(values, u, block_len, n_boot=100, threads=1):
+def blocks_theta(values, u, block_len, n_boot=100):
     e = np.asarray(values) > u
     th = blocks_core(e, block_len)
-    se = bootstrap_stderr(e, lambda r: blocks_core(r, block_len), n_boot,
-                          threads)
+    se = bootstrap_stderr(e, lambda r: blocks_core(r, block_len), n_boot)
     return th, se
 
 
-def runs_theta(values, u, run_len, n_boot=100, threads=1):
+def runs_theta(values, u, run_len, n_boot=100):
     e = np.asarray(values) > u
     th = runs_core(e, run_len)
-    se = bootstrap_stderr(e, lambda r: runs_core(r, run_len), n_boot,
-                          threads)
+    se = bootstrap_stderr(e, lambda r: runs_core(r, run_len), n_boot)
     return th, se
 
 
-def intervals_theta(values, u, n_boot=100, threads=1):
+def intervals_theta(values, u, n_boot=100):
     e = np.asarray(values) > u
     th = intervals_core(e)
-    se = bootstrap_stderr(e, intervals_core, n_boot, threads)
+    se = bootstrap_stderr(e, intervals_core, n_boot)
     return th, se
 
 

@@ -413,6 +413,8 @@ VALID_EXPERIMENT = {"model": VALID_MODELS[0], "n": 10,
     ({**VALID_EXPERIMENT, "analyses": [{"analysis": "figure", "q_low": 0.99,
                                         "q_high": 0.01}]},
      "figure q_low must be below q_high"),
+    ({**VALID_EXPERIMENT, "analyses": [{"analysis": "breiman"}]},
+     "breiman alpha is required"),
 ])
 def test_experiment_run_bad_config_names_the_field(obj, field):
     r = experiment_config_json(obj)

@@ -394,6 +394,17 @@ def test_anticluster_rejects_non_integer_sizes(field, value):
                          burn_in=10, **kw)
 
 
+@pytest.mark.parametrize("y", [float("nan"), float("inf"), 0.0, -1.0,
+                               "1", True])
+def test_anticluster_rejects_y_that_is_not_positive(y):
+    # y = NaN read "threshold too high", and y = -1 counted every window
+    # as a hit
+    with pytest.raises(ValueError,
+                       match="^y must be a finite number > 0, got"):
+        anticluster_diag(constant_path_config(), m=(1,), r_n=10, y=y,
+                         n=1000, reps=5, seed=SEED, burn_in=10)
+
+
 def test_anticluster_accepts_numpy_integer_sizes():
     r = anticluster_diag(constant_path_config(), m=(1,), r_n=np.int64(10),
                          y=0.5, n=np.int32(1000), reps=np.int64(5),

@@ -1,6 +1,7 @@
 """Experiment-driver tests: artifacts, reproducibility, preset claims."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -272,6 +273,51 @@ def test_breiman_spec_rejected_where_it_enters(spec, message):
     blob["analyses"] = list(analyses)
     with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_json(blob)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"analysis": "theta"}, "theta method is required"),
+    ({"analysis": "hill"}, "hill k is required"),
+    ({"analysis": "extremogram"}, "extremogram lags is required"),
+    ({"analysis": "breiman"}, "breiman alpha is required"),
+    ({"analysis": "anticluster"}, "anticluster m_grid is required"),
+    ({"analysis": "theory"}, "theory which is required"),
+    *(({"analysis": "theory", "which": which}, "theory alpha is required")
+      for which in ("theta_sigma", "theta_x_sre", "theta_x_ma")),
+    ({"analysis": "theory", "which": "kesten", "alpha": "2"},
+     "theory alpha must be a finite number > 0, got '2'"),
+    ({"analysis": "theory", "which": "theta_sigma", "alpha": 0.0},
+     "theory alpha must be a finite number > 0"),
+    ({"analysis": "theory", "which": "theta_x_sre", "alpha": float("nan")},
+     "theory alpha must be a finite number > 0"),
+    ({"analysis": "theory", "which": "kesten", "tol": "0.001"},
+     "theory tol must be a finite number > 0, got '0.001'"),
+    ({"analysis": "theory", "which": "kesten", "tol": -1e-4},
+     "theory tol must be a finite number > 0"),
+    ({"analysis": "anticluster", "m_grid": [1], "y": "1"},
+     "anticluster y must be a finite number > 0, got '1'"),
+    ({"analysis": "anticluster", "m_grid": [1], "y": float("nan")},
+     "anticluster y must be a finite number > 0"),
+    ({"analysis": "anticluster", "m_grid": [1], "y": -1},
+     "anticluster y must be a finite number > 0"),
+    ({"analysis": "anticluster", "m_grid": 3},
+     "anticluster m_grid must be a list, got 3"),
+    ({"analysis": "extremogram", "lags": 3},
+     "extremogram lags must be a list, got 3")])
+def test_analysis_spec_rejected_where_it_enters(spec, message):
+    # each of these used to simulate the path first, then record a bare
+    # KeyError, fail with a message that names no field, or run with a
+    # string turned into a number
+    with pytest.raises(ValueError, match=re.escape(message)):
+        small_config(analyses=(spec,))
+    blob = small_config().to_json()
+    blob["analyses"] = [spec]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig.from_json(blob)
+
+
+def test_kesten_spec_needs_no_alpha():
+    small_config(analyses=({"analysis": "theory", "which": "kesten"},))
 
 
 def test_extremogram_csv_naming(tmp_path):

@@ -230,6 +230,8 @@ def test_ar1_scan_matches_exact_recursion_and_lfilter(phi, sign):
         assert np.abs(y - exact[:n]).max() <= scan_bound, n
         ref = lfilter([1.0], [1.0, -phi], w[:n])
         assert np.abs(y - ref).max() <= scan_bound + lfilter_bound, n
+        # a float a runs the path of the n-long array of it
+        assert np.array_equal(y, _ar1(np.full(n, phi), w[:n])), n
 
 
 def test_ar1_scan_phi_zero_returns_w_exactly():

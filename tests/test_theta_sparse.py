@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 import dense_theta as dense
 from svextremes import (Garch11Pair, RngSeed, SreSvConfig, blocks_theta,
                         intervals_theta, runs_theta, simulate, std_normal)
-from svextremes.estimators import _declustered
+from svextremes import estimators
+from svextremes.estimators import (_bootstrap_stderr, _declustered,
+                                   _runs_core)
 
 
 def series(n, positions):
@@ -62,11 +64,15 @@ def test_random_exceedance_sets_bit_equal(data, n):
     assert_same(n, sorted(positions), tuning, n_boot=25, threads=threads)
 
 
-def test_garch_path_bit_equal_at_default_replicates():
+def garch_exceedances(seed, q):
     pair = Garch11Pair(alpha0=1e-7, alpha1=0.1, beta1=0.89, eta=std_normal())
     model = SreSvConfig(p=2.0, pair_source=pair, z=std_normal())
-    v = np.abs(simulate(model, 20_000, burn_in=2000, seed=RngSeed(8)).x)
-    u = float(np.quantile(v, 0.995))
+    v = np.abs(simulate(model, 20_000, burn_in=2000, seed=RngSeed(seed)).x)
+    return v, float(np.quantile(v, q))
+
+
+def test_garch_path_bit_equal_at_default_replicates():
+    v, u = garch_exceedances(8, 0.995)
     for (th, se), r in (
             (dense.blocks_theta(v, u, 100), blocks_theta(v, u, 100,
                                                          threads=2)),
@@ -152,13 +158,33 @@ def test_replicates_reach_both_ends_of_the_series():
 
 
 def test_threads_change_no_byte():
-    pair = Garch11Pair(alpha0=1e-7, alpha1=0.1, beta1=0.89, eta=std_normal())
-    model = SreSvConfig(p=2.0, pair_source=pair, z=std_normal())
-    v = np.abs(simulate(model, 20_000, burn_in=2000, seed=RngSeed(3)).x)
-    u = float(np.quantile(v, 0.99))
+    v, u = garch_exceedances(3, 0.99)
     for call in (lambda t: blocks_theta(v, u, 100, threads=t),
                  lambda t: runs_theta(v, u, 10, threads=t),
                  lambda t: intervals_theta(v, u, threads=t)):
         one, three = call(1), call(3)
         assert one.to_json() == three.to_json()
         assert one.stderr > 0
+
+
+def test_a_replicate_depends_on_neither_n_boot_nor_the_batch_size(
+        monkeypatch):
+    v, u = garch_exceedances(4, 0.99)
+    idx = np.flatnonzero(v > u)
+
+    def replicates(n_boot):
+        seen = []
+
+        def stat(r, n):
+            seen.append(r.tolist())
+            return _runs_core(r, 5)
+        _bootstrap_stderr(idx, v.size, stat, n_boot)
+        return seen
+
+    assert replicates(100)[:50] == replicates(50)
+    calls = (lambda: blocks_theta(v, u, 100), lambda: runs_theta(v, u, 10),
+             lambda: intervals_theta(v, u))
+    stderrs = [call().stderr for call in calls]
+    for batch in (1, 1 << 20):
+        monkeypatch.setattr(estimators, "_BATCH_POSITIONS", batch)
+        assert [call().stderr for call in calls] == stderrs, batch
