@@ -1,13 +1,13 @@
 """Print one sha256 per output of a fixed battery of CLI commands.
 
 Every path command (simulate on a GARCH, an EGARCH, an exp-AR(1) and a
-generic SRE model, hill, theta-est with each method, extremogram on a
-stored path and on sigma of a constant-volatility model, theta-theory
-with each quantity and on a generic SRE pair, diagnose), two commands
-that must fail, one
-`experiment run` whose config uses all seven analysis kinds, and the
-`fig1-right` preset (t(4) returns, so its report echoes a Student-t
-spec), run at fixed seeds, each as a `python -m svextremes` process on
+generic SRE model, hill, theta-est with each method and with no option
+it may leave out, extremogram on a stored path and on sigma of a
+constant-volatility model, theta-theory with each quantity and on a
+generic SRE pair, diagnose), two commands that must fail, two
+`experiment run`s whose configs use all seven analysis kinds, the
+second with no optional spec field, and the `fig1-right` preset (t(4)
+returns, so its report echoes a Student-t spec), run at fixed seeds, each as a `python -m svextremes` process on
 the sources of this checkout. Each output line is
 
     <command>:<output> <sha256 or value>
@@ -87,6 +87,20 @@ EXPERIMENT = {
     ],
 }
 
+# one spec per analysis kind, each without its optional fields, so every
+# spec default (theory mc_reps included) shows in the outputs
+DEFAULTS = {**EXPERIMENT, "label": "defaults", "analyses": [
+    {"analysis": "figure"},
+    {"analysis": "extremogram", "lags": [1, 2]},
+    {"analysis": "hill", "k": 100},
+    {"analysis": "theta", "method": "blocks"},
+    {"analysis": "breiman", "alpha": 4.0},
+    {"analysis": "anticluster", "m_grid": [1, 5]},
+    {"analysis": "theory", "which": "kesten"},
+    {"analysis": "theory", "which": "theta_sigma", "alpha": 2.0},
+    {"analysis": "theory", "which": "theta_x_sre", "alpha": 2.0},
+]}
+
 INPUT = ("--input", "path/path.csv")
 COMMANDS = [
     ("simulate", ("--seed", "1", "--out", "path", "simulate", "--model",
@@ -109,6 +123,8 @@ COMMANDS = [
                           "--q", "0.99", "--block-len", "50", "--run-len",
                           "5"))
       for m in ("blocks", "runs", "intervals")),
+    ("theta-est-defaults", ("--out", "o", "theta-est", *INPUT, "--method",
+                            "blocks")),
     ("extremogram", ("--out", "o", "extremogram", *INPUT, "--lags",
                      "1,2,3,7", "--q", "0.98")),
     ("extremogram-constant", ("--seed", "9", "--out", "o", "extremogram",
@@ -141,6 +157,8 @@ COMMANDS = [
     ("fail-extremogram-lag", ("--out", "o", "extremogram", *INPUT,
                               "--lags", "20000")),
     ("experiment-run", ("--out", "o", "experiment", "run", "exp.json")),
+    ("experiment-defaults", ("--out", "o", "experiment", "run",
+                             "defaults.json")),
     ("experiment-preset", ("--seed", "10", "--out", "o", "experiment",
                            "preset", "fig1-right")),
 ]
@@ -182,6 +200,7 @@ def main() -> None:
         for fname, cfg in MODELS.items():
             (work / fname).write_text(json.dumps(sv.config_to_json(cfg)))
         (work / "exp.json").write_text(json.dumps(EXPERIMENT))
+        (work / "defaults.json").write_text(json.dumps(DEFAULTS))
         for name, args in COMMANDS:
             for line in run(name, args, work, env):
                 print(line, flush=True)

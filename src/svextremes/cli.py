@@ -6,7 +6,8 @@ numerical results, only wall time. Model configs are JSON files in the
 same schema the library's config_to_json produces. Subcommands write
 their outputs under --out and echo a JSON summary to stdout. The path
 and theory commands run the experiment analysis of the same name from
-experiments.ANALYSES on one spec; they write no path.csv or report.json.
+experiments.ANALYSES on one spec, which experiments.read_spec reads
+before anything is simulated; they write no path.csv or report.json.
 """
 
 from __future__ import annotations
@@ -20,13 +21,18 @@ import click
 import numpy as np
 
 from . import estimators as est
-from .experiments import (ANALYSES, AnalysisInputs, ExperimentConfig,
-                          PRESET_NAMES, _json_text, _write_json,
-                          preset_config, run_experiment)
+from .experiments import (ANALYSES, SPECS, AnalysisInputs,
+                          ExperimentConfig, PRESET_NAMES, _json_text,
+                          _write_json, preset_config, read_spec,
+                          run_experiment)
 from .models import config_from_json, path_to_csv, simulate, DEFAULT_BURN_IN
 from .rng import RngSeed
 
-_SERIES = click.Choice(["x", "x_abs", "sigma"])
+_SERIES = click.Choice(SPECS["hill"]["series"][0].choices)
+
+
+def _default(kind: str, name: str):
+    return SPECS[kind][name][1]
 
 
 def _echo_json(obj) -> None:
@@ -74,39 +80,32 @@ def _path_inputs(ctx, model, input_csv, n, burn_in) -> AnalysisInputs:
         sigma, x = _read_path_csv(input_csv)
         return replace(ctx.obj, sigma=sigma, x=x)
     cfg = _load_model(model)
-    path = _sim(cfg, n, ctx, burn_in)
+    path = _call(simulate, cfg, n, burn_in, ctx.obj.seed)
     return replace(ctx.obj, sigma=path.sigma, x=path.x, model=cfg,
                    burn_in=burn_in)
 
 
-def _analysis(kind: str, spec: dict, run: AnalysisInputs) -> dict:
+def _call(fn, *args):
+    """fn(*args), with a ValueError as the command's error message."""
     try:
-        return ANALYSES[kind](spec, run)
+        return fn(*args)
     except ValueError as e:
         raise click.ClickException(str(e))
 
 
-def _sim(cfg, n, ctx, burn_in):
-    try:
-        return simulate(cfg, n, burn_in=burn_in, seed=ctx.obj.seed)
-    except ValueError as e:
-        raise click.ClickException(str(e))
-
-
-@click.group()
-@click.option("--seed", type=int, default=0, show_default=True,
+# every option shows its default, and an analysis option takes it from
+# experiments.SPECS
+@click.group(context_settings={"show_default": True})
+@click.option("--seed", type=int, default=0,
               help="Master seed (unsigned 64-bit).")
 @click.option("--out", type=click.Path(file_okay=False), default="svx-out",
-              show_default=True, help="Output directory.")
-@click.option("--threads", type=int, default=1, show_default=True,
+              help="Output directory.")
+@click.option("--threads", type=int, default=1,
               help="Monte Carlo worker threads; do not affect results.")
 @click.pass_context
 def main(ctx, seed, out, threads):
     """Simulation and tail/cluster analysis for SV models."""
-    try:
-        rs = RngSeed(seed)
-    except ValueError as e:
-        raise click.ClickException(str(e))
+    rs = _call(RngSeed, seed)
     if threads < 1:
         raise click.ClickException("threads must be >= 1")
     # the inputs every analysis shares; a command adds its path and model
@@ -117,13 +116,12 @@ def main(ctx, seed, out, threads):
 @click.option("--model", required=True, type=click.Path(exists=True),
               help="Model config JSON.")
 @click.option("--n", type=int, required=True, help="Path length.")
-@click.option("--burn-in", type=int, default=DEFAULT_BURN_IN,
-              show_default=True)
+@click.option("--burn-in", type=int, default=DEFAULT_BURN_IN)
 @click.pass_context
 def simulate_cmd(ctx, model, n, burn_in):
     """Simulate a path and write it as CSV."""
     cfg = _load_model(model)
-    path = _sim(cfg, n, ctx, burn_in)
+    path = _call(simulate, cfg, n, burn_in, ctx.obj.seed)
     csv = ctx.obj.artifact("path.csv")
     path_to_csv(path, csv)
     _echo_json({"path_csv": str(csv), "n": path.n,
@@ -135,17 +133,17 @@ def simulate_cmd(ctx, model, n, burn_in):
 @click.option("--model", type=click.Path(exists=True), default=None)
 @click.option("--input", "input_csv", type=click.Path(exists=True),
               default=None, help="Existing path.csv instead of simulating.")
-@click.option("--n", type=int, default=10_000, show_default=True)
-@click.option("--burn-in", type=int, default=DEFAULT_BURN_IN,
-              show_default=True)
+@click.option("--n", type=int, default=10_000)
+@click.option("--burn-in", type=int, default=DEFAULT_BURN_IN)
 @click.option("--k", type=int, required=True, help="Number of top order "
               "statistics.")
-@click.option("--series", type=_SERIES, default="x_abs", show_default=True)
+@click.option("--series", type=_SERIES, default=_default("hill", "series"))
 @click.pass_context
 def hill(ctx, model, input_csv, n, burn_in, k, series):
     """Hill estimate of the tail index of a series."""
+    spec = _call(read_spec, "hill", {"k": k, "series": series})
     run = _path_inputs(ctx, model, input_csv, n, burn_in)
-    out = _analysis("hill", {"k": k, "series": series}, run)
+    out = _call(ANALYSES["hill"], spec, run)
     _write_json(run.artifact("hill.json"), out)
     _echo_json(out)
 
@@ -154,24 +152,24 @@ def hill(ctx, model, input_csv, n, burn_in, k, series):
 @click.option("--model", type=click.Path(exists=True), default=None)
 @click.option("--input", "input_csv", type=click.Path(exists=True),
               default=None)
-@click.option("--n", type=int, default=10_000, show_default=True)
-@click.option("--burn-in", type=int, default=DEFAULT_BURN_IN,
-              show_default=True)
-@click.option("--method", type=click.Choice(["blocks", "runs", "intervals"]),
-              required=True)
-@click.option("--q", type=float, default=0.995, show_default=True,
+@click.option("--n", type=int, default=10_000)
+@click.option("--burn-in", type=int, default=DEFAULT_BURN_IN)
+@click.option("--method", required=True,
+              type=click.Choice(SPECS["theta"]["method"][0].choices))
+@click.option("--q", type=float, default=_default("theta", "q"),
               help="Threshold quantile of the chosen series.")
-@click.option("--block-len", type=int, default=100, show_default=True)
-@click.option("--run-len", type=int, default=10, show_default=True)
-@click.option("--series", type=_SERIES, default="x_abs", show_default=True)
+@click.option("--block-len", type=int, default=_default("theta", "block_len"))
+@click.option("--run-len", type=int, default=_default("theta", "run_len"))
+@click.option("--series", type=_SERIES, default=_default("theta", "series"))
 @click.pass_context
 def theta_est(ctx, model, input_csv, n, burn_in, method, q, block_len,
               run_len, series):
     """Blocks, runs or intervals estimate of the extremal index."""
+    spec = _call(read_spec, "theta", {"method": method, "q": q,
+                                      "block_len": block_len,
+                                      "run_len": run_len, "series": series})
     run = _path_inputs(ctx, model, input_csv, n, burn_in)
-    out = _analysis("theta", {"method": method, "q": q,
-                              "block_len": block_len, "run_len": run_len,
-                              "series": series}, run)
+    out = _call(ANALYSES["theta"], spec, run)
     _write_json(run.artifact("theta.json"), out)
     _echo_json(out)
 
@@ -180,17 +178,16 @@ def theta_est(ctx, model, input_csv, n, burn_in, method, q, block_len,
 @click.option("--model", type=click.Path(exists=True), default=None)
 @click.option("--input", "input_csv", type=click.Path(exists=True),
               default=None)
-@click.option("--n", type=int, default=10_000, show_default=True)
-@click.option("--burn-in", type=int, default=DEFAULT_BURN_IN,
-              show_default=True)
-@click.option("--lags", default="1,2,3,4,5,6,7,8,9,10", show_default=True,
+@click.option("--n", type=int, default=10_000)
+@click.option("--burn-in", type=int, default=DEFAULT_BURN_IN)
+@click.option("--lags", default="1,2,3,4,5,6,7,8,9,10",
               help="Comma-separated lags.")
-@click.option("--q", type=float, default=0.99, show_default=True)
-@click.option("--series", type=_SERIES, default="x_abs", show_default=True)
+@click.option("--q", type=float, default=_default("extremogram", "q"))
+@click.option("--series", type=_SERIES,
+              default=_default("extremogram", "series"))
 @click.pass_context
 def extremogram(ctx, model, input_csv, n, burn_in, lags, q, series):
     """Sample extremogram at the given lags."""
-    run = _path_inputs(ctx, model, input_csv, n, burn_in)
     lag_list = []
     for s in filter(str.strip, lags.split(",")):
         try:
@@ -198,37 +195,41 @@ def extremogram(ctx, model, input_csv, n, burn_in, lags, q, series):
         except ValueError:
             raise click.ClickException(
                 f"--lags must be comma-separated integers, got {s.strip()!r}")
-    out = _analysis("extremogram",
-                    {"lags": lag_list, "q": q, "series": series}, run)
+    spec = _call(read_spec, "extremogram",
+                 {"lags": lag_list, "q": q, "series": series})
+    run = _path_inputs(ctx, model, input_csv, n, burn_in)
+    out = _call(ANALYSES["extremogram"], spec, run)
     out["csv"] = str(run.out / out["csv"])
     _echo_json(out)
 
 
 @main.command("theta-theory")
 @click.option("--which",
-              type=click.Choice(["kesten", "theta-sigma", "theta-x-sre",
-                                 "theta-x-ma"]), required=True)
+              type=click.Choice([w.replace("_", "-") for w in
+                                 SPECS["theory"]["which"][0].choices]),
+              required=True)
 @click.option("--model", required=True, type=click.Path(exists=True),
               help="sresv config (kesten, theta-sigma, theta-x-sre) or "
               "masv config (theta-x-ma).")
 @click.option("--alpha", type=float, default=None,
               help="Tail index of sigma^p; required except for kesten.")
-@click.option("--m", type=int, default=50, show_default=True)
+@click.option("--m", type=int, default=_default("theory", "m"))
 @click.option("--mc-reps", type=int, default=None,
               help="Defaults: 1e6 (kesten, theta-x-sre), 2e5 (others).")
-@click.option("--tol", type=float, default=1e-4, show_default=True)
-@click.option("--trunc-t", type=int, default=10_000, show_default=True)
+@click.option("--tol", type=float, default=_default("theory", "tol"))
+@click.option("--trunc-t", type=int, default=_default("theory", "trunc_T"))
 @click.pass_context
 def theta_theory(ctx, which, model, alpha, m, mc_reps, tol, trunc_t):
     """Evaluate a theoretical tail or extremal-index quantity."""
-    cfg = _load_model(model)
     if alpha is None and which != "kesten":
         raise click.ClickException("--alpha is required")
     spec = {"which": which.replace("-", "_"), "alpha": alpha, "m": m,
-            "tol": tol, "trunc_T": trunc_t}
-    if mc_reps is not None:
-        spec["mc_reps"] = mc_reps
-    out = {**_analysis("theory", spec, replace(ctx.obj, model=cfg)),
+            "tol": tol, "trunc_T": trunc_t, "mc_reps": mc_reps}
+    # an option without a value is a field the spec leaves out
+    spec = _call(read_spec, "theory",
+                 {k: v for k, v in spec.items() if v is not None})
+    cfg = _load_model(model)
+    out = {**_call(ANALYSES["theory"], spec, replace(ctx.obj, model=cfg)),
            "which": which}
     _write_json(ctx.obj.artifact("theory.json"), out)
     _echo_json(out)
@@ -236,12 +237,11 @@ def theta_theory(ctx, which, model, alpha, m, mc_reps, tol, trunc_t):
 
 @main.command()
 @click.option("--model", required=True, type=click.Path(exists=True))
-@click.option("--n", type=int, default=100_000, show_default=True)
-@click.option("--burn-in", type=int, default=DEFAULT_BURN_IN,
-              show_default=True)
+@click.option("--n", type=int, default=100_000)
+@click.option("--burn-in", type=int, default=DEFAULT_BURN_IN)
 @click.option("--k", type=int, default=None,
               help="Hill order statistics (default n // 50).")
-@click.option("--q", type=float, default=0.99, show_default=True)
+@click.option("--q", type=float, default=0.99)
 @click.option("--alpha", type=float, default=None,
               help="Tail index of X for the moment-transfer ratio "
               "(default: Hill estimate on |x|).")
@@ -260,7 +260,7 @@ def diagnose(ctx, model, n, burn_in, k, q, alpha):
             errors[name] = str(e)
 
     def value(kind, key, **spec):
-        return lambda: ANALYSES[kind](spec, run)[key]
+        return lambda: ANALYSES[kind](read_spec(kind, spec), run)[key]
 
     attempt("hill_sigma", value("hill", "alpha_hat", k=k, series="sigma"))
     attempt("hill_x_abs", value("hill", "alpha_hat", k=k))
@@ -311,10 +311,7 @@ def experiment_preset(ctx, name):
 
 def _run_and_echo(ctx, cfg: ExperimentConfig) -> None:
     out = ctx.obj.out
-    try:
-        report = run_experiment(cfg, out, threads=ctx.obj.threads)
-    except ValueError as e:
-        raise click.ClickException(str(e))
+    report = _call(run_experiment, cfg, out, ctx.obj.threads)
     summary = {"out": str(out), "n_analyses": len(report.results),
                "errors": [r["analysis"] for r in report.results
                           if "error" in r]}

@@ -9,22 +9,17 @@ a JSON-friendly config. Running it writes, into an output directory:
   * figure.csv      one row (t, x, side) per exceedance mark, when a
                     figure analysis is requested; path.csv holds the rest
 
-ANALYSES maps each analysis kind to one function (spec, AnalysisInputs)
--> report entry, built from the result's own to_json(). run_experiment
-calls it for every spec of the config; the CLI's path and theory
-commands call it for one spec, so they print the entry's keys.
-
-Failures inside a single analysis are recorded in the report (with the
-error message) instead of aborting the run; simulation or config failures
-do abort, and a malformed config raises a ValueError that names the
-field, as does a figure spec whose quantile levels are out of order or
-outside (0, 1), a theta or extremogram spec whose q is, a breiman spec
-with a q_grid level outside (0, 1), and a spec that misses a required
-field or holds a lags, m_grid or q_grid that is not a list, or a
-breiman or theory alpha, theory tol or anticluster y that is not a
-finite number > 0 (_check_spec). An analysis spec's integer fields
-(k, block_len, lags, mc_reps, ...) must be whole numbers, as n and
-burn_in must; a bad one is that entry's error, as is an unknown series.
+SPECS holds each analysis kind's fields, each with its rule and default.
+read_spec reads a spec by it where the spec enters (when an
+ExperimentConfig is built, or in a CLI command before it simulates): an
+unknown field, a missing required field or a bad value raises a
+ValueError that names the kind and the field. ANALYSES maps each kind to
+one function (read spec, AnalysisInputs) -> report entry, built from the
+result's own to_json(); run_experiment calls it for every spec of the
+config, and the CLI's path and theory commands for one. An error that
+depends on the path or the model (a k above the path length, a theory
+quantity on the wrong model family) is recorded as that entry's error
+instead of aborting the run; simulation or config failures do abort.
 Warnings raised inside an analysis are recorded in its entry, as a
 "warnings" list that is present only when it is not empty.
 Re-running from the config embedded in a report reproduces every output
@@ -37,7 +32,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path as FsPath
 from typing import Optional
 
@@ -66,6 +61,95 @@ def _whole_number(name: str, value) -> int:
     raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
+def _number(low: float, high: float, text: str):
+    def rule(name: str, value) -> float:
+        if not (finite_real(value) and low < value < high):
+            raise ValueError(f"{name} must be a finite number {text}, "
+                             f"got {value!r}")
+        return float(value)
+
+    return rule
+
+
+_level = _number(0.0, 1.0, "in (0, 1)")
+_positive = _number(0.0, math.inf, "> 0")
+
+
+def _one_of(*choices: str):
+    def rule(name: str, value) -> str:
+        if not (isinstance(value, str) and value in choices):
+            raise ValueError(f"{name} must be one of {', '.join(choices)}, "
+                             f"got {value!r}")
+        return value
+
+    rule.choices = choices
+    return rule
+
+
+def _list_of(rule):
+    def read(name: str, value) -> list:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name} must be a list, got {value!r}")
+        return [rule(name, v) for v in value]
+
+    return read
+
+
+_SERIES = _one_of("x", "x_abs", "sigma")
+
+# kind -> field -> (rule, default). A rule (name, value) returns the value
+# read or raises a ValueError that starts with name. A default of ... marks
+# a required field; None is filled in by the analysis (anticluster r_n,
+# theory mc_reps), except theory alpha, which only kesten may leave out
+SPECS = {
+    "hill": {"k": (_whole_number, ...), "series": (_SERIES, "x_abs")},
+    "theta": {"method": (_one_of("blocks", "runs", "intervals"), ...),
+              "q": (_level, 0.995), "block_len": (_whole_number, 100),
+              "run_len": (_whole_number, 10), "series": (_SERIES, "x_abs")},
+    "extremogram": {"lags": (_list_of(_whole_number), ...),
+                    "q": (_level, 0.99), "series": (_SERIES, "x_abs")},
+    "breiman": {"alpha": (_positive, ...),
+                "q_grid": (_list_of(_level), (0.99, 0.995, 0.999))},
+    "anticluster": {"m_grid": (_list_of(_whole_number), ...),
+                    "r_n": (_whole_number, None), "y": (_positive, 1.0),
+                    "reps": (_whole_number, 200)},
+    "theory": {"which": (_one_of("kesten", "theta_sigma", "theta_x_sre",
+                                 "theta_x_ma"), ...),
+               "alpha": (_positive, None), "mc_reps": (_whole_number, None),
+               "tol": (_positive, 1e-4), "trunc_T": (_whole_number, 10_000),
+               "m": (_whole_number, 50)},
+    "figure": {"q_low": (_level, 0.01), "q_high": (_level, 0.99)},
+}
+
+
+def read_spec(kind, spec: dict) -> dict:
+    """Every field of an analysis spec of this kind, as its rule reads it
+    or at its default; a spec's own "analysis" key is not a field. An
+    unknown kind or field, a missing required field, a bad value and a
+    figure q_low not below q_high raise a ValueError naming them."""
+    if not isinstance(kind, str) or kind not in SPECS:
+        raise ValueError(f"unknown analysis {kind!r}")
+    fields = SPECS[kind]
+    for name in spec:
+        if name not in fields and name != "analysis":
+            raise ValueError(f"{kind} has no field {name!r}")
+    out = {}
+    for name, (rule, default) in fields.items():
+        if name in spec:
+            out[name] = rule(f"{kind} {name}", spec[name])
+        elif default is ...:
+            raise ValueError(f"{kind} {name} is required")
+        else:
+            out[name] = default
+    if kind == "theory" and out["which"] != "kesten" and out["alpha"] is None:
+        raise ValueError("theory alpha is required")
+    # swapped levels would mark rows as both low and high
+    if kind == "figure" and not out["q_low"] < out["q_high"]:
+        raise ValueError(f"figure q_low must be below q_high, got "
+                         f"q_low={out['q_low']!r}, q_high={out['q_high']!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: object
@@ -74,6 +158,8 @@ class ExperimentConfig:
     burn_in: int = DEFAULT_BURN_IN
     analyses: tuple = ()
     label: str = ""
+    # analyses as read_spec reads them, the specs run_experiment runs
+    specs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("n", "burn_in"):
@@ -82,11 +168,8 @@ class ExperimentConfig:
         _check_length(self.n, self.burn_in)
         object.__setattr__(self, "analyses",
                            tuple(dict(a) for a in self.analyses))
-        for a in self.analyses:
-            kind = a.get("analysis")
-            if not isinstance(kind, str) or kind not in ANALYSES:
-                raise ValueError(f"unknown analysis {kind!r}")
-            _check_spec(kind, a)
+        object.__setattr__(self, "specs", tuple(
+            read_spec(a.get("analysis"), a) for a in self.analyses))
 
     def to_json(self) -> dict:
         return {"model": config_to_json(self.model), "n": self.n,
@@ -151,13 +234,10 @@ class AnalysisInputs:
     ordinal: int = 0
 
     def series(self, name: str) -> np.ndarray:
+        """x, |x| or sigma, by a spec's series name."""
         if name == "x":
             return self.x
-        if name == "x_abs":
-            return np.abs(self.x)
-        if name == "sigma":
-            return self.sigma
-        raise ValueError(f"unknown series {name!r}; use x, x_abs or sigma")
+        return np.abs(self.x) if name == "x_abs" else self.sigma
 
     def artifact(self, name: str) -> FsPath:
         """The path of an artifact file, creating the directory first."""
@@ -166,181 +246,89 @@ class AnalysisInputs:
 
 
 def _hill(spec: dict, run: AnalysisInputs) -> dict:
-    series = spec.get("series", "x_abs")
-    r = est.hill(run.series(series), _whole_number("k", spec["k"]))
-    return {"series": series, **r.to_json()}
+    r = est.hill(run.series(spec["series"]), spec["k"])
+    return {"series": spec["series"], **r.to_json()}
 
 
 def _theta(spec: dict, run: AnalysisInputs) -> dict:
-    method = spec["method"]
-    series = spec.get("series", "x_abs")
-    q = float(spec.get("q", 0.995))
-    v = run.series(series)
-    u = float(np.quantile(v, q))
-    if method == "blocks":
-        r = est.blocks_theta(v, u, _whole_number(
-            "block_len", spec.get("block_len", 100)))
-    elif method == "runs":
-        r = est.runs_theta(v, u, _whole_number(
-            "run_len", spec.get("run_len", 10)))
-    elif method == "intervals":
-        r = est.intervals_theta(v, u)
+    v = run.series(spec["series"])
+    u = float(np.quantile(v, spec["q"]))
+    if spec["method"] == "blocks":
+        r = est.blocks_theta(v, u, spec["block_len"])
+    elif spec["method"] == "runs":
+        r = est.runs_theta(v, u, spec["run_len"])
     else:
-        raise ValueError(f"unknown theta method {method!r}")
-    return {**r.to_json(), "series": series, "q": q, "u": u}
+        r = est.intervals_theta(v, u)
+    return {**r.to_json(), "series": spec["series"], "q": spec["q"], "u": u}
 
 
 def _extremogram(spec: dict, run: AnalysisInputs) -> dict:
-    series = spec.get("series", "x_abs")
-    lags = [_whole_number("lags", h) for h in spec["lags"]]
-    q = float(spec.get("q", 0.99))
-    r = est.extremogram(run.series(series), lags, q)
+    r = est.extremogram(run.series(spec["series"]), spec["lags"], spec["q"])
     name = ("extremogram.csv" if run.ordinal == 0
             else f"extremogram_{run.ordinal + 1}.csv")
     lines = ["lag,chi_hat,stderr"] + [
         f"{h},{c:.17g},{s:.17g}" for h, c, s in zip(r.lags, r.chi_hat,
                                                     r.stderr)]
     run.artifact(name).write_text("\n".join(lines) + "\n")
-    return {"series": series, **r.to_json(), "csv": name}
-
-
-def _breiman_levels(spec: dict) -> list:
-    """The spec's q_grid levels as floats in (0, 1), else a ValueError
-    that names the field."""
-    return [_level("breiman", "q_grid", q)
-            for q in spec.get("q_grid", (0.99, 0.995, 0.999))]
+    return {"series": spec["series"], **r.to_json(), "csv": name}
 
 
 def _breiman(spec: dict, run: AnalysisInputs) -> dict:
-    alpha = float(spec["alpha"])
-    r = est.breiman_ratio(run.sigma, run.x, _breiman_levels(spec), alpha,
+    r = est.breiman_ratio(run.sigma, run.x, spec["q_grid"], spec["alpha"],
                           z=run.model.z)
-    return {"alpha": alpha, **r.to_json()}
+    return {"alpha": spec["alpha"], **r.to_json()}
 
 
 def _anticluster(spec: dict, run: AnalysisInputs) -> dict:
     n = run.x.size
-    m_grid = [_whole_number("m_grid", m) for m in spec["m_grid"]]
-    r_n = _whole_number("r_n", spec.get("r_n", math.isqrt(n)))
-    r = est.anticluster_diag(run.model, m_grid, r_n,
-                             float(spec.get("y", 1.0)), n,
-                             reps=_whole_number("reps", spec.get("reps", 200)),
-                             seed=run.seed, burn_in=run.burn_in)
+    r_n = math.isqrt(n) if spec["r_n"] is None else spec["r_n"]
+    r = est.anticluster_diag(run.model, spec["m_grid"], r_n, spec["y"], n,
+                             reps=spec["reps"], seed=run.seed,
+                             burn_in=run.burn_in)
     out = r.to_json()
     del out["n"]  # the path length, which the report's config holds
     return out
 
 
 def _theory(spec: dict, run: AnalysisInputs) -> dict:
-    which = spec["which"]
-    model = run.model
+    which, model = spec["which"], run.model
+    kw = {"seed": run.seed}
+    if spec["mc_reps"] is not None:  # else the routine's own default
+        kw["mc_reps"] = spec["mc_reps"]
     if which == "theta_x_ma":
         if not isinstance(model, MaSvConfig):
             raise ValueError("theta_x_ma needs a masv model")
-    elif which not in ("kesten", "theta_sigma", "theta_x_sre"):
-        raise ValueError(f"unknown theory quantity {which!r}")
+        r = theory.theta_x_ma(model.psi, alpha=spec["alpha"], p=model.p,
+                              z=model.z, threads=run.threads, **kw)
     elif not isinstance(model, SreSvConfig):
         raise ValueError(f"{which} needs an sresv model")
-    mc_reps = _whole_number("mc_reps", spec.get(
-        "mc_reps",
-        1_000_000 if which in ("kesten", "theta_x_sre") else 200_000))
-    if which == "theta_x_ma":
-        r = theory.theta_x_ma(model.psi, alpha=float(spec["alpha"]),
-                              p=model.p, z=model.z, mc_reps=mc_reps,
-                              seed=run.seed, threads=run.threads)
-        return {"which": which, **r.to_json()}
-    problem = theory.KestenProblem(model.pair_source)
-    if which == "kesten":
-        r = theory.kesten_index(problem, mc_reps=mc_reps,
-                                tol=float(spec.get("tol", 1e-4)),
-                                seed=run.seed)
+    elif which == "kesten":
+        r = theory.kesten_index(theory.KestenProblem(model.pair_source),
+                                tol=spec["tol"], **kw)
     elif which == "theta_sigma":
-        r = theory.theta_sigma_sre(
-            problem, alpha=float(spec["alpha"]), mc_reps=mc_reps,
-            trunc_T=_whole_number("trunc_T", spec.get("trunc_T", 10_000)),
-            seed=run.seed, threads=run.threads)
+        r = theory.theta_sigma_sre(theory.KestenProblem(model.pair_source),
+                                   alpha=spec["alpha"],
+                                   trunc_T=spec["trunc_T"],
+                                   threads=run.threads, **kw)
     else:
-        r = theory.theta_x_sre(problem, z=model.z, alpha=float(spec["alpha"]),
-                               p=model.p,
-                               m=_whole_number("m", spec.get("m", 50)),
-                               mc_reps=mc_reps, seed=run.seed,
-                               threads=run.threads)
+        r = theory.theta_x_sre(theory.KestenProblem(model.pair_source),
+                               z=model.z, alpha=spec["alpha"], p=model.p,
+                               m=spec["m"], threads=run.threads, **kw)
     return {"which": which, **r.to_json()}
 
 
-def _level(kind: str, name: str, q) -> float:
-    """q as a float if it is a finite number in (0, 1), else a ValueError
-    that names the analysis kind and the field."""
-    if not (finite_real(q) and 0.0 < q < 1.0):
-        raise ValueError(f"{kind} {name} must be a finite number in "
-                         f"(0, 1), got {q!r}")
-    return float(q)
-
-
-# by analysis kind: the fields a spec must hold (a theory spec alpha too,
-# for every quantity but kesten), the fields that must be lists and
-# those that must be finite numbers > 0 where a spec holds them
-_REQUIRED = {"hill": ("k",), "theta": ("method",), "extremogram": ("lags",),
-             "breiman": ("alpha",), "anticluster": ("m_grid",),
-             "theory": ("which",)}
-_LISTS = {"extremogram": ("lags",), "anticluster": ("m_grid",),
-          "breiman": ("q_grid",)}
-_POSITIVE = {"breiman": ("alpha",), "anticluster": ("y",),
-             "theory": ("alpha", "tol")}
-
-
-def _check_spec(kind: str, spec: dict) -> None:
-    """Raise a ValueError that names the kind and the field when a spec
-    misses a required field or holds a malformed list, level or positive
-    number; the whole-number and series rules stay the entry's."""
-    required = _REQUIRED.get(kind, ())
-    if kind == "theory" and spec.get("which") in (
-            "theta_sigma", "theta_x_sre", "theta_x_ma"):
-        required += ("alpha",)
-    for name in required:
-        if name not in spec:
-            raise ValueError(f"{kind} {name} is required")
-    for name in _LISTS.get(kind, ()):
-        v = spec.get(name, [])
-        if not isinstance(v, (list, tuple)):
-            raise ValueError(f"{kind} {name} must be a list, got {v!r}")
-    for name in _POSITIVE.get(kind, ()):
-        v = spec.get(name, 1.0)
-        if not (finite_real(v) and v > 0):
-            raise ValueError(f"{kind} {name} must be a finite number > 0, "
-                             f"got {v!r}")
-    if kind == "figure":
-        _figure_levels(spec)
-    elif kind == "breiman":
-        _breiman_levels(spec)
-    elif kind in ("theta", "extremogram") and "q" in spec:
-        _level(kind, "q", spec["q"])
-
-
-def _figure_levels(spec: dict) -> tuple:
-    """The spec's (q_low, q_high): finite numbers in (0, 1) with q_low <
-    q_high, else a ValueError that names the field."""
-    levels = [_level("figure", name, spec.get(name, default))
-              for name, default in (("q_low", 0.01), ("q_high", 0.99))]
-    if not levels[0] < levels[1]:
-        raise ValueError(f"figure q_low must be below q_high, got "
-                         f"q_low={levels[0]!r}, q_high={levels[1]!r}")
-    return tuple(levels)
-
-
 def _figure(spec: dict, run: AnalysisInputs) -> dict:
-    q_low, q_high = _figure_levels(spec)
-    lo = float(np.quantile(run.x, q_low))
-    hi = float(np.quantile(run.x, q_high))
+    lo = float(np.quantile(run.x, spec["q_low"]))
+    hi = float(np.quantile(run.x, spec["q_high"]))
     marks_low, marks_high = _write_figure_csv(run.artifact("figure.csv"),
                                               run.x, lo, hi)
-    return {"q_low": q_low, "q_high": q_high, "threshold_low": lo,
-            "threshold_high": hi, "marks_low": marks_low,
-            "marks_high": marks_high, "csv": "figure.csv"}
+    return {**spec, "threshold_low": lo, "threshold_high": hi,
+            "marks_low": marks_low, "marks_high": marks_high,
+            "csv": "figure.csv"}
 
 
-# analysis kind -> function (spec, inputs) -> report entry; the CLI's path
-# and theory commands call the same functions
+# analysis kind -> function (read spec, inputs) -> report entry; the CLI's
+# path and theory commands call the same functions
 ANALYSES = {"hill": _hill, "theta": _theta, "extremogram": _extremogram,
             "breiman": _breiman, "anticluster": _anticluster,
             "theory": _theory, "figure": _figure}
@@ -394,8 +382,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
     seen = {}
     run = AnalysisInputs(path.sigma, path.x, cfg.model, cfg.seed, out,
                          threads, cfg.burn_in)
-    for i, spec in enumerate(cfg.analyses):
-        kind = spec["analysis"]
+    for i, spec in enumerate(cfg.specs):
+        kind = cfg.analyses[i]["analysis"]
         ordinal = seen.get(kind, 0)
         seen[kind] = ordinal + 1
         entry = {"analysis": kind, "index": i}

@@ -45,11 +45,14 @@ class RngSeed:
             if not 0 <= int(v) <= _U64_MAX:
                 raise ValueError(f"{name} must fit in an unsigned 64-bit integer")
 
+    def _sequence(self, path) -> np.random.SeedSequence:
+        """The SeedSequence that generator() and child() expand."""
+        key = (int(self.stream_id), *map(int, path))
+        return np.random.SeedSequence(int(self.master_seed), spawn_key=key)
+
     def generator(self, *path: int) -> np.random.Generator:
         """Generator for the substream addressed by `path`."""
-        ss = np.random.SeedSequence(int(self.master_seed),
-                                    spawn_key=(int(self.stream_id), *map(int, path)))
-        return np.random.Generator(np.random.Philox(ss))
+        return np.random.Generator(np.random.Philox(self._sequence(path)))
 
     def child(self, *path: int) -> "RngSeed":
         """Derived seed for a nested component that itself needs an RngSeed.
@@ -58,9 +61,7 @@ class RngSeed:
         generator(), so children at distinct paths are independent and the
         derivation is deterministic.
         """
-        ss = np.random.SeedSequence(int(self.master_seed),
-                                    spawn_key=(int(self.stream_id), *map(int, path)))
-        st = ss.generate_state(2, np.uint64)
+        st = self._sequence(path).generate_state(2, np.uint64)
         return RngSeed(int(st[0]), int(st[1]))
 
     def to_json(self) -> dict:

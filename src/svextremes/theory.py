@@ -50,13 +50,14 @@ replicate) would make theta read 0 and raises a ValueError instead.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .distributions import InnovationSpec, draw, moment_abs
+from .distributions import InnovationSpec, draw, finite_real, moment_abs
 from .models import JsonFields, probe_multipliers
 from .rng import RngSeed, chunk_sizes, chunked_map
 
@@ -137,13 +138,18 @@ def _log_a_sample(problem: KestenProblem, g: np.random.Generator,
 
 
 def _check_args(mc_reps: int, finite: dict | None = None,
-                **positive: float) -> None:
-    # a standard error needs two replicates; alpha and p are exponents;
-    # finite maps a name to an array whose entries must all be finite
-    if mc_reps < 2:
-        raise ValueError("mc_reps must be >= 2")
+                counts: dict | None = None, **positive: float) -> None:
+    # a standard error needs two replicates; counts maps a name to an
+    # (integer, least value) pair; alpha and p are exponents; finite maps
+    # a name to an array whose entries must all be finite
+    counts = {"mc_reps": (mc_reps, 2), **(counts or {})}
+    for name, (v, least) in counts.items():
+        if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+        if v < least:
+            raise ValueError(f"{name} must be >= {least}")
     for name, v in positive.items():
-        if not (math.isfinite(v) and v > 0):
+        if not (finite_real(v) and v > 0):
             raise ValueError(f"{name} must be finite and > 0, got {v!r}")
     for name, v in (finite or {}).items():
         if not np.isfinite(v).all():
@@ -349,9 +355,7 @@ def theta_sigma_sre(problem: KestenProblem, alpha: float,
     Reports the binomial standard error and the fraction of replicates
     still unresolved at trunc_T (truncation risk), counted as successes.
     """
-    _check_args(mc_reps, alpha=alpha)
-    if trunc_T < 1:
-        raise ValueError("trunc_T must be >= 1")
+    _check_args(mc_reps, counts={"trunc_T": (trunc_T, 1)}, alpha=alpha)
     _check_alpha(problem, alpha)
     sizes = chunk_sizes(mc_reps, _CHUNK)
 
@@ -392,9 +396,7 @@ def theta_sigma_sre_quadrature(problem: KestenProblem, alpha: float,
     (1 - e^{alpha sup})_+, so its standard error is their sd over
     sqrt(mc_reps).
     """
-    _check_args(mc_reps, alpha=alpha)
-    if trunc_T < 1:
-        raise ValueError("trunc_T must be >= 1")
+    _check_args(mc_reps, counts={"trunc_T": (trunc_T, 1)}, alpha=alpha)
     g = seed.generator()
     sup, hit = _sup_log_products(problem, g, np.zeros(mc_reps), trunc_T,
                                  alpha)
@@ -446,9 +448,7 @@ def theta_x_sre(problem: KestenProblem, z: InnovationSpec, alpha: float,
     The truncation record gives live_fraction, the share of replicates
     still unresolved at m.
     """
-    _check_args(mc_reps, alpha=alpha, p=p)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_args(mc_reps, counts={"m": (m, 1)}, alpha=alpha, p=p)
     ap = alpha * p
     _check_z_moment(z, ap)
     _check_alpha(problem, alpha)

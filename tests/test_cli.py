@@ -264,6 +264,24 @@ def test_theta_theory_kesten(runner, workdir):
     assert abs(res["kappa"] - 2.0) < 0.1
 
 
+@pytest.mark.parametrize("command", [("theta-est", "--method", "blocks"),
+                                     ("extremogram",)])
+def test_path_command_reads_its_spec_before_simulating(runner, workdir,
+                                                        monkeypatch, command):
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated")
+
+    monkeypatch.setattr("svextremes.cli.simulate", simulate)
+    r = invoke(runner, "--out", "o", *command, "--model", "garch.json",
+               "--q", 1.5)
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    kind = "theta" if command[0] == "theta-est" else "extremogram"
+    assert (f"Error: {kind} q must be a finite number in (0, 1), got 1.5"
+            in r.output)
+    assert not Path("o").exists()
+
+
 def test_theta_theory_ma(runner, workdir):
     r = invoke(runner, "--seed", 0, "--out", "o", "theta-theory", "--which",
                "theta-x-ma", "--model", "ma.json", "--alpha", 4)
@@ -317,7 +335,7 @@ def test_quantile_out_of_range_is_no_traceback(runner, workdir):
                "--q", 1.5)
     assert r.exit_code != 0
     assert isinstance(r.exception, SystemExit)
-    assert "Quantiles must be in the range [0, 1]" in r.output
+    assert "theta q must be a finite number in (0, 1), got 1.5" in r.output
     r = invoke(runner, "--out", "o", "diagnose", "--model", "garch.json",
                "--n", 2000, "--burn-in", 100, "--q", 1.5)
     assert r.exit_code == 0
@@ -426,6 +444,40 @@ def test_experiment_run_bad_config_names_the_field(obj, field):
 @settings(max_examples=60, deadline=None)
 def test_experiment_run_any_json_value_is_a_bad_config(obj):
     assert_bad_experiment_config(experiment_config_json(obj))
+
+
+# one valid spec of each analysis kind, every field given
+VALID_SPECS = [
+    {"analysis": "figure", "q_low": 0.05, "q_high": 0.95},
+    {"analysis": "hill", "k": 5, "series": "x"},
+    {"analysis": "theta", "method": "blocks", "q": 0.9, "block_len": 2,
+     "run_len": 2, "series": "sigma"},
+    {"analysis": "extremogram", "lags": [1, 2], "q": 0.9, "series": "x_abs"},
+    {"analysis": "breiman", "alpha": 4.0, "q_grid": [0.5, 0.9]},
+    {"analysis": "anticluster", "m_grid": [1], "r_n": 3, "y": 1.0,
+     "reps": 2},
+    {"analysis": "theory", "which": "theta_x_sre", "alpha": 2.0,
+     "mc_reps": 100, "tol": 1e-3, "trunc_T": 10, "m": 3},
+]
+
+# a valid spec with one field replaced, or an unknown one added, by any
+# JSON value
+MUTATED_SPECS = st.sampled_from(VALID_SPECS).flatmap(
+    lambda spec: st.builds(lambda name, value: {**spec, name: value},
+                           st.sampled_from(list(spec)) | st.text(max_size=6),
+                           JSON_VALUES))
+
+
+@given(spec=MUTATED_SPECS)
+@settings(max_examples=80, deadline=None)
+def test_mutated_analysis_spec_is_read_or_a_bad_config(spec):
+    obj = {**VALID_EXPERIMENT, "analyses": [spec]}
+    try:
+        ExperimentConfig.from_json(obj)
+    except ValueError:
+        # a spec that is read runs as any other; only a rejected one is
+        # run here, as its config is refused before anything is simulated
+        assert_bad_experiment_config(experiment_config_json(obj))
 
 
 def test_experiment_preset(runner, workdir):
@@ -595,7 +647,7 @@ def test_theta_theory_bad_alpha_is_no_traceback(runner, workdir, which,
                "--alpha", alpha, "--mc-reps", 100)
     assert r.exit_code != 0
     assert isinstance(r.exception, SystemExit)
-    assert "alpha must be finite and > 0" in r.output
+    assert "theory alpha must be a finite number > 0" in r.output
 
 
 @pytest.mark.parametrize("which", ["theta-sigma", "theta-x-sre"])

@@ -12,7 +12,7 @@ from svextremes import (ExperimentConfig, ExperimentReport, Garch11Pair,
                         PRESET_NAMES, RngSeed, SreSvConfig, constant, laplace,
                         preset_config, run_experiment, simulate, std_normal,
                         student_t)
-from svextremes.experiments import _fig1_model, _write_figure_csv
+from svextremes.experiments import _fig1_model, _write_figure_csv, read_spec
 from svextremes.models import ExpAr1Config
 
 
@@ -96,49 +96,48 @@ def test_analysis_results_recorded(tmp_path):
 def test_analysis_error_recorded_not_fatal(tmp_path):
     cfg = small_config(analyses=(
         {"analysis": "hill", "k": 1},               # invalid k
-        {"analysis": "hill", "k": 100, "series": "bogus"},
+        {"analysis": "hill", "k": 5000},            # above the path length
         {"analysis": "hill", "k": 100},             # still runs
     ))
     report = run_experiment(cfg, tmp_path / "out")
     assert report.results[0]["error"].startswith("ValueError: k must be")
-    assert "unknown series" in report.results[1]["error"]
+    assert report.results[1]["error"] == (
+        "ValueError: need at least k+1 strictly positive values")
     assert "error" not in report.results[2]
     assert report.results[2]["alpha_hat"] > 0
 
 
-def test_fractional_analysis_tuning_is_an_entry_error(tmp_path):
-    analyses = (
-        {"analysis": "theta", "method": "blocks", "q": 0.95,
-         "block_len": 10.5},
-        {"analysis": "hill", "k": 20.7},
-        {"analysis": "theta", "method": "runs", "run_len": 2.5},
-        {"analysis": "extremogram", "lags": [1, 2.5]},
-        {"analysis": "anticluster", "m_grid": [1.5]},
-        {"analysis": "anticluster", "m_grid": [1], "r_n": 10.5},
-        {"analysis": "anticluster", "m_grid": [1], "reps": 0.5})
-    cfg = ExperimentConfig(model=ExpAr1Config(phi=0.5, eta=std_normal(),
-                                              z=std_normal()),
-                           n=2000, seed=RngSeed(5), burn_in=100,
-                           analyses=analyses)
-    report = run_experiment(cfg, tmp_path / "out")
-    fields = ("block_len", "k", "run_len", "lags", "m_grid", "r_n", "reps")
-    for entry, name in zip(report.results, fields):
-        assert entry["error"].startswith(f"ValueError: {name} must be a "
-                                         "whole number, got ")
+def test_fractional_analysis_tuning_is_an_entry_error():
+    # rejected when the config is built, before any path is simulated
+    for spec, name in (
+            ({"analysis": "theta", "method": "blocks", "q": 0.95,
+              "block_len": 10.5}, "theta block_len"),
+            ({"analysis": "hill", "k": 20.7}, "hill k"),
+            ({"analysis": "theta", "method": "runs", "run_len": 2.5},
+             "theta run_len"),
+            ({"analysis": "extremogram", "lags": [1, 2.5]},
+             "extremogram lags"),
+            ({"analysis": "anticluster", "m_grid": [1.5]},
+             "anticluster m_grid"),
+            ({"analysis": "anticluster", "m_grid": [1], "r_n": 10.5},
+             "anticluster r_n"),
+            ({"analysis": "anticluster", "m_grid": [1], "reps": 0.5},
+             "anticluster reps")):
+        with pytest.raises(ValueError, match=f"^{name} must be a whole "
+                                             "number, got "):
+            small_config(analyses=(spec,))
 
 
-def test_theory_tuning_is_read_as_whole_numbers(tmp_path):
-    analyses = (
-        {"analysis": "theory", "which": "kesten", "mc_reps": 1000.5},
-        {"analysis": "theory", "which": "theta_sigma", "alpha": 2.0,
-         "mc_reps": 1000, "trunc_T": 100.5},
-        {"analysis": "theory", "which": "theta_x_sre", "alpha": 2.0,
-         "mc_reps": 1000, "m": 2.5})
-    report = run_experiment(small_config(analyses=analyses, n=10),
-                            tmp_path / "out")
-    for entry, name in zip(report.results, ("mc_reps", "trunc_T", "m")):
-        assert entry["error"].startswith(f"ValueError: {name} must be a "
-                                         "whole number, got ")
+def test_theory_tuning_is_read_as_whole_numbers():
+    for spec, name in (
+            ({"which": "kesten", "mc_reps": 1000.5}, "mc_reps"),
+            ({"which": "theta_sigma", "alpha": 2.0, "mc_reps": 1000,
+              "trunc_T": 100.5}, "trunc_T"),
+            ({"which": "theta_x_sre", "alpha": 2.0, "mc_reps": 1000,
+              "m": 2.5}, "m")):
+        with pytest.raises(ValueError, match=f"^theory {name} must be a "
+                                             "whole number, got "):
+            small_config(analyses=({"analysis": "theory", **spec},), n=10)
 
 
 def test_integral_float_tuning_runs_as_its_int(tmp_path):
@@ -314,6 +313,38 @@ def test_analysis_spec_rejected_where_it_enters(spec, message):
     blob["analyses"] = [spec]
     with pytest.raises(ValueError, match=re.escape(message)):
         ExperimentConfig.from_json(blob)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"analysis": "hill", "k": 20, "bogus": 1}, "hill has no field 'bogus'"),
+    ({"analysis": "figure", "q": 0.5}, "figure has no field 'q'"),
+    ({"analysis": "hill", "k": 100, "series": "bogus"},
+     "hill series must be one of x, x_abs, sigma, got 'bogus'"),
+    ({"analysis": "theta", "method": "peaks"},
+     "theta method must be one of blocks, runs, intervals, got 'peaks'"),
+    ({"analysis": "theory", "which": "theta_x"},
+     "theory which must be one of kesten, theta_sigma, theta_x_sre, "
+     "theta_x_ma, got 'theta_x'"),
+    ({"analysis": "theory", "which": "kesten", "mc_reps": True},
+     "theory mc_reps must be a whole number, got True")])
+def test_unknown_field_or_choice_rejected_where_it_enters(spec, message):
+    # an unknown field used to be ignored, and an unknown series or method
+    # to be recorded as the entry's error once the path was simulated
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        small_config(analyses=(spec,))
+
+
+def test_read_spec_fills_in_defaults():
+    assert read_spec("theta", {"method": "runs"}) == {
+        "method": "runs", "q": 0.995, "block_len": 100, "run_len": 10,
+        "series": "x_abs"}
+    assert read_spec("theory", {"analysis": "theory", "which": "kesten",
+                                "mc_reps": 1e5}) == {
+        "which": "kesten", "alpha": None, "mc_reps": 100_000, "tol": 1e-4,
+        "trunc_T": 10_000, "m": 50}
+    cfg = small_config(analyses=({"analysis": "hill", "k": 100.0},))
+    assert cfg.analyses == ({"analysis": "hill", "k": 100.0},)
+    assert cfg.specs == ({"k": 100, "series": "x_abs"},)
 
 
 def test_kesten_spec_needs_no_alpha():

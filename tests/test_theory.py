@@ -257,6 +257,57 @@ def test_mc_reps_below_two_rejected(call, reps):
         call(reps)
 
 
+def _kesten(**kw):
+    return kesten_index(garch_problem(), **{"mc_reps": 1000, **kw})
+
+
+def _theta_sigma(**kw):
+    return theta_sigma_sre(zero_problem(),
+                           **{"alpha": 1.0, "mc_reps": 100, **kw})
+
+
+def _quadrature(**kw):
+    return theta_sigma_sre_quadrature(zero_problem(),
+                                      **{"alpha": 1.0, "mc_reps": 100, **kw})
+
+
+def _theta_x_sre(**kw):
+    return theta_x_sre(zero_problem(), std_normal(),
+                       **{"alpha": 1.0, "p": 1.0, "m": 2, "mc_reps": 100,
+                          **kw})
+
+
+def _theta_x_ma(**kw):
+    return theta_x_ma((1.0, 1.0), z=std_normal(),
+                      **{"alpha": 4.0, "p": 1.0, "mc_reps": 100, **kw})
+
+
+# each public routine, its positive number arguments and its integer ones
+_CHECKED = [(_kesten, ("tol",), ("mc_reps",)),
+            (_theta_sigma, ("alpha",), ("mc_reps", "trunc_T")),
+            (_quadrature, ("alpha",), ("mc_reps", "trunc_T")),
+            (_theta_x_sre, ("alpha", "p"), ("mc_reps", "m")),
+            (_theta_x_ma, ("alpha", "p"), ("mc_reps",))]
+
+
+@pytest.mark.parametrize("call, name, bad, message", [
+    *(pytest.param(call, name, bad, f"^{name} must be finite and > 0, got ",
+                   id=f"{call.__name__[1:]}-{name}-{label}")
+      for call, positive, _ in _CHECKED for name in positive
+      for label, bad in (("huge", 10 ** 400), ("bool", True),
+                         ("string", "2"))),
+    *(pytest.param(call, name, bad, f"^{name} must be an integer, got ",
+                   id=f"{call.__name__[1:]}-{name}-{label}")
+      for call, _, integer in _CHECKED for name in integer
+      for label, bad in (("fraction", 2.5), ("float", 1000.0),
+                         ("bool", True)))])
+def test_routine_rejects_a_bad_argument_by_name(call, name, bad, message):
+    # a huge int used to overflow math.isfinite, a bool to run as 0 or 1
+    # and a float count to fail inside numpy with a TypeError
+    with pytest.raises(ValueError, match=message):
+        call(**{name: bad})
+
+
 # -- theta_sigma ----------------------------------------------------------
 
 def test_theta_sigma_zero_multiplier_is_one():
