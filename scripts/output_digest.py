@@ -6,9 +6,11 @@ it may leave out, extremogram on a stored path and on sigma of a
 constant-volatility model, theta-theory with each quantity and on a
 generic SRE pair, diagnose), two commands that must fail, two
 `experiment run`s whose configs use all seven analysis kinds, the
-second with no optional spec field, and the `fig1-right` preset (t(4)
-returns, so its report echoes a Student-t spec), run at fixed seeds, each as a `python -m svextremes` process on
-the sources of this checkout. Each output line is
+second with no optional spec field, the `fig1-right` preset (t(4)
+returns, so its report echoes a Student-t spec), and an `experiment run`
+of the config in that preset's report.json (the config writer, reader
+and writer again), run at fixed seeds, each as a `python -m svextremes`
+process on the sources of this checkout. Each output line is
 
     <command>:<output> <sha256 or value>
 
@@ -161,6 +163,9 @@ COMMANDS = [
                              "defaults.json")),
     ("experiment-preset", ("--seed", "10", "--out", "o", "experiment",
                            "preset", "fig1-right")),
+    # the config of the preset's report.json, which main writes
+    ("experiment-roundtrip", ("--out", "o", "experiment", "run",
+                              "roundtrip.json")),
 ]
 
 
@@ -204,6 +209,10 @@ def main() -> None:
         for name, args in COMMANDS:
             for line in run(name, args, work, env):
                 print(line, flush=True)
+            if name == "experiment-preset":
+                report = json.loads((work / "o" / "report.json").read_text())
+                (work / "roundtrip.json").write_text(
+                    json.dumps(report["config"]))
             if name != "simulate":  # later commands read path/path.csv
                 for fp in (work / "o").glob("*"):
                     fp.unlink()

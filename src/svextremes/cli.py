@@ -248,8 +248,15 @@ def theta_theory(ctx, which, model, alpha, m, mc_reps, tol, trunc_t):
 @click.pass_context
 def diagnose(ctx, model, n, burn_in, k, q, alpha):
     """Battery: Hill, three theta estimates, extremogram, tail transfer."""
-    run = _path_inputs(ctx, model, None, n, burn_in)
     k = k if k is not None else max(n // 50, 10)
+    # the specs that need no path are read before it is simulated (the
+    # extremogram's q has the theta q's rule); an error that depends on
+    # the path is recorded per entry
+    thetas = {m: _call(read_spec, "theta", {"method": m, "q": q})
+              for m in ("blocks", "runs", "intervals")}
+    breiman = (None if alpha is None
+               else _call(read_spec, "breiman", {"alpha": alpha}))
+    run = _path_inputs(ctx, model, None, n, burn_in)
     out = {"n": n, "q": q, "k": k}
     errors = {}
 
@@ -259,23 +266,24 @@ def diagnose(ctx, model, n, burn_in, k, q, alpha):
         except ValueError as e:
             errors[name] = str(e)
 
-    def value(kind, key, **spec):
-        return lambda: ANALYSES[kind](read_spec(kind, spec), run)[key]
+    def value(kind, key, spec):
+        return lambda: ANALYSES[kind](spec, run)[key]
 
-    attempt("hill_sigma", value("hill", "alpha_hat", k=k, series="sigma"))
-    attempt("hill_x_abs", value("hill", "alpha_hat", k=k))
+    for series in ("sigma", "x_abs"):
+        attempt(f"hill_{series}", value("hill", "alpha_hat", read_spec(
+            "hill", {"k": k, "series": series})))
     attempt("u", lambda: float(np.quantile(np.abs(run.x), q)))
-    for method in ("blocks", "runs", "intervals"):
-        attempt(f"theta_{method}", value("theta", "theta_hat",
-                                         method=method, q=q))
+    for method, spec in thetas.items():
+        attempt(f"theta_{method}", value("theta", "theta_hat", spec))
     # the chi values only: diagnose writes no extremogram.csv
     attempt("extremogram",
             lambda: est.extremogram(np.abs(run.x), range(1, 11),
                                     q).chi_hat.tolist())
-    a = alpha if alpha is not None else out.get("hill_x_abs")
-    if a is not None:
-        attempt("breiman_ratio", value("breiman", "ratios", alpha=a))
-        out["breiman_alpha"] = float(a)
+    if breiman is None and "hill_x_abs" in out:
+        breiman = read_spec("breiman", {"alpha": out["hill_x_abs"]})
+    if breiman is not None:
+        attempt("breiman_ratio", value("breiman", "ratios", breiman))
+        out["breiman_alpha"] = breiman["alpha"]
     if errors:
         out["errors"] = errors
     _write_json(run.artifact("diagnose.json"), out)

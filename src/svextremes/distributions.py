@@ -1,4 +1,5 @@
-"""Innovation distributions: samplers plus analytic tails and moments.
+"""Innovation distributions: samplers plus analytic tails and moments,
+and JsonFields, the one JSON form of the package's dataclasses.
 
 Five parametric families cover every noise source used by the models:
 standard normal, standardized Student-t, centered Laplace, Pareto and a
@@ -11,15 +12,23 @@ Conventions:
     P(V > x) = 0.5 exp(-rate x) for x >= 0 and P(e^V > x) = 0.5 x^(-rate).
   * Pareto(alpha) lives on [1, inf) with survival x^(-alpha).
   * StudentT(df, standardized=True) is t(df)/sqrt(df/(df-2)), unit variance.
+
+Every config and result dataclass (InnovationSpec here, the model,
+experiment and result classes elsewhere) derives from JsonFields: its
+JSON keys are its fields, written by to_json and read back by
+from_json, which rejects an unknown key and checks each field by its
+declared type.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import re
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import MISSING, dataclass, fields
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -32,7 +41,9 @@ __all__ = [
     "moment_abs", "moment_abs_mc", "moment_pos",
 ]
 
-KINDS = ("std_normal", "student_t", "laplace", "pareto", "constant")
+# kind -> the parameter fields it uses
+PARAMETERS = {"std_normal": (), "student_t": ("df", "standardized"),
+              "laplace": ("rate",), "pareto": ("alpha",), "constant": ("c",)}
 
 
 def finite_real(v) -> bool:
@@ -43,9 +54,131 @@ def finite_real(v) -> bool:
             and abs(v) <= sys.float_info.max)
 
 
+def check_int(name: str, value, low: int | None = None) -> int:
+    """value as an int: an integer (numpy's too, a bool not) >= low."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return int(value)
+
+
+# -- JSON form of the dataclasses ------------------------------------------
+
+# declared type -> (test, what a value must be); a tuple[T, ...] field is
+# a list of T values
+_SCALARS = {float: (finite_real, "a finite number"),
+            bool: (lambda v: isinstance(v, bool), "true or false"),
+            str: (lambda v: isinstance(v, str), "a string"),
+            dict: (lambda v: isinstance(v, dict), "an object")}
+
+
+def _object(v, what: str) -> dict:
+    if not isinstance(v, dict):
+        raise ValueError(f"{what} must be a JSON object, got {v!r}")
+    return v
+
+
+def read_tagged(union, obj, name: str):
+    """The member of a Union of tagged JsonFields classes that obj's tag
+    names, read from obj; name is what the union is (model, pair)."""
+    members = get_args(union)
+    key = members[0].TAG[0]
+    tag = _object(obj, f"{name} config").get(key)
+    for cls in members:
+        if cls.TAG[1] == tag:
+            return cls.from_json(obj)
+    raise ValueError(f"unknown {name} {key} {tag!r}")
+
+
+def _read(tp, value, name: str):
+    """value read as a field of declared type tp under the JSON key name.
+    An int or Optional field is passed as given: its class checks it."""
+    tagged = get_origin(tp) is Union and hasattr(get_args(tp)[0], "TAG")
+    if tagged or hasattr(tp, "from_json"):
+        try:
+            return (read_tagged(tp, value, name) if tagged
+                    else tp.from_json(value))
+        except ValueError as e:
+            raise ValueError(f"field {name!r}: {e}") from None
+    if get_origin(tp) is tuple:
+        test, text = _SCALARS[get_args(tp)[0]]
+        if not (isinstance(value, list) and all(map(test, value))):
+            raise ValueError(f"field {name!r} must be a list, each item "
+                             f"{text}, got {value!r}")
+        return tuple(value)
+    if tp in _SCALARS:
+        test, text = _SCALARS[tp]
+        if not test(value):
+            raise ValueError(f"field {name!r} must be {text}, got {value!r}")
+        return float(value) if tp is float else value
+    return value
+
+
+@functools.cache
+def _types(cls) -> dict:
+    # resolved on first use: a Union alias such as ModelConfig is defined
+    # after its member classes
+    return get_type_hints(cls)
+
+
+def _plain(v):
+    if hasattr(v, "to_json"):
+        return v.to_json()
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, tuple):
+        return [_plain(x) for x in v]
+    return dict(v) if isinstance(v, dict) else v
+
+
+class JsonFields:
+    """Base of the config and result dataclasses, whose JSON keys are
+    their fields.
+
+    to_json() writes the class TAG (key, value) first, if it has one,
+    then every init field under its JSON name (metadata "json", else its
+    name), leaving out a field still at a None default: a value by its
+    own to_json(), an ndarray or tuple as a list, a dict copied.
+    from_json() reads that form back.
+    """
+
+    TAG = None
+
+    def to_json(self) -> dict:
+        out = dict([self.TAG]) if self.TAG else {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.init and not (v is None and f.default is None):
+                out[f.metadata.get("json", f.name)] = _plain(v)
+        return out
+
+    @classmethod
+    def from_json(cls, obj):
+        """The instance a to_json dict describes. A non-object, an
+        unknown key, a missing required field or a field that its
+        declared type does not read raises a ValueError naming it."""
+        what = cls.TAG[1] if cls.TAG else \
+            re.sub(r"(?<=[a-z])(?=[A-Z])", " ", cls.__name__).lower()
+        _object(obj, what)
+        by_key = {f.metadata.get("json", f.name): f
+                  for f in fields(cls) if f.init}
+        for key in obj:
+            if key not in by_key and not (cls.TAG and key == cls.TAG[0]):
+                raise ValueError(f"{what} has no field {key!r}")
+        kw = {}
+        for key, f in by_key.items():
+            if key in obj:
+                kw[f.name] = _read(_types(cls)[f.name], obj[key], key)
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"missing field {key!r}")
+        return cls(**kw)
+
+
 @dataclass(frozen=True)
-class InnovationSpec:
-    """One innovation law. Unused parameter fields stay None.
+class InnovationSpec(JsonFields):
+    """One innovation law. A parameter its kind does not use is rejected,
+    and one it does is stored as a float (standardized as a bool).
 
     Serializes to {"kind": ..., <parameters>} with field names
     kind, df, standardized, rate, alpha, c.
@@ -59,13 +192,24 @@ class InnovationSpec:
     c: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
-        for name in ("df", "rate", "alpha", "c"):
+        if not (isinstance(self.kind, str) and self.kind in PARAMETERS):
+            raise ValueError(f"unknown kind {self.kind!r}, expected one of "
+                             f"{tuple(PARAMETERS)}")
+        for name in ("df", "standardized", "rate", "alpha", "c"):
             value = getattr(self, name)
-            if value is not None and not finite_real(value):
+            if value is None:
+                continue
+            if name not in PARAMETERS[self.kind]:
+                raise ValueError(f"{self.kind} takes no {name}, got {value!r}")
+            if name == "standardized":
+                if not isinstance(value, bool):
+                    raise ValueError(f"field 'standardized' must be true or "
+                                     f"false, got {value!r}")
+            elif not finite_real(value):
                 raise ValueError(f"{self.kind} requires a finite {name}, "
                                  f"got {value!r}")
+            else:
+                object.__setattr__(self, name, float(value))
         if self.kind == "student_t":
             if self.df is None or not self.df > 0:
                 raise ValueError("student_t requires df > 0")
@@ -80,37 +224,8 @@ class InnovationSpec:
             if self.alpha is None or not self.alpha > 0:
                 raise ValueError("pareto requires alpha > 0")
         elif self.kind == "constant":
-            if self.c is None or not math.isfinite(self.c):
+            if self.c is None:
                 raise ValueError("constant requires a finite c")
-
-    # -- serialization ----------------------------------------------------
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "student_t":
-            out["df"] = float(self.df)
-            out["standardized"] = bool(self.standardized)
-        elif self.kind == "laplace":
-            out["rate"] = float(self.rate)
-        elif self.kind == "pareto":
-            out["alpha"] = float(self.alpha)
-        elif self.kind == "constant":
-            out["c"] = float(self.c)
-        return out
-
-    @staticmethod
-    def from_json(obj: dict) -> "InnovationSpec":
-        if not isinstance(obj, dict):
-            raise ValueError(f"innovation spec must be a JSON object, "
-                             f"got {obj!r}")
-        if "kind" not in obj:
-            raise ValueError("missing field 'kind'")
-        kind = obj["kind"]
-        std = obj.get("standardized")
-        if std is not None and not isinstance(std, bool):
-            raise ValueError(f"field 'standardized' must be true or false, "
-                             f"got {std!r}")
-        kw = {k: obj[k] for k in ("df", "standardized", "rate", "alpha", "c") if k in obj}
-        return InnovationSpec(kind, **kw)
 
     def _t_scale(self) -> float:
         # divisor turning t(df) into the standardized variant
@@ -156,9 +271,7 @@ def draw(spec: InnovationSpec, g: np.random.Generator, n: int) -> np.ndarray:
 def sample_innovation(spec: InnovationSpec, n: int, seed: RngSeed) -> np.ndarray:
     """Deterministic i.i.d. sample: identical (spec, n, seed) gives
     bit-identical output."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return draw(spec, seed.generator(), n)
+    return draw(spec, seed.generator(), check_int("n", n, 1))
 
 
 # -- analytic tails and moments -------------------------------------------

@@ -31,7 +31,7 @@ Estimator conventions, used consistently below:
     keep a `threads` argument, unused, because callers pass it;
   * values must be one-dimensional and free of NaN, hill's k,
     block_len, run_len, the extremogram's lags and anticluster_diag's m,
-    r_n, reps and n integers (numpy's too) in range, and
+    r_n, reps and n integers (numpy's too, a bool not) in range, and
     anticluster_diag's y a finite number > 0; otherwise hill, the theta
     estimators, the extremogram, anticluster_diag and breiman_ratio
     raise a ValueError that names the field.
@@ -40,14 +40,14 @@ Estimator conventions, used consistently below:
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import DEFAULT_BURN_IN, JsonFields, ModelConfig, simulate
-from .distributions import InnovationSpec, finite_real, moment_pos
+from .models import DEFAULT_BURN_IN, ModelConfig, simulate
+from .distributions import (InnovationSpec, JsonFields, check_int,
+                            finite_real, moment_pos)
 from .rng import RngSeed
 
 __all__ = [
@@ -97,14 +97,6 @@ def _values_1d(values) -> np.ndarray:
     return v
 
 
-def _check_int(name: str, value, low: int | None = None) -> int:
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        raise ValueError(f"{name} must be >= {low}")
-    return int(value)
-
-
 def exceedances(values, u: float) -> np.ndarray:
     """Sorted indices of the values strictly above u."""
     return np.flatnonzero(_values_1d(values) > u)
@@ -119,7 +111,7 @@ def hill(values, k: int) -> HillResult:
     alpha_hat (1 +/- 1.96/sqrt(k)). Only strictly positive values enter;
     pass sigma or |X|.
     """
-    k = _check_int("k", k, 2)
+    k = check_int("k", k, 2)
     v = _values_1d(values)
     v = v[v > 0]
     if v.size < k + 1:
@@ -279,7 +271,7 @@ def blocks_theta(values, u: float, block_len: int, n_boot: int = 100,
     intervals estimate, not with block_len. threads is unused: the
     bootstrap runs on the calling thread.
     """
-    block_len = _check_int("block_len", block_len, 1)
+    block_len = check_int("block_len", block_len, 1)
     return _theta("blocks", {"block_len": block_len}, values, u, n_boot,
                   lambda idx, n: _blocks_core(idx, n, block_len),
                   "empty exceedance set")
@@ -293,7 +285,7 @@ def runs_theta(values, u: float, run_len: int, n_boot: int = 100,
     declusters with the intervals estimate, not with run_len. threads is
     unused: the bootstrap runs on the calling thread.
     """
-    run_len = _check_int("run_len", run_len, 1)
+    run_len = check_int("run_len", run_len, 1)
     return _theta("runs", {"run_len": run_len}, values, u, n_boot,
                   lambda idx, n: _runs_core(idx, run_len),
                   "empty exceedance set")
@@ -337,7 +329,7 @@ def extremogram(values, lags, q: float) -> ExtremogramResult:
     """
     v = _values_1d(values)
     n = v.size
-    lags = np.asarray(sorted(_check_int("lags", h) for h in lags), dtype=int)
+    lags = np.asarray(sorted(check_int("lags", h) for h in lags), dtype=int)
     if lags.size == 0:
         raise ValueError("need at least one lag")
     if (lags < 0).any() or (lags >= n / 2).any():
@@ -402,9 +394,9 @@ def anticluster_diag(cfg: ModelConfig, m, r_n: int, y: float, n: int,
     independent path segments until `reps` are found (or a simulation
     budget of about 4 reps * n draws runs out).
     """
-    r_n, reps, n = _check_int("r_n", r_n), _check_int("reps", reps), \
-        _check_int("n", n)
-    m_grid = tuple(_check_int("m", v) for v in np.atleast_1d(m).tolist())
+    r_n, reps, n = check_int("r_n", r_n), check_int("reps", reps), \
+        check_int("n", n)
+    m_grid = tuple(check_int("m", v) for v in np.atleast_1d(m).tolist())
     if len(m_grid) == 0:
         raise ValueError("need at least one m")
     if any(not 1 <= v < r_n for v in m_grid):

@@ -1,7 +1,9 @@
 """Reproducible experiment driver and the one analysis registry.
 
 An experiment is one simulated path plus a list of analyses, described by
-a JSON-friendly config. Running it writes, into an output directory:
+an ExperimentConfig, whose JSON form is its fields (JsonFields; an
+unknown key at any level is rejected). Running it writes, into an
+output directory:
 
   * path.csv        the simulated path (t, sigma, x)
   * report.json     config echo, analysis results, timings, version
@@ -40,10 +42,10 @@ import numpy as np
 
 from . import estimators as est
 from . import theory
-from .distributions import finite_real, laplace, std_normal, student_t
+from .distributions import (JsonFields, finite_real, laplace, std_normal,
+                            student_t)
 from .models import (DEFAULT_BURN_IN, ExpAr1Config, Garch11Pair, MaSvConfig,
-                     SreSvConfig, _check_length, _field, _object,
-                     config_from_json, config_to_json, path_to_csv,
+                     ModelConfig, SreSvConfig, _check_length, path_to_csv,
                      simulate)
 from .rng import RngSeed
 
@@ -151,12 +153,12 @@ def read_spec(kind, spec: dict) -> dict:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    model: object
+class ExperimentConfig(JsonFields):
+    model: ModelConfig
     n: int
     seed: RngSeed
     burn_in: int = DEFAULT_BURN_IN
-    analyses: tuple = ()
+    analyses: tuple[dict, ...] = ()
     label: str = ""
     # analyses as read_spec reads them, the specs run_experiment runs
     specs: tuple = field(init=False, repr=False, compare=False)
@@ -171,50 +173,13 @@ class ExperimentConfig:
         object.__setattr__(self, "specs", tuple(
             read_spec(a.get("analysis"), a) for a in self.analyses))
 
-    def to_json(self) -> dict:
-        return {"model": config_to_json(self.model), "n": self.n,
-                "burn_in": self.burn_in, "seed": self.seed.to_json(),
-                "analyses": [dict(a) for a in self.analyses],
-                "label": self.label}
-
-    @staticmethod
-    def from_json(obj: dict) -> "ExperimentConfig":
-        """The config a to_json dict describes; a malformed one raises a
-        ValueError that names the field."""
-        _object(obj, "experiment config")
-        try:
-            model = config_from_json(_field(obj, "model"))
-        except ValueError as e:
-            raise ValueError(f"field 'model': {e}") from None
-        analyses = obj.get("analyses", [])
-        if not (isinstance(analyses, list)
-                and all(isinstance(a, dict) for a in analyses)):
-            raise ValueError("field 'analyses' must be a list of objects, "
-                             f"got {analyses!r}")
-        return ExperimentConfig(model=model, n=_field(obj, "n"),
-                                seed=RngSeed.from_json(_field(obj, "seed")),
-                                burn_in=obj.get("burn_in", DEFAULT_BURN_IN),
-                                analyses=tuple(analyses),
-                                label=str(obj.get("label", "")))
-
 
 @dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(JsonFields):
     config: ExperimentConfig
-    results: tuple
+    results: tuple[dict, ...]
     timings: dict
     version: str
-
-    def to_json(self) -> dict:
-        return {"config": self.config.to_json(),
-                "results": [dict(r) for r in self.results],
-                "timings": dict(self.timings), "version": self.version}
-
-    @staticmethod
-    def from_json(obj: dict) -> "ExperimentReport":
-        return ExperimentReport(ExperimentConfig.from_json(obj["config"]),
-                                tuple(obj["results"]), dict(obj["timings"]),
-                                str(obj["version"]))
 
 
 @dataclass(frozen=True)

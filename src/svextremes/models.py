@@ -21,20 +21,25 @@ arguments give bit-identical paths, and a path of length n is a prefix
 of the path of length n + k at the same seed and burn-in. ExpAR1, EGARCH
 and SRE-SV follow one affine recursion y_t = a_t y_{t-1} + b_t, run by
 one numpy scan (_ar1) blocked at fixed indices; its values agree with
-the sequential recursion up to rounding.
+the sequential recursion up to rounding. n and burn_in are integers
+(numpy's too, a bool not).
+
+A config's JSON form is its fields after its family tag (JsonFields):
+config_to_json writes it and config_from_json reads it back.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Union
 
 import numpy as np
 
-from .distributions import InnovationSpec, draw, finite_real, moment_abs
+from .distributions import (InnovationSpec, JsonFields, check_int, draw,
+                            moment_abs, read_tagged)
 from .rng import RngSeed
 
 __all__ = [
@@ -52,7 +57,8 @@ _CALIBRATION_DRAWS = 100_000
 
 
 @dataclass(frozen=True)
-class ExpAr1Config:
+class ExpAr1Config(JsonFields):
+    TAG = ("family", "expar1")
     phi: float
     eta: InnovationSpec
     z: InnovationSpec
@@ -63,7 +69,7 @@ class ExpAr1Config:
 
 
 @dataclass(frozen=True)
-class EgarchConfig:
+class EgarchConfig(JsonFields):
     """EGARCH volatility with SV-style reuse of the recursion noise.
 
     Heavy-tailed sigma requires exp(c Z) regularly varying, which holds for
@@ -73,6 +79,7 @@ class EgarchConfig:
     or no moments at all).
     """
 
+    TAG = ("family", "egarch")
     alpha0: float
     gamma0: float
     delta0: float
@@ -93,9 +100,10 @@ class EgarchConfig:
 
 
 @dataclass(frozen=True)
-class Garch11Pair:
+class Garch11Pair(JsonFields):
     """GARCH(1,1) multipliers A_t = alpha1 eta_{t-1}^2 + beta1, B_t = alpha0."""
 
+    TAG = ("type", "garch11")
     alpha0: float
     alpha1: float
     beta1: float
@@ -118,9 +126,10 @@ class Garch11Pair:
 
 
 @dataclass(frozen=True)
-class GenericPair:
+class GenericPair(JsonFields):
     """Generic non-negative (A, B) pair for the recurrence."""
 
+    TAG = ("type", "generic")
     a: InnovationSpec
     b: InnovationSpec
 
@@ -165,16 +174,18 @@ def probe_multipliers(draw_a) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SreSvConfig:
+class SreSvConfig(JsonFields):
     """Volatility from sigma_t^p = A_t sigma_{t-1}^p + B_t.
 
     garch_returns=True labels the comparison variant X_t = sigma_t eta_t
     (recursion noise reused), i.e. an actual GARCH return series rather
-    than an SV model.
+    than an SV model. pair_source is the JSON key "pair".
     """
 
+    TAG = ("family", "sresv")
     p: float
-    pair_source: Union[Garch11Pair, GenericPair]
+    pair_source: Union[Garch11Pair, GenericPair] = field(
+        metadata={"json": "pair"})
     z: InnovationSpec
     garch_returns: bool = False
 
@@ -193,11 +204,12 @@ class SreSvConfig:
 
 
 @dataclass(frozen=True)
-class MaSvConfig:
+class MaSvConfig(JsonFields):
     """Finite moving-average volatility sigma_t^p = |sum_j psi_j eta_{t-j}|."""
 
+    TAG = ("family", "masv")
     p: float
-    psi: tuple
+    psi: tuple[float, ...]
     eta: InnovationSpec
     z: InnovationSpec
 
@@ -237,10 +249,8 @@ class Path:
 # generic SRE pair.
 
 def _check_length(n: int, burn_in: int) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
+    check_int("n", n, 1)
+    check_int("burn_in", burn_in, 0)
 
 
 _AR1_BLOCK = 64  # steps combined by doubling; a power of two
@@ -392,117 +402,13 @@ def simulate(cfg: ModelConfig, n: int, burn_in: int = DEFAULT_BURN_IN,
 
 # -- serialization --------------------------------------------------------
 
-class JsonFields:
-    """Base of the result dataclasses: to_json() writes every field by
-    name, ndarrays and tuples as lists and dicts copied, and leaves out a
-    field still at a None default."""
-
-    def to_json(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is None and f.default is None:
-                continue
-            if isinstance(v, np.ndarray):
-                v = v.tolist()
-            elif isinstance(v, tuple):
-                v = list(v)
-            elif isinstance(v, dict):
-                v = dict(v)
-            out[f.name] = v
-        return out
-
-
 def config_to_json(cfg: ModelConfig) -> dict:
-    if isinstance(cfg, ExpAr1Config):
-        return {"family": "expar1", "phi": cfg.phi,
-                "eta": cfg.eta.to_json(), "z": cfg.z.to_json()}
-    if isinstance(cfg, EgarchConfig):
-        return {"family": "egarch", "alpha0": cfg.alpha0, "gamma0": cfg.gamma0,
-                "delta0": cfg.delta0, "phi": cfg.phi, "z": cfg.z.to_json(),
-                "light_tailed": cfg.light_tailed}
-    if isinstance(cfg, SreSvConfig):
-        src = cfg.pair_source
-        if isinstance(src, Garch11Pair):
-            pair = {"type": "garch11", "alpha0": src.alpha0, "alpha1": src.alpha1,
-                    "beta1": src.beta1, "eta": src.eta.to_json()}
-        else:
-            pair = {"type": "generic", "a": src.a.to_json(), "b": src.b.to_json()}
-        return {"family": "sresv", "p": cfg.p, "pair": pair,
-                "z": cfg.z.to_json(), "garch_returns": cfg.garch_returns}
-    if isinstance(cfg, MaSvConfig):
-        return {"family": "masv", "p": cfg.p, "psi": list(cfg.psi),
-                "eta": cfg.eta.to_json(), "z": cfg.z.to_json()}
-    raise TypeError(f"not a model config: {cfg!r}")
-
-
-def _field(obj: dict, key: str):
-    if key not in obj:
-        raise ValueError(f"missing field {key!r}")
-    return obj[key]
-
-
-def _real(obj: dict, key: str) -> float:
-    v = _field(obj, key)
-    if not finite_real(v):
-        raise ValueError(f"field {key!r} must be a finite number, got {v!r}")
-    return float(v)
-
-
-def _flag(obj: dict, key: str) -> bool:
-    v = obj.get(key, False)
-    if not isinstance(v, bool):
-        raise ValueError(f"field {key!r} must be true or false, got {v!r}")
-    return v
-
-
-def _object(v, what: str) -> dict:
-    if not isinstance(v, dict):
-        raise ValueError(f"{what} must be a JSON object, got {v!r}")
-    return v
-
-
-def _spec(obj: dict, key: str) -> InnovationSpec:
-    try:
-        return InnovationSpec.from_json(_field(obj, key))
-    except ValueError as e:
-        raise ValueError(f"field {key!r}: {e}") from None
+    return cfg.to_json()
 
 
 def config_from_json(obj: dict) -> ModelConfig:
-    """The model config a config_to_json dict describes.
-
-    A non-object config, a missing field or a field of the wrong type
-    raises a ValueError that names the field.
-    """
-    _object(obj, "model config")
-    fam = obj.get("family")
-    if fam == "expar1":
-        return ExpAr1Config(_real(obj, "phi"), _spec(obj, "eta"),
-                            _spec(obj, "z"))
-    if fam == "egarch":
-        return EgarchConfig(_real(obj, "alpha0"), _real(obj, "gamma0"),
-                            _real(obj, "delta0"), _real(obj, "phi"),
-                            _spec(obj, "z"), _flag(obj, "light_tailed"))
-    if fam == "sresv":
-        pair = _object(_field(obj, "pair"), "field 'pair'")
-        if pair.get("type") == "garch11":
-            src = Garch11Pair(_real(pair, "alpha0"), _real(pair, "alpha1"),
-                              _real(pair, "beta1"), _spec(pair, "eta"))
-        elif pair.get("type") == "generic":
-            src = GenericPair(_spec(pair, "a"), _spec(pair, "b"))
-        else:
-            raise ValueError(f"unknown pair type {pair.get('type')!r}")
-        return SreSvConfig(_real(obj, "p"), src, _spec(obj, "z"),
-                           _flag(obj, "garch_returns"))
-    if fam == "masv":
-        psi = _field(obj, "psi")
-        if not (isinstance(psi, list) and all(map(finite_real, psi))):
-            raise ValueError(f"field 'psi' must be a list of finite numbers, "
-                             f"got {psi!r}")
-        return MaSvConfig(_real(obj, "p"), tuple(psi), _spec(obj, "eta"),
-                          _spec(obj, "z"))
-    raise ValueError(f"unknown model family {fam!r}")
+    """The model config a config_to_json dict describes."""
+    return read_tagged(ModelConfig, obj, "model")
 
 
 # -- CSV artifacts --------------------------------------------------------

@@ -69,10 +69,14 @@ class RngSeed:
 
     @staticmethod
     def from_json(obj: dict) -> "RngSeed":
-        """The seed a to_json dict describes; a malformed one, or a field
-        that is a bool or not an integer, raises a ValueError naming it."""
+        """The seed a to_json dict describes; a malformed one, an unknown
+        key, or a field that is a bool or not an integer, raises a
+        ValueError naming it."""
         if not isinstance(obj, dict):
             raise ValueError(f"seed must be a JSON object, got {obj!r}")
+        for key in obj:
+            if key not in ("master_seed", "stream_id"):
+                raise ValueError(f"seed has no field {key!r}")
         if "master_seed" not in obj:
             raise ValueError("missing field 'master_seed'")
         fields = {"master_seed": obj["master_seed"],

@@ -50,15 +50,15 @@ replicate) would make theta read 0 and raises a ValueError instead.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .distributions import InnovationSpec, draw, finite_real, moment_abs
-from .models import JsonFields, probe_multipliers
+from .distributions import (InnovationSpec, JsonFields, check_int, draw,
+                            finite_real, moment_abs)
+from .models import probe_multipliers
 from .rng import RngSeed, chunk_sizes, chunked_map
 
 __all__ = [
@@ -144,10 +144,7 @@ def _check_args(mc_reps: int, finite: dict | None = None,
     # a name to an array whose entries must all be finite
     counts = {"mc_reps": (mc_reps, 2), **(counts or {})}
     for name, (v, least) in counts.items():
-        if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
-        if v < least:
-            raise ValueError(f"{name} must be >= {least}")
+        check_int(name, v, least)
     for name, v in positive.items():
         if not (finite_real(v) and v > 0):
             raise ValueError(f"{name} must be finite and > 0, got {v!r}")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 import svextremes
 from svextremes import (ExperimentConfig, Garch11Pair, GenericPair,
-                        MaSvConfig, RngSeed, SreSvConfig, config_to_json,
+                        MaSvConfig, RngSeed, SreSvConfig, config_from_json,
+                        config_to_json,
                         constant, laplace, pareto, path_to_csv,
                         run_experiment, simulate, std_normal, student_t)
 from svextremes.cli import _read_path_csv, main
@@ -112,6 +114,13 @@ def _field_paths(obj, prefix=()):
             yield from _field_paths(value, prefix + (key,))
 
 
+def _object_paths(obj, prefix=()):
+    yield prefix
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            yield from _object_paths(value, prefix + (key,))
+
+
 def _replace(obj, path, value):
     out = json.loads(json.dumps(obj))
     inner = out
@@ -121,11 +130,16 @@ def _replace(obj, path, value):
     return out
 
 
-# a valid config with one field, at any depth, replaced by any JSON value
+# a valid config with one field, at any depth, replaced by any JSON value,
+# or an unknown one added to any of its objects
 MUTATED_MODELS = st.sampled_from(VALID_MODELS).flatmap(
-    lambda cfg: st.builds(_replace, st.just(cfg),
-                          st.sampled_from(list(_field_paths(cfg))),
-                          JSON_VALUES))
+    lambda cfg: st.builds(
+        _replace, st.just(cfg),
+        st.sampled_from(list(_field_paths(cfg)))
+        | st.builds(lambda path, key: path + (key,),
+                    st.sampled_from(list(_object_paths(cfg))),
+                    st.text(max_size=6)),
+        JSON_VALUES))
 
 
 def simulate_model_json(obj):
@@ -163,6 +177,25 @@ def test_simulate_bad_model_config_names_the_field(obj, field):
     r = simulate_model_json(obj)
     assert_bad_model_config(r)
     assert field in r.output
+
+
+@pytest.mark.parametrize("model, path, message", [
+    (0, (), "expar1 has no field 'bogus'"),
+    (0, ("eta",), "field 'eta': innovation spec has no field 'bogus'"),
+    (0, ("z",), "field 'z': innovation spec has no field 'bogus'"),
+    (2, ("pair",), "field 'pair': garch11 has no field 'bogus'"),
+    (2, ("pair", "eta"),
+     "field 'pair': field 'eta': innovation spec has no field 'bogus'"),
+    (3, ("pair",), "field 'pair': generic has no field 'bogus'"),
+])
+def test_unknown_model_key_rejected_by_name(model, path, message):
+    # the parent ignored an unknown key at every level
+    obj = _replace(VALID_MODELS[model], path + ("bogus",), 1)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        config_from_json(obj)
+    r = simulate_model_json(obj)
+    assert_bad_model_config(r)
+    assert message in r.output
 
 
 @given(obj=JSON_VALUES)
@@ -265,7 +298,7 @@ def test_theta_theory_kesten(runner, workdir):
 
 
 @pytest.mark.parametrize("command", [("theta-est", "--method", "blocks"),
-                                     ("extremogram",)])
+                                     ("extremogram",), ("diagnose",)])
 def test_path_command_reads_its_spec_before_simulating(runner, workdir,
                                                         monkeypatch, command):
     def simulate(*args, **kwargs):
@@ -276,7 +309,7 @@ def test_path_command_reads_its_spec_before_simulating(runner, workdir,
                "--q", 1.5)
     assert r.exit_code == 1
     assert isinstance(r.exception, SystemExit)
-    kind = "theta" if command[0] == "theta-est" else "extremogram"
+    kind = "extremogram" if command[0] == "extremogram" else "theta"
     assert (f"Error: {kind} q must be a finite number in (0, 1), got 1.5"
             in r.output)
     assert not Path("o").exists()
@@ -338,10 +371,10 @@ def test_quantile_out_of_range_is_no_traceback(runner, workdir):
     assert "theta q must be a finite number in (0, 1), got 1.5" in r.output
     r = invoke(runner, "--out", "o", "diagnose", "--model", "garch.json",
                "--n", 2000, "--burn-in", 100, "--q", 1.5)
-    assert r.exit_code == 0
-    errors = json.loads(r.output)["errors"]
-    assert set(errors) == {"u", "theta_blocks", "theta_runs",
-                           "theta_intervals", "extremogram"}
+    assert r.exit_code != 0
+    assert isinstance(r.exception, SystemExit)
+    assert ("Error: theta q must be a finite number in (0, 1), got 1.5"
+            in r.output)
 
 
 def test_experiment_run(runner, workdir):
@@ -438,6 +471,24 @@ def test_experiment_run_bad_config_names_the_field(obj, field):
     r = experiment_config_json(obj)
     assert_bad_experiment_config(r)
     assert field in r.output
+
+
+@pytest.mark.parametrize("path, key, message", [
+    ((), "burnin", "experiment config has no field 'burnin'"),
+    (("seed",), "steam_id", "field 'seed': seed has no field 'steam_id'"),
+    (("model",), "bogus", "field 'model': expar1 has no field 'bogus'"),
+    (("model", "z"), "bogus",
+     "field 'model': field 'z': innovation spec has no field 'bogus'"),
+])
+def test_unknown_experiment_key_rejected_by_name(path, key, message):
+    # the parent ran {"burnin": 5} with a burn-in of 10,000 and
+    # {"steam_id": 3} as stream 0
+    obj = _replace(VALID_EXPERIMENT, path + (key,), 5)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig.from_json(obj)
+    r = experiment_config_json(obj)
+    assert_bad_experiment_config(r)
+    assert message in r.output
 
 
 @given(obj=JSON_VALUES)

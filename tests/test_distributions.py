@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,37 @@ def test_json_field_names():
     assert constant(1.5).to_json() == {"kind": "constant", "c": 1.5}
     t = student_t(4.0).to_json()
     assert t == {"kind": "student_t", "df": 4.0, "standardized": True}
+
+
+def test_parameters_are_stored_as_floats():
+    rate = laplace(4).to_json()["rate"]
+    assert rate == 4.0 and type(rate) is float
+    assert laplace(4) == laplace(4.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: InnovationSpec("laplace", rate=4.0, df=3.0),
+     "laplace takes no df, got 3.0"),
+    (lambda: InnovationSpec.from_json({"kind": "laplace", "rate": 4,
+                                       "df": 3}),
+     "laplace takes no df, got 3"),
+    (lambda: InnovationSpec("std_normal", standardized=True),
+     "std_normal takes no standardized, got True"),
+    (lambda: InnovationSpec("pareto", alpha=3.0, c=1.0),
+     "pareto takes no c, got 1.0"),
+    (lambda: InnovationSpec("student_t", df=4.0, standardized=1),
+     "field 'standardized' must be true or false, got 1"),
+    (lambda: InnovationSpec.from_json({"kind": "pareto", "alpha": 3,
+                                       "shape": 1}),
+     "innovation spec has no field 'shape'"),
+    (lambda: InnovationSpec.from_json({"rate": 4.0}),
+     "missing field 'kind'"),
+])
+def test_parameter_its_kind_does_not_use_rejected(make, message):
+    # the parent read {"kind": "laplace", "rate": 4, "df": 3} and dropped
+    # df when it wrote the spec back
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_unknown_kind_rejected():

@@ -165,7 +165,7 @@ def test_estimators_reject_bad_values(values, message):
 ])
 def test_integer_tuning_checked_where_it_enters(call, field):
     v = np.arange(1.0, 41.0)
-    for bad in (2.5, 10.5, 3.0, "3"):
+    for bad in (2.5, 10.5, 3.0, "3", True):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             call(v, bad)
     # numpy integers are integers: the result equals the int one's
@@ -317,6 +317,9 @@ def test_extremogram_rejects_non_integer_lags():
         extremogram(v, lags=[1.5, 2.9], q=0.9)
     with pytest.raises(ValueError, match="lags must be an integer"):
         extremogram(v, lags=[1, 2.0], q=0.9)
+    # a bool read as lag 1
+    with pytest.raises(ValueError, match="lags must be an integer, got True"):
+        extremogram(v, lags=[True], q=0.9)
     r = extremogram(v, lags=np.array([2, 1], dtype=np.int32), q=0.9)
     assert r.lags.tolist() == [1, 2]
     assert np.array_equal(r.chi_hat, extremogram(v, (1, 2), q=0.9).chi_hat)
@@ -373,7 +376,7 @@ def test_anticluster_validation():
     with pytest.raises(ValueError, match="reps >= 1"):
         anticluster_diag(cfg, m=(1,), r_n=10, y=0.5, n=1000, reps=0,
                          seed=SEED, burn_in=10)
-    for m in ((1, 2.5), 1.5, np.array([1.0, 2.0])):
+    for m in ((1, 2.5), 1.5, np.array([1.0, 2.0]), (True,)):
         with pytest.raises(ValueError, match="m must be an integer, got"):
             anticluster_diag(cfg, m=m, r_n=10, y=0.5, n=1000, reps=5,
                              seed=SEED, burn_in=10)
@@ -384,6 +387,7 @@ def test_anticluster_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("r_n", 10.5), ("n", 1000.5), ("reps", 5.0), ("r_n", "10"),
+    ("reps", True),
 ])
 def test_anticluster_rejects_non_integer_sizes(field, value):
     # a float r_n would run windows 22.0 wide; a float n failed in numpy

@@ -399,6 +399,13 @@ def test_rerun_from_report_is_byte_identical(tmp_path):
     assert ra == rb
 
 
+def test_report_from_json_names_a_missing_field():
+    blob = ExperimentReport(small_config(), (), {}, "0").to_json()
+    del blob["results"]
+    with pytest.raises(ValueError, match="^missing field 'results'$"):
+        ExperimentReport.from_json(blob)
+
+
 def test_report_json_roundtrip(tmp_path):
     cfg = small_config(analyses=({"analysis": "hill", "k": 100},))
     report = run_experiment(cfg, tmp_path / "out")

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from svextremes import (DEFAULT_BURN_IN, EgarchConfig, ExpAr1Config,
                         constant, hill, laplace, pareto, path_to_csv,
                         simulate, std_normal, student_t)
 from svextremes import models
-from svextremes.distributions import draw
+from svextremes.distributions import draw, sample_innovation
 from svextremes.models import (_AR1_BLOCK, _AR1_TILE, _CSV_BLOCK, _ar1,
                                simulate_ma_sv)
 
@@ -472,6 +473,34 @@ def test_n_must_be_positive():
 def test_negative_burn_in_rejected(cfg):
     with pytest.raises(ValueError, match="burn_in must be >= 0"):
         simulate(cfg, 10, burn_in=-1, seed=SEED)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda cfg: simulate(cfg, 10.5, seed=SEED),
+     "n must be an integer, got 10.5"),
+    (lambda cfg: simulate(cfg, "10", seed=SEED),
+     "n must be an integer, got '10'"),
+    (lambda cfg: simulate(cfg, True, seed=SEED),
+     "n must be an integer, got True"),
+    (lambda cfg: simulate(cfg, 10, burn_in=2.5, seed=SEED),
+     "burn_in must be an integer, got 2.5"),
+    (lambda cfg: simulate(cfg, 10, burn_in=False, seed=SEED),
+     "burn_in must be an integer, got False"),
+    (lambda cfg: sample_innovation(cfg.z, 2.5, SEED),
+     "n must be an integer, got 2.5"),
+])
+def test_length_that_is_not_an_integer_rejected(call, message):
+    # these failed inside numpy with a TypeError, or ran a bool as 1
+    for cfg in ALL_CONFIGS:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(cfg)
+
+
+def test_numpy_integer_lengths_are_integers():
+    path = simulate(fig2_config(), np.int64(20), burn_in=np.int32(5),
+                    seed=SEED)
+    ref = simulate(fig2_config(), 20, burn_in=5, seed=SEED)
+    assert np.array_equal(path.x, ref.x) and path.n == 20
 
 
 # -- serialization --------------------------------------------------------

@@ -58,6 +58,12 @@ def test_json_roundtrip(master, stream):
     assert RngSeed.from_json(s.to_json()) == s
 
 
+def test_from_json_rejects_an_unknown_key():
+    # the parent ran {"master_seed": 1, "steam_id": 3} as stream 0
+    with pytest.raises(ValueError, match="^seed has no field 'steam_id'$"):
+        RngSeed.from_json({"master_seed": 1, "steam_id": 3})
+
+
 def test_chunk_sizes():
     assert chunk_sizes(10, 4) == [4, 4, 2]
     assert chunk_sizes(8, 4) == [4, 4]
