@@ -4,10 +4,11 @@ Global flags (before the subcommand) pick the master seed, the output
 directory, and the worker thread count; the thread count never changes
 numerical results, only wall time. Model configs are JSON files in the
 same schema the library's config_to_json produces. Subcommands write
-their outputs under --out and echo a JSON summary to stdout. The path
-and theory commands run the experiment analysis of the same name from
-experiments.ANALYSES on one spec, which experiments.read_spec reads
-before anything is simulated; they write no path.csv or report.json.
+their outputs under --out and echo a JSON summary to stdout. Every
+analysis a command runs comes from experiments.ANALYSES, on a spec that
+experiments.read_spec reads before anything is simulated. The path and
+theory commands run the analysis of the same name and echo its entry,
+warnings included; they write no path.csv or report.json.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from pathlib import Path as FsPath
 import click
 import numpy as np
 
-from . import estimators as est
 from .experiments import (ANALYSES, SPECS, AnalysisInputs,
                           ExperimentConfig, PRESET_NAMES, _json_text,
                           _write_json, preset_config, read_spec,
-                          run_experiment)
+                          recording_warnings, run_experiment)
 from .models import config_from_json, path_to_csv, simulate, DEFAULT_BURN_IN
 from .rng import RngSeed
 
@@ -93,6 +93,14 @@ def _call(fn, *args):
         raise click.ClickException(str(e))
 
 
+def _analyze(kind: str, spec: dict, run: AnalysisInputs) -> dict:
+    """The report entry of one analysis, with its warnings."""
+    out = {}
+    with recording_warnings(out):
+        out.update(_call(ANALYSES[kind], spec, run))
+    return out
+
+
 # every option shows its default, and an analysis option takes it from
 # experiments.SPECS
 @click.group(context_settings={"show_default": True})
@@ -143,7 +151,7 @@ def hill(ctx, model, input_csv, n, burn_in, k, series):
     """Hill estimate of the tail index of a series."""
     spec = _call(read_spec, "hill", {"k": k, "series": series})
     run = _path_inputs(ctx, model, input_csv, n, burn_in)
-    out = _call(ANALYSES["hill"], spec, run)
+    out = _analyze("hill", spec, run)
     _write_json(run.artifact("hill.json"), out)
     _echo_json(out)
 
@@ -169,7 +177,7 @@ def theta_est(ctx, model, input_csv, n, burn_in, method, q, block_len,
                                       "block_len": block_len,
                                       "run_len": run_len, "series": series})
     run = _path_inputs(ctx, model, input_csv, n, burn_in)
-    out = _call(ANALYSES["theta"], spec, run)
+    out = _analyze("theta", spec, run)
     _write_json(run.artifact("theta.json"), out)
     _echo_json(out)
 
@@ -198,7 +206,7 @@ def extremogram(ctx, model, input_csv, n, burn_in, lags, q, series):
     spec = _call(read_spec, "extremogram",
                  {"lags": lag_list, "q": q, "series": series})
     run = _path_inputs(ctx, model, input_csv, n, burn_in)
-    out = _call(ANALYSES["extremogram"], spec, run)
+    out = _analyze("extremogram", spec, run)
     out["csv"] = str(run.out / out["csv"])
     _echo_json(out)
 
@@ -229,7 +237,7 @@ def theta_theory(ctx, which, model, alpha, m, mc_reps, tol, trunc_t):
     spec = _call(read_spec, "theory",
                  {k: v for k, v in spec.items() if v is not None})
     cfg = _load_model(model)
-    out = {**_call(ANALYSES["theory"], spec, replace(ctx.obj, model=cfg)),
+    out = {**_analyze("theory", spec, replace(ctx.obj, model=cfg)),
            "which": which}
     _write_json(ctx.obj.artifact("theory.json"), out)
     _echo_json(out)
@@ -249,40 +257,34 @@ def theta_theory(ctx, which, model, alpha, m, mc_reps, tol, trunc_t):
 def diagnose(ctx, model, n, burn_in, k, q, alpha):
     """Battery: Hill, three theta estimates, extremogram, tail transfer."""
     k = k if k is not None else max(n // 50, 10)
-    # the specs that need no path are read before it is simulated (the
-    # extremogram's q has the theta q's rule); an error that depends on
-    # the path is recorded per entry
+    # the specs that need no path are read before it is simulated; an
+    # error that depends on the path is recorded per entry
     thetas = {m: _call(read_spec, "theta", {"method": m, "q": q})
               for m in ("blocks", "runs", "intervals")}
+    chi = _call(read_spec, "extremogram", {"lags": [*range(1, 11)], "q": q})
     breiman = (None if alpha is None
                else _call(read_spec, "breiman", {"alpha": alpha}))
     run = _path_inputs(ctx, model, None, n, burn_in)
     out = {"n": n, "q": q, "k": k}
     errors = {}
 
-    def attempt(name, fn):
+    def attempt(name, kind, key, spec):
         try:
-            out[name] = fn()
+            out[name] = ANALYSES[kind](spec, run)[key]
         except ValueError as e:
             errors[name] = str(e)
 
-    def value(kind, key, spec):
-        return lambda: ANALYSES[kind](spec, run)[key]
-
     for series in ("sigma", "x_abs"):
-        attempt(f"hill_{series}", value("hill", "alpha_hat", read_spec(
-            "hill", {"k": k, "series": series})))
-    attempt("u", lambda: float(np.quantile(np.abs(run.x), q)))
+        attempt(f"hill_{series}", "hill", "alpha_hat",
+                read_spec("hill", {"k": k, "series": series}))
+    out["u"] = float(np.quantile(np.abs(run.x), q))
     for method, spec in thetas.items():
-        attempt(f"theta_{method}", value("theta", "theta_hat", spec))
-    # the chi values only: diagnose writes no extremogram.csv
-    attempt("extremogram",
-            lambda: est.extremogram(np.abs(run.x), range(1, 11),
-                                    q).chi_hat.tolist())
+        attempt(f"theta_{method}", "theta", "theta_hat", spec)
+    attempt("extremogram", "extremogram", "chi_hat", chi)
     if breiman is None and "hill_x_abs" in out:
         breiman = read_spec("breiman", {"alpha": out["hill_x_abs"]})
     if breiman is not None:
-        attempt("breiman_ratio", value("breiman", "ratios", breiman))
+        attempt("breiman_ratio", "breiman", "ratios", breiman)
         out["breiman_alpha"] = breiman["alpha"]
     if errors:
         out["errors"] = errors

@@ -13,11 +13,11 @@ Conventions:
   * Pareto(alpha) lives on [1, inf) with survival x^(-alpha).
   * StudentT(df, standardized=True) is t(df)/sqrt(df/(df-2)), unit variance.
 
-Every config and result dataclass (InnovationSpec here, the model,
-experiment and result classes elsewhere) derives from JsonFields: its
-JSON keys are its fields, written by to_json and read back by
-from_json, which rejects an unknown key and checks each field by its
-declared type.
+Every config and result dataclass (InnovationSpec here, the seed,
+model, experiment and result classes elsewhere) derives from
+JsonFields: its JSON keys are its fields, written by to_json and read
+back by from_json, which rejects an unknown key and checks each field
+by its declared type.
 """
 
 from __future__ import annotations
@@ -26,13 +26,14 @@ import functools
 import math
 import numbers
 import re
-import sys
 from dataclasses import MISSING, dataclass, fields
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import (TYPE_CHECKING, Optional, Union, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
-from .rng import RngSeed
+if TYPE_CHECKING:  # rng imports this module
+    from .rng import RngSeed
 
 __all__ = [
     "InnovationSpec",
@@ -48,10 +49,12 @@ PARAMETERS = {"std_normal": (), "student_t": ("df", "standardized"),
 
 def finite_real(v) -> bool:
     """v is a real number, not a bool, that a float holds finitely."""
-    # compared with the largest float, as math.isfinite overflows on a
-    # huge int
-    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max)
+    if not isinstance(v, numbers.Real) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the largest float
+        return False
 
 
 def check_int(name: str, value, low: int | None = None) -> int:

@@ -327,6 +327,8 @@ def extremogram(values, lags, q: float) -> ExtremogramResult:
     conditioning count averages the left and right pair members, which
     makes the estimate exactly invariant under time reversal.
     """
+    if not (finite_real(q) and 0.0 <= q <= 1.0):
+        raise ValueError(f"q must be a finite number in [0, 1], got {q!r}")
     v = _values_1d(values)
     n = v.size
     lags = np.asarray(sorted(check_int("lags", h) for h in lags), dtype=int)

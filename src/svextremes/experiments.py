@@ -34,6 +34,7 @@ import json
 import math
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path as FsPath
 from typing import Optional
@@ -164,6 +165,11 @@ class ExperimentConfig(JsonFields):
     specs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.model, ModelConfig):
+            raise ValueError(f"model must be a model config, got "
+                             f"{self.model!r}")
+        if not isinstance(self.seed, RngSeed):
+            raise ValueError(f"seed must be an RngSeed, got {self.seed!r}")
         for name in ("n", "burn_in"):
             object.__setattr__(self, name,
                                _whole_number(name, getattr(self, name)))
@@ -313,6 +319,18 @@ def _write_figure_csv(fp: FsPath, x: np.ndarray, lo: float,
     return int(np.count_nonzero(low)), int(np.count_nonzero(high))
 
 
+@contextmanager
+def recording_warnings(entry: dict):
+    """Record the warnings the block raises in entry, as a "warnings" list
+    of "<Category>: <message>" strings, present only when not empty."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    if caught:
+        entry["warnings"] = [f"{w.category.__name__}: {w.message}"
+                             for w in caught]
+
+
 def _json_default(o):
     if isinstance(o, np.generic):
         return o.item()
@@ -353,8 +371,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
         seen[kind] = ordinal + 1
         entry = {"analysis": kind, "index": i}
         t0 = time.perf_counter()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with recording_warnings(entry):
             try:
                 # resampling analyses draw from a namespaced child seed,
                 # which cannot overlap the simulation streams
@@ -363,9 +380,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
             except Exception as e:  # recorded, not fatal
                 entry["error"] = f"{type(e).__name__}: {e}"
         timings[f"analysis_{i}_{kind}"] = time.perf_counter() - t0
-        if caught:
-            entry["warnings"] = [f"{w.category.__name__}: {w.message}"
-                                 for w in caught]
         results.append(entry)
 
     report = ExperimentReport(cfg, tuple(results), timings, __version__)

@@ -19,19 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RngSeed"]
+from .distributions import JsonFields, check_int
 
-_U64_MAX = 2**64 - 1
+__all__ = ["RngSeed"]
 
 
 @dataclass(frozen=True)
-class RngSeed:
+class RngSeed(JsonFields):
     """Seed for one logical random stream.
 
     master_seed identifies the whole experiment, stream_id one stream
-    inside it. Substreams for internal purposes (noise sequences,
-    Monte Carlo chunks, calibration runs) are derived with generator(),
-    which appends a path of integers to the spawn key.
+    inside it; each is stored as an int. Substreams for internal purposes
+    (noise sequences, Monte Carlo chunks, calibration runs) are derived
+    with generator(), which appends a path of integers to the spawn key.
     """
 
     master_seed: int
@@ -39,16 +39,15 @@ class RngSeed:
 
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-                raise TypeError(f"{name} must be an integer")
-            if not 0 <= int(v) <= _U64_MAX:
+            v = check_int(name, getattr(self, name))
+            if not 0 <= v < 2**64:
                 raise ValueError(f"{name} must fit in an unsigned 64-bit integer")
+            object.__setattr__(self, name, v)
 
     def _sequence(self, path) -> np.random.SeedSequence:
         """The SeedSequence that generator() and child() expand."""
-        key = (int(self.stream_id), *map(int, path))
-        return np.random.SeedSequence(int(self.master_seed), spawn_key=key)
+        key = (self.stream_id, *map(int, path))
+        return np.random.SeedSequence(self.master_seed, spawn_key=key)
 
     def generator(self, *path: int) -> np.random.Generator:
         """Generator for the substream addressed by `path`."""
@@ -63,29 +62,6 @@ class RngSeed:
         """
         st = self._sequence(path).generate_state(2, np.uint64)
         return RngSeed(int(st[0]), int(st[1]))
-
-    def to_json(self) -> dict:
-        return {"master_seed": int(self.master_seed), "stream_id": int(self.stream_id)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "RngSeed":
-        """The seed a to_json dict describes; a malformed one, an unknown
-        key, or a field that is a bool or not an integer, raises a
-        ValueError naming it."""
-        if not isinstance(obj, dict):
-            raise ValueError(f"seed must be a JSON object, got {obj!r}")
-        for key in obj:
-            if key not in ("master_seed", "stream_id"):
-                raise ValueError(f"seed has no field {key!r}")
-        if "master_seed" not in obj:
-            raise ValueError("missing field 'master_seed'")
-        fields = {"master_seed": obj["master_seed"],
-                  "stream_id": obj.get("stream_id", 0)}
-        for name, v in fields.items():
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(
-                    f"field {name!r} must be an integer, got {v!r}")
-        return RngSeed(**fields)
 
 
 def chunk_sizes(total: int, chunk: int) -> list[int]:

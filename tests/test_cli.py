@@ -297,6 +297,34 @@ def test_theta_theory_kesten(runner, workdir):
     assert abs(res["kappa"] - 2.0) < 0.1
 
 
+@pytest.mark.parametrize("trunc_t, warned", [(3, True), (10_000, False)])
+def test_theta_theory_records_warnings_as_an_experiment_does(
+        runner, workdir, trunc_t, warned):
+    # the parent printed no warnings key and sent the truncation warning
+    # to stderr, where an experiment records it in the analysis entry
+    args = ("--which", "theta-sigma", "--model", "garch.json", "--alpha", 2,
+            "--trunc-t", trunc_t, "--mc-reps", 2000)
+    r = invoke(runner, "--seed", 0, "--out", "o", "theta-theory", *args)
+    assert r.exit_code == 0
+    assert r.stderr == ""
+    out = json.loads(r.stdout)
+    assert json.loads(Path("o/theory.json").read_text()) == out
+    cfg = ExperimentConfig.from_json({
+        "model": json.loads(Path("garch.json").read_text()), "n": 100,
+        "seed": RngSeed(0).to_json(), "analyses": [
+            {"analysis": "theory", "which": "theta_sigma", "alpha": 2.0,
+             "trunc_T": trunc_t, "mc_reps": 2000}]})
+    entry = run_experiment(cfg, "e").results[0]
+    for got in (out, entry):
+        risk = got["truncation"]["risk_fraction"]
+        if warned:
+            assert got["warnings"] == [f"UserWarning: truncation risk "
+                                       f"{risk:.3f} exceeds 1%; increase "
+                                       f"trunc_T"]
+        else:
+            assert risk <= 0.01 and "warnings" not in got
+
+
 @pytest.mark.parametrize("command", [("theta-est", "--method", "blocks"),
                                      ("extremogram",), ("diagnose",)])
 def test_path_command_reads_its_spec_before_simulating(runner, workdir,
@@ -360,6 +388,22 @@ def test_diagnose(runner, workdir):
         assert key in res, key
     assert len(res["extremogram"]) == 10
     assert "errors" not in res
+
+
+def test_diagnose_extremogram_is_the_extremogram_command(runner, workdir):
+    # diagnose runs the extremogram analysis on its path, lags 1..10 at
+    # --q, so it writes that command's CSV and prints its chi values
+    common = ("--model", "garch.json", "--n", 20000, "--burn-in", 1000)
+    r = invoke(runner, "--seed", 4, "--out", "d", "diagnose", *common,
+               "--q", 0.98)
+    assert r.exit_code == 0
+    r = invoke(runner, "--seed", 4, "--out", "e", "extremogram", *common,
+               "--q", 0.98)
+    assert r.exit_code == 0
+    assert (Path("d/extremogram.csv").read_bytes()
+            == Path("e/extremogram.csv").read_bytes())
+    res = json.loads(Path("d/diagnose.json").read_text())
+    assert res["extremogram"] == json.loads(r.stdout)["chi_hat"]
 
 
 def test_quantile_out_of_range_is_no_traceback(runner, workdir):
@@ -441,12 +485,12 @@ VALID_EXPERIMENT = {"model": VALID_MODELS[0], "n": 10,
     ({**VALID_EXPERIMENT, "seed": 5}, "seed must be a JSON object, got 5"),
     ({**VALID_EXPERIMENT, "seed": {}}, "missing field 'master_seed'"),
     ({**VALID_EXPERIMENT, "seed": {"master_seed": True}},
-     "field 'master_seed' must be an integer"),
+     "master_seed must be an integer, got True"),
     ({**VALID_EXPERIMENT, "seed": {"master_seed": 1.5}},
-     "field 'master_seed' must be an integer"),
+     "master_seed must be an integer, got 1.5"),
     ({**VALID_EXPERIMENT, "seed": {"master_seed": -1}}, "master_seed must"),
     ({**VALID_EXPERIMENT, "seed": {"master_seed": 0, "stream_id": "1"}},
-     "field 'stream_id' must be an integer"),
+     "stream_id must be an integer, got '1'"),
     ({k: v for k, v in VALID_EXPERIMENT.items() if k != "n"},
      "missing field 'n'"),
     ({k: v for k, v in VALID_EXPERIMENT.items() if k != "seed"},
@@ -475,7 +519,8 @@ def test_experiment_run_bad_config_names_the_field(obj, field):
 
 @pytest.mark.parametrize("path, key, message", [
     ((), "burnin", "experiment config has no field 'burnin'"),
-    (("seed",), "steam_id", "field 'seed': seed has no field 'steam_id'"),
+    (("seed",), "steam_id",
+     "field 'seed': rng seed has no field 'steam_id'"),
     (("model",), "bogus", "field 'model': expar1 has no field 'bogus'"),
     (("model", "z"), "bogus",
      "field 'model': field 'z': innovation spec has no field 'bogus'"),

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svextremes.distributions import (InnovationSpec, constant, draw,
-                                      laplace, moment_abs, moment_abs_mc,
-                                      moment_pos, pareto, sample_innovation,
-                                      std_normal, student_t, tail_prob)
+                                      finite_real, laplace, moment_abs,
+                                      moment_abs_mc, moment_pos, pareto,
+                                      sample_innovation, std_normal,
+                                      student_t, tail_prob)
 from svextremes.rng import RngSeed
 
 
@@ -219,3 +221,16 @@ def test_unknown_kind_rejected():
 def test_infinite_parameters_rejected(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+@pytest.mark.parametrize("value, finite", [
+    (np.float32(np.inf), False), (np.float32(-np.inf), False),
+    (np.float32(np.nan), False), (np.float32(0.5), True),
+    (10**400, False), (10**300, True), (np.int64(3), True),
+    (math.inf, False), (True, False), ("1", False)])
+def test_finite_real(value, finite):
+    # the parent read a float32 infinity as finite, with a RuntimeWarning
+    # from casting the largest float to float32
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert finite_real(value) is finite

@@ -1,5 +1,7 @@
 """Estimator tests: exact small fixtures, i.i.d. calibration, invariances."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -323,6 +325,22 @@ def test_extremogram_rejects_non_integer_lags():
     r = extremogram(v, lags=np.array([2, 1], dtype=np.int32), q=0.9)
     assert r.lags.tolist() == [1, 2]
     assert np.array_equal(r.chi_hat, extremogram(v, (1, 2), q=0.9).chi_hat)
+
+
+@pytest.mark.parametrize("q", [True, "0.9", 1.5, -0.1, float("nan"),
+                               float("inf"), np.float32("inf"), None])
+def test_extremogram_rejects_a_bad_q_by_name(q):
+    # the parent ran True as q = 1.0 and left the others to numpy
+    with pytest.raises(ValueError,
+                       match=re.escape(f"q must be a finite number in "
+                                       f"[0, 1], got {q!r}")):
+        extremogram(pareto_sample(100), (1,), q)
+
+
+@pytest.mark.parametrize("q", [0, 1, np.float32(0.5)])
+def test_extremogram_takes_q_at_the_ends(q):
+    r = extremogram(pareto_sample(100), (1,), q)
+    assert r.q == float(q)
 
 
 # -- anticlustering diagnostic --------------------------------------------

@@ -38,6 +38,20 @@ def test_config_validation():
                          burn_in=-1)
 
 
+@pytest.mark.parametrize("field, message", [
+    ("model", "model must be a model config, got 5"),
+    ("seed", "seed must be an RngSeed, got 5")])
+def test_config_rejects_a_model_or_seed_of_the_wrong_type(tmp_path, field,
+                                                          message):
+    # the parent built both and failed inside run_experiment, after it
+    # had made the output directory
+    kw = {"model": small_model(), "n": 100, "seed": RngSeed(0), field: 5}
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_experiment(ExperimentConfig(**kw), out)
+    assert not out.exists()
+
+
 def test_config_rejects_fractional_n_and_burn_in():
     with pytest.raises(ValueError, match="n must be a whole number, got 10.5"):
         small_config(n=10.5)

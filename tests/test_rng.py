@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -60,8 +61,27 @@ def test_json_roundtrip(master, stream):
 
 def test_from_json_rejects_an_unknown_key():
     # the parent ran {"master_seed": 1, "steam_id": 3} as stream 0
-    with pytest.raises(ValueError, match="^seed has no field 'steam_id'$"):
+    with pytest.raises(ValueError,
+                       match="^rng seed has no field 'steam_id'$"):
         RngSeed.from_json({"master_seed": 1, "steam_id": 3})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("master_seed", True), ("master_seed", 1.5), ("stream_id", "1"),
+    ("stream_id", None)])
+def test_seed_field_not_an_integer_is_a_value_error(name, value):
+    # the parent raised a TypeError
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be an integer, got "
+                             f"{re.escape(repr(value))}$"):
+        RngSeed(**{"master_seed": 1, name: value})
+
+
+def test_seed_fields_are_plain_ints():
+    s = RngSeed(np.uint64(2**64 - 1), np.int32(3))
+    assert type(s.master_seed) is int and type(s.stream_id) is int
+    assert s == RngSeed(2**64 - 1, 3)
+    assert s.to_json() == {"master_seed": 2**64 - 1, "stream_id": 3}
 
 
 def test_chunk_sizes():
