@@ -5,7 +5,9 @@ generic SRE model, hill, theta-est with each method and with no option
 it may leave out, extremogram on a stored path and on sigma of a
 constant-volatility model, theta-theory with each quantity, on a
 generic SRE pair and at a truncation whose warning its JSON records,
-diagnose), two commands that must fail, two `experiment run`s whose
+diagnose with breiman's alpha from Hill, at a given alpha, and on a
+constant-volatility model whose errors and warnings diagnose.json
+records), two commands that must fail, two `experiment run`s whose
 configs use all seven analysis kinds, the second with no optional spec
 field, the `fig1-right` preset (t(4) returns, so its report echoes a
 Student-t spec), and an `experiment run` of the config in that preset's
@@ -160,6 +162,15 @@ COMMANDS = [
                               "3", "--mc-reps", "2000")),
     ("diagnose", ("--seed", "6", "--out", "o", "diagnose", "--model",
                   "garch.json", "--n", "20000", "--burn-in", "1000")),
+    # sigma == 1 leaves every breiman level empty: three warnings, and an
+    # error from Hill on sigma
+    ("diagnose-warning", ("--seed", "0", "--out", "o", "diagnose", "--model",
+                          "const.json", "--n", "2000", "--burn-in", "10",
+                          "--alpha", "4")),
+    # breiman at a given alpha, not at the Hill estimate on |x|
+    ("diagnose-alpha", ("--seed", "6", "--out", "o", "diagnose", "--model",
+                        "garch.json", "--n", "20000", "--burn-in", "1000",
+                        "--alpha", "4")),
     ("fail-model-mismatch", ("--out", "o", "theta-theory", "--which",
                              "kesten", "--model", "ma.json")),
     ("fail-extremogram-lag", ("--out", "o", "extremogram", *INPUT,

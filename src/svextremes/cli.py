@@ -6,9 +6,10 @@ numerical results, only wall time. Model configs are JSON files in the
 same schema the library's config_to_json produces. Subcommands write
 their outputs under --out and echo a JSON summary to stdout. Every
 analysis a command runs comes from experiments.ANALYSES, on a spec that
-experiments.read_spec reads before anything is simulated. The path and
-theory commands run the analysis of the same name and echo its entry,
-warnings included; they write no path.csv or report.json.
+experiments.read_spec reads before anything is simulated. hill,
+theta-est, extremogram and theta-theory run the analysis of the same
+name and echo its entry, warnings included. diagnose runs its battery
+as an experiment (path.csv, report.json) and sums it up in diagnose.json.
 """
 
 from __future__ import annotations
@@ -257,38 +258,31 @@ def theta_theory(ctx, which, model, alpha, m, mc_reps, tol, trunc_t):
 def diagnose(ctx, model, n, burn_in, k, q, alpha):
     """Battery: Hill, three theta estimates, extremogram, tail transfer."""
     k = k if k is not None else max(n // 50, 10)
-    # the specs that need no path are read before it is simulated; an
-    # error that depends on the path is recorded per entry
-    thetas = {m: _call(read_spec, "theta", {"method": m, "q": q})
-              for m in ("blocks", "runs", "intervals")}
-    chi = _call(read_spec, "extremogram", {"lags": [*range(1, 11)], "q": q})
-    breiman = (None if alpha is None
-               else _call(read_spec, "breiman", {"alpha": alpha}))
-    run = _path_inputs(ctx, model, None, n, burn_in)
-    out = {"n": n, "q": q, "k": k}
-    errors = {}
-
-    def attempt(name, kind, key, spec):
-        try:
-            out[name] = ANALYSES[kind](spec, run)[key]
-        except ValueError as e:
-            errors[name] = str(e)
-
-    for series in ("sigma", "x_abs"):
-        attempt(f"hill_{series}", "hill", "alpha_hat",
-                read_spec("hill", {"k": k, "series": series}))
-    out["u"] = float(np.quantile(np.abs(run.x), q))
-    for method, spec in thetas.items():
-        attempt(f"theta_{method}", "theta", "theta_hat", spec)
-    attempt("extremogram", "extremogram", "chi_hat", chi)
-    if breiman is None and "hill_x_abs" in out:
-        breiman = read_spec("breiman", {"alpha": out["hill_x_abs"]})
-    if breiman is not None:
-        attempt("breiman_ratio", "breiman", "ratios", breiman)
-        out["breiman_alpha"] = breiman["alpha"]
-    if errors:
-        out["errors"] = errors
-    _write_json(run.artifact("diagnose.json"), out)
+    breiman = {"hill_k": k} if alpha is None else {"alpha": alpha}
+    # diagnose.json key -> (the report entry's key it holds, the analysis)
+    battery = {
+        **{f"hill_{s}": ("alpha_hat", dict(analysis="hill", k=k, series=s))
+           for s in ("sigma", "x_abs")},
+        **{f"theta_{m}": ("theta_hat", dict(analysis="theta", method=m, q=q))
+           for m in ("blocks", "runs", "intervals")},
+        "extremogram": ("chi_hat", dict(analysis="extremogram", q=q,
+                                        lags=[*range(1, 11)])),
+        "breiman_ratio": ("ratios", dict(analysis="breiman", **breiman))}
+    # the config reads every spec, before anything is simulated
+    cfg = _call(ExperimentConfig, _load_model(model), n, ctx.obj.seed,
+                burn_in, [a for _, a in battery.values()], "diagnose")
+    entries = dict(zip(battery, _call(run_experiment, cfg, ctx.obj.out,
+                                      ctx.obj.threads).results))
+    out = {"n": n, "q": q, "k": k, **{name: e[battery[name][0]] for name, e
+                                      in entries.items() if "error" not in e}}
+    out.update([("u", e["u"]) for e in entries.values() if "u" in e][:1])
+    if "alpha" in entries["breiman_ratio"]:
+        out["breiman_alpha"] = entries["breiman_ratio"]["alpha"]
+    for summary, field in (("errors", "error"), ("warnings", "warnings")):
+        found = {name: e[field] for name, e in entries.items() if field in e}
+        if found:
+            out[summary] = found
+    _write_json(ctx.obj.artifact("diagnose.json"), out)
     _echo_json(out)
 
 

@@ -143,7 +143,8 @@ class JsonFields:
     then every init field under its JSON name (metadata "json", else its
     name), leaving out a field still at a None default: a value by its
     own to_json(), an ndarray or tuple as a list, a dict copied.
-    from_json() reads that form back.
+    from_json() reads that form back, and check_fields() holds named
+    fields of an instance built in Python to the same rules.
     """
 
     TAG = None
@@ -176,6 +177,15 @@ class JsonFields:
             elif f.default is MISSING and f.default_factory is MISSING:
                 raise ValueError(f"missing field {key!r}")
         return cls(**kw)
+
+    def check_fields(self, *names: str) -> None:
+        """Raise the ValueError from_json raises for a named field's value
+        (a tuple read as a list), so that an instance built in Python
+        rejects what its JSON reader rejects."""
+        for name in names:
+            v = getattr(self, name)
+            _read(_types(type(self))[name],
+                  list(v) if isinstance(v, tuple) else v, name)
 
 
 @dataclass(frozen=True)

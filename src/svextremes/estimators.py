@@ -31,15 +31,17 @@ Estimator conventions, used consistently below:
     keep a `threads` argument, unused, because callers pass it;
   * values must be one-dimensional and free of NaN, hill's k,
     block_len, run_len, the extremogram's lags and anticluster_diag's m,
-    r_n, reps and n integers (numpy's too, a bool not) in range, and
-    anticluster_diag's y a finite number > 0; otherwise hill, the theta
-    estimators, the extremogram, anticluster_diag and breiman_ratio
+    r_n, reps and n integers (numpy's too, a bool not) in range,
+    anticluster_diag's y a finite number > 0, and the theta estimators'
+    u a real number other than NaN (+-inf included); otherwise hill, the
+    theta estimators, the extremogram, anticluster_diag and breiman_ratio
     raise a ValueError that names the field.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -241,19 +243,31 @@ def _bootstrap_stderr(idx: np.ndarray, n: int, stat, n_boot: int) -> float:
     return float(np.std(vals, ddof=1))
 
 
+def _threshold(u) -> float:
+    """u as a float: a real number (not a bool) that a float holds, +-inf
+    included (none or every value exceeds it), NaN not."""
+    try:
+        if isinstance(u, numbers.Real) and not isinstance(u, bool) and u == u:
+            return float(u)
+    except OverflowError:  # an int beyond the largest float
+        pass
+    raise ValueError(f"u must be a real number other than NaN, got {u!r}")
+
+
 def _theta(method: str, tuning: dict, values, u: float, n_boot: int, stat,
            too_few: str) -> ThetaEstimate:
     """stat(indices, n) on the exceedances of u, NaN when they are too
     few, and its cluster bootstrap stderr."""
     if n_boot < 0:
         raise ValueError("n_boot must be >= 0")
+    u = _threshold(u)
     idx = exceedances(values, u)
     n = len(values)
     th = stat(idx, n)
     if np.isnan(th):
         raise ValueError(too_few)
     se = _bootstrap_stderr(idx, n, stat, n_boot)
-    return ThetaEstimate(th, method, {**tuning, "u": float(u)}, se)
+    return ThetaEstimate(th, method, {**tuning, "u": u}, se)
 
 
 def blocks_theta(values, u: float, block_len: int, n_boot: int = 100,

@@ -101,9 +101,9 @@ def _list_of(rule):
 _SERIES = _one_of("x", "x_abs", "sigma")
 
 # kind -> field -> (rule, default). A rule (name, value) returns the value
-# read or raises a ValueError that starts with name. A default of ... marks
-# a required field; None is filled in by the analysis (anticluster r_n,
-# theory mc_reps), except theory alpha, which only kesten may leave out
+# read or raises a ValueError that starts with name. Default ... marks a
+# required field, None one the analysis fills in (anticluster r_n, theory
+# mc_reps, breiman alpha from hill_k) or only kesten omits (theory alpha)
 SPECS = {
     "hill": {"k": (_whole_number, ...), "series": (_SERIES, "x_abs")},
     "theta": {"method": (_one_of("blocks", "runs", "intervals"), ...),
@@ -111,7 +111,7 @@ SPECS = {
               "run_len": (_whole_number, 10), "series": (_SERIES, "x_abs")},
     "extremogram": {"lags": (_list_of(_whole_number), ...),
                     "q": (_level, 0.99), "series": (_SERIES, "x_abs")},
-    "breiman": {"alpha": (_positive, ...),
+    "breiman": {"alpha": (_positive, None), "hill_k": (_whole_number, None),
                 "q_grid": (_list_of(_level), (0.99, 0.995, 0.999))},
     "anticluster": {"m_grid": (_list_of(_whole_number), ...),
                     "r_n": (_whole_number, None), "y": (_positive, 1.0),
@@ -146,6 +146,9 @@ def read_spec(kind, spec: dict) -> dict:
             out[name] = default
     if kind == "theory" and out["which"] != "kesten" and out["alpha"] is None:
         raise ValueError("theory alpha is required")
+    if kind == "breiman" and (out["alpha"] is None) == (out["hill_k"] is None):
+        raise ValueError("breiman alpha is required" if out["alpha"] is None
+                         else "breiman takes alpha or hill_k, not both")
     # swapped levels would mark rows as both low and high
     if kind == "figure" and not out["q_low"] < out["q_high"]:
         raise ValueError(f"figure q_low must be below q_high, got "
@@ -174,6 +177,7 @@ class ExperimentConfig(JsonFields):
             object.__setattr__(self, name,
                                _whole_number(name, getattr(self, name)))
         _check_length(self.n, self.burn_in)
+        self.check_fields("label", "analyses")
         object.__setattr__(self, "analyses",
                            tuple(dict(a) for a in self.analyses))
         object.__setattr__(self, "specs", tuple(
@@ -245,9 +249,11 @@ def _extremogram(spec: dict, run: AnalysisInputs) -> dict:
 
 
 def _breiman(spec: dict, run: AnalysisInputs) -> dict:
-    r = est.breiman_ratio(run.sigma, run.x, spec["q_grid"], spec["alpha"],
+    alpha = (spec["alpha"]  # else the Hill estimate on |x| at hill_k
+             or est.hill(run.series("x_abs"), spec["hill_k"]).alpha_hat)
+    r = est.breiman_ratio(run.sigma, run.x, spec["q_grid"], alpha,
                           z=run.model.z)
-    return {"alpha": spec["alpha"], **r.to_json()}
+    return {"alpha": alpha, **r.to_json()}
 
 
 def _anticluster(spec: dict, run: AnalysisInputs) -> dict:

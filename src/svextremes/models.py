@@ -66,6 +66,7 @@ class ExpAr1Config(JsonFields):
     def __post_init__(self):
         if not -1.0 < self.phi < 1.0:
             raise ValueError("phi must lie in (-1, 1)")
+        self.check_fields("phi")
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,7 @@ class EgarchConfig(JsonFields):
                              "pass light_tailed=True to accept that regime")
         if self.z.kind in ("student_t", "pareto"):
             raise ValueError(f"unsupported EGARCH noise kind {self.z.kind!r}")
+        self.check_fields("alpha0", "gamma0", "delta0", "phi")
 
 
 @dataclass(frozen=True)
@@ -114,6 +116,7 @@ class Garch11Pair(JsonFields):
             raise ValueError("alpha0 must be > 0")
         if self.alpha1 < 0 or self.beta1 < 0:
             raise ValueError("alpha1 and beta1 must be >= 0")
+        self.check_fields("alpha0", "alpha1", "beta1")
 
     def draw_a(self, g: np.random.Generator, size: int) -> np.ndarray:
         # alpha1 e e + beta1 in the same operation order, with one
@@ -200,6 +203,7 @@ class SreSvConfig(JsonFields):
                 raise ValueError("garch_returns needs Garch11 multipliers")
         else:
             raise TypeError("pair_source must be Garch11Pair or GenericPair")
+        self.check_fields("p")
         probe_multipliers(self.pair_source.draw_a)
 
 
@@ -223,6 +227,7 @@ class MaSvConfig(JsonFields):
         if self.eta.kind not in ("pareto", "student_t"):
             raise ValueError("eta must be a regularly varying kind "
                              "(pareto or student_t)")
+        self.check_fields("p", "psi")
 
 
 ModelConfig = Union[ExpAr1Config, EgarchConfig, SreSvConfig, MaSvConfig]

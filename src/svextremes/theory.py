@@ -498,6 +498,8 @@ def theta_x_ma(psi, alpha: float, p: float, z: InnovationSpec,
     above 1 (theta near 1) reads 1; mc_stderr is the uncapped ratio's.
     """
     psi = np.asarray(psi, dtype=float)
+    if psi.ndim != 1:
+        raise ValueError("psi must be one-dimensional")
     _check_args(mc_reps, finite={"psi": psi}, alpha=alpha, p=p)
     w = np.abs(psi)
     if w.size == 0 or not np.any(w > 0):

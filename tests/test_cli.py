@@ -406,6 +406,81 @@ def test_diagnose_extremogram_is_the_extremogram_command(runner, workdir):
     assert res["extremogram"] == json.loads(r.stdout)["chi_hat"]
 
 
+def untimed_report(out: str) -> str:
+    """report.json of an --out directory, without its timings."""
+    report = json.loads(Path(out, "report.json").read_text())
+    del report["timings"]
+    return json.dumps(report, indent=2, sort_keys=True)
+
+
+def test_diagnose_reruns_from_its_report(runner, workdir):
+    # diagnose runs an experiment: the config in its report.json reruns
+    # it, and diagnose.json sums up the report's entries
+    r = invoke(runner, "--seed", 4, "--out", "d", "diagnose", "--model",
+               "garch.json", "--n", 5000, "--burn-in", 1000)
+    assert r.exit_code == 0
+    assert sorted(fp.name for fp in Path("d").iterdir()) == [
+        "diagnose.json", "extremogram.csv", "path.csv", "report.json"]
+    report = json.loads(Path("d/report.json").read_text())
+    assert report["config"]["label"] == "diagnose"
+    assert report["config"]["analyses"][-1] == {"analysis": "breiman",
+                                                "hill_k": 100}
+    Path("cfg.json").write_text(json.dumps(report["config"]))
+    r = invoke(runner, "--out", "e", "experiment", "run", "cfg.json")
+    assert r.exit_code == 0
+    for name in ("path.csv", "extremogram.csv"):
+        assert Path("d", name).read_bytes() == Path("e", name).read_bytes()
+    assert untimed_report("d") == untimed_report("e")
+    res = json.loads(Path("d/diagnose.json").read_text())
+    entries = report["results"]
+    assert res["hill_x_abs"] == entries[1]["alpha_hat"] == res["breiman_alpha"]
+    assert res["theta_intervals"] == entries[4]["theta_hat"]
+    assert res["u"] == entries[2]["u"]
+    assert res["breiman_ratio"] == entries[6]["ratios"]
+
+
+def test_diagnose_records_its_warnings_and_leaves_stderr_empty(workdir):
+    # sigma == 1: every breiman level is empty, and Hill on sigma fails.
+    # The parent printed the three warnings on stderr
+    const = SreSvConfig(p=1.0, pair_source=GenericPair(constant(0.0),
+                                                       constant(1.0)),
+                        z=std_normal())
+    Path("const.json").write_text(json.dumps(config_to_json(const)))
+    src = str(Path(svextremes.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "svextremes", "--seed", "0", "--out", "o",
+         "diagnose", "--model", "const.json", "--n", "2000", "--burn-in",
+         "10", "--alpha", "4"], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    res = json.loads(proc.stdout)
+    assert json.loads(Path("o/diagnose.json").read_text()) == res
+    assert res["warnings"] == {"breiman_ratio": [
+        f"UserWarning: no exceedances at level {q}; grid point dropped"
+        for q in (0.99, 0.995, 0.999)]}
+    assert res["errors"] == {"hill_sigma": "ValueError: degenerate tail sample"}
+    assert (res["breiman_ratio"], res["breiman_alpha"]) == ([], 4.0)
+
+
+def test_diagnose_records_a_failed_hill_on_x_as_the_breiman_error(
+        runner, workdir):
+    # x == 1: without --alpha, breiman's alpha is Hill's on |x|, which
+    # fails; the parent left breiman out silently
+    ones = SreSvConfig(p=1.0, pair_source=GenericPair(constant(0.0),
+                                                      constant(1.0)),
+                       z=constant(1.0))
+    Path("ones.json").write_text(json.dumps(config_to_json(ones)))
+    r = invoke(runner, "--out", "o", "diagnose", "--model", "ones.json",
+               "--n", 2000, "--burn-in", 10)
+    assert r.exit_code == 0
+    res = json.loads(r.stdout)
+    degenerate = "ValueError: degenerate tail sample"
+    assert res["errors"]["hill_x_abs"] == degenerate
+    assert res["errors"]["breiman_ratio"] == degenerate
+    assert "breiman_ratio" not in res and "breiman_alpha" not in res
+
+
 def test_quantile_out_of_range_is_no_traceback(runner, workdir):
     r = invoke(runner, "--out", "o", "theta-est", "--model", "garch.json",
                "--n", 2000, "--burn-in", 100, "--method", "blocks",

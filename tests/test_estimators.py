@@ -337,6 +337,37 @@ def test_extremogram_rejects_a_bad_q_by_name(q):
         extremogram(pareto_sample(100), (1,), q)
 
 
+THETA_AT = {"blocks": lambda v, u: blocks_theta(v, u, 10),
+            "runs": lambda v, u: runs_theta(v, u, 5),
+            "intervals": intervals_theta}
+
+
+@pytest.mark.parametrize("u", ["1.0", float("nan"), np.float32("nan"), True,
+                               None, 10**400],
+                         ids=["str", "nan", "float32-nan", "bool", "none",
+                              "int-beyond-float"])
+@pytest.mark.parametrize("method", list(THETA_AT))
+def test_theta_rejects_a_threshold_that_is_no_number(method, u):
+    # the parent failed with numpy's UFuncTypeError on "1.0", reported
+    # "insufficient exceedances" or "empty exceedance set" on NaN and ran
+    # True as u = 1
+    with pytest.raises(ValueError,
+                       match=re.escape(f"u must be a real number other than "
+                                       f"NaN, got {u!r}")):
+        THETA_AT[method](pareto_sample(1000), u)
+
+
+@pytest.mark.parametrize("method", list(THETA_AT))
+def test_theta_takes_an_infinite_threshold(method):
+    v = pareto_sample(1000)
+    r = THETA_AT[method](v, -np.inf)  # every value exceeds it
+    assert r.tuning["u"] == -np.inf
+    assert r.theta_hat == THETA_AT[method](v, 0.5).theta_hat
+    with pytest.raises(ValueError, match="exceedance"):  # none exceeds it
+        THETA_AT[method](v, np.inf)
+    assert THETA_AT[method](v, np.int64(2)).tuning["u"] == 2.0
+
+
 @pytest.mark.parametrize("q", [0, 1, np.float32(0.5)])
 def test_extremogram_takes_q_at_the_ends(q):
     r = extremogram(pareto_sample(100), (1,), q)

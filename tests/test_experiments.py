@@ -71,6 +71,26 @@ def test_config_from_json_rejects_fractional_n_and_keeps_integral_floats():
     assert (cfg.n, cfg.burn_in) == (1000000, 100)
     assert type(cfg.n) is int and type(cfg.burn_in) is int
 
+
+@pytest.mark.parametrize("field, value, message", [
+    ("label", 5, "field 'label' must be a string, got 5"),
+    *(("analyses", v, f"field 'analyses' must be a list, each item an "
+                      f"object, got {v!r}")
+      for v in (5, [5], "ab", [{"analysis": "hill", "k": 10}, 5]))])
+def test_config_rejects_a_label_or_analyses_of_the_wrong_type(
+        tmp_path, field, value, message):
+    # the parent built label=5, then wrote a report.json that its own
+    # from_json rejected; bad analyses failed with a TypeError or a
+    # message that named no field
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(small_model(), 100, RngSeed(0), **{field: value})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig.from_json({**small_config().to_json(),
+                                    field: value})
+    assert small_config(analyses=[{"analysis": "hill", "k": 10}]).analyses \
+        == ({"analysis": "hill", "k": 10},)
+
+
 def test_config_json_roundtrip():
     cfg = small_config(analyses=({"analysis": "hill", "k": 100},
                                  {"analysis": "theta", "method": "blocks",
@@ -191,6 +211,28 @@ def test_analysis_warnings_recorded_per_entry(tmp_path):
     assert "warnings" not in blob["results"][0]
 
 
+def test_breiman_alpha_from_hill_k_is_the_hill_estimate(tmp_path):
+    # a spec with hill_k runs breiman at Hill's alpha_hat on |x| at that
+    # k, and records it as the entry's alpha
+    hill = {"analysis": "hill", "k": 100}
+    report = run_experiment(small_config(analyses=(
+        hill, {"analysis": "breiman", "hill_k": 100})), tmp_path / "a")
+    alpha = report.results[0]["alpha_hat"]
+    given = run_experiment(small_config(analyses=(
+        hill, {"analysis": "breiman", "alpha": alpha})), tmp_path / "b")
+    assert report.results[1] == given.results[1]  # ratios included
+    assert report.results[1]["alpha"] == alpha
+
+
+def test_breiman_records_a_failed_hill_as_its_error(tmp_path):
+    # hill_k above the path length fails in Hill, which is the entry's
+    # error
+    report = run_experiment(small_config(analyses=(
+        {"analysis": "breiman", "hill_k": 5000},)), tmp_path / "out")
+    assert report.results[0]["error"] == ("ValueError: need at least k+1 "
+                                          "strictly positive values")
+
+
 def read_marks(fp):
     """figure.csv as (t, x, side) arrays."""
     lines = fp.read_text().splitlines()
@@ -274,7 +316,11 @@ def test_quantile_spec_rejected_where_it_enters(spec, q):
     ({"alpha": float("inf")}, "breiman alpha must be a finite number > 0"),
     ({"alpha": "4"}, "breiman alpha must be a finite number > 0"),
     ({"alpha": 10**400}, "breiman alpha must be a finite number > 0"),
-    ({"alpha": True}, "breiman alpha must be a finite number > 0")])
+    ({"alpha": True}, "breiman alpha must be a finite number > 0"),
+    ({"hill_k": 100}, "breiman takes alpha or hill_k, not both"),
+    ({"hill_k": 2.5}, "breiman hill_k must be a whole number, got 2.5"),
+    ({"hill_k": "100"}, "breiman hill_k must be a whole number, got '100'"),
+    ({"hill_k": None}, "breiman hill_k must be a whole number, got None")])
 def test_breiman_spec_rejected_where_it_enters(spec, message):
     # q_grid [1.5] used to simulate the path and then record numpy's
     # "Quantiles must be in the range [0, 1]"; alpha nan wrote a NaN

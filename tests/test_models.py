@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -461,6 +462,41 @@ def test_ma_config_validation():
         MaSvConfig(p=1.0, psi=(1.0,), eta=std_normal(), z=constant(1.0))
     with pytest.raises(ValueError, match="p must be"):
         MaSvConfig(p=0.0, psi=(1.0,), eta=pareto(4.0), z=constant(1.0))
+
+
+@pytest.mark.parametrize("cfg, field, value", [
+    (EgarchConfig(alpha0=0.0, gamma0=0.5, delta0=0.5, phi=0.5,
+                  z=laplace(2.0)), "alpha0", math.nan),
+    (EgarchConfig(alpha0=0.0, gamma0=0.5, delta0=0.5, phi=0.5,
+                  z=laplace(2.0)), "gamma0", math.inf),
+    (EgarchConfig(alpha0=0.0, gamma0=0.5, delta0=0.5, phi=0.5,
+                  z=laplace(2.0)), "delta0", math.inf),
+    (fig2_pair(), "alpha0", math.inf),
+    (fig2_pair(), "alpha1", math.nan),
+    (fig2_pair(), "beta1", True),
+    (SreSvConfig(p=1.0, pair_source=GenericPair(constant(0.5),
+                                                constant(1.0)),
+                 z=std_normal()), "p", math.inf),
+    (MaSvConfig(p=1.0, psi=(1.0, 0.5), eta=pareto(4.0), z=std_normal()),
+     "psi", [1.0, math.nan]),
+    (MaSvConfig(p=1.0, psi=(1.0, 0.5), eta=pareto(4.0), z=std_normal()),
+     "p", math.inf),
+    (fig1_config(), "phi", False)],
+    ids=["egarch-alpha0", "egarch-gamma0", "egarch-delta0", "garch-alpha0",
+         "garch-alpha1", "garch-beta1", "sresv-p", "masv-psi", "masv-p",
+         "expar1-phi"])
+def test_config_built_in_python_rejects_what_its_reader_rejects(cfg, field,
+                                                                value):
+    # the parent built each of these: an all-NaN or all-inf sigma, sigma
+    # == 1 at p = inf, or a config whose JSON its own reader rejects
+    with pytest.raises(ValueError) as read:
+        type(cfg).from_json({**cfg.to_json(), field: value})
+    assert str(read.value) == (f"field {field!r} must be a "
+                               + ("list, each item a " if field == "psi"
+                                  else "")
+                               + f"finite number, got {value!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(read.value))}$"):
+        replace(cfg, **{field: value})
 
 
 def test_n_must_be_positive():

@@ -654,6 +654,13 @@ def test_theta_x_ma_psi_must_be_finite(psi, z):
             theta_x_ma(psi, alpha=4.0, p=1.0, z=z, mc_reps=100)
 
 
+@pytest.mark.parametrize("psi", [[[1.0, 1.0]], 1.0])
+def test_theta_x_ma_psi_must_be_one_dimensional(psi):
+    # the parent failed on [[1, 1]] with a numpy broadcast error
+    with pytest.raises(ValueError, match="^psi must be one-dimensional$"):
+        theta_x_ma(psi, 2.0, 1.0, std_normal())
+
+
 # -- result record --------------------------------------------------------
 
 def test_theta_result_range_enforced():
