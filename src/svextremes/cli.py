@@ -51,8 +51,9 @@ def _load_model(path: str):
 def _read_path_csv(path: str):
     """The sigma and x columns of a path.csv, found by their header names.
 
-    Every row must hold a number in both columns: an empty or malformed
-    field, a short row or a file without data rows is rejected.
+    Every row must hold a number other than NaN in both columns (+-inf
+    included): an empty, malformed or NaN field, a short row or a file
+    without data rows is rejected.
     """
     try:
         with open(path) as fh:
@@ -67,6 +68,11 @@ def _read_path_csv(path: str):
                 data = np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2)
         if data.shape[0] == 0:
             raise ValueError("no data rows")
+        nan = np.argwhere(np.isnan(data))
+        if nan.size:
+            row, col = nan[0]
+            raise ValueError(f"column {('sigma', 'x')[col]} holds NaN in "
+                             f"data row {row + 1}")
     except (OSError, ValueError) as e:
         raise click.ClickException(f"bad path csv {path}: {e}")
     sigma, x = np.ascontiguousarray(data.T)

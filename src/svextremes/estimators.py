@@ -9,7 +9,10 @@ Estimator conventions, used consistently below:
   * the extremogram counts value >= u (a constant series reads as
     perfect persistence): the exceedances of the float just below u;
   * thresholds are explicit; callers convert quantile levels to u with
-    np.quantile (type-7 interpolation);
+    _quantile, which returns np.quantile's type-7 value bit for bit from
+    one single-index partition, and calls np.quantile itself where
+    numpy's answer rests on its index clipping or partition order (the
+    level at the maximum, an infinite or a zero neighbour);
   * runs_theta treats indices past either end of the series as
     non-exceedances; the extremogram counts only pairs (t, t+h) that lie
     fully inside the observed range;
@@ -60,7 +63,7 @@ __all__ = [
 ]
 
 _BOOTSTRAP_SEED = 0xB0075
-_BATCH_POSITIONS = 1 << 13  # bootstrap positions built per batch
+_BATCH_POSITIONS = 1 << 15  # bootstrap positions built per batch
 _ANTICLUSTER_CALIBRATION = 10  # anticluster_diag's a_n run, in units of n
 
 
@@ -97,6 +100,33 @@ def _values_1d(values) -> np.ndarray:
     if np.isnan(v).any():
         raise ValueError("values contain NaN")
     return v
+
+
+def _quantile(values, q: float) -> float:
+    """np.quantile(values, q), type 7, bit for bit, from one partition.
+
+    With h = (n - 1) q and i = floor(h), the i-th and (i+1)-th order
+    statistics a and b are interpolated by numpy's own arithmetic
+    (_lerp). np.quantile partitions at four indices; one suffices here.
+    Where numpy's value rests on its index clipping (i >= n - 1, whose
+    maximum +inf reads NaN) or on its partition order (an infinite a or
+    b, or the sign of a zero one), np.quantile itself answers.
+    """
+    v = _values_1d(values)
+    if v.size == 0:
+        raise ValueError("values must not be empty")
+    if not (finite_real(q) and 0.0 <= q <= 1.0):
+        raise ValueError(f"q must be a finite number in [0, 1], got {q!r}")
+    h = (v.size - 1) * float(q)
+    i = math.floor(h)
+    if i < v.size - 1:
+        part = np.partition(v, i)
+        a, b = float(part[i]), float(part[i + 1:].min())
+        if (math.isfinite(a) and math.isfinite(b)
+                and a != 0.0 and b != 0.0):
+            g = h - i
+            return a + (b - a) * g if g < 0.5 else b - (b - a) * (1.0 - g)
+    return float(np.quantile(v, q))
 
 
 def exceedances(values, u: float) -> np.ndarray:
@@ -350,7 +380,7 @@ def extremogram(values, lags, q: float) -> ExtremogramResult:
         raise ValueError("need at least one lag")
     if (lags < 0).any() or (lags >= n / 2).any():
         raise ValueError("each lag must satisfy 0 <= lag < n/2")
-    u = float(np.quantile(v, q))
+    u = _quantile(v, q)
     # v >= u: the values above the float just below u, or all at -inf
     idx = (np.arange(n) if u == -np.inf
            else exceedances(v, np.nextafter(u, -np.inf)))
@@ -423,7 +453,7 @@ def anticluster_diag(cfg: ModelConfig, m, r_n: int, y: float, n: int,
         raise ValueError(f"y must be a finite number > 0, got {y!r}")
 
     cal = simulate(cfg, _ANTICLUSTER_CALIBRATION * n, burn_in, seed.child(0))
-    a_n = float(np.quantile(np.abs(cal.x), 1.0 - 1.0 / n))
+    a_n = _quantile(np.abs(cal.x), 1.0 - 1.0 / n)
     u = y * a_n
 
     width = 2 * r_n + 1
@@ -490,9 +520,9 @@ def breiman_ratio(sigma_values, x_values, q_grid, alpha: float,
     target = moment_pos(z, float(alpha)) if z is not None else None
     levels, thresholds, ratios = [], [], []
     for q in q_grid:
-        xq = float(np.quantile(sig, q))
-        den = float(np.mean(sig > xq))
-        num = float(np.mean(x > xq))
+        xq = _quantile(sig, q)
+        den = np.count_nonzero(sig > xq) / sig.size
+        num = np.count_nonzero(x > xq) / x.size
         if den == 0.0 or num == 0.0:
             warnings.warn(f"no exceedances at level {q}; grid point dropped")
             continue

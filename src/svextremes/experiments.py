@@ -43,8 +43,8 @@ import numpy as np
 
 from . import estimators as est
 from . import theory
-from .distributions import (JsonFields, finite_real, laplace, std_normal,
-                            student_t)
+from .distributions import (JsonFields, check_int, finite_real, laplace,
+                            std_normal, student_t)
 from .models import (DEFAULT_BURN_IN, ExpAr1Config, Garch11Pair, MaSvConfig,
                      ModelConfig, SreSvConfig, _check_length, path_to_csv,
                      simulate)
@@ -62,6 +62,11 @@ def _whole_number(name: str, value) -> int:
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
     raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
+def _hill_k(name: str, value) -> int:
+    """A whole number of at least 2: Hill needs two order statistics."""
+    return check_int(name, _whole_number(name, value), 2)
 
 
 def _number(low: float, high: float, text: str):
@@ -105,13 +110,13 @@ _SERIES = _one_of("x", "x_abs", "sigma")
 # required field, None one the analysis fills in (anticluster r_n, theory
 # mc_reps, breiman alpha from hill_k) or only kesten omits (theory alpha)
 SPECS = {
-    "hill": {"k": (_whole_number, ...), "series": (_SERIES, "x_abs")},
+    "hill": {"k": (_hill_k, ...), "series": (_SERIES, "x_abs")},
     "theta": {"method": (_one_of("blocks", "runs", "intervals"), ...),
               "q": (_level, 0.995), "block_len": (_whole_number, 100),
               "run_len": (_whole_number, 10), "series": (_SERIES, "x_abs")},
     "extremogram": {"lags": (_list_of(_whole_number), ...),
                     "q": (_level, 0.99), "series": (_SERIES, "x_abs")},
-    "breiman": {"alpha": (_positive, None), "hill_k": (_whole_number, None),
+    "breiman": {"alpha": (_positive, None), "hill_k": (_hill_k, None),
                 "q_grid": (_list_of(_level), (0.99, 0.995, 0.999))},
     "anticluster": {"m_grid": (_list_of(_whole_number), ...),
                     "r_n": (_whole_number, None), "y": (_positive, 1.0),
@@ -227,7 +232,7 @@ def _hill(spec: dict, run: AnalysisInputs) -> dict:
 
 def _theta(spec: dict, run: AnalysisInputs) -> dict:
     v = run.series(spec["series"])
-    u = float(np.quantile(v, spec["q"]))
+    u = est._quantile(v, spec["q"])
     if spec["method"] == "blocks":
         r = est.blocks_theta(v, u, spec["block_len"])
     elif spec["method"] == "runs":
@@ -295,8 +300,8 @@ def _theory(spec: dict, run: AnalysisInputs) -> dict:
 
 
 def _figure(spec: dict, run: AnalysisInputs) -> dict:
-    lo = float(np.quantile(run.x, spec["q_low"]))
-    hi = float(np.quantile(run.x, spec["q_high"]))
+    lo = est._quantile(run.x, spec["q_low"])
+    hi = est._quantile(run.x, spec["q_high"])
     marks_low, marks_high = _write_figure_csv(run.artifact("figure.csv"),
                                               run.x, lo, hi)
     return {**spec, "threshold_low": lo, "threshold_high": hi,
@@ -317,11 +322,14 @@ def _write_figure_csv(fp: FsPath, x: np.ndarray, lo: float,
     x < lo and `high` where x > hi; return the two mark counts."""
     low, high = x < lo, x > hi
     t = np.flatnonzero(low | high)
+    # one format call over the rows' fields, interleaved t, x, side
+    fields = [None] * (3 * t.size)
+    fields[0::3] = t.tolist()
+    fields[1::3] = x[t].tolist()
+    fields[2::3] = np.where(low[t], "low", "high").tolist()
     with open(fp, "w") as fh:
         fh.write("t,x,side\n")
-        fh.writelines("%d,%.17g,%s\n" % (i, v, "low" if is_low else "high")
-                      for i, v, is_low in zip(t.tolist(), x[t].tolist(),
-                                              low[t].tolist()))
+        fh.write(("%d,%.17g,%s\n" * t.size) % tuple(fields))
     return int(np.count_nonzero(low)), int(np.count_nonzero(high))
 
 

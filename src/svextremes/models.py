@@ -218,6 +218,8 @@ class MaSvConfig(JsonFields):
     z: InnovationSpec
 
     def __post_init__(self):
+        # the reader's checks first: float() would pass True or '2'
+        self.check_fields("p", "psi")
         if not self.p > 0:
             raise ValueError("p must be > 0")
         psi = tuple(float(v) for v in self.psi)
@@ -227,7 +229,6 @@ class MaSvConfig(JsonFields):
         if self.eta.kind not in ("pareto", "student_t"):
             raise ValueError("eta must be a regularly varying kind "
                              "(pareto or student_t)")
-        self.check_fields("p", "psi")
 
 
 ModelConfig = Union[ExpAr1Config, EgarchConfig, SreSvConfig, MaSvConfig]

@@ -343,6 +343,20 @@ def test_path_command_reads_its_spec_before_simulating(runner, workdir,
     assert not Path("o").exists()
 
 
+def test_diagnose_reads_k_before_simulating(runner, workdir, monkeypatch):
+    # a k below 2 is refused where the spec enters, before any simulation
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated")
+
+    monkeypatch.setattr("svextremes.experiments.simulate", simulate)
+    r = invoke(runner, "--out", "o", "diagnose", "--model", "garch.json",
+               "--k", 1)
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    assert "Error: hill k must be >= 2" in r.output
+    assert not Path("o").exists()
+
+
 def test_theta_theory_ma(runner, workdir):
     r = invoke(runner, "--seed", 0, "--out", "o", "theta-theory", "--which",
                "theta-x-ma", "--model", "ma.json", "--alpha", 4)
@@ -518,7 +532,7 @@ def test_experiment_run_analysis_error_still_exits_zero(runner, workdir):
     cfg = ExperimentConfig(
         model=ExpAr1Config(phi=0.9, eta=laplace(4.0), z=std_normal()),
         n=300, seed=RngSeed(7), burn_in=100,
-        analyses=({"analysis": "hill", "k": 1},))
+        analyses=({"analysis": "hill", "k": 1000},))  # above the length
     Path("exp.json").write_text(json.dumps(cfg.to_json()))
     r = invoke(runner, "--out", "o", "experiment", "run", "exp.json")
     assert r.exit_code == 0
@@ -709,6 +723,29 @@ def test_import_cli_loads_no_scipy_stats_signal_or_special():
     assert json.loads(out.splitlines()[-1]) == [[], []]
 
 
+@pytest.mark.parametrize("command", [
+    ("theta-est", "--method", "blocks"), ("extremogram",)])
+def test_path_command_on_a_stored_path_loads_no_numpy_ma(tmp_path, command):
+    # every threshold comes from one single-index partition; np.quantile
+    # would import numpy.ma, about 16 ms of each such process
+    path = simulate(ExpAr1Config(phi=0.9, eta=laplace(4.0), z=std_normal()),
+                    2000, burn_in=100, seed=RngSeed(3))
+    path_to_csv(path, tmp_path / "path.csv")
+    code = ("import sys; from svextremes.cli import main; "
+            "main(sys.argv[1:], standalone_mode=False); "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] == ['numpy', 'ma']))")
+    src = str(Path(svextremes.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code, "--out", str(tmp_path / "o"),
+         command[0], "--input", str(tmp_path / "path.csv"), *command[1:]],
+        capture_output=True, text=True, env=env, check=True).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
 def test_import_cli_builds_no_csv_tables():
     # the '%.17g' writer builds its tables on the first write, not at
     # import, and neither step loads a module the import did not
@@ -797,11 +834,14 @@ def test_read_path_csv_one_row(tmp_path):
     ("t,sigma,x\n0,1,1\n1,1\n", "invalid column index"),
     ("t,sigma,x\n", "no data rows"),
     ("", "missing column"),
+    ("t,sigma,x\n0,1,inf\n1,1,-inf\n2,1,nan\n",
+     "column x holds NaN in data row 3"),
+    ("t,sigma,x\n0,1,1\n1,NaN,1\n", "column sigma holds NaN in data row 2"),
 ], ids=["no-x", "no-sigma", "empty-field", "malformed-field", "short-row",
-        "header-only", "empty-file"])
+        "header-only", "empty-file", "nan-x", "nan-sigma"])
 def test_bad_path_csv_rejected(runner, workdir, text, reason):
     Path("bad.csv").write_text(text)
-    r = invoke(runner, "hill", "--input", "bad.csv", "--k", 1)
+    r = invoke(runner, "hill", "--input", "bad.csv", "--k", 2)
     assert r.exit_code != 0
     assert isinstance(r.exception, SystemExit)  # a message, no traceback
     assert "bad path csv bad.csv" in r.output

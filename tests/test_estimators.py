@@ -14,6 +14,8 @@ from svextremes import (ExpAr1Config, Garch11Pair, GenericPair, MaSvConfig,
                         sample_innovation, simulate, std_normal,
                         theta_x_ma)
 
+from svextremes.estimators import _quantile
+
 import exact_laws
 
 SEED = RngSeed(3)
@@ -262,6 +264,41 @@ def test_ma_path_intervals_near_half():
     ladder = [exact_laws.ma_theta_runs(v) for v in (u, 14.0, 100.0, 1000.0)]
     assert np.all(np.diff(ladder) < 0) and min(ladder) > limit
     assert ladder[-1] - limit < 1e-3
+
+
+# -- thresholds -----------------------------------------------------------
+
+@st.composite
+def levels_and_series(draw):
+    """A series of n >= 1 values with ties, signed zeros and infinities,
+    and a level q at 0, at 1, at 1 - 1/n or drawn freely."""
+    vals = draw(st.lists(
+        st.one_of(st.sampled_from([-np.inf, np.inf, -0.0, 0.0, 1.0]),
+                  st.floats(allow_nan=False)), min_size=1, max_size=60))
+    n = len(vals)
+    q = draw(st.one_of(st.sampled_from([0.0, 1.0, 1.0 - 1.0 / n]),
+                       st.floats(0.0, 1.0)))
+    return np.asarray(vals), q
+
+
+@given(levels_and_series())
+@settings(max_examples=400, deadline=None)
+def test_quantile_is_numpys_bit_for_bit(case):
+    v, q = case
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
+        want = np.quantile(v, q)
+        got = _quantile(v, q)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_quantile_rejects_what_it_cannot_read():
+    for values, q, message in (([], 0.5, "values must not be empty"),
+                               ([1.0, np.nan], 0.5, "values contain NaN"),
+                               ([[1.0]], 0.5, "one-dimensional"),
+                               ([1.0], 1.5, "q must be a finite number"),
+                               ([1.0], np.nan, "q must be a finite number")):
+        with pytest.raises(ValueError, match=message):
+            _quantile(values, q)
 
 
 # -- extremogram ----------------------------------------------------------

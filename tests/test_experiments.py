@@ -129,12 +129,13 @@ def test_analysis_results_recorded(tmp_path):
 
 def test_analysis_error_recorded_not_fatal(tmp_path):
     cfg = small_config(analyses=(
-        {"analysis": "hill", "k": 1},               # invalid k
+        {"analysis": "extremogram", "lags": [1000]},  # not below n/2
         {"analysis": "hill", "k": 5000},            # above the path length
         {"analysis": "hill", "k": 100},             # still runs
     ))
     report = run_experiment(cfg, tmp_path / "out")
-    assert report.results[0]["error"].startswith("ValueError: k must be")
+    assert report.results[0]["error"] == (
+        "ValueError: each lag must satisfy 0 <= lag < n/2")
     assert report.results[1]["error"] == (
         "ValueError: need at least k+1 strictly positive values")
     assert "error" not in report.results[2]
@@ -332,6 +333,20 @@ def test_breiman_spec_rejected_where_it_enters(spec, message):
     blob["analyses"] = list(analyses)
     with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_json(blob)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"analysis": "hill", "k": -3}, "hill k must be >= 2"),
+    ({"analysis": "hill", "k": 1.0}, "hill k must be >= 2"),
+    ({"analysis": "breiman", "hill_k": 1},
+     "breiman hill_k must be >= 2")])
+def test_hill_order_statistics_rejected_where_they_enter(spec, message):
+    # Hill needs two order statistics: a smaller k is refused where the
+    # spec enters, not after the path is simulated
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_spec(spec["analysis"], spec)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        small_config(analyses=(spec,))
 
 
 @pytest.mark.parametrize("spec, message", [

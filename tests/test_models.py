@@ -464,6 +464,18 @@ def test_ma_config_validation():
         MaSvConfig(p=0.0, psi=(1.0,), eta=pareto(4.0), z=constant(1.0))
 
 
+def test_ma_config_checks_psi_items_before_converting_them():
+    # float() alone would read psi (True, '2') as (1.0, 2.0)
+    psi = (True, "2")
+    cfg = MaSvConfig(p=1.0, psi=(1.0, 0.5), eta=pareto(4.0), z=constant(1.0))
+    with pytest.raises(ValueError) as read:
+        MaSvConfig.from_json({**cfg.to_json(), "psi": list(psi)})
+    assert str(read.value) == ("field 'psi' must be a list, each item a "
+                               "finite number, got [True, '2']")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(read.value))}$"):
+        MaSvConfig(p=1.0, psi=psi, eta=pareto(4.0), z=constant(1.0))
+
+
 @pytest.mark.parametrize("cfg, field, value", [
     (EgarchConfig(alpha0=0.0, gamma0=0.5, delta0=0.5, phi=0.5,
                   z=laplace(2.0)), "alpha0", math.nan),
