@@ -3,17 +3,17 @@
 Every path command (simulate on a GARCH, an EGARCH, an exp-AR(1) and a
 generic SRE model, hill, theta-est with each method and with no option
 it may leave out, extremogram on a stored path and on sigma of a
-constant-volatility model, theta-theory with each quantity, on a
-generic SRE pair and at a truncation whose warning its JSON records,
-diagnose with breiman's alpha from Hill, at a given alpha, and on a
-constant-volatility model whose errors and warnings diagnose.json
-records), two commands that must fail, two `experiment run`s whose
-configs use all seven analysis kinds, the second with no optional spec
-field, the `fig1-right` preset (t(4) returns, so its report echoes a
-Student-t spec), and an `experiment run` of the config in that preset's
-report.json (the config writer, reader and writer again), run at fixed
-seeds, each as a `python -m svextremes` process on the sources of this
-checkout. Each output line is
+constant-volatility model, theta-theory with each quantity (the Kesten
+root also at 1.1 * 10^6 draws), on a generic SRE pair and at a
+truncation whose warning its JSON records, diagnose with breiman's alpha
+from Hill, at a given alpha, and on a constant-volatility model whose
+errors and warnings diagnose.json records), two commands that must
+fail, two `experiment run`s whose configs use all seven analysis kinds,
+the second with no optional spec field, the `fig1-right` preset (t(4)
+returns, so its report echoes a Student-t spec), and an `experiment run`
+of the config in that preset's report.json (the config writer, reader
+and writer again), run at fixed seeds, each as a `python -m svextremes`
+process on the sources of this checkout. Each output line is
 
     <command>:<output> <sha256 or value>
 
@@ -139,6 +139,11 @@ COMMANDS = [
     ("theta-theory-kesten", ("--out", "o", "theta-theory", "--which",
                              "kesten", "--model", "garch.json",
                              "--mc-reps", "100000")),
+    # 1.1M draws span several of the 2^16-value slices of the strided
+    # bound sums
+    ("theta-theory-kesten-large", ("--out", "o", "theta-theory", "--which",
+                                   "kesten", "--model", "garch.json",
+                                   "--mc-reps", "1100000")),
     ("theta-theory-theta-sigma", ("--seed", "3", "--out", "o",
                                   "theta-theory", "--which", "theta-sigma",
                                   "--model", "garch.json", "--alpha", "2",

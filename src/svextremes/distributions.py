@@ -284,6 +284,9 @@ def draw(spec: InnovationSpec, g: np.random.Generator, n: int) -> np.ndarray:
 def sample_innovation(spec: InnovationSpec, n: int, seed: RngSeed) -> np.ndarray:
     """Deterministic i.i.d. sample: identical (spec, n, seed) gives
     bit-identical output."""
+    from .rng import check_seed  # rng imports this module
+
+    check_seed(seed)
     return draw(spec, seed.generator(), check_int("n", n, 1))
 
 

@@ -53,7 +53,7 @@ import numpy as np
 from .models import DEFAULT_BURN_IN, ModelConfig, simulate
 from .distributions import (InnovationSpec, JsonFields, check_int,
                             finite_real, moment_pos)
-from .rng import RngSeed
+from .rng import RngSeed, check_seed
 
 __all__ = [
     "HillResult", "ThetaEstimate", "ExtremogramResult",
@@ -440,6 +440,7 @@ def anticluster_diag(cfg: ModelConfig, m, r_n: int, y: float, n: int,
     independent path segments until `reps` are found (or a simulation
     budget of about 4 reps * n draws runs out).
     """
+    check_seed(seed)
     r_n, reps, n = check_int("r_n", r_n), check_int("reps", reps), \
         check_int("n", n)
     m_grid = tuple(check_int("m", v) for v in np.atleast_1d(m).tolist())

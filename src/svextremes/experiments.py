@@ -48,7 +48,7 @@ from .distributions import (JsonFields, check_int, finite_real, laplace,
 from .models import (DEFAULT_BURN_IN, ExpAr1Config, Garch11Pair, MaSvConfig,
                      ModelConfig, SreSvConfig, _check_length, path_to_csv,
                      simulate)
-from .rng import RngSeed
+from .rng import RngSeed, check_seed
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
            "preset_config", "PRESET_NAMES"]
@@ -176,8 +176,7 @@ class ExperimentConfig(JsonFields):
         if not isinstance(self.model, ModelConfig):
             raise ValueError(f"model must be a model config, got "
                              f"{self.model!r}")
-        if not isinstance(self.seed, RngSeed):
-            raise ValueError(f"seed must be an RngSeed, got {self.seed!r}")
+        check_seed(self.seed)
         for name in ("n", "burn_in"):
             object.__setattr__(self, name,
                                _whole_number(name, getattr(self, name)))

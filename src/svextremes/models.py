@@ -40,7 +40,7 @@ import numpy as np
 
 from .distributions import (InnovationSpec, JsonFields, check_int, draw,
                             moment_abs, read_tagged)
-from .rng import RngSeed
+from .rng import RngSeed, check_seed
 
 __all__ = [
     "ExpAr1Config", "EgarchConfig", "Garch11Pair", "GenericPair",
@@ -394,6 +394,7 @@ def simulate_ma_sv(cfg: MaSvConfig, n: int, seed: RngSeed = RngSeed(0)) -> Path:
 
 def simulate(cfg: ModelConfig, n: int, burn_in: int = DEFAULT_BURN_IN,
              seed: RngSeed = RngSeed(0)) -> Path:
+    check_seed(seed)
     _check_length(n, burn_in)
     if isinstance(cfg, ExpAr1Config):
         return simulate_exp_ar1(cfg, n, burn_in, seed)

@@ -64,6 +64,13 @@ class RngSeed(JsonFields):
         return RngSeed(int(st[0]), int(st[1]))
 
 
+def check_seed(seed) -> None:
+    """A ValueError that names seed unless it is an RngSeed; each public
+    routine that takes a seed calls it on entry."""
+    if not isinstance(seed, RngSeed):
+        raise ValueError(f"seed must be an RngSeed, got {seed!r}")
+
+
 def chunk_sizes(total: int, chunk: int) -> list[int]:
     """Split `total` into fixed chunks. The split depends only on the
     arguments, never on the number of workers."""

@@ -32,19 +32,26 @@ kesten_index keeps one mc_reps-long array, its sorted log sample (8 MB
 at the default 10^6). It draws and logs A in slices of _LEAF = 2^16
 values, and sums A^kappa over the leaves of numpy's pairwise-summation
 tree (_pairwise) through one _LEAF-long buffer. Philox draws in sequence
-and the leaves are the tree's own, so kappa and f_stderr equal those of
-one large draw reduced by np.mean and np.std, bit for bit.
+and the leaves are the tree's own, so for a sampler that draws one
+array per call kappa and f_stderr equal those of one large draw reduced
+by np.mean and np.std, bit for bit. A bisection step pays for such a
+whole-sample sum only when bounds on it from every 16th sorted value
+cannot settle its branch. On the GARCH(1,1) multipliers of the tests at
+10^6 draws that leaves two whole-sample passes per call, the stop step
+and the standard error, against 9-16 when every step summed them all.
 
 The SRE walks stop each replicate at the step where its contribution is
 settled and draw only for the live ones. Both theta_sigma routes share
 _sup_log_products, which stops a walk once its sup passes the caller's
-cap or its log product falls L / alpha below its sup (L = _LUNDBERG_L
-= 30): when E A^alpha = 1, Lundberg's inequality bounds the chance of a
-later climb above that sup by e^-L, whatever alpha is. It advances the
-live walks in block steps of up to 2^15 draws, so a few survivors take
-many steps per numpy call. theta_x_sre drops a replicate once its
-running max reaches |Z_1|^{alpha p}. A count of 0 (no success, no live
-replicate) would make theta read 0 and raises a ValueError instead.
+cap or its log product falls L / alpha below its sup, with
+L = log(1000 mc_reps) for the routine's whole mc_reps: when
+E A^alpha = 1, Lundberg's inequality bounds the chance of a later climb
+above that sup by e^-L = 1 / (1000 mc_reps), whatever alpha is, so a
+call expects at most 1/1000 wrong stops. It advances the live walks in
+block steps of up to 2^15 draws, so a few survivors take many steps per
+numpy call. theta_x_sre drops a replicate once its running max reaches
+|Z_1|^{alpha p}. A count of 0 (no success, no live replicate) would make
+theta read 0 and raises a ValueError instead.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ import numpy as np
 from .distributions import (InnovationSpec, JsonFields, check_int, draw,
                             finite_real, moment_abs)
 from .models import probe_multipliers
-from .rng import RngSeed, chunk_sizes, chunked_map
+from .rng import RngSeed, check_seed, chunk_sizes, chunked_map
 
 __all__ = [
     "KestenProblem", "KestenRoot", "ThetaTheoryResult",
@@ -69,12 +76,14 @@ __all__ = [
 
 _KAPPA_BRACKET = (1e-3, 64.0)  # where kesten_index looks for kappa
 _GRID_POINTS = 10_000  # of the theta_sigma_sre_quadrature grid
-# L of the Lundberg stop in _sup_log_products
-_LUNDBERG_L = 30.0
+# the Lundberg stop of _sup_log_products expects at most one wrong stop
+# per this many calls
+_LUNDBERG_CALLS = 1000
 _BLOCK = 2 ** 15  # most values one block step of _sup_log_products draws
 _CHUNK = 2 ** 15  # replicates per chunk of theta_sigma_sre and theta_x_sre
 _MA_CHUNK = 2 ** 16  # values (replicates x len(psi)) per theta_x_ma chunk
 _LEAF = 2 ** 16  # most values kesten_index draws or reduces at once
+_SLACK = 1e-12  # relative rounding slack of kesten_index's bounds on a sum
 
 
 @dataclass(frozen=True)
@@ -201,17 +210,31 @@ def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
     """Solve mean(A_i^kappa) = 1 over one common-random-numbers sample.
 
     The sample is drawn once and sorted, so the root depends only on the
-    multiset of draws; bisection runs until |mean(A^kappa) - 1| < tol.
+    multiset of draws; bisection runs until |mean(A^kappa) - 1| < tol,
+    and warns when it stops short of that (the midpoint no longer moves,
+    or 200 halvings).
 
     The sorted log sample is the one mc_reps-long array. A is drawn in
     slices of _LEAF values from the one generator, each logged straight
     into it; the sequential Philox stream makes this the sample of one
-    large draw. Each mean of A^kappa, and the final standard error, runs
-    over the leaves of numpy's pairwise-summation tree (_pairwise)
-    through one _LEAF-long scratch buffer, so every sum, and hence
-    kappa and f_stderr, equals that of np.mean and np.std(ddof=1) over
-    the whole A^kappa array, bit for bit.
+    large draw when the sampler draws one array per call (a sampler that
+    draws several, say its values and then a mask, interleaves them
+    differently in slices). Each mean of A^kappa, and the final standard
+    error, runs over the leaves of numpy's pairwise-summation tree
+    (_pairwise) through one _LEAF-long scratch buffer, so every sum, and
+    hence kappa and f_stderr, equals that of np.mean and np.std(ddof=1)
+    over the whole A^kappa array, bit for bit.
+
+    Most steps need no whole-sample sum. A^kappa rises with log A, so
+    each run of 16 sorted values sums to between 16 times its first and
+    16 times its last term (a short last run by its size), and the sums
+    over la[::16] and la[15::16] bound the whole sum within a relative
+    slack of 1e-12 for rounding. A step whose bounds put f certainly
+    above tol or below -tol takes its branch from them; every other step
+    sums the whole sample as before, so every branch, kappa and f_stderr
+    are those of whole sums. The stop step's sum is the stderr's mean.
     """
+    check_seed(seed)
     _check_args(mc_reps, tol=tol)
     g = seed.generator()
     la = np.empty(mc_reps)
@@ -224,12 +247,15 @@ def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
         raise ValueError("no finite tail index in bracket")
     buf = np.empty(min(mc_reps, _LEAF))
 
+    def pow_into(kappa: float, values: np.ndarray) -> np.ndarray:
+        t = np.multiply(kappa, values, out=buf[:values.size])
+        with np.errstate(over="ignore"):
+            return np.exp(t, out=t)
+
     def sum_pow(kappa: float, center: Optional[float] = None) -> float:
         # the sum of A^kappa, or of (A^kappa - center)^2
         def leaf(lo: int, hi: int) -> float:
-            t = np.multiply(kappa, la[lo:hi], out=buf[:hi - lo])
-            with np.errstate(over="ignore"):
-                np.exp(t, out=t)
+            t = pow_into(kappa, la[lo:hi])
             if center is not None:
                 t -= center
                 t *= t
@@ -237,27 +263,56 @@ def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
 
         return _pairwise(0, mc_reps, leaf)
 
-    def f(kappa: float) -> float:
-        return float(sum_pow(kappa) / mc_reps) - 1.0
+    def strided_sum(kappa: float, start: int, stop: int) -> float:
+        # the sum of A^kappa over la[start:stop:16], _LEAF values at a time
+        return sum(np.add.reduce(pow_into(kappa, la[i:stop:16][:_LEAF]))
+                   for i in range(start, stop, 16 * _LEAF))
+
+    def f_of(total: float) -> float:
+        # f from a sum of A^kappa; it rises with the sum, so the same
+        # arithmetic on bounds of a sum bounds its f
+        return float(total / mc_reps) - 1.0
+
+    runs, short = divmod(mc_reps, 16)
+
+    def f_bounds(kappa: float) -> tuple[float, float]:
+        lower = 16.0 * strided_sum(kappa, 0, 16 * runs)
+        upper = 16.0 * strided_sum(kappa, 15, 16 * runs)
+        if short:  # one short run, la[16 * runs:]
+            lower += short * strided_sum(kappa, 16 * runs, mc_reps)
+            upper += short * strided_sum(kappa, mc_reps - 1, mc_reps)
+        return f_of(lower * (1.0 - _SLACK)), f_of(upper * (1.0 + _SLACK))
 
     lo, hi = _KAPPA_BRACKET
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo > 0.0 or not np.isfinite(f_lo):
+    f_ub = f_bounds(lo)[1]
+    if not (f_ub <= 0.0 and np.isfinite(f_ub)):  # -1 <= f(lo) <= f_ub
+        f_lo = f_of(sum_pow(lo))
+        if f_lo > 0.0 or not np.isfinite(f_lo):
+            raise ValueError("no finite tail index in bracket")
+    if f_bounds(hi)[0] < 0.0 and f_of(sum_pow(hi)) < 0.0:
         raise ValueError("no finite tail index in bracket")
-    if f_hi < 0.0:
-        raise ValueError("no finite tail index in bracket")
-    kappa, fk = lo, f_lo
+    kappa, summed = lo, None  # summed: the kappa whose sum total is
     for _ in range(200):
         kappa = 0.5 * (lo + hi)
-        fk = f(kappa)
-        if abs(fk) < tol:
+        if kappa in (lo, hi):  # from here on no step moves kappa
             break
-        if fk > 0.0:
+        f_lb, f_ub = f_bounds(kappa)
+        if f_lb < tol and f_ub > -tol:  # the bounds leave the branch open
+            total, summed = sum_pow(kappa), kappa
+            f_lb = f_ub = f_of(total)
+            if abs(f_lb) < tol:
+                break
+        if f_lb > 0.0:
             hi = kappa
         else:
             lo = kappa
+    if summed != kappa:  # kappa's branch came from its bounds
+        total = sum_pow(kappa)
+    if not abs(f_of(total)) < tol:
+        warnings.warn(f"kesten_index stopped at |f| = {abs(f_of(total)):.3g}"
+                      f", not below tol = {tol:.3g}")
     # np.std(ddof=1): the mean, then the squared deviations from it
-    var = sum_pow(kappa, sum_pow(kappa) / mc_reps) / (mc_reps - 1)
+    var = sum_pow(kappa, total / mc_reps) / (mc_reps - 1)
     se = float(np.sqrt(var) / math.sqrt(mc_reps))
     return KestenRoot(float(kappa), se, mc_reps, _KAPPA_BRACKET)
 
@@ -279,25 +334,30 @@ def _check_alpha(problem: KestenProblem, alpha: float) -> None:
 
 
 def _sup_log_products(problem: KestenProblem, g: np.random.Generator,
-                      cap: np.ndarray, trunc_T: int, alpha: float):
+                      cap: np.ndarray, trunc_T: int, alpha: float,
+                      mc_reps: int):
     """Sup over t >= 1 of log prod_{j<=t} A_j per replicate, one per cap.
 
     A replicate stops at the first step where its sup passes its cap, its
-    log product lies _LUNDBERG_L / alpha below its sup (this includes a
-    log product of -inf, from a zero multiplier), or its walk reaches
-    trunc_T steps. A stopped sup above the cap is a lower bound, which is
-    all a caller asking "sup <= cap?" needs. When E A^alpha = 1,
-    Lundberg's inequality bounds the chance that the walk later climbs
-    back above a sup it has fallen L / alpha below by e^-L.
+    log product lies L / alpha below its sup (this includes a log product
+    of -inf, from a zero multiplier), or its walk reaches trunc_T steps.
+    A stopped sup above the cap is a lower bound, which is all a caller
+    asking "sup <= cap?" needs. When E A^alpha = 1, Lundberg's inequality
+    bounds the chance that the walk later climbs back above a sup it has
+    fallen L / alpha below by e^-L. L = log(_LUNDBERG_CALLS * mc_reps),
+    with mc_reps the calling routine's whole replicate count (not one
+    chunk's), so a call expects at most 1 / _LUNDBERG_CALLS wrong stops
+    whatever its size: L / alpha is 18.0 / alpha at 2^16 replicates and
+    15.2 / alpha at 2^12.
 
-    The walks advance in block steps: with L live replicates, one draw of
-    k = clamp(_BLOCK // L, 1, trunc_T - t) log-multipliers per replicate
-    forms an (L, k) array, row-major, so the stream depends only on the
+    The walks advance in block steps: with N live replicates, one draw of
+    k = clamp(_BLOCK // N, 1, trunc_T - t) log-multipliers per replicate
+    forms an (N, k) array, row-major, so the stream depends only on the
     live counts. The carried log product joins column 0 before the row
     cumsum, so every partial sum is added left to right as a step-by-step
     walk adds it; a running max gives the sups, and each row stops at its
     first column that meets a rule. Stopped rows drop out, so the cost
-    tracks the survivor count, and a block holds at most max(L, _BLOCK)
+    tracks the survivor count, and a block holds at most max(N, _BLOCK)
     values.
     Returns (sup_log, hit_horizon), where hit_horizon flags replicates
     still unresolved at trunc_T.
@@ -309,7 +369,7 @@ def _sup_log_products(problem: KestenProblem, g: np.random.Generator,
     # every walk starts at log product 0 with no sup: one value each,
     # broadcast until the first block gives each replicate its own
     logprod, sup = np.zeros(1), np.full(1, -np.inf)
-    depth = _LUNDBERG_L / alpha
+    depth = math.log(_LUNDBERG_CALLS * mc_reps) / alpha
     # the running sups and their Lundberg floors, reused block to block
     bufs = np.empty((2, max(size, _BLOCK)))
     t = 0
@@ -347,11 +407,13 @@ def theta_sigma_sre(problem: KestenProblem, alpha: float,
     Uses theta_sigma = P(sup_{t>=1} prod_{j<=t} A_j <= 1/Y) with
     Y ~ Pareto(alpha), which is the integral above after the change of
     variables. Each replicate's walk stops once its sup passes
-    b = -log Y (a failure) or its log product falls _LUNDBERG_L / alpha
-    below its sup (a success, wrong with probability at most e^-L).
+    b = -log Y (a failure) or its log product falls L / alpha below its
+    sup (a success), with L = log(1000 mc_reps) as in _sup_log_products:
+    the whole call expects at most 1/1000 wrong successes.
     Reports the binomial standard error and the fraction of replicates
     still unresolved at trunc_T (truncation risk), counted as successes.
     """
+    check_seed(seed)
     _check_args(mc_reps, counts={"trunc_T": (trunc_T, 1)}, alpha=alpha)
     _check_alpha(problem, alpha)
     sizes = chunk_sizes(mc_reps, _CHUNK)
@@ -362,7 +424,7 @@ def theta_sigma_sre(problem: KestenProblem, alpha: float,
         np.subtract(1.0, b, out=b)        # U in (0, 1]
         np.log(b, out=b)
         b /= alpha                        # -log Y = log(U) / alpha <= 0
-        sup, hit = _sup_log_products(problem, g, b, trunc_T, alpha)
+        sup, hit = _sup_log_products(problem, g, b, trunc_T, alpha, mc_reps)
         return int(np.count_nonzero(sup <= b)), int(np.count_nonzero(hit))
 
     succ, risk = _chunk_totals(chunked_map(one, len(sizes), threads))
@@ -393,10 +455,11 @@ def theta_sigma_sre_quadrature(problem: KestenProblem, alpha: float,
     (1 - e^{alpha sup})_+, so its standard error is their sd over
     sqrt(mc_reps).
     """
+    check_seed(seed)
     _check_args(mc_reps, counts={"trunc_T": (trunc_T, 1)}, alpha=alpha)
     g = seed.generator()
     sup, hit = _sup_log_products(problem, g, np.zeros(mc_reps), trunc_T,
-                                 alpha)
+                                 alpha, mc_reps)
     _check_count(int(np.count_nonzero(sup <= 0.0)), mc_reps,
                  "the count of sups <= 0")
     sup_sorted = np.sort(sup)
@@ -445,6 +508,7 @@ def theta_x_sre(problem: KestenProblem, z: InnovationSpec, alpha: float,
     The truncation record gives live_fraction, the share of replicates
     still unresolved at m.
     """
+    check_seed(seed)
     _check_args(mc_reps, counts={"m": (m, 1)}, alpha=alpha, p=p)
     ap = alpha * p
     _check_z_moment(z, ap)
@@ -497,6 +561,7 @@ def theta_x_ma(psi, alpha: float, p: float, z: InnovationSpec,
     psi_j by a common factor cannot move the result. A ratio of sums
     above 1 (theta near 1) reads 1; mc_stderr is the uncapped ratio's.
     """
+    check_seed(seed)
     psi = np.asarray(psi, dtype=float)
     if psi.ndim != 1:
         raise ValueError("psi must be one-dimensional")

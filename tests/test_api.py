@@ -142,3 +142,46 @@ def test_internal_names_stay_importable_by_module_path(module, name):
     assert name not in module.__all__
     assert not hasattr(sv, name)
     assert hasattr(module, name)
+
+
+# -- seeds ----------------------------------------------------------------
+
+def _garch_problem():
+    return sv.KestenProblem(sv.Garch11Pair(alpha0=1e-7, alpha1=0.1,
+                                           beta1=0.89, eta=sv.std_normal()))
+
+
+SEEDED = {
+    "simulate": lambda seed: sv.simulate(
+        sv.SreSvConfig(p=2.0, pair_source=sv.Garch11Pair(
+            alpha0=1e-7, alpha1=0.1, beta1=0.89, eta=sv.std_normal()),
+            z=sv.std_normal()), 100, seed=seed),
+    "sample_innovation": lambda seed: sv.sample_innovation(
+        sv.std_normal(), 10, seed),
+    "moment_abs_mc": lambda seed: sv.moment_abs_mc(sv.std_normal(), 2.0, 10,
+                                                   seed),
+    "anticluster_diag": lambda seed: sv.anticluster_diag(
+        sv.ExpAr1Config(phi=0.5, eta=sv.std_normal(), z=sv.std_normal()),
+        m=(1,), r_n=10, y=1.0, n=100, reps=1, seed=seed),
+    "kesten_index": lambda seed: sv.kesten_index(_garch_problem(),
+                                                 mc_reps=100, seed=seed),
+    "theta_sigma_sre": lambda seed: sv.theta_sigma_sre(
+        _garch_problem(), alpha=2.0, mc_reps=100, seed=seed),
+    "theta_sigma_sre_quadrature": lambda seed: sv.theta_sigma_sre_quadrature(
+        _garch_problem(), alpha=2.0, mc_reps=100, seed=seed),
+    "theta_x_sre": lambda seed: sv.theta_x_sre(
+        _garch_problem(), sv.std_normal(), alpha=2.0, p=2.0, m=5,
+        mc_reps=100, seed=seed),
+    # a constant Z has a closed form that reads no seed
+    "theta_x_ma": lambda seed: sv.theta_x_ma(
+        (1.0, 1.0), alpha=4.0, p=1.0, z=sv.constant(1.0), seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [5, None])
+@pytest.mark.parametrize("call", SEEDED)
+def test_seed_that_is_no_rng_seed_rejected_where_it_enters(call, seed):
+    # each used to fail deep inside with an AttributeError, or not at all
+    with pytest.raises(ValueError,
+                       match=f"^seed must be an RngSeed, got {seed}$"):
+        SEEDED[call](seed)

@@ -82,16 +82,21 @@ KESTEN_LAWS = {
         alpha0=1e-7, alpha1=0.1, beta1=0.89, eta=student_t(5.0))),
     "two-point": lambda: two_point_problem(0.5),
     "lognormal": lognormal_problem,
+    # zero multipliers: the sorted log sample starts with -inf
+    "zero-normal": lambda: KestenProblem(
+        lambda g, size: np.maximum(g.normal(0.3, 1.0, size), 0.0)),
 }
 
 
 @pytest.mark.parametrize("mc_reps", [2, 7, 65_536, 65_537, 300_001,
-                                     1_000_000])
+                                     1_000_000, 1_048_593])
 @pytest.mark.parametrize("law", KESTEN_LAWS)
 def test_kesten_index_bit_equal_to_out_of_place_formula(law, mc_reps):
     # kesten_index draws and reduces in slices to bound its memory; the
     # reference draws once and takes np.mean and np.std of whole arrays.
-    # Sizes past 2^16 span several leaves of the pairwise-summation tree
+    # Sizes past 2^16 span several leaves of the pairwise-summation tree;
+    # 1,048,593 = 16 * (2^16 + 1) + 1 spans two slices of the strided
+    # bound sums and ends in a short run of one value
     seed = RngSeed(5)
     try:
         kappa, se = dense_kesten.kesten_dense(KESTEN_LAWS[law](), mc_reps,
@@ -117,6 +122,39 @@ def test_kesten_index_holds_one_sample():
     finally:
         tracemalloc.stop()
     assert peak < 10.5e6
+
+
+def test_kesten_index_makes_few_whole_sample_passes(monkeypatch):
+    # the bounds settle the bracket checks and every bisection step but
+    # the stop step, whose sum is also the stderr's mean; the stderr's
+    # squared deviations are the other pass (2 here). Summing the whole
+    # sample at every step took 9-16 passes at seeds 0-7
+    mc_reps, passes = 1_000_000, []
+    pairwise = theory._pairwise
+
+    def counted(lo, hi, leaf):
+        if (lo, hi) == (0, mc_reps):  # a top-level call, not a recursion
+            passes.append(lo)
+        return pairwise(lo, hi, leaf)
+
+    monkeypatch.setattr(theory, "_pairwise", counted)
+    kesten_index(garch_problem(), mc_reps=mc_reps, seed=RngSeed(0))
+    assert len(passes) <= 4
+
+
+def test_kesten_index_warns_when_tol_is_not_reached():
+    # near the root f moves in steps of about 1e-16, and on this sample
+    # no kappa gives f == 0 exactly, so no tol below 1e-16 is reachable.
+    # The bisection ends once its midpoint no longer moves, at the kappa
+    # that 200 halvings reach
+    seed = RngSeed(6)
+    with pytest.warns(UserWarning,
+                      match=r"^kesten_index stopped at \|f\| = 2\.22e-16, "
+                            r"not below tol = 1e-300$"):
+        r = kesten_index(lognormal_problem(), mc_reps=100, tol=1e-300,
+                         seed=seed)
+    assert (r.kappa, r.f_stderr) == dense_kesten.kesten_dense(
+        lognormal_problem(), 100, seed, tol=1e-300)
 
 
 def test_kesten_lognormal_closed_form():
@@ -329,7 +367,7 @@ def test_theta_sigma_two_routes_agree():
 
 @pytest.mark.parametrize("h", [0.5, 12.0])
 def test_theta_sigma_matches_two_point_law(h):
-    # at h = 12 (alpha ~ 0.07) a walk must fall ~425 below its sup before
+    # at h = 12 (alpha ~ 0.07) a walk must fall ~270 below its sup before
     # a climb back is negligible; a fixed floor at log Pi = -30 read high
     r = theta_sigma_sre(two_point_problem(h), exact_laws.two_point_alpha(h),
                         mc_reps=200_000, seed=RngSeed(1))
@@ -381,14 +419,15 @@ def test_theta_sigma_truncation_warning():
 def scalar_sup_walks(problem, g, cap, trunc_T, alpha):
     """theory._sup_log_products one replicate and one step at a time.
 
-    Draws what the block steps draw: with L walks live after t steps, a
-    row of k = clamp(2^15 // L, 1, trunc_T - t) log-multipliers for each,
+    Draws what the block steps draw: with N walks live after t steps, a
+    row of k = clamp(2^15 // N, 1, trunc_T - t) log-multipliers for each,
     row by row. Each walk then adds its row left to right and stops at
     the first step where its sup passes its cap, its log product lies
-    30 / alpha or more below its sup, or its horizon trunc_T is reached.
+    log(1000 n) / alpha or more below its sup, or its horizon trunc_T is
+    reached.
     """
-    depth = 30.0 / alpha
     n = cap.size
+    depth = math.log(1000 * n) / alpha
     logprod, sup = [0.0] * n, [-math.inf] * n
     sup_out, hit = [0.0] * n, [False] * n
     live, t = list(range(n)), 0
@@ -445,7 +484,7 @@ def test_sup_log_products_matches_a_scalar_walk(case):
         alpha = 2.0
         cap = np.full(n, np.inf)
     sup, hit = theory._sup_log_products(prob, np.random.default_rng(3), cap,
-                                        trunc_T, alpha)
+                                        trunc_T, alpha, n)
     ref_sup, ref_hit = scalar_sup_walks(prob, np.random.default_rng(3), cap,
                                         trunc_T, alpha)
     assert np.array_equal(sup.view(np.int64), ref_sup.view(np.int64))
