@@ -7,7 +7,7 @@ constant-volatility model, theta-theory with each quantity (the Kesten
 root also at 1.1 * 10^6 draws), on a generic SRE pair and at a
 truncation whose warning its JSON records, diagnose with breiman's alpha
 from Hill, at a given alpha, and on a constant-volatility model whose
-errors and warnings diagnose.json records), two commands that must
+errors and warnings diagnose.json records), four commands that must
 fail, two `experiment run`s whose configs use all seven analysis kinds,
 the second with no optional spec field, the `fig1-right` preset (t(4)
 returns, so its report echoes a Student-t spec), and an `experiment run`
@@ -180,6 +180,12 @@ COMMANDS = [
                              "kesten", "--model", "ma.json")),
     ("fail-extremogram-lag", ("--out", "o", "extremogram", *INPUT,
                               "--lags", "20000")),
+    # specs read where they enter: a block length below 1, and a theta
+    # quantity without its alpha
+    ("fail-theta-block-len", ("--out", "o", "theta-est", *INPUT, "--method",
+                              "blocks", "--block-len", "0")),
+    ("fail-theory-alpha", ("--out", "o", "theta-theory", "--which",
+                           "theta-sigma", "--model", "garch.json")),
     ("experiment-run", ("--out", "o", "experiment", "run", "exp.json")),
     ("experiment-defaults", ("--out", "o", "experiment", "run",
                              "defaults.json")),

@@ -7,9 +7,12 @@ same schema the library's config_to_json produces. Subcommands write
 their outputs under --out and echo a JSON summary to stdout. Every
 analysis a command runs comes from experiments.ANALYSES, on a spec that
 experiments.read_spec reads before anything is simulated. hill,
-theta-est, extremogram and theta-theory run the analysis of the same
-name and echo its entry, warnings included. diagnose runs its battery
-as an experiment (path.csv, report.json) and sums it up in diagnose.json.
+theta-est, extremogram and theta-theory are built from
+experiments.SPECS, one per analysis kind: each takes one option per
+field of its spec (--<field>, _ spelled -), with the spec's defaults,
+runs that analysis and echoes its entry, warnings included. diagnose
+runs its battery as an experiment (path.csv, report.json) and sums it
+up in diagnose.json.
 """
 
 from __future__ import annotations
@@ -28,13 +31,6 @@ from .experiments import (ANALYSES, SPECS, AnalysisInputs,
                           recording_warnings, run_experiment)
 from .models import config_from_json, path_to_csv, simulate, DEFAULT_BURN_IN
 from .rng import RngSeed
-
-_SERIES = click.Choice(SPECS["hill"]["series"][0].choices)
-
-
-def _default(kind: str, name: str):
-    return SPECS[kind][name][1]
-
 
 def _echo_json(obj) -> None:
     click.echo(_json_text(obj))
@@ -100,14 +96,6 @@ def _call(fn, *args):
         raise click.ClickException(str(e))
 
 
-def _analyze(kind: str, spec: dict, run: AnalysisInputs) -> dict:
-    """The report entry of one analysis, with its warnings."""
-    out = {}
-    with recording_warnings(out):
-        out.update(_call(ANALYSES[kind], spec, run))
-    return out
-
-
 # every option shows its default, and an analysis option takes it from
 # experiments.SPECS
 @click.group(context_settings={"show_default": True})
@@ -144,110 +132,98 @@ def simulate_cmd(ctx, model, n, burn_in):
                 "x_absmax": float(np.abs(path.x).max())})
 
 
-@main.command()
-@click.option("--model", type=click.Path(exists=True), default=None)
-@click.option("--input", "input_csv", type=click.Path(exists=True),
-              default=None, help="Existing path.csv instead of simulating.")
-@click.option("--n", type=int, default=10_000)
-@click.option("--burn-in", type=int, default=DEFAULT_BURN_IN)
-@click.option("--k", type=int, required=True, help="Number of top order "
-              "statistics.")
-@click.option("--series", type=_SERIES, default=_default("hill", "series"))
-@click.pass_context
-def hill(ctx, model, input_csv, n, burn_in, k, series):
-    """Hill estimate of the tail index of a series."""
-    spec = _call(read_spec, "hill", {"k": k, "series": series})
-    run = _path_inputs(ctx, model, input_csv, n, burn_in)
-    out = _analyze("hill", spec, run)
-    _write_json(run.artifact("hill.json"), out)
-    _echo_json(out)
+# analysis kind -> (command, the JSON file it writes or None, its help)
+_COMMANDS = {
+    "hill": ("hill", "hill.json",
+             "Hill estimate of the tail index of a series."),
+    "theta": ("theta-est", "theta.json",
+              "Blocks, runs or intervals estimate of the extremal index."),
+    "extremogram": ("extremogram", None,
+                    "Sample extremogram at the given lags."),
+    "theory": ("theta-theory", "theory.json",
+               "Evaluate a theoretical tail or extremal-index quantity."),
+}
 
 
-@main.command("theta-est")
-@click.option("--model", type=click.Path(exists=True), default=None)
-@click.option("--input", "input_csv", type=click.Path(exists=True),
-              default=None)
-@click.option("--n", type=int, default=10_000)
-@click.option("--burn-in", type=int, default=DEFAULT_BURN_IN)
-@click.option("--method", required=True,
-              type=click.Choice(SPECS["theta"]["method"][0].choices))
-@click.option("--q", type=float, default=_default("theta", "q"),
-              help="Threshold quantile of the chosen series.")
-@click.option("--block-len", type=int, default=_default("theta", "block_len"))
-@click.option("--run-len", type=int, default=_default("theta", "run_len"))
-@click.option("--series", type=_SERIES, default=_default("theta", "series"))
-@click.pass_context
-def theta_est(ctx, model, input_csv, n, burn_in, method, q, block_len,
-              run_len, series):
-    """Blocks, runs or intervals estimate of the extremal index."""
-    spec = _call(read_spec, "theta", {"method": method, "q": q,
-                                      "block_len": block_len,
-                                      "run_len": run_len, "series": series})
-    run = _path_inputs(ctx, model, input_csv, n, burn_in)
-    out = _analyze("theta", spec, run)
-    _write_json(run.artifact("theta.json"), out)
-    _echo_json(out)
-
-
-@main.command()
-@click.option("--model", type=click.Path(exists=True), default=None)
-@click.option("--input", "input_csv", type=click.Path(exists=True),
-              default=None)
-@click.option("--n", type=int, default=10_000)
-@click.option("--burn-in", type=int, default=DEFAULT_BURN_IN)
-@click.option("--lags", default="1,2,3,4,5,6,7,8,9,10",
-              help="Comma-separated lags.")
-@click.option("--q", type=float, default=_default("extremogram", "q"))
-@click.option("--series", type=_SERIES,
-              default=_default("extremogram", "series"))
-@click.pass_context
-def extremogram(ctx, model, input_csv, n, burn_in, lags, q, series):
-    """Sample extremogram at the given lags."""
-    lag_list = []
-    for s in filter(str.strip, lags.split(",")):
+def _int_list(ctx, param, text):
+    """An option's comma-separated integers, as a list."""
+    items = []
+    for s in filter(str.strip, text.split(",")):
         try:
-            lag_list.append(int(s))
+            items.append(int(s))
         except ValueError:
-            raise click.ClickException(
-                f"--lags must be comma-separated integers, got {s.strip()!r}")
-    spec = _call(read_spec, "extremogram",
-                 {"lags": lag_list, "q": q, "series": series})
-    run = _path_inputs(ctx, model, input_csv, n, burn_in)
-    out = _analyze("extremogram", spec, run)
-    out["csv"] = str(run.out / out["csv"])
-    _echo_json(out)
+            raise click.ClickException(f"{param.opts[0]} must be comma-"
+                                       f"separated integers, got "
+                                       f"{s.strip()!r}")
+    return items
 
 
-@main.command("theta-theory")
-@click.option("--which",
-              type=click.Choice([w.replace("_", "-") for w in
-                                 SPECS["theory"]["which"][0].choices]),
-              required=True)
-@click.option("--model", required=True, type=click.Path(exists=True),
-              help="sresv config (kesten, theta-sigma, theta-x-sre) or "
-              "masv config (theta-x-ma).")
-@click.option("--alpha", type=float, default=None,
-              help="Tail index of sigma^p; required except for kesten.")
-@click.option("--m", type=int, default=_default("theory", "m"))
-@click.option("--mc-reps", type=int, default=None,
-              help="Defaults: 1e6 (kesten, theta-x-sre), 2e5 (others).")
-@click.option("--tol", type=float, default=_default("theory", "tol"))
-@click.option("--trunc-t", type=int, default=_default("theory", "trunc_T"))
-@click.pass_context
-def theta_theory(ctx, which, model, alpha, m, mc_reps, tol, trunc_t):
-    """Evaluate a theoretical tail or extremal-index quantity."""
-    if alpha is None and which != "kesten":
-        raise click.ClickException("--alpha is required")
-    spec = {"which": which.replace("-", "_"), "alpha": alpha, "m": m,
-            "tol": tol, "trunc_T": trunc_t, "mc_reps": mc_reps}
-    # an option without a value is a field the spec leaves out
-    spec = _call(read_spec, "theory",
-                 {k: v for k, v in spec.items() if v is not None})
-    cfg = _load_model(model)
-    out = {**_analyze("theory", spec, replace(ctx.obj, model=cfg)),
-           "which": which}
-    _write_json(ctx.obj.artifact("theory.json"), out)
-    _echo_json(out)
+def _spec_option(kind: str, field: str) -> click.Option:
+    """--<field> (_ spelled -), typed by the field's rule: required where
+    the spec requires it, else at the spec's default; an option without a
+    value leaves its field out of the spec."""
+    rule, default = SPECS[kind][field]
+    option_type, callback = getattr(rule, "type", None), None
+    if hasattr(rule, "choices"):
+        # the command line spells theory's which with hyphens
+        option_type = click.Choice([c.replace("_", "-") if field == "which"
+                                    else c for c in rule.choices])
+    elif hasattr(rule, "item"):  # a list of whole numbers
+        callback = _int_list
+    if (kind, field) == ("extremogram", "lags"):
+        default = ",".join(map(str, range(1, 11)))
+    return click.Option([f"--{field.lower().replace('_', '-')}", field],
+                        type=option_type, callback=callback,
+                        required=default is ...,
+                        default=None if default is ... else default)
+
+
+def _source_options(kind: str) -> list:
+    """A path command reads a stored path.csv or simulates one; the theory
+    command reads only a model."""
+    if kind == "theory":
+        return [click.Option(
+            ["--model"], required=True, type=click.Path(exists=True),
+            help="sresv config (kesten, theta-sigma, theta-x-sre) or "
+            "masv config (theta-x-ma).")]
+    return [click.Option(["--model"], type=click.Path(exists=True)),
+            click.Option(["--input", "input_csv"],
+                         type=click.Path(exists=True),
+                         help="Existing path.csv instead of simulating."),
+            click.Option(["--n"], type=int, default=10_000),
+            click.Option(["--burn-in"], type=int, default=DEFAULT_BURN_IN)]
+
+
+def _analysis_command(kind: str) -> click.Command:
+    """The command that runs one analysis kind and echoes its entry."""
+    name, json_name, help_text = _COMMANDS[kind]
+
+    @click.pass_context
+    def run(ctx, model, input_csv=None, n=None, burn_in=None, **fields):
+        if "which" in fields:
+            fields["which"] = fields["which"].replace("-", "_")
+        spec = _call(read_spec, kind, {k: v for k, v in fields.items()
+                                       if v is not None})
+        inputs = (replace(ctx.obj, model=_load_model(model))
+                  if kind == "theory"
+                  else _path_inputs(ctx, model, input_csv, n, burn_in))
+        out = {}
+        with recording_warnings(out):
+            out.update(_call(ANALYSES[kind], spec, inputs))
+        if "which" in out:
+            out["which"] = out["which"].replace("_", "-")
+        if "csv" in out:
+            out["csv"] = str(inputs.out / out["csv"])
+        if json_name is not None:
+            _write_json(inputs.artifact(json_name), out)
+        _echo_json(out)
+
+    return click.Command(name, callback=run, help=help_text, params=[
+        *_source_options(kind), *(_spec_option(kind, f) for f in SPECS[kind])])
+
+
+for _kind in _COMMANDS:
+    main.add_command(_analysis_command(_kind))
 
 
 @main.command()

@@ -39,7 +39,7 @@ __all__ = [
     "InnovationSpec",
     "std_normal", "student_t", "laplace", "pareto", "constant",
     "sample_innovation", "tail_prob",
-    "moment_abs", "moment_abs_mc", "moment_pos",
+    "moment_abs", "moment_pos",
 ]
 
 # kind -> the parameter fields it uses
@@ -343,19 +343,6 @@ def moment_abs(spec: InnovationSpec, r: float) -> float:
                    + math.lgamma((spec.df - r) / 2.0)
                    - math.lgamma(spec.df / 2.0)) / math.sqrt(math.pi)
     return val / spec._t_scale() ** r
-
-
-def moment_abs_mc(spec: InnovationSpec, r: float, mc_reps: int,
-                  seed: RngSeed) -> tuple[float, float]:
-    """Monte Carlo E|V|^r with its standard error.
-
-    Exists to cross-validate the closed forms; moment_abs itself is always
-    analytic for the supported kinds.
-    """
-    v = np.abs(sample_innovation(spec, mc_reps, seed)) ** r
-    m = float(np.mean(v))
-    se = float(np.std(v, ddof=1) / math.sqrt(mc_reps)) if mc_reps > 1 else 0.0
-    return m, se
 
 
 def moment_pos(spec: InnovationSpec, r: float) -> float:

@@ -64,9 +64,12 @@ def _whole_number(name: str, value) -> int:
     raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
-def _hill_k(name: str, value) -> int:
-    """A whole number of at least 2: Hill needs two order statistics."""
-    return check_int(name, _whole_number(name, value), 2)
+def _at_least(low: int):
+    def rule(name: str, value) -> int:
+        return check_int(name, _whole_number(name, value), low)
+
+    rule.type = int
+    return rule
 
 
 def _number(low: float, high: float, text: str):
@@ -76,6 +79,7 @@ def _number(low: float, high: float, text: str):
                              f"got {value!r}")
         return float(value)
 
+    rule.type = float
     return rule
 
 
@@ -98,34 +102,39 @@ def _list_of(rule):
     def read(name: str, value) -> list:
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{name} must be a list, got {value!r}")
+        if not value:
+            raise ValueError(f"{name} must not be empty")
         return [rule(name, v) for v in value]
 
+    read.item = rule
     return read
 
 
 _SERIES = _one_of("x", "x_abs", "sigma")
+_count = _at_least(1)
 
 # kind -> field -> (rule, default). A rule (name, value) returns the value
-# read or raises a ValueError that starts with name. Default ... marks a
-# required field, None one the analysis fills in (anticluster r_n, theory
-# mc_reps, breiman alpha from hill_k) or only kesten omits (theory alpha)
+# read or raises a ValueError that starts with name; its type, choices or
+# item (a list's rule) says what it reads. Default ... marks a required
+# field, None one the analysis fills in (anticluster r_n, theory mc_reps,
+# breiman alpha from hill_k) or only kesten omits (theory alpha)
 SPECS = {
-    "hill": {"k": (_hill_k, ...), "series": (_SERIES, "x_abs")},
+    "hill": {"k": (_at_least(2), ...), "series": (_SERIES, "x_abs")},
     "theta": {"method": (_one_of("blocks", "runs", "intervals"), ...),
-              "q": (_level, 0.995), "block_len": (_whole_number, 100),
-              "run_len": (_whole_number, 10), "series": (_SERIES, "x_abs")},
-    "extremogram": {"lags": (_list_of(_whole_number), ...),
+              "q": (_level, 0.995), "block_len": (_count, 100),
+              "run_len": (_count, 10), "series": (_SERIES, "x_abs")},
+    "extremogram": {"lags": (_list_of(_at_least(0)), ...),
                     "q": (_level, 0.99), "series": (_SERIES, "x_abs")},
-    "breiman": {"alpha": (_positive, None), "hill_k": (_hill_k, None),
+    "breiman": {"alpha": (_positive, None), "hill_k": (_at_least(2), None),
                 "q_grid": (_list_of(_level), (0.99, 0.995, 0.999))},
-    "anticluster": {"m_grid": (_list_of(_whole_number), ...),
-                    "r_n": (_whole_number, None), "y": (_positive, 1.0),
-                    "reps": (_whole_number, 200)},
+    "anticluster": {"m_grid": (_list_of(_count), ...),
+                    "r_n": (_at_least(2), None), "y": (_positive, 1.0),
+                    "reps": (_count, 200)},
     "theory": {"which": (_one_of("kesten", "theta_sigma", "theta_x_sre",
                                  "theta_x_ma"), ...),
-               "alpha": (_positive, None), "mc_reps": (_whole_number, None),
-               "tol": (_positive, 1e-4), "trunc_T": (_whole_number, 10_000),
-               "m": (_whole_number, 50)},
+               "alpha": (_positive, None), "mc_reps": (_at_least(2), None),
+               "tol": (_positive, 1e-4), "trunc_T": (_count, 10_000),
+               "m": (_count, 50)},
     "figure": {"q_low": (_level, 0.01), "q_high": (_level, 0.99)},
 }
 
@@ -422,7 +431,8 @@ def preset_config(name: str, seed: RngSeed) -> ExperimentConfig:
     1000 with exceedance marks at the empirical 1% and 99% quantiles.
     fig2-garch / fig2-sv: GARCH(1,1) recursions, either fed back into the
     returns (garch) or run as an independent-volatility SV model (sv),
-    with cluster-size analyses alongside the figure.
+    with intervals and blocks theta estimates, the Kesten root and
+    theta_x_sre alongside the figure and the extremogram.
     """
     common = dict(n=1000, seed=seed, label=name)
     fig = {"analysis": "figure", "q_low": 0.01, "q_high": 0.99}

@@ -18,7 +18,7 @@ PUBLIC_NAMES = {
     "__version__",
     "InnovationSpec", "std_normal", "student_t", "laplace", "pareto",
     "constant", "sample_innovation", "tail_prob", "moment_abs",
-    "moment_abs_mc", "moment_pos",
+    "moment_pos",
     "RngSeed",
     "ExpAr1Config", "EgarchConfig", "Garch11Pair", "GenericPair",
     "SreSvConfig", "MaSvConfig", "Path", "simulate", "config_to_json",
@@ -158,8 +158,6 @@ SEEDED = {
             z=sv.std_normal()), 100, seed=seed),
     "sample_innovation": lambda seed: sv.sample_innovation(
         sv.std_normal(), 10, seed),
-    "moment_abs_mc": lambda seed: sv.moment_abs_mc(sv.std_normal(), 2.0, 10,
-                                                   seed),
     "anticluster_diag": lambda seed: sv.anticluster_diag(
         sv.ExpAr1Config(phi=0.5, eta=sv.std_normal(), z=sv.std_normal()),
         m=(1,), r_n=10, y=1.0, n=100, reps=1, seed=seed),

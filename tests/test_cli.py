@@ -22,7 +22,8 @@ from svextremes import (ExperimentConfig, Garch11Pair, GenericPair,
                         constant, laplace, pareto, path_to_csv,
                         run_experiment, simulate, std_normal, student_t)
 from svextremes.cli import _read_path_csv, main
-from svextremes.models import EgarchConfig, ExpAr1Config
+from svextremes.experiments import SPECS
+from svextremes.models import DEFAULT_BURN_IN, EgarchConfig, ExpAr1Config
 
 
 @pytest.fixture()
@@ -325,21 +326,26 @@ def test_theta_theory_records_warnings_as_an_experiment_does(
             assert risk <= 0.01 and "warnings" not in got
 
 
-@pytest.mark.parametrize("command", [("theta-est", "--method", "blocks"),
-                                     ("extremogram",), ("diagnose",)])
+@pytest.mark.parametrize("command", [
+    (("theta-est", "--method", "blocks", "--q", 1.5),
+     "theta q must be a finite number in (0, 1), got 1.5"),
+    (("extremogram", "--q", 1.5),
+     "extremogram q must be a finite number in (0, 1), got 1.5"),
+    (("diagnose", "--q", 1.5),
+     "theta q must be a finite number in (0, 1), got 1.5"),
+    (("theta-est", "--method", "blocks", "--block-len", 0),
+     "theta block_len must be >= 1")])
 def test_path_command_reads_its_spec_before_simulating(runner, workdir,
                                                         monkeypatch, command):
     def simulate(*args, **kwargs):
         raise AssertionError("simulated")
 
     monkeypatch.setattr("svextremes.cli.simulate", simulate)
-    r = invoke(runner, "--out", "o", *command, "--model", "garch.json",
-               "--q", 1.5)
+    args, message = command
+    r = invoke(runner, "--out", "o", *args, "--model", "garch.json")
     assert r.exit_code == 1
     assert isinstance(r.exception, SystemExit)
-    kind = "extremogram" if command[0] == "extremogram" else "theta"
-    assert (f"Error: {kind} q must be a finite number in (0, 1), got 1.5"
-            in r.output)
+    assert f"Error: {message}" in r.output
     assert not Path("o").exists()
 
 
@@ -369,7 +375,8 @@ def test_theta_theory_requires_alpha(runner, workdir):
     r = invoke(runner, "theta-theory", "--which", "theta-sigma", "--model",
                "garch.json")
     assert r.exit_code != 0
-    assert "--alpha is required" in r.output
+    # read_spec's wording, as every other spec error on the command line
+    assert "Error: theory alpha is required" in r.output
 
 
 def test_theta_theory_model_mismatch(runner, workdir):
@@ -775,30 +782,78 @@ def test_import_cli_builds_no_csv_tables():
      ("theta-est", "--method", "intervals", "--q", 0.99)),
     ({"analysis": "extremogram", "lags": [1, 2, 3], "q": 0.99},
      ("extremogram", "--lags", "1,2,3", "--q", 0.99)),
+    *(({"analysis": "theory", "which": which.replace("-", "_"),
+        **fields}, ("theta-theory", "--which", which, *args))
+      for which, fields, args in (
+          ("kesten", {"mc_reps": 20_000}, ("--mc-reps", 20_000)),
+          ("theta-sigma", {"alpha": 2.0, "mc_reps": 2000},
+           ("--alpha", 2, "--mc-reps", 2000)),
+          ("theta-x-sre", {"alpha": 2.0, "m": 10, "mc_reps": 2000},
+           ("--alpha", 2, "--m", 10, "--mc-reps", 2000)),
+          ("theta-x-ma", {"alpha": 4.0}, ("--alpha", 4))))
 ], ids=["hill", "theta-blocks", "theta-runs", "theta-intervals",
-        "extremogram"])
-def test_cli_matches_the_experiment_entry(runner, workdir, spec, args):
-    # a path command on the experiment's own path.csv prints the
-    # experiment's report entry and writes the same CSV
-    model = json.loads(Path("garch.json").read_text())
+        "extremogram", "theory-kesten", "theory-theta-sigma",
+        "theory-theta-x-sre", "theory-theta-x-ma"])
+def test_cli_matches_the_experiment_entry(runner, workdir, monkeypatch, spec,
+                                          args):
+    # a path command on the experiment's own path.csv, and the theory
+    # command on its model, print the experiment's report entry and write
+    # the same CSV; the theory command spells which with hyphens
+    model = "ma.json" if spec.get("which") == "theta_x_ma" else "garch.json"
     cfg = ExperimentConfig.from_json({
-        "model": model, "n": 20000, "burn_in": 1000,
-        "seed": RngSeed(3).to_json(), "analyses": [spec]})
+        "model": json.loads(Path(model).read_text()), "n": 20000,
+        "burn_in": 1000, "seed": RngSeed(3).to_json(), "analyses": [spec]})
     run_experiment(cfg, "e")
     entry = json.loads(Path("e/report.json").read_text())["results"][0]
     assert "error" not in entry
-    r = invoke(runner, "--seed", 3, "--out", "c", args[0], "--input",
-               "e/path.csv", *args[1:])
+    # the experiment runs its first analysis at the seed's child 1000, a
+    # command at the seed it is given
+    monkeypatch.setattr("svextremes.cli.RngSeed",
+                        lambda s: RngSeed(s).child(1000))
+    source = (("--model", model) if args[0] == "theta-theory"
+              else ("--input", "e/path.csv"))
+    r = invoke(runner, "--seed", 3, "--out", "c", args[0], *source,
+               *args[1:])
     assert r.exit_code == 0
 
     def strip(obj):
         return {k: v for k, v in obj.items()
                 if k not in ("analysis", "index", "csv")}
 
+    if "which" in entry:
+        entry["which"] = entry["which"].replace("_", "-")
     assert strip(json.loads(r.output)) == strip(entry)
     if args[0] == "extremogram":
         assert Path("c/extremogram.csv").read_bytes() == \
             Path("e/extremogram.csv").read_bytes()
+
+
+# the options every path command shares, before its spec's
+PATH_OPTIONS = {"--model": (False, None), "--input": (False, None),
+                "--n": (False, 10_000), "--burn-in": (False, DEFAULT_BURN_IN)}
+
+
+@pytest.mark.parametrize("kind, command", [
+    ("hill", "hill"), ("theta", "theta-est"), ("extremogram", "extremogram"),
+    ("theory", "theta-theory")])
+def test_analysis_command_takes_one_option_per_spec_field(kind, command):
+    # --<field> spelled with -, required where the spec requires it and at
+    # the spec's default otherwise; extremogram's lags alone has its
+    # default from the command line
+    shared = ({"--model": (True, None)} if kind == "theory"
+              else PATH_OPTIONS)
+    fields = {}
+    for field, (_, default) in SPECS[kind].items():
+        if (kind, field) == ("extremogram", "lags"):
+            default = "1,2,3,4,5,6,7,8,9,10"
+        fields[f"--{field.lower().replace('_', '-')}"] = (
+            default is ..., None if default is ... else default)
+    params = main.commands[command].params
+    info = [p.to_info_dict() for p in params]
+    assert [(i["opts"], i["required"], i["default"]) for i in info] == [
+        ([name], *v) for name, v in {**shared, **fields}.items()]
+    assert [p.name for p in params[len(shared):]] == [*SPECS[kind]]
+
 
 def test_read_path_csv_round_trips_bits(tmp_path):
     path = simulate(ExpAr1Config(phi=0.9, eta=laplace(4.0), z=std_normal()),

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from svextremes.distributions import (InnovationSpec, constant, draw,
                                       finite_real, laplace, moment_abs,
-                                      moment_abs_mc, moment_pos, pareto,
-                                      sample_innovation, std_normal,
-                                      student_t, tail_prob)
+                                      moment_pos, pareto, sample_innovation,
+                                      std_normal, student_t, tail_prob)
 from svextremes.rng import RngSeed
+
+from moment_oracle import moment_abs_mc
 
 
 # -- sampling -------------------------------------------------------------

@@ -377,7 +377,29 @@ def test_hill_order_statistics_rejected_where_they_enter(spec, message):
     ({"analysis": "anticluster", "m_grid": 3},
      "anticluster m_grid must be a list, got 3"),
     ({"analysis": "extremogram", "lags": 3},
-     "extremogram lags must be a list, got 3")])
+     "extremogram lags must be a list, got 3"),
+    ({"analysis": "theta", "method": "blocks", "block_len": 0},
+     "theta block_len must be >= 1"),
+    ({"analysis": "theta", "method": "runs", "run_len": -3},
+     "theta run_len must be >= 1"),
+    ({"analysis": "theory", "which": "kesten", "m": 0},
+     "theory m must be >= 1"),
+    ({"analysis": "theory", "which": "kesten", "trunc_T": 0},
+     "theory trunc_T must be >= 1"),
+    ({"analysis": "theory", "which": "kesten", "mc_reps": 1},
+     "theory mc_reps must be >= 2"),
+    ({"analysis": "extremogram", "lags": [1, -1]},
+     "extremogram lags must be >= 0"),
+    ({"analysis": "extremogram", "lags": []},
+     "extremogram lags must not be empty"),
+    ({"analysis": "anticluster", "m_grid": [0]},
+     "anticluster m_grid must be >= 1"),
+    ({"analysis": "anticluster", "m_grid": []},
+     "anticluster m_grid must not be empty"),
+    ({"analysis": "anticluster", "m_grid": [1], "r_n": 0},
+     "anticluster r_n must be >= 2"),
+    ({"analysis": "anticluster", "m_grid": [1], "reps": 0},
+     "anticluster reps must be >= 1")])
 def test_analysis_spec_rejected_where_it_enters(spec, message):
     # each of these used to simulate the path first, then record a bare
     # KeyError, fail with a message that names no field, or run with a
