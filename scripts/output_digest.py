@@ -9,7 +9,9 @@ truncation whose warning its JSON records, diagnose with breiman's alpha
 from Hill, at a given alpha, and on a constant-volatility model whose
 errors and warnings diagnose.json records), four commands that must
 fail, two `experiment run`s whose configs use all seven analysis kinds,
-the second with no optional spec field, the `fig1-right` preset (t(4)
+the second with no optional spec field, a third whose theta analyses
+alternate between two levels (so the bootstrap's kept replicate set is
+missed and reused in turn), the `fig1-right` preset (t(4)
 returns, so its report echoes a Student-t spec), and an `experiment run`
 of the config in that preset's report.json (the config writer, reader
 and writer again), run at fixed seeds, each as a `python -m svextremes`
@@ -106,6 +108,15 @@ DEFAULTS = {**EXPERIMENT, "label": "defaults", "analyses": [
     {"analysis": "theory", "which": "theta_x_sre", "alpha": 2.0},
 ]}
 
+# theta at two levels in turn: a replicate set is built, rebuilt, and
+# reused only where the level repeats
+INTERLEAVED = {**EXPERIMENT, "label": "interleaved", "analyses": [
+    {"analysis": "theta", "method": "intervals", "q": 0.99},
+    {"analysis": "theta", "method": "blocks", "q": 0.995, "block_len": 40},
+    {"analysis": "theta", "method": "runs", "q": 0.99, "run_len": 5},
+    {"analysis": "theta", "method": "intervals", "q": 0.995},
+]}
+
 INPUT = ("--input", "path/path.csv")
 COMMANDS = [
     ("simulate", ("--seed", "1", "--out", "path", "simulate", "--model",
@@ -189,6 +200,8 @@ COMMANDS = [
     ("experiment-run", ("--out", "o", "experiment", "run", "exp.json")),
     ("experiment-defaults", ("--out", "o", "experiment", "run",
                              "defaults.json")),
+    ("experiment-interleaved", ("--out", "o", "experiment", "run",
+                                "interleaved.json")),
     ("experiment-preset", ("--seed", "10", "--out", "o", "experiment",
                            "preset", "fig1-right")),
     # the config of the preset's report.json, which main writes
@@ -234,6 +247,7 @@ def main() -> None:
             (work / fname).write_text(json.dumps(sv.config_to_json(cfg)))
         (work / "exp.json").write_text(json.dumps(EXPERIMENT))
         (work / "defaults.json").write_text(json.dumps(DEFAULTS))
+        (work / "interleaved.json").write_text(json.dumps(INTERLEAVED))
         for name, args in COMMANDS:
             for line in run(name, args, work, env):
                 print(line, flush=True)

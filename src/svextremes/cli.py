@@ -49,7 +49,8 @@ def _read_path_csv(path: str):
 
     Every row must hold a number other than NaN in both columns (+-inf
     included): an empty, malformed or NaN field, a short row or a file
-    without data rows is rejected.
+    without data rows is rejected. There is no comment syntax, so a '#'
+    line is a short row and a '#' in a field makes it malformed.
     """
     try:
         with open(path) as fh:
@@ -61,7 +62,8 @@ def _read_path_csv(path: str):
             with warnings.catch_warnings():
                 # loadtxt warns on a file without data rows, rejected below
                 warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2)
+                data = np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2,
+                                  comments=None)
         if data.shape[0] == 0:
             raise ValueError("no data rows")
         nan = np.argwhere(np.isnan(data))
@@ -209,7 +211,10 @@ def _analysis_command(kind: str) -> click.Command:
                   else _path_inputs(ctx, model, input_csv, n, burn_in))
         out = {}
         with recording_warnings(out):
-            out.update(_call(ANALYSES[kind], spec, inputs))
+            # the seed of an experiment's first analysis; a path is
+            # simulated at the master seed, as in an experiment
+            out.update(_call(ANALYSES[kind], spec, replace(
+                inputs, seed=ctx.obj.seed.child(1000))))
         if "which" in out:
             out["which"] = out["which"].replace("_", "-")
         if "csv" in out:

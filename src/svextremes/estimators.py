@@ -30,8 +30,11 @@ Estimator conventions, used consistently below:
     shrink. A replicate draws C clusters and C - 1 of those gaps with
     replacement, lays them out alternately from the sample's first
     exceedance on and keeps the positions below n. Its cost follows C,
-    not n. The replicates run on the calling thread; the estimators
-    keep a `threads` argument, unused, because callers pass it;
+    not n. The last replicate set built is kept, so the three estimators
+    at one threshold share it, and each scores a batch of replicates at
+    once from their integer gap totals. The replicates run on the
+    calling thread; the estimators keep a `threads` argument, unused,
+    because callers pass it;
   * values must be one-dimensional and free of NaN, hill's k,
     block_len, run_len, the extremogram's lags and anticluster_diag's m,
     r_n, reps and n integers (numpy's too, a bool not) in range,
@@ -47,6 +50,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,43 +166,73 @@ def hill(values, k: int) -> HillResult:
 
 # -- extremal index estimators --------------------------------------------
 
-def _blocks_core(idx: np.ndarray, n: int, block_len: int) -> float:
-    n_exc = idx.size
-    if n_exc == 0:
-        return np.nan
+class _Replicates(NamedTuple):
+    """Exceedance sets laid end to end, none empty: set j is
+    pos[first[j]:first[j] + count[j]], sorted."""
+
+    pos: np.ndarray
+    first: np.ndarray
+    count: np.ndarray
+
+
+def _one_set(idx: np.ndarray) -> _Replicates:
+    return _Replicates(idx, np.zeros(1, np.intp), np.array([idx.size]))
+
+
+def _steps(a: np.ndarray, r: _Replicates) -> np.ndarray:
+    """The step from each entry of a, laid out like r.pos, to the next
+    entry of its set, and 0 at each set's last entry: summed over a set's
+    entries, a function that is 0 at 0 sums over the set's own steps."""
+    d = np.zeros(a.size, np.int64)
+    np.subtract(a[1:], a[:-1], out=d[:-1])
+    d[r.first[1:] - 1] = 0
+    return d
+
+
+def _totals(x: np.ndarray, r: _Replicates) -> np.ndarray:
+    """Per set, the exact integer sum of x over its positions."""
+    return np.add.reduceat(x, r.first, dtype=np.int64)
+
+
+def _blocks_scores(r: _Replicates, n: int, block_len: int) -> np.ndarray:
     nb = -(-n // block_len)
-    # idx is sorted, so the block numbers idx // block_len are too
-    k_blocks = int(np.count_nonzero(np.diff(idx // block_len))) + 1
-    if k_blocks == nb:
-        # every block hit: log(1 - K/b) is undefined, fall back to K/N
-        return min(1.0, k_blocks / n_exc)
-    th = math.log1p(-k_blocks / nb) / (block_len * math.log1p(-n_exc / n))
-    return min(1.0, th)
+    # the block numbers rise within a set, so each change is a new block
+    k = _totals(_steps(r.pos // block_len, r) > 0, r) + 1
+    # every block hit: log(1 - K/b) is undefined, fall back to K/N
+    out = np.minimum(1.0, k / r.count)
+    part = np.flatnonzero(k != nb)
+    # math.log1p, not np.log1p, whose last bit can differ
+    lk = list(map(math.log1p, (-k[part] / nb).tolist()))
+    lm = list(map(math.log1p, (-r.count[part] / n).tolist()))
+    out[part] = np.minimum(1.0, np.divide(lk, np.multiply(block_len, lm)))
+    return out
 
 
-def _runs_core(idx: np.ndarray, run_len: int) -> float:
-    if idx.size == 0:
-        return np.nan
+def _runs_scores(r: _Replicates, run_len: int) -> np.ndarray:
     # an exceedance is clear when the next one is more than run_len away;
     # the last one is always clear, since positions past the end are not
     # exceedances
-    clear = int(np.count_nonzero(np.diff(idx) > run_len)) + 1
-    return min(1.0, float(clear) / idx.size)
+    clear = _totals(_steps(r.pos, r) > run_len, r) + 1
+    return np.minimum(1.0, clear / r.count)
 
 
-def _intervals_core(idx: np.ndarray) -> float:
-    n_exc = idx.size
-    if n_exc < 2:
-        return np.nan
-    t = np.diff(idx).astype(float)
-    if t.max() <= 2.0:
-        num = 2.0 * t.sum() ** 2
-        den = (n_exc - 1) * float((t * t).sum())
-    else:
-        tm1 = t - 1.0
-        num = 2.0 * tm1.sum() ** 2
-        den = (n_exc - 1) * float((tm1 * (t - 2.0)).sum())
-    return min(1.0, num / den)
+def _intervals_scores(r: _Replicates) -> np.ndarray:
+    """The intervals estimate of each set, NaN for one position, from its
+    integer gap totals: the sum S, the sum of squares Q and the largest
+    gap. Where max T > 2 the formula reads T - 1 for T, whose totals are
+    S - (N - 1) and sum (T-1)(T-2) = Q - 3S + 2(N - 1). The float sums
+    of the gaps themselves are these integers exactly."""
+    d = _steps(r.pos, r)
+    m1 = r.count - 1
+    s, q = _totals(d, r), _totals(d * d, r)
+    small = np.maximum.reduceat(d, r.first) <= 2
+    s, q = (np.where(small, s, s - m1),
+            np.where(small, q, q - 3 * s + 2 * m1))
+    ok = m1 > 0
+    out = np.full(r.count.size, np.nan)
+    num = np.array([2.0 * t ** 2 for t in s[ok].astype(float).tolist()])
+    out[ok] = np.minimum(1.0, num / (m1[ok] * q[ok].astype(float)))
+    return out
 
 
 def _declustered(idx: np.ndarray) -> tuple:
@@ -211,7 +245,7 @@ def _declustered(idx: np.ndarray) -> tuple:
     gaps between consecutive clusters.
     """
     n_exc = idx.size
-    c = max(1, math.floor(_intervals_core(idx) * n_exc))
+    c = max(1, math.floor(_intervals_scores(_one_set(idx))[0] * n_exc))
     gaps = np.diff(idx)
     # c == n_exc: every gap separates two clusters
     cut = (np.arange(gaps.size) if c == n_exc else np.flatnonzero(
@@ -220,8 +254,15 @@ def _declustered(idx: np.ndarray) -> tuple:
     return first, np.diff(first, append=n_exc), gaps[cut]
 
 
-def _bootstrap_stderr(idx: np.ndarray, n: int, stat, n_boot: int) -> float:
-    """Cluster bootstrap (Ferro & Segers, 2003) of stat(indices, n).
+# the last replicate set built: its key (n, n_boot, _BATCH_POSITIONS),
+# its exceedances and its batches. One assignment replaces it, so a
+# thread reads one whole entry; threads that race build a set twice.
+_memo = None
+
+
+def _replicate_set(idx: np.ndarray, n: int, n_boot: int) -> tuple:
+    """The n_boot replicates of the cluster bootstrap of idx, N >= 2, as
+    batches of _Replicates with read-only arrays.
 
     Replicate i draws C clusters and C - 1 intercluster gaps with
     replacement (_declustered) from one Philox stream, by its i-th call
@@ -229,13 +270,14 @@ def _bootstrap_stderr(idx: np.ndarray, n: int, stat, n_boot: int) -> float:
     them out alternately from the sample's first exceedance on and keeps
     the positions below n. A batch of replicates, about _BATCH_POSITIONS
     positions, draws by one call over rows of high, which gives the same
-    values, and is built by one set of numpy calls, as their per-call
-    overhead outweighs the work at a few hundred exceedances. Everything
-    runs on the calling thread: helper threads would only contend for the
-    GIL over such small calls.
+    values, and is built by one set of numpy calls. The last set is kept:
+    the three estimators at one threshold share it.
     """
-    if n_boot < 2 or idx.size < 2:  # one exceedance: every replicate is it
-        return 0.0
+    global _memo
+    key = (n, n_boot, _BATCH_POSITIONS)
+    memo = _memo
+    if memo is not None and memo[0] == key and np.array_equal(memo[1], idx):
+        return memo[2]
     first, size, between = _declustered(idx)
     c = first.size
     # each exceedance's offset from the first one of its cluster
@@ -243,11 +285,11 @@ def _bootstrap_stderr(idx: np.ndarray, n: int, stat, n_boot: int) -> float:
     span = off[first + size - 1]
     high = np.repeat([c, c - 1], [c, c - 1])
     g = np.random.Generator(np.random.Philox(_BOOTSTRAP_SEED))
-    vals = np.empty(n_boot)
     per_batch = max(1, _BATCH_POSITIONS // idx.size)
+    batches = []
     for lo in range(0, n_boot, per_batch):
-        reps = range(lo, min(lo + per_batch, n_boot))
-        draws = g.integers(0, np.broadcast_to(high, (len(reps), high.size)))
+        draws = g.integers(0, np.broadcast_to(
+            high, (min(per_batch, n_boot - lo), high.size)))
         pick, gap = draws[:, :c], draws[:, c:]
         # the first drawn cluster starts at the sample's first exceedance,
         # each later one after the span of the one before and a drawn gap
@@ -263,10 +305,36 @@ def _bootstrap_stderr(idx: np.ndarray, n: int, stat, n_boot: int) -> float:
         pos = (off[np.arange(end[-1])
                    + np.repeat(first[pick].ravel() - (end - cnt), cnt)]
                + np.repeat(start.ravel(), cnt))
-        end = end[c - 1::c]  # each replicate's last drawn cluster
-        for i, a, b in zip(reps, np.concatenate(([0], end[:-1])), end):
-            r = pos[a:b]
-            vals[i] = stat(r[:np.searchsorted(r, n)], n)
+        # positions rise within a replicate, so the ones below n are a
+        # prefix of it; no replicate is empty before the cut
+        keep = pos < n
+        count = np.add.reduceat(keep, np.concatenate(([0], end[c - 1:-1:c])),
+                                dtype=np.intp)
+        r = _Replicates(pos[keep], np.cumsum(count) - count, count)
+        for a in r:
+            a.flags.writeable = False
+        batches.append(r)
+    idx = idx.copy()
+    idx.flags.writeable = False
+    _memo = (key, idx, tuple(batches))
+    return _memo[2]
+
+
+def _bootstrap_stderr(idx: np.ndarray, n: int, score, n_boot: int) -> float:
+    """Cluster bootstrap (Ferro & Segers, 2003) of a theta estimator.
+
+    score(r, n) returns the estimate on each exceedance set of the
+    _Replicates r. It runs once per batch of the replicate set of idx
+    (_replicate_set), which is built once and shared by the estimators
+    at one threshold, and reduces each replicate to integer gap totals
+    by a few numpy calls over the batch. Everything runs on the calling
+    thread: helper threads would only contend for the GIL over such
+    small calls.
+    """
+    if n_boot < 2 or idx.size < 2:  # one exceedance: every replicate is it
+        return 0.0
+    vals = np.concatenate([score(r, n) for r in _replicate_set(idx, n,
+                                                               n_boot)])
     vals = vals[np.isfinite(vals)]
     if vals.size < 2:
         return 0.0
@@ -284,19 +352,19 @@ def _threshold(u) -> float:
     raise ValueError(f"u must be a real number other than NaN, got {u!r}")
 
 
-def _theta(method: str, tuning: dict, values, u: float, n_boot: int, stat,
+def _theta(method: str, tuning: dict, values, u: float, n_boot: int, score,
            too_few: str) -> ThetaEstimate:
-    """stat(indices, n) on the exceedances of u, NaN when they are too
-    few, and its cluster bootstrap stderr."""
+    """score on the exceedances of u, NaN when they are too few, and its
+    cluster bootstrap stderr."""
     if n_boot < 0:
         raise ValueError("n_boot must be >= 0")
     u = _threshold(u)
     idx = exceedances(values, u)
     n = len(values)
-    th = stat(idx, n)
+    th = float(score(_one_set(idx), n)[0]) if idx.size else np.nan
     if np.isnan(th):
         raise ValueError(too_few)
-    se = _bootstrap_stderr(idx, n, stat, n_boot)
+    se = _bootstrap_stderr(idx, n, score, n_boot)
     return ThetaEstimate(th, method, {**tuning, "u": u}, se)
 
 
@@ -317,7 +385,7 @@ def blocks_theta(values, u: float, block_len: int, n_boot: int = 100,
     """
     block_len = check_int("block_len", block_len, 1)
     return _theta("blocks", {"block_len": block_len}, values, u, n_boot,
-                  lambda idx, n: _blocks_core(idx, n, block_len),
+                  lambda r, n: _blocks_scores(r, n, block_len),
                   "empty exceedance set")
 
 
@@ -331,7 +399,7 @@ def runs_theta(values, u: float, run_len: int, n_boot: int = 100,
     """
     run_len = check_int("run_len", run_len, 1)
     return _theta("runs", {"run_len": run_len}, values, u, n_boot,
-                  lambda idx, n: _runs_core(idx, run_len),
+                  lambda r, n: _runs_scores(r, run_len),
                   "empty exceedance set")
 
 
@@ -349,7 +417,7 @@ def intervals_theta(values, u: float, n_boot: int = 100,
     on the calling thread.
     """
     return _theta("intervals", {}, values, u, n_boot,
-                  lambda idx, n: _intervals_core(idx),
+                  lambda r, n: _intervals_scores(r),
                   "insufficient exceedances")
 
 

@@ -558,12 +558,15 @@ def _g17_words(v: np.ndarray, sep: int, words, keep) -> np.ndarray:
     d = (tb.quad[q0] | tb.quad[q1] << 32, tb.quad[q2] | tb.quad[q3] << 32,
          (last + 48).astype(np.uint64))
     shifted = (d[0] << 8, d[1] << 8 | d[0] >> 56, d[2] << 8 | d[1] >> 56)
-    last_nz = tb.quad_last[q0]
+    # trailing zeros go, but not those before the point; only a value
+    # whose 17th digit is 0 has any
+    kept = np.full(n17.size, 16, np.intp)
+    z = np.flatnonzero(last == 0)
+    last_nz = tb.quad_last[q0[z]]
     for q, base in ((q1, 4), (q2, 8), (q3, 12)):
+        q = q[z]
         np.copyto(last_nz, base + tb.quad_last[q], where=q != 0)
-    last_nz[last != 0] = 16
-    # trailing zeros go, but not those before the point
-    kept = np.maximum(last_nz, tb.int_len[eo] - 1)
+    kept[z] = np.maximum(last_nz, tb.int_len[eo[z]] - 1)
     kept_len = kept + 1 + (kept >= tb.point[eo])
 
     lead = 2 * eo + (v < 0)

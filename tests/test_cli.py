@@ -794,8 +794,7 @@ def test_import_cli_builds_no_csv_tables():
 ], ids=["hill", "theta-blocks", "theta-runs", "theta-intervals",
         "extremogram", "theory-kesten", "theory-theta-sigma",
         "theory-theta-x-sre", "theory-theta-x-ma"])
-def test_cli_matches_the_experiment_entry(runner, workdir, monkeypatch, spec,
-                                          args):
+def test_cli_matches_the_experiment_entry(runner, workdir, spec, args):
     # a path command on the experiment's own path.csv, and the theory
     # command on its model, print the experiment's report entry and write
     # the same CSV; the theory command spells which with hyphens
@@ -806,10 +805,8 @@ def test_cli_matches_the_experiment_entry(runner, workdir, monkeypatch, spec,
     run_experiment(cfg, "e")
     entry = json.loads(Path("e/report.json").read_text())["results"][0]
     assert "error" not in entry
-    # the experiment runs its first analysis at the seed's child 1000, a
-    # command at the seed it is given
-    monkeypatch.setattr("svextremes.cli.RngSeed",
-                        lambda s: RngSeed(s).child(1000))
+    # both run the analysis at the seed's child 1000, the experiment's
+    # first analysis and the command alike
     source = (("--model", model) if args[0] == "theta-theory"
               else ("--input", "e/path.csv"))
     r = invoke(runner, "--seed", 3, "--out", "c", args[0], *source,
@@ -892,8 +889,13 @@ def test_read_path_csv_one_row(tmp_path):
     ("t,sigma,x\n0,1,inf\n1,1,-inf\n2,1,nan\n",
      "column x holds NaN in data row 3"),
     ("t,sigma,x\n0,1,1\n1,NaN,1\n", "column sigma holds NaN in data row 2"),
+    # path.csv has no comment syntax: a '#' line or field is no number
+    ("t,sigma,x\n0,1,1\n# a note\n1,1,1\n", "invalid column index"),
+    ("t,sigma,x\n0,1,1\n1,1,2 # a note\n",
+     "could not convert string '2 # a note'"),
 ], ids=["no-x", "no-sigma", "empty-field", "malformed-field", "short-row",
-        "header-only", "empty-file", "nan-x", "nan-sigma"])
+        "header-only", "empty-file", "nan-x", "nan-sigma", "comment-line",
+        "comment-field"])
 def test_bad_path_csv_rejected(runner, workdir, text, reason):
     Path("bad.csv").write_text(text)
     r = invoke(runner, "hill", "--input", "bad.csv", "--k", 2)
@@ -918,9 +920,10 @@ def test_theta_theory_bad_alpha_is_no_traceback(runner, workdir, which,
 
 @pytest.mark.parametrize("which", ["theta-sigma", "theta-x-sre"])
 def test_theta_theory_zero_count_is_no_traceback(runner, workdir, which):
-    # at seed 0 none of 10 replicates succeeds (theta-sigma) or is still
-    # live at m = 50 (theta-x-sre): a 0 says theta is below the resolution
-    r = invoke(runner, "--seed", 0, "theta-theory", "--which", which,
+    # at seed 1 (the analysis draws from its child 1000) none of 10
+    # replicates succeeds (theta-sigma) or is still live at m = 50
+    # (theta-x-sre): a 0 says theta is below the resolution
+    r = invoke(runner, "--seed", 1, "theta-theory", "--which", which,
                "--model", "garch.json", "--alpha", 2, "--mc-reps", 10)
     assert r.exit_code != 0
     assert isinstance(r.exception, SystemExit)

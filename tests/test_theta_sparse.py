@@ -17,7 +17,7 @@ from svextremes import (Garch11Pair, RngSeed, SreSvConfig, blocks_theta,
                         intervals_theta, runs_theta, simulate, std_normal)
 from svextremes import estimators
 from svextremes.estimators import (_bootstrap_stderr, _declustered,
-                                   _runs_core)
+                                   _replicate_set, _runs_scores)
 
 
 def series(n, positions):
@@ -62,6 +62,21 @@ def test_random_exceedance_sets_bit_equal(data, n):
     tuning = data.draw(st.integers(1, n + 5))
     threads = data.draw(st.integers(1, 3))
     assert_same(n, sorted(positions), tuning, n_boot=25, threads=threads)
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+@given(data=st.data(), n=st.integers(2, 150))
+@settings(max_examples=40, deadline=None)
+def test_random_exceedance_sets_bit_equal_at_small_batches(batch, data, n):
+    # a batch of one replicate, and of a few (7 positions hold one
+    # replicate of N >= 7, several of a smaller N); the test above runs
+    # the default, one batch of every replicate
+    positions = data.draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                  max_size=n))
+    tuning = data.draw(st.integers(1, n + 5))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_BATCH_POSITIONS", batch)
+        assert_same(n, sorted(positions), tuning, n_boot=25, threads=1)
 
 
 def garch_exceedances(seed, q):
@@ -175,10 +190,11 @@ def test_a_replicate_depends_on_neither_n_boot_nor_the_batch_size(
     def replicates(n_boot):
         seen = []
 
-        def stat(r, n):
-            seen.append(r.tolist())
-            return _runs_core(r, 5)
-        _bootstrap_stderr(idx, v.size, stat, n_boot)
+        def score(r, n):
+            seen.extend(r.pos[f:f + c].tolist()
+                        for f, c in zip(r.first, r.count))
+            return _runs_scores(r, 5)
+        _bootstrap_stderr(idx, v.size, score, n_boot)
         return seen
 
     assert replicates(100)[:50] == replicates(50)
@@ -188,3 +204,58 @@ def test_a_replicate_depends_on_neither_n_boot_nor_the_batch_size(
     for batch in (1, 1 << 20):
         monkeypatch.setattr(estimators, "_BATCH_POSITIONS", batch)
         assert [call().stderr for call in calls] == stderrs, batch
+
+
+# -- the kept replicate set -----------------------------------------------
+
+def fresh(call):
+    estimators._memo = None
+    return call()
+
+
+def test_interleaved_sets_equal_fresh_calls():
+    # set A, set B, A again and A at another n_boot: each call equals
+    # the same call on an empty memo, and A again reuses A's replicates
+    (va, ua), (vb, ub) = garch_exceedances(4, 0.99), garch_exceedances(5, 0.99)
+    calls = [lambda: intervals_theta(va, ua), lambda: blocks_theta(vb, ub, 50),
+             lambda: runs_theta(va, ua, 10),
+             lambda: blocks_theta(va, ua, 50, n_boot=60),
+             lambda: intervals_theta(va, ua, n_boot=60)]
+    want = [fresh(call).to_json() for call in calls]
+    estimators._memo = None
+    assert [call().to_json() for call in calls] == want
+    idx = np.flatnonzero(va > ua)
+    kept = _replicate_set(idx, va.size, 60)
+    assert _replicate_set(idx.copy(), va.size, 60) is kept
+    assert _replicate_set(idx, va.size, 61) is not kept
+    assert _replicate_set(idx, va.size - 1, 61) is not kept
+    with pytest.MonkeyPatch.context() as mp:
+        # N >= 7 exceedances: one replicate per batch of 7 positions
+        mp.setattr(estimators, "_BATCH_POSITIONS", 7)
+        assert len(_replicate_set(idx, va.size - 1, 61)) == 61
+
+
+def test_replicates_cut_at_the_end_of_the_series():
+    # four clusters of two, 29, 29 and 37 apart: a replicate draws eight
+    # positions, and one that draws the gap of 37 twice or more runs past
+    # n = 100 and keeps six or seven; at a batch of one position every
+    # replicate is the last of its batch
+    positions = (0, 1, 30, 31, 60, 61, 98, 99)
+    idx = np.asarray(positions)
+    for batch in (1, 7, estimators._BATCH_POSITIONS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimators, "_BATCH_POSITIONS", batch)
+            counts = np.concatenate([r.count for r in fresh(
+                lambda: _replicate_set(idx, 100, 40))])
+            assert counts.max() == 8 and counts.min() in (6, 7), batch
+            assert_same(100, positions, 10, n_boot=40, threads=1)
+
+
+def test_kept_set_is_read_only():
+    v, u = garch_exceedances(4, 0.99)
+    fresh(lambda: runs_theta(v, u, 10))
+    _, idx, batches = estimators._memo
+    arrays = [idx] + [a for r in batches for a in r]
+    assert len(batches) >= 1 and all(not a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        batches[0].pos[0] = 0
