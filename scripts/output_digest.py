@@ -7,8 +7,9 @@ constant-volatility model, theta-theory with each quantity (the Kesten
 root also at 1.1 * 10^6 draws), on a generic SRE pair and at a
 truncation whose warning its JSON records, diagnose with breiman's alpha
 from Hill, at a given alpha, and on a constant-volatility model whose
-errors and warnings diagnose.json records), four commands that must
-fail, two `experiment run`s whose configs use all seven analysis kinds,
+errors and warnings diagnose.json records), six commands that must
+fail (among them a model whose phi breaks its rule and a path.csv whose
+t is no number), two `experiment run`s whose configs use all seven analysis kinds,
 the second with no optional spec field, a third whose theta analyses
 alternate between two levels (so the bootstrap's kept replicate set is
 missed and reused in turn), the `fig1-right` preset (t(4)
@@ -197,6 +198,11 @@ COMMANDS = [
                               "blocks", "--block-len", "0")),
     ("fail-theory-alpha", ("--out", "o", "theta-theory", "--which",
                            "theta-sigma", "--model", "garch.json")),
+    # a config field read by its rule, and the t column of a stored path
+    ("fail-model-field", ("--out", "o", "simulate", "--model",
+                          "bad_phi.json", "--n", "100")),
+    ("fail-input-t", ("--out", "o", "hill", "--input", "bad_t.csv", "--k",
+                      "2")),
     ("experiment-run", ("--out", "o", "experiment", "run", "exp.json")),
     ("experiment-defaults", ("--out", "o", "experiment", "run",
                              "defaults.json")),
@@ -248,6 +254,9 @@ def main() -> None:
         (work / "exp.json").write_text(json.dumps(EXPERIMENT))
         (work / "defaults.json").write_text(json.dumps(DEFAULTS))
         (work / "interleaved.json").write_text(json.dumps(INTERLEAVED))
+        (work / "bad_phi.json").write_text(json.dumps(
+            {**sv.config_to_json(MODELS["ar.json"]), "phi": 1.5}))
+        (work / "bad_t.csv").write_text("t,sigma,x\n0,1,1\nabc,1,1\n")
         for name, args in COMMANDS:
             for line in run(name, args, work, env):
                 print(line, flush=True)

@@ -45,12 +45,13 @@ def _load_model(path: str):
 
 
 def _read_path_csv(path: str):
-    """The sigma and x columns of a path.csv, found by their header names.
+    """The sigma and x columns of a path.csv, found by their header names,
+    and its t column, if it has one, checked the same way.
 
-    Every row must hold a number other than NaN in both columns (+-inf
-    included): an empty, malformed or NaN field, a short row or a file
-    without data rows is rejected. There is no comment syntax, so a '#'
-    line is a short row and a '#' in a field makes it malformed.
+    Every row must hold a number other than NaN in each of these columns
+    (+-inf included): an empty, malformed or NaN field, a short row or a
+    file without data rows is rejected. There is no comment syntax: a '#'
+    line is a short row or a malformed field, a '#' in a field malformed.
     """
     try:
         with open(path) as fh:
@@ -58,22 +59,22 @@ def _read_path_csv(path: str):
             missing = [c for c in ("sigma", "x") if c not in header]
             if missing:
                 raise ValueError(f"missing column {', '.join(missing)}")
-            cols = (header.index("sigma"), header.index("x"))
+            names = [c for c in ("t", "sigma", "x") if c in header]
             with warnings.catch_warnings():
                 # loadtxt warns on a file without data rows, rejected below
                 warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2,
-                                  comments=None)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
+                                  usecols=[header.index(c) for c in names])
         if data.shape[0] == 0:
             raise ValueError("no data rows")
         nan = np.argwhere(np.isnan(data))
         if nan.size:
             row, col = nan[0]
-            raise ValueError(f"column {('sigma', 'x')[col]} holds NaN in "
+            raise ValueError(f"column {names[col]} holds NaN in "
                              f"data row {row + 1}")
     except (OSError, ValueError) as e:
         raise click.ClickException(f"bad path csv {path}: {e}")
-    sigma, x = np.ascontiguousarray(data.T)
+    sigma, x = np.ascontiguousarray(data[:, -2:].T)
     return sigma, x
 
 

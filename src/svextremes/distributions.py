@@ -17,7 +17,10 @@ Every config and result dataclass (InnovationSpec here, the seed,
 model, experiment and result classes elsewhere) derives from
 JsonFields: its JSON keys are its fields, written by to_json and read
 back by from_json, which rejects an unknown key and checks each field
-by its declared type.
+by its declared type. A config field may add a rule (at_least, number,
+...) in its metadata; every field of a config is checked, type and rule,
+when the instance is built, and the specs of experiments.SPECS are read
+by the same rules.
 """
 
 from __future__ import annotations
@@ -66,14 +69,73 @@ def check_int(name: str, value, low: int | None = None) -> int:
     return int(value)
 
 
+# -- rules ------------------------------------------------------------------
+# A rule (name, value) returns the value read or raises a ValueError that
+# starts with name; its type, choices or item (a list's rule) says what
+# it reads.
+
+def at_least(low: int):
+    """A whole number >= low as an int; JSON may spell 10 as 10.0."""
+    def rule(name: str, value) -> int:
+        if isinstance(value, (float, np.floating)) and value.is_integer():
+            value = int(value)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be a whole number, got {value!r}")
+        return check_int(name, value, low)
+
+    rule.type = int
+    return rule
+
+
+def number(text: str, ok):
+    """A finite real v (not a bool) with ok(v) as a float; text says
+    which, as in "in (0, 1)"."""
+    def rule(name: str, value) -> float:
+        if not (finite_real(value) and ok(value)):
+            raise ValueError(f"{name} must be a finite number {text}, "
+                             f"got {value!r}")
+        return float(value)
+
+    rule.type = float
+    return rule
+
+
+level = number("in (0, 1)", lambda v: 0.0 < v < 1.0)
+positive = number("> 0", lambda v: v > 0.0)
+
+
+def one_of(*choices: str):
+    def rule(name: str, value) -> str:
+        if not (isinstance(value, str) and value in choices):
+            raise ValueError(f"{name} must be one of {', '.join(choices)}, "
+                             f"got {value!r}")
+        return value
+
+    rule.choices = choices
+    return rule
+
+
+def list_of(rule):
+    """A non-empty list or tuple, each item read by rule, as a list."""
+    def read(name: str, value) -> list:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name} must be a list, got {value!r}")
+        if not value:
+            raise ValueError(f"{name} must not be empty")
+        return [rule(name, v) for v in value]
+
+    read.item = rule
+    return read
+
+
 # -- JSON form of the dataclasses ------------------------------------------
 
-# declared type -> (test, what a value must be); a tuple[T, ...] field is
-# a list of T values
-_SCALARS = {float: (finite_real, "a finite number"),
-            bool: (lambda v: isinstance(v, bool), "true or false"),
-            str: (lambda v: isinstance(v, str), "a string"),
-            dict: (lambda v: isinstance(v, dict), "an object")}
+# declared type -> (test, what a value must be, the value read); a
+# tuple[T, ...] field is a list of T values
+_SCALARS = {float: (finite_real, "a finite number", float),
+            bool: (lambda v: isinstance(v, bool), "true or false", bool),
+            str: (lambda v: isinstance(v, str), "a string", str),
+            dict: (lambda v: isinstance(v, dict), "an object", dict)}
 
 
 def _object(v, what: str) -> dict:
@@ -94,27 +156,35 @@ def read_tagged(union, obj, name: str):
     raise ValueError(f"unknown {name} {key} {tag!r}")
 
 
+def _classes(tp) -> tuple:
+    """The JsonFields classes a field of declared type tp holds: the
+    members of a tagged Union, or tp itself."""
+    if get_origin(tp) is Union and hasattr(get_args(tp)[0], "TAG"):
+        return get_args(tp)
+    return (tp,) if hasattr(tp, "from_json") else ()
+
+
 def _read(tp, value, name: str):
     """value read as a field of declared type tp under the JSON key name.
-    An int or Optional field is passed as given: its class checks it."""
-    tagged = get_origin(tp) is Union and hasattr(get_args(tp)[0], "TAG")
-    if tagged or hasattr(tp, "from_json"):
+    An int or Optional field is passed as given: its rule or class
+    checks it."""
+    if _classes(tp):
         try:
-            return (read_tagged(tp, value, name) if tagged
-                    else tp.from_json(value))
+            return (tp.from_json(value) if hasattr(tp, "from_json")
+                    else read_tagged(tp, value, name))
         except ValueError as e:
             raise ValueError(f"field {name!r}: {e}") from None
     if get_origin(tp) is tuple:
-        test, text = _SCALARS[get_args(tp)[0]]
+        test, text, read = _SCALARS[get_args(tp)[0]]
         if not (isinstance(value, list) and all(map(test, value))):
             raise ValueError(f"field {name!r} must be a list, each item "
                              f"{text}, got {value!r}")
-        return tuple(value)
+        return tuple(map(read, value))
     if tp in _SCALARS:
-        test, text = _SCALARS[tp]
+        test, text, read = _SCALARS[tp]
         if not test(value):
             raise ValueError(f"field {name!r} must be {text}, got {value!r}")
-        return float(value) if tp is float else value
+        return read(value)
     return value
 
 
@@ -143,8 +213,9 @@ class JsonFields:
     then every init field under its JSON name (metadata "json", else its
     name), leaving out a field still at a None default: a value by its
     own to_json(), an ndarray or tuple as a list, a dict copied.
-    from_json() reads that form back, and check_fields() holds named
-    fields of an instance built in Python to the same rules.
+    from_json() reads that form back. The seed, model and experiment
+    configs call check_fields() first thing in __post_init__: every field
+    has one rule, checked when the instance is built, in Python or JSON.
     """
 
     TAG = None
@@ -178,14 +249,26 @@ class JsonFields:
                 raise ValueError(f"missing field {key!r}")
         return cls(**kw)
 
-    def check_fields(self, *names: str) -> None:
-        """Raise the ValueError from_json raises for a named field's value
-        (a tuple read as a list), so that an instance built in Python
-        rejects what its JSON reader rejects."""
-        for name in names:
-            v = getattr(self, name)
-            _read(_types(type(self))[name],
-                  list(v) if isinstance(v, tuple) else v, name)
+    def check_fields(self) -> None:
+        """Read every init field as from_json does, by its declared type
+        (a JsonFields class by isinstance) and then its metadata "rule",
+        if any, and store the value read; a ValueError names the field."""
+        types = _types(type(self))
+        for f in fields(self):
+            if not f.init:
+                continue
+            tp, v = types[f.name], getattr(self, f.name)
+            key = f.metadata.get("json", f.name)
+            classes = _classes(tp)
+            if not classes:
+                as_list = get_origin(tp) is tuple and isinstance(v, tuple)
+                v = _read(tp, list(v) if as_list else v, key)
+            elif not isinstance(v, classes):
+                names = " or ".join(c.__name__ for c in classes)
+                raise ValueError(f"field {key!r} must be {names}, got {v!r}")
+            if "rule" in f.metadata:
+                v = f.metadata["rule"](key, v)
+            object.__setattr__(self, f.name, v)
 
 
 @dataclass(frozen=True)
@@ -215,9 +298,7 @@ class InnovationSpec(JsonFields):
             if name not in PARAMETERS[self.kind]:
                 raise ValueError(f"{self.kind} takes no {name}, got {value!r}")
             if name == "standardized":
-                if not isinstance(value, bool):
-                    raise ValueError(f"field 'standardized' must be true or "
-                                     f"false, got {value!r}")
+                _read(bool, value, name)
             elif not finite_real(value):
                 raise ValueError(f"{self.kind} requires a finite {name}, "
                                  f"got {value!r}")

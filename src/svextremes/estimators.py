@@ -36,12 +36,14 @@ Estimator conventions, used consistently below:
     calling thread; the estimators keep a `threads` argument, unused,
     because callers pass it;
   * values must be one-dimensional and free of NaN, hill's k,
-    block_len, run_len, the extremogram's lags and anticluster_diag's m,
-    r_n, reps and n integers (numpy's too, a bool not) in range,
-    anticluster_diag's y a finite number > 0, and the theta estimators'
-    u a real number other than NaN (+-inf included); otherwise hill, the
-    theta estimators, the extremogram, anticluster_diag and breiman_ratio
-    raise a ValueError that names the field.
+    block_len, run_len, n_boot, the extremogram's lags and
+    anticluster_diag's m, r_n, reps and n integers (numpy's too, a bool
+    not) in range, the theta estimators' u a real number other than NaN
+    (+-inf included), breiman_ratio's z an InnovationSpec or None, and
+    levels, y, alpha and q_grid (not empty) as the config fields' rules
+    read them; otherwise hill, the theta estimators, the extremogram,
+    anticluster_diag and breiman_ratio raise a ValueError that names
+    the argument.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ import numpy as np
 
 from .models import DEFAULT_BURN_IN, ModelConfig, simulate
 from .distributions import (InnovationSpec, JsonFields, check_int,
-                            finite_real, moment_pos)
+                            level, list_of, moment_pos, number, positive)
 from .rng import RngSeed, check_seed
 
 __all__ = [
@@ -69,6 +71,7 @@ __all__ = [
 _BOOTSTRAP_SEED = 0xB0075
 _BATCH_POSITIONS = 1 << 15  # bootstrap positions built per batch
 _ANTICLUSTER_CALIBRATION = 10  # anticluster_diag's a_n run, in units of n
+_PROBABILITY = number("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 
 
 @dataclass(frozen=True)
@@ -119,8 +122,7 @@ def _quantile(values, q: float) -> float:
     v = _values_1d(values)
     if v.size == 0:
         raise ValueError("values must not be empty")
-    if not (finite_real(q) and 0.0 <= q <= 1.0):
-        raise ValueError(f"q must be a finite number in [0, 1], got {q!r}")
+    _PROBABILITY("q", q)
     h = (v.size - 1) * float(q)
     i = math.floor(h)
     if i < v.size - 1:
@@ -356,8 +358,7 @@ def _theta(method: str, tuning: dict, values, u: float, n_boot: int, score,
            too_few: str) -> ThetaEstimate:
     """score on the exceedances of u, NaN when they are too few, and its
     cluster bootstrap stderr."""
-    if n_boot < 0:
-        raise ValueError("n_boot must be >= 0")
+    n_boot = check_int("n_boot", n_boot, 0)
     u = _threshold(u)
     idx = exceedances(values, u)
     n = len(values)
@@ -439,8 +440,7 @@ def extremogram(values, lags, q: float) -> ExtremogramResult:
     conditioning count averages the left and right pair members, which
     makes the estimate exactly invariant under time reversal.
     """
-    if not (finite_real(q) and 0.0 <= q <= 1.0):
-        raise ValueError(f"q must be a finite number in [0, 1], got {q!r}")
+    _PROBABILITY("q", q)
     v = _values_1d(values)
     n = v.size
     lags = np.asarray(sorted(check_int("lags", h) for h in lags), dtype=int)
@@ -518,8 +518,7 @@ def anticluster_diag(cfg: ModelConfig, m, r_n: int, y: float, n: int,
         raise ValueError("need 1 <= m < r_n")
     if reps < 1 or n < 2:
         raise ValueError("need reps >= 1 and n >= 2")
-    if not (finite_real(y) and y > 0):
-        raise ValueError(f"y must be a finite number > 0, got {y!r}")
+    y = positive("y", y)
 
     cal = simulate(cfg, _ANTICLUSTER_CALIBRATION * n, burn_in, seed.child(0))
     a_n = _quantile(np.abs(cal.x), 1.0 - 1.0 / n)
@@ -554,7 +553,7 @@ def anticluster_diag(cfg: ModelConfig, m, r_n: int, y: float, n: int,
     est = (reach >= np.asarray(m_grid)[:, None]).mean(axis=1)
     se = np.sqrt(np.maximum(est * (1.0 - est), 0.0) / reach.size)
     return AnticlusterResult(m_grid, est, se, reach.size, a_n, u,
-                             r_n, float(y), n)
+                             r_n, y, n)
 
 
 # -- Breiman ratio --------------------------------------------------------
@@ -580,13 +579,11 @@ def breiman_ratio(sigma_values, x_values, q_grid, alpha: float,
     x = _values_1d(x_values)
     if sig.size != x.size:
         raise ValueError("sigma and x series must have equal length")
-    if not (finite_real(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be a finite number > 0, got {alpha!r}")
-    q_grid = tuple(q_grid)
-    for q in q_grid:
-        if not (finite_real(q) and 0.0 < q < 1.0):
-            raise ValueError(f"q_grid levels must lie in (0, 1), got {q!r}")
-    target = moment_pos(z, float(alpha)) if z is not None else None
+    alpha = positive("alpha", alpha)
+    q_grid = list_of(level)("q_grid", tuple(q_grid))
+    if not (z is None or isinstance(z, InnovationSpec)):
+        raise ValueError(f"z must be an InnovationSpec or None, got {z!r}")
+    target = moment_pos(z, alpha) if z is not None else None
     levels, thresholds, ratios = [], [], []
     for q in q_grid:
         xq = _quantile(sig, q)
@@ -595,7 +592,7 @@ def breiman_ratio(sigma_values, x_values, q_grid, alpha: float,
         if den == 0.0 or num == 0.0:
             warnings.warn(f"no exceedances at level {q}; grid point dropped")
             continue
-        levels.append(float(q))
+        levels.append(q)
         thresholds.append(xq)
         ratios.append(num / den)
     return BreimanResult(np.asarray(levels), np.asarray(thresholds),

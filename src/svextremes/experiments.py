@@ -11,7 +11,8 @@ output directory:
   * figure.csv      one row (t, x, side) per exceedance mark, when a
                     figure analysis is requested; path.csv holds the rest
 
-SPECS holds each analysis kind's fields, each with its rule and default.
+SPECS holds each analysis kind's fields, each with its rule (as every
+config field has one, checked when the config is built) and default.
 read_spec reads a spec by it where the spec enters (when an
 ExperimentConfig is built, or in a CLI command before it simulates): an
 unknown field, a missing required field or a bad value raises a
@@ -43,99 +44,41 @@ import numpy as np
 
 from . import estimators as est
 from . import theory
-from .distributions import (JsonFields, check_int, finite_real, laplace,
-                            std_normal, student_t)
+from .distributions import (JsonFields, at_least, check_int, laplace, level,
+                            list_of, one_of, positive, std_normal, student_t)
 from .models import (DEFAULT_BURN_IN, ExpAr1Config, Garch11Pair, MaSvConfig,
-                     ModelConfig, SreSvConfig, _check_length, path_to_csv,
-                     simulate)
-from .rng import RngSeed, check_seed
+                     ModelConfig, SreSvConfig, path_to_csv, simulate)
+from .rng import RngSeed
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment",
            "preset_config", "PRESET_NAMES"]
 
 
-def _whole_number(name: str, value) -> int:
-    """value as an int; a float must be integral, as JSON may spell 10
-    as 10.0, and anything else is rejected."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be a whole number, got {value!r}")
+_SERIES = one_of("x", "x_abs", "sigma")
+_count = at_least(1)
 
-
-def _at_least(low: int):
-    def rule(name: str, value) -> int:
-        return check_int(name, _whole_number(name, value), low)
-
-    rule.type = int
-    return rule
-
-
-def _number(low: float, high: float, text: str):
-    def rule(name: str, value) -> float:
-        if not (finite_real(value) and low < value < high):
-            raise ValueError(f"{name} must be a finite number {text}, "
-                             f"got {value!r}")
-        return float(value)
-
-    rule.type = float
-    return rule
-
-
-_level = _number(0.0, 1.0, "in (0, 1)")
-_positive = _number(0.0, math.inf, "> 0")
-
-
-def _one_of(*choices: str):
-    def rule(name: str, value) -> str:
-        if not (isinstance(value, str) and value in choices):
-            raise ValueError(f"{name} must be one of {', '.join(choices)}, "
-                             f"got {value!r}")
-        return value
-
-    rule.choices = choices
-    return rule
-
-
-def _list_of(rule):
-    def read(name: str, value) -> list:
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"{name} must be a list, got {value!r}")
-        if not value:
-            raise ValueError(f"{name} must not be empty")
-        return [rule(name, v) for v in value]
-
-    read.item = rule
-    return read
-
-
-_SERIES = _one_of("x", "x_abs", "sigma")
-_count = _at_least(1)
-
-# kind -> field -> (rule, default). A rule (name, value) returns the value
-# read or raises a ValueError that starts with name; its type, choices or
-# item (a list's rule) says what it reads. Default ... marks a required
+# kind -> field -> (rule, default), a rule as the config fields have
+# (distributions: at_least, number, ...). Default ... marks a required
 # field, None one the analysis fills in (anticluster r_n, theory mc_reps,
 # breiman alpha from hill_k) or only kesten omits (theory alpha)
 SPECS = {
-    "hill": {"k": (_at_least(2), ...), "series": (_SERIES, "x_abs")},
-    "theta": {"method": (_one_of("blocks", "runs", "intervals"), ...),
-              "q": (_level, 0.995), "block_len": (_count, 100),
+    "hill": {"k": (at_least(2), ...), "series": (_SERIES, "x_abs")},
+    "theta": {"method": (one_of("blocks", "runs", "intervals"), ...),
+              "q": (level, 0.995), "block_len": (_count, 100),
               "run_len": (_count, 10), "series": (_SERIES, "x_abs")},
-    "extremogram": {"lags": (_list_of(_at_least(0)), ...),
-                    "q": (_level, 0.99), "series": (_SERIES, "x_abs")},
-    "breiman": {"alpha": (_positive, None), "hill_k": (_at_least(2), None),
-                "q_grid": (_list_of(_level), (0.99, 0.995, 0.999))},
-    "anticluster": {"m_grid": (_list_of(_count), ...),
-                    "r_n": (_at_least(2), None), "y": (_positive, 1.0),
+    "extremogram": {"lags": (list_of(at_least(0)), ...),
+                    "q": (level, 0.99), "series": (_SERIES, "x_abs")},
+    "breiman": {"alpha": (positive, None), "hill_k": (at_least(2), None),
+                "q_grid": (list_of(level), (0.99, 0.995, 0.999))},
+    "anticluster": {"m_grid": (list_of(_count), ...),
+                    "r_n": (at_least(2), None), "y": (positive, 1.0),
                     "reps": (_count, 200)},
-    "theory": {"which": (_one_of("kesten", "theta_sigma", "theta_x_sre",
+    "theory": {"which": (one_of("kesten", "theta_sigma", "theta_x_sre",
                                  "theta_x_ma"), ...),
-               "alpha": (_positive, None), "mc_reps": (_at_least(2), None),
-               "tol": (_positive, 1e-4), "trunc_T": (_count, 10_000),
+               "alpha": (positive, None), "mc_reps": (at_least(2), None),
+               "tol": (positive, 1e-4), "trunc_T": (_count, 10_000),
                "m": (_count, 50)},
-    "figure": {"q_low": (_level, 0.01), "q_high": (_level, 0.99)},
+    "figure": {"q_low": (level, 0.01), "q_high": (level, 0.99)},
 }
 
 
@@ -173,26 +116,17 @@ def read_spec(kind, spec: dict) -> dict:
 @dataclass(frozen=True)
 class ExperimentConfig(JsonFields):
     model: ModelConfig
-    n: int
+    n: int = field(metadata={"rule": _count})
     seed: RngSeed
-    burn_in: int = DEFAULT_BURN_IN
+    burn_in: int = field(default=DEFAULT_BURN_IN,
+                         metadata={"rule": at_least(0)})
     analyses: tuple[dict, ...] = ()
     label: str = ""
     # analyses as read_spec reads them, the specs run_experiment runs
     specs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.model, ModelConfig):
-            raise ValueError(f"model must be a model config, got "
-                             f"{self.model!r}")
-        check_seed(self.seed)
-        for name in ("n", "burn_in"):
-            object.__setattr__(self, name,
-                               _whole_number(name, getattr(self, name)))
-        _check_length(self.n, self.burn_in)
-        self.check_fields("label", "analyses")
-        object.__setattr__(self, "analyses",
-                           tuple(dict(a) for a in self.analyses))
+        self.check_fields()
         object.__setattr__(self, "specs", tuple(
             read_spec(a.get("analysis"), a) for a in self.analyses))
 
@@ -373,6 +307,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
                    threads: int = 1) -> ExperimentReport:
     from . import __version__
 
+    check_int("threads", threads, 1)
     out = FsPath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     timings = {}

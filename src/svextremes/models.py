@@ -39,7 +39,7 @@ from typing import Union
 import numpy as np
 
 from .distributions import (InnovationSpec, JsonFields, check_int, draw,
-                            moment_abs, read_tagged)
+                            moment_abs, number, positive, read_tagged)
 from .rng import RngSeed, check_seed
 
 __all__ = [
@@ -55,18 +55,20 @@ DEFAULT_BURN_IN = 10_000
 _CALIBRATION_SEED = RngSeed(0x5EED_CA1B, 0)
 _CALIBRATION_DRAWS = 100_000
 
+# the rule of a stationary AR(1) coefficient
+_PHI = number("in (-1, 1)", lambda v: -1.0 < v < 1.0)
+_NON_NEGATIVE = number(">= 0", lambda v: v >= 0.0)
+
 
 @dataclass(frozen=True)
 class ExpAr1Config(JsonFields):
     TAG = ("family", "expar1")
-    phi: float
+    phi: float = field(metadata={"rule": _PHI})
     eta: InnovationSpec
     z: InnovationSpec
 
     def __post_init__(self):
-        if not -1.0 < self.phi < 1.0:
-            raise ValueError("phi must lie in (-1, 1)")
-        self.check_fields("phi")
+        self.check_fields()
 
 
 @dataclass(frozen=True)
@@ -82,23 +84,19 @@ class EgarchConfig(JsonFields):
 
     TAG = ("family", "egarch")
     alpha0: float
-    gamma0: float
-    delta0: float
-    phi: float
+    gamma0: float = field(metadata={"rule": positive})
+    delta0: float = field(metadata={"rule": positive})
+    phi: float = field(metadata={"rule": _PHI})
     z: InnovationSpec
     light_tailed: bool = False
 
     def __post_init__(self):
-        if not -1.0 < self.phi < 1.0:
-            raise ValueError("phi must lie in (-1, 1)")
-        if not (self.gamma0 > 0 and self.delta0 > 0):
-            raise ValueError("gamma0 and delta0 must be > 0")
+        self.check_fields()
         if self.z.kind == "std_normal" and not self.light_tailed:
             raise ValueError("normal Z makes the volatility light-tailed; "
                              "pass light_tailed=True to accept that regime")
         if self.z.kind in ("student_t", "pareto"):
             raise ValueError(f"unsupported EGARCH noise kind {self.z.kind!r}")
-        self.check_fields("alpha0", "gamma0", "delta0", "phi")
 
 
 @dataclass(frozen=True)
@@ -106,17 +104,13 @@ class Garch11Pair(JsonFields):
     """GARCH(1,1) multipliers A_t = alpha1 eta_{t-1}^2 + beta1, B_t = alpha0."""
 
     TAG = ("type", "garch11")
-    alpha0: float
-    alpha1: float
-    beta1: float
+    alpha0: float = field(metadata={"rule": positive})
+    alpha1: float = field(metadata={"rule": _NON_NEGATIVE})
+    beta1: float = field(metadata={"rule": _NON_NEGATIVE})
     eta: InnovationSpec
 
     def __post_init__(self):
-        if not self.alpha0 > 0:
-            raise ValueError("alpha0 must be > 0")
-        if self.alpha1 < 0 or self.beta1 < 0:
-            raise ValueError("alpha1 and beta1 must be >= 0")
-        self.check_fields("alpha0", "alpha1", "beta1")
+        self.check_fields()
 
     def draw_a(self, g: np.random.Generator, size: int) -> np.ndarray:
         # alpha1 e e + beta1 in the same operation order, with one
@@ -137,6 +131,7 @@ class GenericPair(JsonFields):
     b: InnovationSpec
 
     def __post_init__(self):
+        self.check_fields()
         for name, spec in (("a", self.a), ("b", self.b)):
             if spec.kind == "pareto":
                 continue  # support [1, inf)
@@ -186,24 +181,19 @@ class SreSvConfig(JsonFields):
     """
 
     TAG = ("family", "sresv")
-    p: float
+    p: float = field(metadata={"rule": positive})
     pair_source: Union[Garch11Pair, GenericPair] = field(
         metadata={"json": "pair"})
     z: InnovationSpec
     garch_returns: bool = False
 
     def __post_init__(self):
-        if not self.p > 0:
-            raise ValueError("p must be > 0")
+        self.check_fields()
         if isinstance(self.pair_source, Garch11Pair):
             if self.p != 2.0:
                 raise ValueError("Garch11 multipliers require p = 2")
-        elif isinstance(self.pair_source, GenericPair):
-            if self.garch_returns:
-                raise ValueError("garch_returns needs Garch11 multipliers")
-        else:
-            raise TypeError("pair_source must be Garch11Pair or GenericPair")
-        self.check_fields("p")
+        elif self.garch_returns:
+            raise ValueError("garch_returns needs Garch11 multipliers")
         probe_multipliers(self.pair_source.draw_a)
 
 
@@ -212,20 +202,15 @@ class MaSvConfig(JsonFields):
     """Finite moving-average volatility sigma_t^p = |sum_j psi_j eta_{t-j}|."""
 
     TAG = ("family", "masv")
-    p: float
+    p: float = field(metadata={"rule": positive})
     psi: tuple[float, ...]
     eta: InnovationSpec
     z: InnovationSpec
 
     def __post_init__(self):
-        # the reader's checks first: float() would pass True or '2'
-        self.check_fields("p", "psi")
-        if not self.p > 0:
-            raise ValueError("p must be > 0")
-        psi = tuple(float(v) for v in self.psi)
-        if len(psi) == 0 or not any(v != 0.0 for v in psi):
+        self.check_fields()
+        if not any(v != 0.0 for v in self.psi):
             raise ValueError("psi needs at least one nonzero coefficient")
-        object.__setattr__(self, "psi", psi)
         if self.eta.kind not in ("pareto", "student_t"):
             raise ValueError("eta must be a regularly varying kind "
                              "(pareto or student_t)")
@@ -253,11 +238,6 @@ class Path:
 # Stream layout per path seed: generator(0) drives the volatility noise,
 # generator(1) the multiplicative noise Z, generator(2) the B sequence of a
 # generic SRE pair.
-
-def _check_length(n: int, burn_in: int) -> None:
-    check_int("n", n, 1)
-    check_int("burn_in", burn_in, 0)
-
 
 _AR1_BLOCK = 64  # steps combined by doubling; a power of two
 # blocks per tile: each tile and scratch array takes 32 KB, below the
@@ -395,7 +375,8 @@ def simulate_ma_sv(cfg: MaSvConfig, n: int, seed: RngSeed = RngSeed(0)) -> Path:
 def simulate(cfg: ModelConfig, n: int, burn_in: int = DEFAULT_BURN_IN,
              seed: RngSeed = RngSeed(0)) -> Path:
     check_seed(seed)
-    _check_length(n, burn_in)
+    check_int("n", n, 1)
+    check_int("burn_in", burn_in, 0)
     if isinstance(cfg, ExpAr1Config):
         return simulate_exp_ar1(cfg, n, burn_in, seed)
     if isinstance(cfg, EgarchConfig):

@@ -15,13 +15,20 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributions import JsonFields, check_int
 
 __all__ = ["RngSeed"]
+
+
+def _uint64(name: str, value) -> int:
+    v = check_int(name, value)
+    if not 0 <= v < 2**64:
+        raise ValueError(f"{name} must fit in an unsigned 64-bit integer")
+    return v
 
 
 @dataclass(frozen=True)
@@ -34,15 +41,11 @@ class RngSeed(JsonFields):
     with generator(), which appends a path of integers to the spawn key.
     """
 
-    master_seed: int
-    stream_id: int = 0
+    master_seed: int = field(metadata={"rule": _uint64})
+    stream_id: int = field(default=0, metadata={"rule": _uint64})
 
     def __post_init__(self):
-        for name in ("master_seed", "stream_id"):
-            v = check_int(name, getattr(self, name))
-            if not 0 <= v < 2**64:
-                raise ValueError(f"{name} must fit in an unsigned 64-bit integer")
-            object.__setattr__(self, name, v)
+        self.check_fields()
 
     def _sequence(self, path) -> np.random.SeedSequence:
         """The SeedSequence that generator() and child() expand."""

@@ -64,7 +64,7 @@ from typing import Optional
 import numpy as np
 
 from .distributions import (InnovationSpec, JsonFields, check_int, draw,
-                            finite_real, moment_abs)
+                            finite_real, moment_abs, positive)
 from .models import probe_multipliers
 from .rng import RngSeed, check_seed, chunk_sizes, chunked_map
 
@@ -146,22 +146,6 @@ def _log_a_sample(problem: KestenProblem, g: np.random.Generator,
         return np.log(a)
 
 
-def _check_args(mc_reps: int, finite: dict | None = None,
-                counts: dict | None = None, **positive: float) -> None:
-    # a standard error needs two replicates; counts maps a name to an
-    # (integer, least value) pair; alpha and p are exponents; finite maps
-    # a name to an array whose entries must all be finite
-    counts = {"mc_reps": (mc_reps, 2), **(counts or {})}
-    for name, (v, least) in counts.items():
-        check_int(name, v, least)
-    for name, v in positive.items():
-        if not (finite_real(v) and v > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {v!r}")
-    for name, v in (finite or {}).items():
-        if not np.isfinite(v).all():
-            raise ValueError(f"{name} must be finite, got {v.tolist()}")
-
-
 def _chunk_totals(parts: list) -> list:
     """Elementwise sums of the per-chunk result tuples, in chunk order."""
     totals = list(parts[0])
@@ -235,7 +219,8 @@ def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
     are those of whole sums. The stop step's sum is the stderr's mean.
     """
     check_seed(seed)
-    _check_args(mc_reps, tol=tol)
+    check_int("mc_reps", mc_reps, 2)
+    positive("tol", tol)
     g = seed.generator()
     la = np.empty(mc_reps)
     for lo in range(0, mc_reps, _LEAF):
@@ -414,7 +399,10 @@ def theta_sigma_sre(problem: KestenProblem, alpha: float,
     still unresolved at trunc_T (truncation risk), counted as successes.
     """
     check_seed(seed)
-    _check_args(mc_reps, counts={"trunc_T": (trunc_T, 1)}, alpha=alpha)
+    check_int("mc_reps", mc_reps, 2)
+    check_int("trunc_T", trunc_T, 1)
+    positive("alpha", alpha)
+    check_int("threads", threads, 1)
     _check_alpha(problem, alpha)
     sizes = chunk_sizes(mc_reps, _CHUNK)
 
@@ -456,7 +444,9 @@ def theta_sigma_sre_quadrature(problem: KestenProblem, alpha: float,
     sqrt(mc_reps).
     """
     check_seed(seed)
-    _check_args(mc_reps, counts={"trunc_T": (trunc_T, 1)}, alpha=alpha)
+    check_int("mc_reps", mc_reps, 2)
+    check_int("trunc_T", trunc_T, 1)
+    positive("alpha", alpha)
     g = seed.generator()
     sup, hit = _sup_log_products(problem, g, np.zeros(mc_reps), trunc_T,
                                  alpha, mc_reps)
@@ -509,7 +499,11 @@ def theta_x_sre(problem: KestenProblem, z: InnovationSpec, alpha: float,
     still unresolved at m.
     """
     check_seed(seed)
-    _check_args(mc_reps, counts={"m": (m, 1)}, alpha=alpha, p=p)
+    check_int("mc_reps", mc_reps, 2)
+    check_int("m", m, 1)
+    positive("alpha", alpha)
+    positive("p", p)
+    check_int("threads", threads, 1)
     ap = alpha * p
     _check_z_moment(z, ap)
     _check_alpha(problem, alpha)
@@ -562,11 +556,16 @@ def theta_x_ma(psi, alpha: float, p: float, z: InnovationSpec,
     above 1 (theta near 1) reads 1; mc_stderr is the uncapped ratio's.
     """
     check_seed(seed)
-    psi = np.asarray(psi, dtype=float)
-    if psi.ndim != 1:
+    # each item as MaSvConfig reads psi; float() would pass True or '2'
+    if np.ndim(psi) != 1:
         raise ValueError("psi must be one-dimensional")
-    _check_args(mc_reps, finite={"psi": psi}, alpha=alpha, p=p)
-    w = np.abs(psi)
+    if not all(map(finite_real, psi)):
+        raise ValueError(f"psi must be finite numbers, got {psi!r}")
+    check_int("mc_reps", mc_reps, 2)
+    positive("alpha", alpha)
+    positive("p", p)
+    check_int("threads", threads, 1)
+    w = np.abs(np.asarray(psi, dtype=float))
     if w.size == 0 or not np.any(w > 0):
         raise ValueError("psi needs at least one nonzero coefficient")
     ap = alpha * p

@@ -1,6 +1,8 @@
 """The package API: each result's JSON is its fields, and the public
 names are the modules' __all__ lists."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -183,3 +185,62 @@ def test_seed_that_is_no_rng_seed_rejected_where_it_enters(call, seed):
     with pytest.raises(ValueError,
                        match=f"^seed must be an RngSeed, got {seed}$"):
         SEEDED[call](seed)
+
+
+# -- counts, psi and breiman inputs checked where they enter -----------------
+
+def _experiment(threads, tmp_path):
+    cfg = sv.ExperimentConfig(
+        model=sv.ExpAr1Config(phi=0.5, eta=sv.std_normal(),
+                              z=sv.std_normal()),
+        n=100, seed=sv.RngSeed(0), analyses=({"analysis": "hill", "k": 10},))
+    sv.run_experiment(cfg, tmp_path / "out", threads=threads)
+
+
+_SIGMA = np.linspace(1.0, 2.0, 200)
+
+CHECKED_ON_ENTRY = {
+    "run_experiment": _experiment,
+    "theta_sigma_sre": lambda threads, _: sv.theta_sigma_sre(
+        _garch_problem(), alpha=2.0, mc_reps=100, threads=threads),
+    "theta_x_sre": lambda threads, _: sv.theta_x_sre(
+        _garch_problem(), sv.std_normal(), alpha=2.0, p=2.0, m=5,
+        mc_reps=100, threads=threads),
+    "theta_x_ma": lambda threads, _: sv.theta_x_ma(
+        (1.0, 1.0), alpha=4.0, p=1.0, z=sv.std_normal(), mc_reps=100,
+        threads=threads),
+    "blocks_theta": lambda n_boot, _: sv.blocks_theta(
+        _SIGMA, 1.5, block_len=10, n_boot=n_boot),
+    "theta_x_ma psi": lambda psi, _: sv.theta_x_ma(
+        psi, alpha=4.0, p=1.0, z=sv.std_normal(), mc_reps=100),
+    "breiman_ratio z": lambda z, _: sv.breiman_ratio(
+        _SIGMA, _SIGMA, q_grid=(0.9,), alpha=2.0, z=z),
+    "breiman_ratio q_grid": lambda q_grid, _: sv.breiman_ratio(
+        _SIGMA, _SIGMA, q_grid=q_grid, alpha=2.0),
+}
+
+
+@pytest.mark.parametrize("call, value, message", [
+    *((call, value, message)
+      for call in ("run_experiment", "theta_sigma_sre", "theta_x_sre",
+                   "theta_x_ma")
+      for value, message in (
+          (0, "threads must be >= 1"),
+          (2.5, "threads must be an integer, got 2.5"),
+          ("2", "threads must be an integer, got '2'"),
+          (None, "threads must be an integer, got None"))),
+    ("blocks_theta", True, "n_boot must be an integer, got True"),
+    ("blocks_theta", 2.5, "n_boot must be an integer, got 2.5"),
+    ("blocks_theta", "5", "n_boot must be an integer, got '5'"),
+    ("theta_x_ma psi", ("1", "2"),
+     "psi must be finite numbers, got ('1', '2')"),
+    ("theta_x_ma psi", (True, True),
+     "psi must be finite numbers, got (True, True)"),
+    ("breiman_ratio z", 5, "z must be an InnovationSpec or None, got 5"),
+    ("breiman_ratio q_grid", (), "q_grid must not be empty")])
+def test_argument_rejected_where_it_enters(tmp_path, call, value, message):
+    # the parent ran threads 0 and 2.5, n_boot True, psi ('1', '2') and
+    # (True, True), and q_grid (), and failed later on the rest
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CHECKED_ON_ENTRY[call](value, tmp_path)
+    assert not (tmp_path / "out").exists()

@@ -889,13 +889,17 @@ def test_read_path_csv_one_row(tmp_path):
     ("t,sigma,x\n0,1,inf\n1,1,-inf\n2,1,nan\n",
      "column x holds NaN in data row 3"),
     ("t,sigma,x\n0,1,1\n1,NaN,1\n", "column sigma holds NaN in data row 2"),
+    # the parent read only sigma and x, so a bad t passed
+    ("t,sigma,x\n0,1,1\nabc,1,1\n", "could not convert string 'abc'"),
+    ("t,sigma,x\n0,1,1\nnan,1,1\n", "column t holds NaN in data row 2"),
     # path.csv has no comment syntax: a '#' line or field is no number
-    ("t,sigma,x\n0,1,1\n# a note\n1,1,1\n", "invalid column index"),
+    ("t,sigma,x\n0,1,1\n# a note\n1,1,1\n",
+     "could not convert string '# a note'"),
     ("t,sigma,x\n0,1,1\n1,1,2 # a note\n",
      "could not convert string '2 # a note'"),
 ], ids=["no-x", "no-sigma", "empty-field", "malformed-field", "short-row",
-        "header-only", "empty-file", "nan-x", "nan-sigma", "comment-line",
-        "comment-field"])
+        "header-only", "empty-file", "nan-x", "nan-sigma", "malformed-t",
+        "nan-t", "comment-line", "comment-field"])
 def test_bad_path_csv_rejected(runner, workdir, text, reason):
     Path("bad.csv").write_text(text)
     r = invoke(runner, "hill", "--input", "bad.csv", "--k", 2)

@@ -545,7 +545,7 @@ def test_breiman_alpha_must_be_finite_and_positive(alpha):
 def test_breiman_levels_must_lie_in_unit_interval(q):
     sig = pareto_sample(1000)
     with pytest.raises(ValueError,
-                       match=r"^q_grid levels must lie in \(0, 1\)"):
+                       match=r"^q_grid must be a finite number in \(0, 1\)"):
         breiman_ratio(sig, sig, q_grid=(0.9, q), alpha=4.0)
 
 

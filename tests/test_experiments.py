@@ -39,8 +39,9 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field, message", [
-    ("model", "model must be a model config, got 5"),
-    ("seed", "seed must be an RngSeed, got 5")])
+    ("model", "field 'model' must be ExpAr1Config or EgarchConfig or "
+              "SreSvConfig or MaSvConfig, got 5"),
+    ("seed", "field 'seed' must be RngSeed, got 5")])
 def test_config_rejects_a_model_or_seed_of_the_wrong_type(tmp_path, field,
                                                           message):
     # the parent built both and failed inside run_experiment, after it

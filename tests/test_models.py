@@ -408,7 +408,8 @@ def test_egarch_noise_kinds():
     with pytest.raises(ValueError, match="unsupported"):
         EgarchConfig(alpha0=0.0, gamma0=0.5, delta0=0.5, phi=0.5,
                      z=student_t(4.0))
-    with pytest.raises(ValueError, match="gamma0 and delta0"):
+    with pytest.raises(ValueError, match="^gamma0 must be a finite number "
+                                         r"> 0, got 0.0$"):
         EgarchConfig(alpha0=0.0, gamma0=0.0, delta0=0.5, phi=0.5,
                      z=laplace(2.0))
 
@@ -509,6 +510,56 @@ def test_config_built_in_python_rejects_what_its_reader_rejects(cfg, field,
                                + f"finite number, got {value!r}")
     with pytest.raises(ValueError, match=f"^{re.escape(str(read.value))}$"):
         replace(cfg, **{field: value})
+
+
+@pytest.mark.parametrize("cfg, field, value, message", [
+    (fig1_config(), "eta", 5, "field 'eta' must be InnovationSpec, got 5"),
+    (fig1_config(), "z", "n", "field 'z' must be InnovationSpec, got 'n'"),
+    (fig1_config(), "phi", "0.5",
+     "field 'phi' must be a finite number, got '0.5'"),
+    (fig2_pair(), "eta", None, "field 'eta' must be InnovationSpec, got None"),
+    (fig2_config(), "z", 3, "field 'z' must be InnovationSpec, got 3"),
+    (fig2_config(), "pair_source", 5,
+     "field 'pair' must be Garch11Pair or GenericPair, got 5"),
+    (fig2_config(), "garch_returns", "yes",
+     "field 'garch_returns' must be true or false, got 'yes'"),
+    (egarch_config(), "light_tailed", 1,
+     "field 'light_tailed' must be true or false, got 1"),
+    (ma_config(), "eta", 7, "field 'eta' must be InnovationSpec, got 7"),
+    (GenericPair(constant(0.5), constant(1.0)), "a", 1,
+     "field 'a' must be InnovationSpec, got 1")],
+    ids=["expar1-eta", "expar1-z", "expar1-phi", "garch-eta", "sresv-z",
+         "sresv-pair", "sresv-garch_returns", "egarch-light_tailed", "masv-eta",
+         "generic-a"])
+def test_config_built_in_python_rejects_a_wrong_typed_field(cfg, field,
+                                                            value, message):
+    # the parent built each of these but phi and pair, which raised a
+    # TypeError; eta = 5 then failed in simulate, z = 'n' in its own JSON
+    # reader
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(cfg, **{field: value})
+
+
+@pytest.mark.parametrize("cfg, field, value, message", [
+    (fig1_config(), "phi", 1.0,
+     "phi must be a finite number in (-1, 1), got 1.0"),
+    (egarch_config(), "phi", -1.0,
+     "phi must be a finite number in (-1, 1), got -1.0"),
+    (egarch_config(), "delta0", 0.0,
+     "delta0 must be a finite number > 0, got 0.0"),
+    (fig2_pair(), "alpha0", 0.0, "alpha0 must be a finite number > 0, got 0.0"),
+    (fig2_pair(), "beta1", -0.1, "beta1 must be a finite number >= 0, got -0.1"),
+    (fig2_config(), "p", -2.0, "p must be a finite number > 0, got -2.0")],
+    ids=["expar1-phi", "egarch-phi", "egarch-delta0", "garch-alpha0",
+         "garch-beta1", "sresv-p"])
+def test_config_field_out_of_range_named_by_its_rule(cfg, field, value,
+                                                     message):
+    # one rule per field: a config built in Python and one read from JSON
+    # fail alike
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(cfg, **{field: value})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        type(cfg).from_json({**cfg.to_json(), field: value})
 
 
 def test_n_must_be_positive():

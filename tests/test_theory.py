@@ -177,7 +177,8 @@ def test_kesten_bracket_too_small():
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-4])
 def test_kesten_tol_must_be_finite_and_positive(tol):
-    with pytest.raises(ValueError, match="^tol must be finite and > 0"):
+    with pytest.raises(ValueError,
+                       match="^tol must be a finite number > 0"):
         kesten_index(garch_problem(), mc_reps=1000, tol=tol)
 
 
@@ -273,7 +274,8 @@ def test_generic_pair_draws_its_own_multiplier():
         "theta_x_sre-p", "theta_x_ma-alpha", "theta_x_ma-p",
         "theta_x_ma-constant-z-alpha", "theta_x_ma-constant-z-p"])
 def test_alpha_and_p_must_be_finite_and_positive(name, call, bad):
-    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be a finite number > 0"):
         call(bad)
 
 
@@ -329,7 +331,8 @@ _CHECKED = [(_kesten, ("tol",), ("mc_reps",)),
 
 
 @pytest.mark.parametrize("call, name, bad, message", [
-    *(pytest.param(call, name, bad, f"^{name} must be finite and > 0, got ",
+    *(pytest.param(call, name, bad,
+                   f"^{name} must be a finite number > 0, got ",
                    id=f"{call.__name__[1:]}-{name}-{label}")
       for call, positive, _ in _CHECKED for name in positive
       for label, bad in (("huge", 10 ** 400), ("bool", True),
