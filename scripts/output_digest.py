@@ -7,13 +7,15 @@ constant-volatility model, theta-theory with each quantity (the Kesten
 root also at 1.1 * 10^6 draws), on a generic SRE pair and at a
 truncation whose warning its JSON records, diagnose with breiman's alpha
 from Hill, at a given alpha, and on a constant-volatility model whose
-errors and warnings diagnose.json records), six commands that must
-fail (among them a model whose phi breaks its rule and a path.csv whose
-t is no number), two `experiment run`s whose configs use all seven analysis kinds,
-the second with no optional spec field, a third whose theta analyses
+errors and warnings diagnose.json records), seven commands that must
+fail (among them a model whose phi breaks its rule, one whose Laplace
+rate breaks its law's rule and a path.csv whose t is no number), two
+`experiment run`s whose configs use all seven analysis kinds, the
+second with no optional spec field, a third whose theta analyses
 alternate between two levels (so the bootstrap's kept replicate set is
-missed and reused in turn), the `fig1-right` preset (t(4)
-returns, so its report echoes a Student-t spec), and an `experiment run`
+missed and reused in turn), a fourth with two figure and two
+extremogram analyses (each writes its own CSV), the `fig1-right` preset
+(t(4) returns, so its report echoes a Student-t spec), and an `experiment run`
 of the config in that preset's report.json (the config writer, reader
 and writer again), run at fixed seeds, each as a `python -m svextremes`
 process on the sources of this checkout. Each output line is
@@ -118,6 +120,15 @@ INTERLEAVED = {**EXPERIMENT, "label": "interleaved", "analyses": [
     {"analysis": "theta", "method": "intervals", "q": 0.995},
 ]}
 
+# two figures and two extremograms at other levels: figure.csv,
+# extremogram.csv, figure_2.csv and extremogram_2.csv
+TWICE = {**EXPERIMENT, "label": "twice", "analyses": [
+    {"analysis": "figure", "q_low": 0.01, "q_high": 0.99},
+    {"analysis": "extremogram", "lags": [1, 2], "q": 0.99},
+    {"analysis": "figure", "q_low": 0.1, "q_high": 0.9},
+    {"analysis": "extremogram", "lags": [1, 5], "q": 0.9},
+]}
+
 INPUT = ("--input", "path/path.csv")
 COMMANDS = [
     ("simulate", ("--seed", "1", "--out", "path", "simulate", "--model",
@@ -203,11 +214,15 @@ COMMANDS = [
                           "bad_phi.json", "--n", "100")),
     ("fail-input-t", ("--out", "o", "hill", "--input", "bad_t.csv", "--k",
                       "2")),
+    # an innovation-law parameter read by its rule
+    ("fail-law-param", ("--out", "o", "simulate", "--model",
+                        "bad_rate.json", "--n", "100")),
     ("experiment-run", ("--out", "o", "experiment", "run", "exp.json")),
     ("experiment-defaults", ("--out", "o", "experiment", "run",
                              "defaults.json")),
     ("experiment-interleaved", ("--out", "o", "experiment", "run",
                                 "interleaved.json")),
+    ("experiment-twice", ("--out", "o", "experiment", "run", "twice.json")),
     ("experiment-preset", ("--seed", "10", "--out", "o", "experiment",
                            "preset", "fig1-right")),
     # the config of the preset's report.json, which main writes
@@ -254,8 +269,12 @@ def main() -> None:
         (work / "exp.json").write_text(json.dumps(EXPERIMENT))
         (work / "defaults.json").write_text(json.dumps(DEFAULTS))
         (work / "interleaved.json").write_text(json.dumps(INTERLEAVED))
+        (work / "twice.json").write_text(json.dumps(TWICE))
         (work / "bad_phi.json").write_text(json.dumps(
             {**sv.config_to_json(MODELS["ar.json"]), "phi": 1.5}))
+        (work / "bad_rate.json").write_text(json.dumps(
+            {**sv.config_to_json(MODELS["ar.json"]),
+             "eta": {"kind": "laplace", "rate": -1}}))
         (work / "bad_t.csv").write_text("t,sigma,x\n0,1,1\nabc,1,1\n")
         for name, args in COMMANDS:
             for line in run(name, args, work, env):

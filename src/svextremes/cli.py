@@ -3,22 +3,21 @@
 Global flags (before the subcommand) pick the master seed, the output
 directory, and the worker thread count; the thread count never changes
 numerical results, only wall time. Model configs are JSON files in the
-same schema the library's config_to_json produces. Subcommands write
-their outputs under --out and echo a JSON summary to stdout. Every
-analysis a command runs comes from experiments.ANALYSES, on a spec that
-experiments.read_spec reads before anything is simulated. hill,
-theta-est, extremogram and theta-theory are built from
-experiments.SPECS, one per analysis kind: each takes one option per
-field of its spec (--<field>, _ spelled -), with the spec's defaults,
-runs that analysis and echoes its entry, warnings included. diagnose
-runs its battery as an experiment (path.csv, report.json) and sums it
-up in diagnose.json.
+schema of config_to_json, and a stored path (--input) is a path.csv that
+models.read_path_csv reads. Subcommands write their outputs under --out
+and echo a JSON summary to stdout. Every analysis a command runs comes
+from experiments.ANALYSES, on a spec that experiments.read_spec reads
+before anything is simulated. hill, theta-est, extremogram and
+theta-theory are built from experiments.SPECS, one per analysis kind:
+each takes one option per field of its spec (--<field>, _ spelled -),
+with the spec's defaults, runs that analysis and echoes its entry,
+warnings included. diagnose runs its battery as an experiment
+(path.csv, report.json) and sums it up in diagnose.json.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import replace
 from pathlib import Path as FsPath
 
@@ -29,7 +28,8 @@ from .experiments import (ANALYSES, SPECS, AnalysisInputs,
                           ExperimentConfig, PRESET_NAMES, _json_text,
                           _write_json, preset_config, read_spec,
                           recording_warnings, run_experiment)
-from .models import config_from_json, path_to_csv, simulate, DEFAULT_BURN_IN
+from .models import (DEFAULT_BURN_IN, config_from_json, path_to_csv,
+                     read_path_csv, simulate)
 from .rng import RngSeed
 
 def _echo_json(obj) -> None:
@@ -44,46 +44,15 @@ def _load_model(path: str):
         raise click.ClickException(f"bad model config {path}: {e}")
 
 
-def _read_path_csv(path: str):
-    """The sigma and x columns of a path.csv, found by their header names,
-    and its t column, if it has one, checked the same way.
-
-    Every row must hold a number other than NaN in each of these columns
-    (+-inf included): an empty, malformed or NaN field, a short row or a
-    file without data rows is rejected. There is no comment syntax: a '#'
-    line is a short row or a malformed field, a '#' in a field malformed.
-    """
-    try:
-        with open(path) as fh:
-            header = [name.strip() for name in fh.readline().split(",")]
-            missing = [c for c in ("sigma", "x") if c not in header]
-            if missing:
-                raise ValueError(f"missing column {', '.join(missing)}")
-            names = [c for c in ("t", "sigma", "x") if c in header]
-            with warnings.catch_warnings():
-                # loadtxt warns on a file without data rows, rejected below
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
-                                  usecols=[header.index(c) for c in names])
-        if data.shape[0] == 0:
-            raise ValueError("no data rows")
-        nan = np.argwhere(np.isnan(data))
-        if nan.size:
-            row, col = nan[0]
-            raise ValueError(f"column {names[col]} holds NaN in "
-                             f"data row {row + 1}")
-    except (OSError, ValueError) as e:
-        raise click.ClickException(f"bad path csv {path}: {e}")
-    sigma, x = np.ascontiguousarray(data[:, -2:].T)
-    return sigma, x
-
-
 def _path_inputs(ctx, model, input_csv, n, burn_in) -> AnalysisInputs:
     """A stored path.csv or a fresh simulation, as analysis inputs."""
     if (model is None) == (input_csv is None):
         raise click.ClickException("give exactly one of --model or --input")
     if input_csv is not None:
-        sigma, x = _read_path_csv(input_csv)
+        try:
+            sigma, x = read_path_csv(input_csv)
+        except (OSError, ValueError) as e:
+            raise click.ClickException(f"bad path csv {input_csv}: {e}")
         return replace(ctx.obj, sigma=sigma, x=x)
     cfg = _load_model(model)
     path = _call(simulate, cfg, n, burn_in, ctx.obj.seed)

@@ -45,11 +45,6 @@ __all__ = [
     "moment_abs", "moment_pos",
 ]
 
-# kind -> the parameter fields it uses
-PARAMETERS = {"std_normal": (), "student_t": ("df", "standardized"),
-              "laplace": ("rate",), "pareto": ("alpha",), "constant": ("c",)}
-
-
 def finite_real(v) -> bool:
     """v is a real number, not a bool, that a float holds finitely."""
     if not isinstance(v, numbers.Real) or isinstance(v, bool):
@@ -198,11 +193,11 @@ def _types(cls) -> dict:
 def _plain(v):
     if hasattr(v, "to_json"):
         return v.to_json()
-    if isinstance(v, np.ndarray):
+    if isinstance(v, (np.ndarray, np.generic)):
         return v.tolist()
-    if isinstance(v, tuple):
+    if isinstance(v, (tuple, list)):
         return [_plain(x) for x in v]
-    return dict(v) if isinstance(v, dict) else v
+    return {k: _plain(x) for k, x in v.items()} if isinstance(v, dict) else v
 
 
 class JsonFields:
@@ -212,7 +207,8 @@ class JsonFields:
     to_json() writes the class TAG (key, value) first, if it has one,
     then every init field under its JSON name (metadata "json", else its
     name), leaving out a field still at a None default: a value by its
-    own to_json(), an ndarray or tuple as a list, a dict copied.
+    own to_json(), an ndarray, tuple or list as a list, a numpy scalar
+    as its Python value and a dict copied, each item the same way.
     from_json() reads that form back. The seed, model and experiment
     configs call check_fields() first thing in __post_init__: every field
     has one rule, checked when the instance is built, in Python or JSON.
@@ -271,10 +267,20 @@ class JsonFields:
             object.__setattr__(self, f.name, v)
 
 
+# kind -> its parameter fields, each with its rule and default (...: the
+# parameter is required), as experiments.SPECS holds an analysis's fields
+PARAMETERS = {"std_normal": {},
+              "student_t": {"df": (positive, ...), "standardized": (
+                  lambda name, v: _read(bool, v, name), True)},
+              "laplace": {"rate": (positive, ...)},
+              "pareto": {"alpha": (positive, ...)},
+              "constant": {"c": (lambda name, v: _read(float, v, name), ...)}}
+
+
 @dataclass(frozen=True)
 class InnovationSpec(JsonFields):
     """One innovation law. A parameter its kind does not use is rejected,
-    and one it does is stored as a float (standardized as a bool).
+    and one it does is read by its rule in PARAMETERS.
 
     Serializes to {"kind": ..., <parameters>} with field names
     kind, df, standardized, rate, alpha, c.
@@ -291,35 +297,20 @@ class InnovationSpec(JsonFields):
         if not (isinstance(self.kind, str) and self.kind in PARAMETERS):
             raise ValueError(f"unknown kind {self.kind!r}, expected one of "
                              f"{tuple(PARAMETERS)}")
-        for name in ("df", "standardized", "rate", "alpha", "c"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if name not in PARAMETERS[self.kind]:
-                raise ValueError(f"{self.kind} takes no {name}, got {value!r}")
-            if name == "standardized":
-                _read(bool, value, name)
-            elif not finite_real(value):
-                raise ValueError(f"{self.kind} requires a finite {name}, "
+        rules = PARAMETERS[self.kind]
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if f.name in rules:
+                rule, default = rules[f.name]
+                if value is None and default is ...:
+                    raise ValueError(f"{self.kind} requires {f.name}")
+                object.__setattr__(self, f.name, rule(
+                    f.name, default if value is None else value))
+            elif value is not None:
+                raise ValueError(f"{self.kind} takes no {f.name}, "
                                  f"got {value!r}")
-            else:
-                object.__setattr__(self, name, float(value))
-        if self.kind == "student_t":
-            if self.df is None or not self.df > 0:
-                raise ValueError("student_t requires df > 0")
-            if self.standardized is None:
-                object.__setattr__(self, "standardized", True)
-            if self.standardized and not self.df > 2:
-                raise ValueError("variance undefined")
-        elif self.kind == "laplace":
-            if self.rate is None or not self.rate > 0:
-                raise ValueError("laplace requires rate > 0")
-        elif self.kind == "pareto":
-            if self.alpha is None or not self.alpha > 0:
-                raise ValueError("pareto requires alpha > 0")
-        elif self.kind == "constant":
-            if self.c is None:
-                raise ValueError("constant requires a finite c")
+        if self.standardized and not self.df > 2:
+            raise ValueError("variance undefined")
 
     def _t_scale(self) -> float:
         # divisor turning t(df) into the standardized variant

@@ -443,6 +443,8 @@ def extremogram(values, lags, q: float) -> ExtremogramResult:
     _PROBABILITY("q", q)
     v = _values_1d(values)
     n = v.size
+    if not np.iterable(lags):
+        raise ValueError(f"lags must be a list, got {lags!r}")
     lags = np.asarray(sorted(check_int("lags", h) for h in lags), dtype=int)
     if lags.size == 0:
         raise ValueError("need at least one lag")
@@ -580,7 +582,8 @@ def breiman_ratio(sigma_values, x_values, q_grid, alpha: float,
     if sig.size != x.size:
         raise ValueError("sigma and x series must have equal length")
     alpha = positive("alpha", alpha)
-    q_grid = list_of(level)("q_grid", tuple(q_grid))
+    q_grid = list_of(level)("q_grid", tuple(q_grid) if np.iterable(q_grid)
+                            else q_grid)
     if not (z is None or isinstance(z, InnovationSpec)):
         raise ValueError(f"z must be an InnovationSpec or None, got {z!r}")
     target = moment_pos(z, alpha) if z is not None else None

@@ -7,9 +7,10 @@ output directory:
 
   * path.csv        the simulated path (t, sigma, x)
   * report.json     config echo, analysis results, timings, version
-  * extremogram*.csv   when those analyses are requested
-  * figure.csv      one row (t, x, side) per exceedance mark, when a
-                    figure analysis is requested; path.csv holds the rest
+  * extremogram.csv one row (lag, chi_hat, stderr) per lag, and
+    figure.csv      one row (t, x, side) per exceedance mark (path.csv
+                    holds the rest), for each such analysis; the k-th of
+                    its kind in a run writes <stem>_<k>.csv instead
 
 SPECS holds each analysis kind's fields, each with its rule (as every
 config field has one, checked when the config is built) and default.
@@ -166,6 +167,19 @@ class AnalysisInputs:
         self.out.mkdir(parents=True, exist_ok=True)
         return self.out / name
 
+    def write_csv(self, stem: str, header: str, row: str, *columns) -> str:
+        """Write this analysis's CSV, <stem>.csv for the first of its kind
+        in the run and <stem>_<k>.csv for the k-th, and return its name:
+        the header, then row % the items at each index of the columns."""
+        name = (f"{stem}.csv" if self.ordinal == 0
+                else f"{stem}_{self.ordinal + 1}.csv")
+        fields = [None] * (len(columns) * len(columns[0]))
+        for j, column in enumerate(columns):
+            fields[j::len(columns)] = column
+        self.artifact(name).write_text(
+            f"{header}\n" + (row * len(columns[0])) % tuple(fields))
+        return name
+
 
 def _hill(spec: dict, run: AnalysisInputs) -> dict:
     r = est.hill(run.series(spec["series"]), spec["k"])
@@ -186,12 +200,9 @@ def _theta(spec: dict, run: AnalysisInputs) -> dict:
 
 def _extremogram(spec: dict, run: AnalysisInputs) -> dict:
     r = est.extremogram(run.series(spec["series"]), spec["lags"], spec["q"])
-    name = ("extremogram.csv" if run.ordinal == 0
-            else f"extremogram_{run.ordinal + 1}.csv")
-    lines = ["lag,chi_hat,stderr"] + [
-        f"{h},{c:.17g},{s:.17g}" for h, c, s in zip(r.lags, r.chi_hat,
-                                                    r.stderr)]
-    run.artifact(name).write_text("\n".join(lines) + "\n")
+    name = run.write_csv("extremogram", "lag,chi_hat,stderr",
+                         "%d,%.17g,%.17g\n", r.lags.tolist(),
+                         r.chi_hat.tolist(), r.stderr.tolist())
     return {"series": spec["series"], **r.to_json(), "csv": name}
 
 
@@ -244,11 +255,15 @@ def _theory(spec: dict, run: AnalysisInputs) -> dict:
 def _figure(spec: dict, run: AnalysisInputs) -> dict:
     lo = est._quantile(run.x, spec["q_low"])
     hi = est._quantile(run.x, spec["q_high"])
-    marks_low, marks_high = _write_figure_csv(run.artifact("figure.csv"),
-                                              run.x, lo, hi)
+    # a mark is low where x < lo and high where x > hi, in increasing t
+    low, high = run.x < lo, run.x > hi
+    t = np.flatnonzero(low | high)
+    name = run.write_csv("figure", "t,x,side", "%d,%.17g,%s\n", t.tolist(),
+                         run.x[t].tolist(),
+                         np.where(low[t], "low", "high").tolist())
     return {**spec, "threshold_low": lo, "threshold_high": hi,
-            "marks_low": marks_low, "marks_high": marks_high,
-            "csv": "figure.csv"}
+            "marks_low": int(np.count_nonzero(low)),
+            "marks_high": int(np.count_nonzero(high)), "csv": name}
 
 
 # analysis kind -> function (read spec, inputs) -> report entry; the CLI's
@@ -256,23 +271,6 @@ def _figure(spec: dict, run: AnalysisInputs) -> dict:
 ANALYSES = {"hill": _hill, "theta": _theta, "extremogram": _extremogram,
             "breiman": _breiman, "anticluster": _anticluster,
             "theory": _theory, "figure": _figure}
-
-
-def _write_figure_csv(fp: FsPath, x: np.ndarray, lo: float,
-                      hi: float) -> tuple:
-    """Write a `t,x,side` row per mark in increasing t, side `low` where
-    x < lo and `high` where x > hi; return the two mark counts."""
-    low, high = x < lo, x > hi
-    t = np.flatnonzero(low | high)
-    # one format call over the rows' fields, interleaved t, x, side
-    fields = [None] * (3 * t.size)
-    fields[0::3] = t.tolist()
-    fields[1::3] = x[t].tolist()
-    fields[2::3] = np.where(low[t], "low", "high").tolist()
-    with open(fp, "w") as fh:
-        fh.write("t,x,side\n")
-        fh.write(("%d,%.17g,%s\n" * t.size) % tuple(fields))
-    return int(np.count_nonzero(low)), int(np.count_nonzero(high))
 
 
 @contextmanager
@@ -287,16 +285,8 @@ def recording_warnings(entry: dict):
                              for w in caught]
 
 
-def _json_default(o):
-    if isinstance(o, np.generic):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON serializable: {type(o).__name__}")
-
-
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def _write_json(fp: FsPath, obj) -> None:
@@ -319,13 +309,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
     timings["write_path_csv"] = time.perf_counter() - t0
 
     results = []
-    seen = {}
     run = AnalysisInputs(path.sigma, path.x, cfg.model, cfg.seed, out,
                          threads, cfg.burn_in)
-    for i, spec in enumerate(cfg.specs):
-        kind = cfg.analyses[i]["analysis"]
-        ordinal = seen.get(kind, 0)
-        seen[kind] = ordinal + 1
+    kinds = [a["analysis"] for a in cfg.analyses]
+    for i, (kind, spec) in enumerate(zip(kinds, cfg.specs)):
         entry = {"analysis": kind, "index": i}
         t0 = time.perf_counter()
         with recording_warnings(entry):
@@ -333,7 +320,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
                 # resampling analyses draw from a namespaced child seed,
                 # which cannot overlap the simulation streams
                 entry.update(ANALYSES[kind](spec, replace(
-                    run, seed=cfg.seed.child(1000 + i), ordinal=ordinal)))
+                    run, seed=cfg.seed.child(1000 + i),
+                    ordinal=kinds[:i].count(kind))))
             except Exception as e:  # recorded, not fatal
                 entry["error"] = f"{type(e).__name__}: {e}"
         timings[f"analysis_{i}_{kind}"] = time.perf_counter() - t0

@@ -45,7 +45,7 @@ from .rng import RngSeed, check_seed
 __all__ = [
     "ExpAr1Config", "EgarchConfig", "Garch11Pair", "GenericPair",
     "SreSvConfig", "MaSvConfig", "Path", "simulate", "config_to_json",
-    "config_from_json", "path_to_csv", "DEFAULT_BURN_IN",
+    "config_from_json", "path_to_csv", "read_path_csv", "DEFAULT_BURN_IN",
 ]
 
 DEFAULT_BURN_IN = 10_000
@@ -385,7 +385,7 @@ def simulate(cfg: ModelConfig, n: int, burn_in: int = DEFAULT_BURN_IN,
         return simulate_sre_sv(cfg, n, burn_in, seed)
     if isinstance(cfg, MaSvConfig):
         return simulate_ma_sv(cfg, n, seed)
-    raise TypeError(f"not a model config: {cfg!r}")
+    raise ValueError(f"cfg must be a model config, got {cfg!r}")
 
 
 # -- serialization --------------------------------------------------------
@@ -627,9 +627,44 @@ def write_csv_rows(fh, header: str, columns) -> None:
                  .decode("ascii"))
 
 
+# the columns of path.csv, as path_to_csv writes and read_path_csv reads
+_PATH_COLUMNS = ("t", "sigma", "x")
+
+
 def path_to_csv(path: Path, file) -> None:
     """Write `t,sigma,x` rows at full double precision."""
     if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
         with open(file, "w") as fh:
             return path_to_csv(path, fh)
-    write_csv_rows(file, "t,sigma,x\n", (path.sigma, path.x))
+    write_csv_rows(file, ",".join(_PATH_COLUMNS) + "\n", (path.sigma, path.x))
+
+
+def read_path_csv(file) -> tuple:
+    """The sigma and x columns of a path.csv, found by their header names,
+    and its t column, if it has one, checked the same way.
+
+    Every row must hold a number other than NaN in each of these columns
+    (+-inf included): an empty, malformed or NaN field, a short row or a
+    file without data rows is a ValueError. There is no comment syntax: a
+    '#' line is a short row or a malformed field, a '#' in a field too.
+    """
+    with open(file) as fh:
+        header = [name.strip() for name in fh.readline().split(",")]
+        missing = [c for c in _PATH_COLUMNS[1:] if c not in header]
+        if missing:
+            raise ValueError(f"missing column {', '.join(missing)}")
+        names = [c for c in _PATH_COLUMNS if c in header]
+        with warnings.catch_warnings():
+            # loadtxt warns on a file without data rows, rejected below
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
+                              usecols=[header.index(c) for c in names])
+    if data.shape[0] == 0:
+        raise ValueError("no data rows")
+    nan = np.argwhere(np.isnan(data))
+    if nan.size:
+        row, col = nan[0]
+        raise ValueError(f"column {names[col]} holds NaN in data row "
+                         f"{row + 1}")
+    sigma, x = np.ascontiguousarray(data[:, -2:].T)
+    return sigma, x

@@ -113,6 +113,9 @@ class KestenProblem:
             return self.a_sampler.draw_a(g, size)
         if isinstance(self.a_sampler, InnovationSpec):
             return draw(self.a_sampler, g, size)
+        if not callable(self.a_sampler):
+            raise ValueError(f"a_sampler must be a pair, InnovationSpec or "
+                             f"callable, got {self.a_sampler!r}")
         return np.asarray(self.a_sampler(g, size), dtype=float)
 
 
@@ -219,6 +222,7 @@ def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
     are those of whole sums. The stop step's sum is the stderr's mean.
     """
     check_seed(seed)
+    _check_type("problem", problem, KestenProblem)
     check_int("mc_reps", mc_reps, 2)
     positive("tol", tol)
     g = seed.generator()
@@ -302,12 +306,18 @@ def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
     return KestenRoot(float(kappa), se, mc_reps, _KAPPA_BRACKET)
 
 
+def _check_type(name: str, value, cls) -> None:
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be {cls.__name__}, got {value!r}")
+
+
 def _check_alpha(problem: KestenProblem, alpha: float) -> None:
     """alpha must solve E A^alpha = 1 on the calibration sample.
 
     Skipped for the degenerate A == 0 law, where no such alpha exists but
     the theta formulas still make sense (every product vanishes).
     """
+    _check_type("problem", problem, KestenProblem)
     a = problem._calibration
     if float(a.max()) == 0.0:
         return
@@ -447,6 +457,7 @@ def theta_sigma_sre_quadrature(problem: KestenProblem, alpha: float,
     check_int("mc_reps", mc_reps, 2)
     check_int("trunc_T", trunc_T, 1)
     positive("alpha", alpha)
+    _check_alpha(problem, alpha)
     g = seed.generator()
     sup, hit = _sup_log_products(problem, g, np.zeros(mc_reps), trunc_T,
                                  alpha, mc_reps)
@@ -479,6 +490,7 @@ def _abs_power(z: InnovationSpec, g: np.random.Generator, n: int,
 
 
 def _check_z_moment(z: InnovationSpec, r: float) -> None:
+    _check_type("z", z, InnovationSpec)
     mz = moment_abs(z, r)  # raises "moment diverges" when infinite
     if mz == 0.0:
         raise ValueError("degenerate z with E|Z|^r = 0")
@@ -565,6 +577,7 @@ def theta_x_ma(psi, alpha: float, p: float, z: InnovationSpec,
     positive("alpha", alpha)
     positive("p", p)
     check_int("threads", threads, 1)
+    _check_type("z", z, InnovationSpec)
     w = np.abs(np.asarray(psi, dtype=float))
     if w.size == 0 or not np.any(w > 0):
         raise ValueError("psi needs at least one nonzero coefficient")

@@ -24,7 +24,7 @@ PUBLIC_NAMES = {
     "RngSeed",
     "ExpAr1Config", "EgarchConfig", "Garch11Pair", "GenericPair",
     "SreSvConfig", "MaSvConfig", "Path", "simulate", "config_to_json",
-    "config_from_json", "path_to_csv", "DEFAULT_BURN_IN",
+    "config_from_json", "path_to_csv", "read_path_csv", "DEFAULT_BURN_IN",
     "HillResult", "ThetaEstimate", "ExtremogramResult", "AnticlusterResult",
     "BreimanResult", "hill", "blocks_theta", "runs_theta", "intervals_theta",
     "extremogram", "anticluster_diag", "breiman_ratio",
@@ -217,6 +217,23 @@ CHECKED_ON_ENTRY = {
         _SIGMA, _SIGMA, q_grid=(0.9,), alpha=2.0, z=z),
     "breiman_ratio q_grid": lambda q_grid, _: sv.breiman_ratio(
         _SIGMA, _SIGMA, q_grid=q_grid, alpha=2.0),
+    "extremogram lags": lambda lags, _: sv.extremogram(_SIGMA, lags, 0.9),
+    "KestenProblem": lambda a_sampler, _: sv.KestenProblem(a_sampler),
+    "kesten_index": lambda problem, _: sv.kesten_index(problem, mc_reps=100),
+    "theta_sigma_sre problem": lambda problem, _: sv.theta_sigma_sre(
+        problem, alpha=2.0, mc_reps=100),
+    "theta_sigma_sre_quadrature problem": lambda problem, _:
+        sv.theta_sigma_sre_quadrature(problem, alpha=2.0, mc_reps=100),
+    "theta_sigma_sre_quadrature alpha": lambda alpha, _:
+        sv.theta_sigma_sre_quadrature(_garch_problem(), alpha=alpha,
+                                      mc_reps=2000),
+    "theta_x_sre problem": lambda problem, _: sv.theta_x_sre(
+        problem, sv.std_normal(), alpha=2.0, p=2.0, m=5, mc_reps=100),
+    "theta_x_sre z": lambda z, _: sv.theta_x_sre(
+        _garch_problem(), z, alpha=2.0, p=2.0, m=5, mc_reps=100),
+    "theta_x_ma z": lambda z, _: sv.theta_x_ma(
+        (1.0, 1.0), alpha=4.0, p=1.0, z=z, mc_reps=100),
+    "simulate": lambda cfg, _: sv.simulate(cfg, 10),
 }
 
 
@@ -237,10 +254,58 @@ CHECKED_ON_ENTRY = {
     ("theta_x_ma psi", (True, True),
      "psi must be finite numbers, got (True, True)"),
     ("breiman_ratio z", 5, "z must be an InnovationSpec or None, got 5"),
-    ("breiman_ratio q_grid", (), "q_grid must not be empty")])
+    ("breiman_ratio q_grid", (), "q_grid must not be empty"),
+    ("breiman_ratio q_grid", 5, "q_grid must be a list, got 5"),
+    ("extremogram lags", 5, "lags must be a list, got 5"),
+    ("KestenProblem", 5,
+     "a_sampler must be a pair, InnovationSpec or callable, got 5"),
+    *((call, 5, "problem must be KestenProblem, got 5")
+      for call in ("kesten_index", "theta_sigma_sre problem",
+                   "theta_sigma_sre_quadrature problem",
+                   "theta_x_sre problem")),
+    ("theta_sigma_sre_quadrature alpha", 3.0,
+     "alpha inconsistent with multiplier law"),
+    ("theta_x_sre z", 5, "z must be InnovationSpec, got 5"),
+    ("theta_x_ma z", 5, "z must be InnovationSpec, got 5"),
+    ("simulate", 5, "cfg must be a model config, got 5")])
 def test_argument_rejected_where_it_enters(tmp_path, call, value, message):
     # the parent ran threads 0 and 2.5, n_boot True, psi ('1', '2') and
-    # (True, True), and q_grid (), and failed later on the rest
+    # (True, True), q_grid () and the quadrature at alpha 3, raised a
+    # TypeError or an AttributeError for the int arguments, and failed
+    # later on the rest
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         CHECKED_ON_ENTRY[call](value, tmp_path)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("lags", [[1, 2], (2, 1), range(1, 3),
+                                  np.array([1, 2]), (h for h in (1, 2))],
+                         ids=["list", "tuple", "range", "array", "generator"])
+def test_lags_accepted_as_any_iterable(lags):
+    r = sv.extremogram(_SIGMA, lags, 0.9)
+    assert r.lags.tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("q_grid", [[0.9, 0.95], (0.9, 0.95),
+                                    np.array([0.9, 0.95])],
+                         ids=["list", "tuple", "array"])
+def test_levels_accepted_as_any_sequence(q_grid):
+    r = sv.breiman_ratio(_SIGMA, _SIGMA, q_grid=q_grid, alpha=2.0)
+    assert r.levels.tolist() == [0.9, 0.95]
+
+
+def test_config_json_holds_no_numpy_values(tmp_path):
+    # analyses echo their specs as given; a numpy integer in one is
+    # written as its Python value, and report.json is plain JSON
+    cfg = sv.ExperimentConfig(
+        model=sv.ExpAr1Config(phi=0.5, eta=sv.std_normal(),
+                              z=sv.std_normal()),
+        n=500, seed=sv.RngSeed(0),
+        analyses=({"analysis": "hill", "k": np.int64(10)},
+                  {"analysis": "extremogram", "lags": [np.int64(1)],
+                   "q": np.float64(0.9)}))
+    assert plain(cfg.to_json())
+    report = sv.run_experiment(cfg, tmp_path / "out")
+    assert plain(report.to_json())
+    blob = (tmp_path / "out" / "report.json").read_text()
+    assert '"k": 10' in blob

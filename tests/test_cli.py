@@ -21,9 +21,10 @@ from svextremes import (ExperimentConfig, Garch11Pair, GenericPair,
                         config_to_json,
                         constant, laplace, pareto, path_to_csv,
                         run_experiment, simulate, std_normal, student_t)
-from svextremes.cli import _read_path_csv, main
+from svextremes.cli import main
 from svextremes.experiments import SPECS
-from svextremes.models import DEFAULT_BURN_IN, EgarchConfig, ExpAr1Config
+from svextremes.models import (DEFAULT_BURN_IN, EgarchConfig, ExpAr1Config,
+                               read_path_csv)
 
 
 @pytest.fixture()
@@ -856,7 +857,7 @@ def test_read_path_csv_round_trips_bits(tmp_path):
     path = simulate(ExpAr1Config(phi=0.9, eta=laplace(4.0), z=std_normal()),
                     2000, burn_in=100, seed=RngSeed(3))
     path_to_csv(path, tmp_path / "path.csv")
-    sigma, x = _read_path_csv(str(tmp_path / "path.csv"))
+    sigma, x = read_path_csv(str(tmp_path / "path.csv"))
     assert np.array_equal(sigma, path.sigma)
     assert np.array_equal(x, path.x)
     assert sigma.flags.c_contiguous and x.flags.c_contiguous
@@ -865,7 +866,7 @@ def test_read_path_csv_round_trips_bits(tmp_path):
 def test_read_path_csv_finds_columns_by_name(tmp_path):
     fp = tmp_path / "p.csv"
     fp.write_text("x, t ,sigma\n-1.5,0,2\n0.25,1,0.5\n")
-    sigma, x = _read_path_csv(str(fp))
+    sigma, x = read_path_csv(str(fp))
     assert sigma.tolist() == [2.0, 0.5]
     assert x.tolist() == [-1.5, 0.25]
 
@@ -873,7 +874,7 @@ def test_read_path_csv_finds_columns_by_name(tmp_path):
 def test_read_path_csv_one_row(tmp_path):
     fp = tmp_path / "p.csv"
     fp.write_text("t,sigma,x\n0,2,-3\n")
-    sigma, x = _read_path_csv(str(fp))
+    sigma, x = read_path_csv(str(fp))
     assert sigma.shape == (1,) and x.shape == (1,)
     assert (sigma[0], x[0]) == (2.0, -3.0)
 

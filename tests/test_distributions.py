@@ -213,15 +213,39 @@ def test_unknown_kind_rejected():
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: pareto(math.inf), "pareto requires a finite alpha"),
-    (lambda: laplace(math.inf), "laplace requires a finite rate"),
-    (lambda: student_t(math.inf), "student_t requires a finite df"),
+    (lambda: pareto(math.inf), "alpha must be a finite number > 0, got inf"),
+    (lambda: laplace(math.inf), "rate must be a finite number > 0, got inf"),
+    (lambda: student_t(math.inf), "df must be a finite number > 0, got inf"),
     (lambda: InnovationSpec.from_json({"kind": "laplace", "rate": "4"}),
-     "laplace requires a finite rate, got '4'"),
-])
+     "rate must be a finite number > 0, got '4'"),
+], ids=["pareto-alpha-inf", "laplace-rate-inf", "student_t-df-inf",
+        "laplace-rate-string"])
 def test_infinite_parameters_rejected(make, message):
-    with pytest.raises(ValueError, match=message):
+    # each parameter is read by its rule in PARAMETERS; the parent said
+    # "<kind> requires a finite <parameter>"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: InnovationSpec("student_t"), "student_t requires df"),
+    (lambda: InnovationSpec.from_json({"kind": "laplace"}),
+     "laplace requires rate"),
+    (lambda: InnovationSpec("pareto"), "pareto requires alpha"),
+    (lambda: constant(math.nan), "field 'c' must be a finite number, got nan"),
+    (lambda: laplace(-1.0), "rate must be a finite number > 0, got -1.0"),
+    (lambda: student_t(0.0), "df must be a finite number > 0, got 0.0"),
+], ids=["student_t-no-df", "laplace-no-rate", "pareto-no-alpha", "c-nan",
+        "laplace-rate-negative", "student_t-df-zero"])
+def test_missing_or_out_of_range_parameter_named(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_constant_and_student_t_parameters_read_by_their_rules():
+    assert constant(0).c == 0.0 and type(constant(0).c) is float
+    assert student_t(4).standardized is True
+    assert student_t(3, standardized=False).standardized is False
 
 
 @pytest.mark.parametrize("value, finite", [

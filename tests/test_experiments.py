@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 import svextremes
+from svextremes import estimators
 from svextremes import (ExperimentConfig, ExperimentReport, Garch11Pair,
                         PRESET_NAMES, RngSeed, SreSvConfig, constant, laplace,
                         preset_config, run_experiment, simulate, std_normal,
                         student_t)
-from svextremes.experiments import _fig1_model, _write_figure_csv, read_spec
+from svextremes.experiments import (ANALYSES, AnalysisInputs, _fig1_model,
+                                    read_spec)
 from svextremes.models import ExpAr1Config
 
 
@@ -463,6 +465,43 @@ def test_extremogram_csv_naming(tmp_path):
     assert len(lines) == 3
 
 
+def test_each_figure_and_extremogram_writes_its_own_csv(tmp_path):
+    # the parent wrote both figure analyses to figure.csv, so the first
+    # entry's mark counts described the second entry's file
+    cfg = small_config(analyses=(
+        {"analysis": "figure", "q_low": 0.01, "q_high": 0.99},
+        {"analysis": "extremogram", "lags": [1, 2], "q": 0.95},
+        {"analysis": "figure", "q_low": 0.1, "q_high": 0.9},
+        {"analysis": "extremogram", "lags": [1, 3, 4], "q": 0.9},
+    ))
+    report = run_experiment(cfg, tmp_path / "out")
+    names = ["figure.csv", "extremogram.csv", "figure_2.csv",
+             "extremogram_2.csv"]
+    assert [e["csv"] for e in report.results] == names
+    assert sorted(fp.name for fp in (tmp_path / "out").iterdir()) == sorted(
+        [*names, "path.csv", "report.json"])
+    path = simulate(cfg.model, cfg.n, burn_in=cfg.burn_in, seed=cfg.seed)
+    counts = []
+    for entry in report.results[0::2]:
+        t, x, side = read_marks(tmp_path / "out" / entry["csv"])
+        low = np.flatnonzero(path.x < entry["threshold_low"])
+        high = np.flatnonzero(path.x > entry["threshold_high"])
+        assert np.array_equal(t[side == "low"], low)
+        assert np.array_equal(t[side == "high"], high)
+        assert np.array_equal(x, path.x[t])
+        assert (entry["marks_low"], entry["marks_high"]) == (low.size,
+                                                              high.size)
+        counts.append(low.size + high.size)
+    assert counts == [40, 400]
+    for entry in report.results[1::2]:
+        lines = (tmp_path / "out" / entry["csv"]).read_text().splitlines()
+        assert lines[0] == "lag,chi_hat,stderr"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(r[0]) for r in rows] == entry["lags"]
+        assert [float(r[1]) for r in rows] == entry["chi_hat"]
+        assert [float(r[2]) for r in rows] == entry["stderr"]
+
+
 def test_theory_analysis_needs_matching_model(tmp_path):
     cfg = ExperimentConfig(model=ExpAr1Config(phi=0.5, eta=laplace(4.0),
                                               z=std_normal()),
@@ -539,22 +578,29 @@ def test_fig1_right_is_gaussian_log_ar1_with_t4_returns():
         _fig1_model("right")
 
 
-def test_figure_csv_bytes_match_per_row_formatting(tmp_path):
+def test_figure_csv_bytes_match_per_row_formatting(tmp_path, monkeypatch):
     # the reference formats each mark with Python's %; (-1, -0.5) marks
     # -0.0 and 5e-324 high, (inf, inf) marks every value but nan and
-    # inf low, and nan thresholds mark nothing
+    # inf low, and nan thresholds mark nothing. The figure analysis
+    # writes through AnalysisInputs.write_csv; its thresholds are given
+    # in place of the quantiles, which a series with nan has none of
     x = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, -2.0, 2.0,
                   1.0, -1.0])
+    run = AnalysisInputs(None, x, None, RngSeed(0), tmp_path)
     for lo, hi in ((-1.0, 1.0), (-1.0, -0.5), (np.inf, np.inf),
                    (np.nan, np.nan)):
         lo, hi = np.float64(lo), np.float64(hi)
-        counts = _write_figure_csv(tmp_path / "figure.csv", x, lo, hi)
+        monkeypatch.setattr(estimators, "_quantile",
+                            lambda v, q, lo=lo, hi=hi: {0.01: lo,
+                                                        0.99: hi}[q])
+        entry = ANALYSES["figure"]({"q_low": 0.01, "q_high": 0.99}, run)
         ref = "t,x,side\n" + "".join(
             "%d,%.17g,%s\n" % (t, v, "low" if v < lo else "high")
             for t, v in enumerate(x.tolist()) if v < lo or v > hi)
+        assert entry["csv"] == "figure.csv"
         assert (tmp_path / "figure.csv").read_text() == ref, (lo, hi)
-        assert counts == (np.count_nonzero(x < lo),
-                          np.count_nonzero(x > hi))
+        assert (entry["marks_low"], entry["marks_high"]) == (
+            np.count_nonzero(x < lo), np.count_nonzero(x > hi))
 
 
 def _preset_marks(name, seed):
