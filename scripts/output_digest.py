@@ -12,13 +12,15 @@ fail (among them a model whose phi breaks its rule, one whose Laplace
 rate breaks its law's rule and a path.csv whose t is no number), two
 `experiment run`s whose configs use all seven analysis kinds, the
 second with no optional spec field, a third whose theta analyses
-alternate between two levels (so the bootstrap's kept replicate set is
-missed and reused in turn), a fourth with two figure and two
-extremogram analyses (each writes its own CSV), the `fig1-right` preset
-(t(4) returns, so its report echoes a Student-t spec), and an `experiment run`
-of the config in that preset's report.json (the config writer, reader
-and writer again), run at fixed seeds, each as a `python -m svextremes`
-process on the sources of this checkout. Each output line is
+alternate between two levels (each level's exceedance set is built
+once, and both are kept until the run ends), a fourth with two figure
+and two extremogram analyses (each writes its own CSV), the `fig1-right`
+preset (t(4) returns, so its report echoes a Student-t spec), and an
+`experiment run` of the config in that preset's report.json (the config
+writer, reader and writer again), run at fixed seeds on the sources of
+this checkout: `simulate` as a `python -m svextremes` process, the rest
+in this process through click's CliRunner. The first line names the
+Python and numpy versions; each later line is
 
     <command>:<output> <sha256 or value>
 
@@ -27,7 +29,8 @@ when not empty), `out` (`none` when the command left no --out
 directory) or the name of a file under --out. `timings` is removed from
 report.json before hashing, since it is the one field that changes from
 run to run. Two checkouts give equal lines exactly where their outputs
-are byte-identical.
+are byte-identical. tests/output_digest.txt holds this output, and
+tests/test_output_digest.py checks it.
 
 Usage (from the repository root): python scripts/output_digest.py
 """
@@ -35,15 +38,23 @@ Usage (from the repository root): python scripts/output_digest.py
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
+from click.testing import CliRunner  # noqa: E402
+
 import svextremes as sv  # noqa: E402
+from svextremes.cli import main as cli_main  # noqa: E402
+
+VERSIONS = f"# python {platform.python_version()}, numpy {np.__version__}"
+# the one command run as a process, so that the module entry point runs
+PROCESS = "simulate"
 
 PAIR = sv.Garch11Pair(alpha0=1e-7, alpha1=0.1, beta1=0.89,
                       eta=sv.std_normal())
@@ -111,8 +122,8 @@ DEFAULTS = {**EXPERIMENT, "label": "defaults", "analyses": [
     {"analysis": "theory", "which": "theta_x_sre", "alpha": 2.0},
 ]}
 
-# theta at two levels in turn: a replicate set is built, rebuilt, and
-# reused only where the level repeats
+# theta at two levels in turn: each level's exceedance set is built on
+# first use, and both are kept until the run ends
 INTERLEAVED = {**EXPERIMENT, "label": "interleaved", "analyses": [
     {"analysis": "theta", "method": "intervals", "q": 0.99},
     {"analysis": "theta", "method": "blocks", "q": 0.995, "block_len": 40},
@@ -243,14 +254,26 @@ def file_bytes(fp: Path) -> bytes:
     return json.dumps(report, indent=2, sort_keys=True).encode()
 
 
-def run(name: str, args, work: Path, env: dict) -> list:
+def run(runner: CliRunner, name: str, args, work: Path) -> list:
+    """One command's lines; an exception the CLI does not turn into an
+    error message is raised."""
     out_dir = work / args[args.index("--out") + 1]
-    proc = subprocess.run([sys.executable, "-m", "svextremes", *args],
-                          cwd=work, env=env, capture_output=True)
-    lines = [f"{name}:exit {proc.returncode}",
-             f"{name}:stdout {sha(proc.stdout)}"]
-    if proc.stderr:
-        lines.append(f"{name}:stderr {sha(proc.stderr)}")
+    if name == PROCESS:
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "svextremes", *args],
+                              cwd=work, env=env, capture_output=True)
+        code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+    else:
+        result = runner.invoke(cli_main, args,
+                               prog_name="python -m svextremes")
+        if not isinstance(result.exception, (SystemExit, type(None))):
+            raise result.exception
+        code, stdout, stderr = (result.exit_code, result.stdout_bytes,
+                                result.stderr_bytes)
+    lines = [f"{name}:exit {code}", f"{name}:stdout {sha(stdout)}"]
+    if stderr:
+        lines.append(f"{name}:stderr {sha(stderr)}")
     if not out_dir.is_dir():
         lines.append(f"{name}:out none")
     else:
@@ -259,10 +282,12 @@ def run(name: str, args, work: Path, env: dict) -> list:
     return lines
 
 
-def main() -> None:
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    with tempfile.TemporaryDirectory() as tmp:
+def digest() -> list:
+    """The lines after the first, from COMMANDS run in a temporary
+    directory, which is the working directory meanwhile."""
+    lines = []
+    runner = CliRunner()
+    with runner.isolated_filesystem() as tmp:
         work = Path(tmp)
         for fname, cfg in MODELS.items():
             (work / fname).write_text(json.dumps(sv.config_to_json(cfg)))
@@ -277,8 +302,7 @@ def main() -> None:
              "eta": {"kind": "laplace", "rate": -1}}))
         (work / "bad_t.csv").write_text("t,sigma,x\n0,1,1\nabc,1,1\n")
         for name, args in COMMANDS:
-            for line in run(name, args, work, env):
-                print(line, flush=True)
+            lines += run(runner, name, args, work)
             if name == "experiment-preset":
                 report = json.loads((work / "o" / "report.json").read_text())
                 (work / "roundtrip.json").write_text(
@@ -288,7 +312,8 @@ def main() -> None:
                     fp.unlink()
                 if (work / "o").is_dir():
                     (work / "o").rmdir()
+    return lines
 
 
 if __name__ == "__main__":
-    main()
+    print(VERSIONS, *digest(), sep="\n")

@@ -30,11 +30,12 @@ Estimator conventions, used consistently below:
     shrink. A replicate draws C clusters and C - 1 of those gaps with
     replacement, lays them out alternately from the sample's first
     exceedance on and keeps the positions below n. Its cost follows C,
-    not n. The last replicate set built is kept, so the three estimators
-    at one threshold share it, and each scores a batch of replicates at
-    once from their integer gap totals. The replicates run on the
-    calling thread; the estimators keep a `threads` argument, unused,
-    because callers pass it;
+    not n. An ExceedanceSet keeps its replicate set, so the estimators on
+    one set share it and each scores a batch of replicates at once from
+    their integer gap totals. A run keeps one set per series and level
+    until it ends (experiments.AnalysisInputs); a public estimator builds
+    a one-off set. The replicates run on the calling thread; the
+    estimators keep a `threads` argument, unused, because callers pass it;
   * values must be one-dimensional and free of NaN, hill's k,
     block_len, run_len, n_boot, the extremogram's lags and
     anticluster_diag's m, r_n, reps and n integers (numpy's too, a bool
@@ -51,7 +52,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -210,7 +211,7 @@ def _blocks_scores(r: _Replicates, n: int, block_len: int) -> np.ndarray:
     return out
 
 
-def _runs_scores(r: _Replicates, run_len: int) -> np.ndarray:
+def _runs_scores(r: _Replicates, n: int, run_len: int) -> np.ndarray:
     # an exceedance is clear when the next one is more than run_len away;
     # the last one is always clear, since positions past the end are not
     # exceedances
@@ -256,12 +257,6 @@ def _declustered(idx: np.ndarray) -> tuple:
     return first, np.diff(first, append=n_exc), gaps[cut]
 
 
-# the last replicate set built: its key (n, n_boot, _BATCH_POSITIONS),
-# its exceedances and its batches. One assignment replaces it, so a
-# thread reads one whole entry; threads that race build a set twice.
-_memo = None
-
-
 def _replicate_set(idx: np.ndarray, n: int, n_boot: int) -> tuple:
     """The n_boot replicates of the cluster bootstrap of idx, N >= 2, as
     batches of _Replicates with read-only arrays.
@@ -272,14 +267,8 @@ def _replicate_set(idx: np.ndarray, n: int, n_boot: int) -> tuple:
     them out alternately from the sample's first exceedance on and keeps
     the positions below n. A batch of replicates, about _BATCH_POSITIONS
     positions, draws by one call over rows of high, which gives the same
-    values, and is built by one set of numpy calls. The last set is kept:
-    the three estimators at one threshold share it.
+    values, and is built by one set of numpy calls.
     """
-    global _memo
-    key = (n, n_boot, _BATCH_POSITIONS)
-    memo = _memo
-    if memo is not None and memo[0] == key and np.array_equal(memo[1], idx):
-        return memo[2]
     first, size, between = _declustered(idx)
     c = first.size
     # each exceedance's offset from the first one of its cluster
@@ -316,31 +305,43 @@ def _replicate_set(idx: np.ndarray, n: int, n_boot: int) -> tuple:
         for a in r:
             a.flags.writeable = False
         batches.append(r)
-    idx = idx.copy()
-    idx.flags.writeable = False
-    _memo = (key, idx, tuple(batches))
-    return _memo[2]
+    return tuple(batches)
 
 
-def _bootstrap_stderr(idx: np.ndarray, n: int, score, n_boot: int) -> float:
-    """Cluster bootstrap (Ferro & Segers, 2003) of a theta estimator.
+@dataclass(frozen=True)
+class ExceedanceSet:
+    """The exceedances of n values above u: idx, their sorted indices,
+    read-only, and kept, the replicate set of each n_boot (_replicate_set)
+    as first built, which the estimators on the set share."""
 
-    score(r, n) returns the estimate on each exceedance set of the
-    _Replicates r. It runs once per batch of the replicate set of idx
-    (_replicate_set), which is built once and shared by the estimators
-    at one threshold, and reduces each replicate to integer gap totals
-    by a few numpy calls over the batch. Everything runs on the calling
-    thread: helper threads would only contend for the GIL over such
-    small calls.
-    """
-    if n_boot < 2 or idx.size < 2:  # one exceedance: every replicate is it
-        return 0.0
-    vals = np.concatenate([score(r, n) for r in _replicate_set(idx, n,
-                                                               n_boot)])
-    vals = vals[np.isfinite(vals)]
-    if vals.size < 2:
-        return 0.0
-    return float(np.std(vals, ddof=1))
+    n: int
+    u: float
+    idx: np.ndarray
+    kept: dict = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def of(cls, values, u) -> ExceedanceSet:
+        """The values strictly above u, a real number other than NaN."""
+        u = _threshold(u)
+        idx = exceedances(values, u)
+        idx.flags.writeable = False
+        return cls(len(values), u, idx)
+
+    def stderr(self, n_boot: int, score, *args) -> float:
+        """Cluster bootstrap (Ferro & Segers, 2003) of a theta estimator.
+
+        score(r, n, *args) gives the estimate on each set of _Replicates r,
+        once per batch, by a few numpy calls over its integer gap totals;
+        on the calling thread, as helpers would contend for the GIL.
+        """
+        if n_boot < 2 or self.idx.size < 2:  # N = 1: every replicate is it
+            return 0.0
+        if n_boot not in self.kept:
+            self.kept[n_boot] = _replicate_set(self.idx, self.n, n_boot)
+        vals = np.concatenate([score(r, self.n, *args)
+                               for r in self.kept[n_boot]])
+        vals = vals[np.isfinite(vals)]
+        return float(np.std(vals, ddof=1)) if vals.size >= 2 else 0.0
 
 
 def _threshold(u) -> float:
@@ -354,19 +355,29 @@ def _threshold(u) -> float:
     raise ValueError(f"u must be a real number other than NaN, got {u!r}")
 
 
-def _theta(method: str, tuning: dict, values, u: float, n_boot: int, score,
-           too_few: str) -> ThetaEstimate:
-    """score on the exceedances of u, NaN when they are too few, and its
+# method -> (its tuning field or None, score(r, n[, tuning]) on each set
+# of the _Replicates r, the error when theta_hat is NaN)
+_METHODS = {
+    "blocks": ("block_len", _blocks_scores, "empty exceedance set"),
+    "runs": ("run_len", _runs_scores, "empty exceedance set"),
+    "intervals": (None, lambda r, n: _intervals_scores(r),
+                  "insufficient exceedances"),
+}
+
+
+def _theta(s: ExceedanceSet, method: str, tuning: dict,
+           n_boot: int = 100) -> ThetaEstimate:
+    """The method's estimate on s, tuned by its field of tuning, and its
     cluster bootstrap stderr."""
+    name, score, too_few = _METHODS[method]
+    tune = {} if name is None else {name: check_int(name, tuning[name], 1)}
     n_boot = check_int("n_boot", n_boot, 0)
-    u = _threshold(u)
-    idx = exceedances(values, u)
-    n = len(values)
-    th = float(score(_one_set(idx), n)[0]) if idx.size else np.nan
+    args = tuple(tune.values())
+    th = float(score(_one_set(s.idx), s.n, *args)[0]) if s.idx.size else np.nan
     if np.isnan(th):
         raise ValueError(too_few)
-    se = _bootstrap_stderr(idx, n, score, n_boot)
-    return ThetaEstimate(th, method, {**tuning, "u": u}, se)
+    return ThetaEstimate(th, method, {**tune, "u": s.u},
+                         s.stderr(n_boot, score, *args))
 
 
 def blocks_theta(values, u: float, block_len: int, n_boot: int = 100,
@@ -384,10 +395,8 @@ def blocks_theta(values, u: float, block_len: int, n_boot: int = 100,
     intervals estimate, not with block_len. threads is unused: the
     bootstrap runs on the calling thread.
     """
-    block_len = check_int("block_len", block_len, 1)
-    return _theta("blocks", {"block_len": block_len}, values, u, n_boot,
-                  lambda r, n: _blocks_scores(r, n, block_len),
-                  "empty exceedance set")
+    return _theta(ExceedanceSet.of(values, u), "blocks",
+                  {"block_len": block_len}, n_boot)
 
 
 def runs_theta(values, u: float, run_len: int, n_boot: int = 100,
@@ -398,10 +407,8 @@ def runs_theta(values, u: float, run_len: int, n_boot: int = 100,
     declusters with the intervals estimate, not with run_len. threads is
     unused: the bootstrap runs on the calling thread.
     """
-    run_len = check_int("run_len", run_len, 1)
-    return _theta("runs", {"run_len": run_len}, values, u, n_boot,
-                  lambda r, n: _runs_scores(r, run_len),
-                  "empty exceedance set")
+    return _theta(ExceedanceSet.of(values, u), "runs",
+                  {"run_len": run_len}, n_boot)
 
 
 def intervals_theta(values, u: float, n_boot: int = 100,
@@ -417,9 +424,7 @@ def intervals_theta(values, u: float, n_boot: int = 100,
     clusters this estimate sets. threads is unused: the bootstrap runs
     on the calling thread.
     """
-    return _theta("intervals", {}, values, u, n_boot,
-                  lambda r, n: _intervals_scores(r),
-                  "insufficient exceedances")
+    return _theta(ExceedanceSet.of(values, u), "intervals", {}, n_boot)
 
 
 # -- extremogram ----------------------------------------------------------

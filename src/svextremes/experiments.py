@@ -144,8 +144,9 @@ class ExperimentReport(JsonFields):
 class AnalysisInputs:
     """What an analysis reads besides its spec: the path (sigma and x),
     the model that made it (None for a stored path.csv), the seed of its
-    own randomness, its artifact directory, and ordinal, the number of
-    earlier analyses of its kind in the run."""
+    own randomness, its artifact directory, ordinal, the number of
+    earlier analyses of its kind in the run, and the run's exceedance sets
+    by (series, q), which replace() shares and the run frees at its end."""
 
     sigma: Optional[np.ndarray]
     x: Optional[np.ndarray]
@@ -155,12 +156,20 @@ class AnalysisInputs:
     threads: int = 1
     burn_in: int = DEFAULT_BURN_IN
     ordinal: int = 0
+    sets: dict = field(default_factory=dict, repr=False, compare=False)
 
     def series(self, name: str) -> np.ndarray:
         """x, |x| or sigma, by a spec's series name."""
         if name == "x":
             return self.x
         return np.abs(self.x) if name == "x_abs" else self.sigma
+
+    def exceedance_set(self, name: str, q: float) -> est.ExceedanceSet:
+        """A series' values above its q-quantile, built once per run."""
+        if (name, q) not in self.sets:
+            v = self.series(name)
+            self.sets[name, q] = est.ExceedanceSet.of(v, est._quantile(v, q))
+        return self.sets[name, q]
 
     def artifact(self, name: str) -> FsPath:
         """The path of an artifact file, creating the directory first."""
@@ -187,15 +196,9 @@ def _hill(spec: dict, run: AnalysisInputs) -> dict:
 
 
 def _theta(spec: dict, run: AnalysisInputs) -> dict:
-    v = run.series(spec["series"])
-    u = est._quantile(v, spec["q"])
-    if spec["method"] == "blocks":
-        r = est.blocks_theta(v, u, spec["block_len"])
-    elif spec["method"] == "runs":
-        r = est.runs_theta(v, u, spec["run_len"])
-    else:
-        r = est.intervals_theta(v, u)
-    return {**r.to_json(), "series": spec["series"], "q": spec["q"], "u": u}
+    s = run.exceedance_set(spec["series"], spec["q"])
+    r = est._theta(s, spec["method"], spec)
+    return {**r.to_json(), "series": spec["series"], "q": spec["q"], "u": s.u}
 
 
 def _extremogram(spec: dict, run: AnalysisInputs) -> dict:

@@ -63,8 +63,8 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import (InnovationSpec, JsonFields, check_int, draw,
-                            finite_real, moment_abs, positive)
+from .distributions import (InnovationSpec, JsonFields, check_int, constant,
+                            draw, finite_real, moment_abs, positive)
 from .models import probe_multipliers
 from .rng import RngSeed, check_seed, chunk_sizes, chunked_map
 
@@ -489,11 +489,15 @@ def _abs_power(z: InnovationSpec, g: np.random.Generator, n: int,
     return v
 
 
-def _check_z_moment(z: InnovationSpec, r: float) -> None:
+def _checked_z(z: InnovationSpec, r: float) -> InnovationSpec:
+    """z, or constant(1.0) for a nonzero constant: the quantities do not
+    depend on the scale of Z, whose powers leave float at 1e-100 or 1e60."""
     _check_type("z", z, InnovationSpec)
-    mz = moment_abs(z, r)  # raises "moment diverges" when infinite
-    if mz == 0.0:
+    if z.kind == "constant" and z.c != 0:
+        return constant(1.0)
+    if moment_abs(z, r) == 0.0:  # raises "moment diverges" when infinite
         raise ValueError("degenerate z with E|Z|^r = 0")
+    return z
 
 
 def theta_x_sre(problem: KestenProblem, z: InnovationSpec, alpha: float,
@@ -517,7 +521,7 @@ def theta_x_sre(problem: KestenProblem, z: InnovationSpec, alpha: float,
     positive("p", p)
     check_int("threads", threads, 1)
     ap = alpha * p
-    _check_z_moment(z, ap)
+    z = _checked_z(z, ap)
     _check_alpha(problem, alpha)
     sizes = chunk_sizes(mc_reps, _CHUNK)
 
@@ -577,18 +581,15 @@ def theta_x_ma(psi, alpha: float, p: float, z: InnovationSpec,
     positive("alpha", alpha)
     positive("p", p)
     check_int("threads", threads, 1)
-    _check_type("z", z, InnovationSpec)
+    ap = alpha * p
+    z = _checked_z(z, ap)
     w = np.abs(np.asarray(psi, dtype=float))
     if w.size == 0 or not np.any(w > 0):
         raise ValueError("psi needs at least one nonzero coefficient")
-    ap = alpha * p
     r = (w / w.max()) ** alpha
     rsum = float(r.sum())
     if z.kind == "constant":
-        if z.c == 0:
-            raise ValueError("degenerate z with E|Z|^r = 0")
         return ThetaTheoryResult(1.0 / rsum, 0.0, {}, 0)
-    _check_z_moment(z, ap)
     q1 = w.size
     sizes = chunk_sizes(mc_reps, max(_MA_CHUNK // q1, 1))
 

@@ -601,6 +601,25 @@ def test_theta_x_sre_moment_guards():
         theta_x_sre(garch_problem(), std_normal(), alpha=2.0, p=2.0, m=0)
 
 
+def test_theta_x_sre_constant_z_at_any_scale():
+    # the quantity does not depend on the scale of Z, and |c|^4 leaves
+    # float at 1e-100 (underflow to 0) and at 1e60 (overflow to inf)
+    def at(c):
+        r = theta_x_sre(garch_problem(), constant(c), alpha=2.0, p=2.0,
+                        m=10, mc_reps=1000)
+        return r.value, r.mc_stderr, r.sequence.tolist()
+    unit = at(1.0)
+    assert 0 < unit[1] < 0.01
+    assert at(1e-100) == unit and at(1e60) == unit and at(-3.0) == unit
+    for call in (lambda z: theta_x_sre(garch_problem(), z, alpha=2.0, p=2.0,
+                                       m=10, mc_reps=1000),
+                 lambda z: theta_x_ma((1.0, 1.0), alpha=2.0, p=2.0, z=z)):
+        with pytest.raises(ValueError, match="degenerate z"):
+            call(constant(0.0))
+    assert theta_x_ma((1.0, 0.5), alpha=2.0, p=2.0,
+                      z=constant(1e-100)).value == 0.8
+
+
 # -- theta_x for MA volatility --------------------------------------------
 
 def test_theta_x_ma_single_coefficient_is_one():

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 import dense_theta as dense
 from svextremes import (Garch11Pair, RngSeed, SreSvConfig, blocks_theta,
                         intervals_theta, runs_theta, simulate, std_normal)
-from svextremes import estimators
-from svextremes.estimators import (_bootstrap_stderr, _declustered,
-                                   _replicate_set, _runs_scores)
+from svextremes import estimators, experiments
+from svextremes.estimators import (ExceedanceSet, _declustered,
+                                   _replicate_set, _runs_scores, _theta)
 
 
 def series(n, positions):
@@ -79,10 +79,14 @@ def test_random_exceedance_sets_bit_equal_at_small_batches(batch, data, n):
         assert_same(n, sorted(positions), tuning, n_boot=25, threads=1)
 
 
-def garch_exceedances(seed, q):
+def garch_model():
     pair = Garch11Pair(alpha0=1e-7, alpha1=0.1, beta1=0.89, eta=std_normal())
-    model = SreSvConfig(p=2.0, pair_source=pair, z=std_normal())
-    v = np.abs(simulate(model, 20_000, burn_in=2000, seed=RngSeed(seed)).x)
+    return SreSvConfig(p=2.0, pair_source=pair, z=std_normal())
+
+
+def garch_exceedances(seed, q):
+    v = np.abs(simulate(garch_model(), 20_000, burn_in=2000,
+                        seed=RngSeed(seed)).x)
     return v, float(np.quantile(v, q))
 
 
@@ -185,7 +189,6 @@ def test_threads_change_no_byte():
 def test_a_replicate_depends_on_neither_n_boot_nor_the_batch_size(
         monkeypatch):
     v, u = garch_exceedances(4, 0.99)
-    idx = np.flatnonzero(v > u)
 
     def replicates(n_boot):
         seen = []
@@ -193,8 +196,8 @@ def test_a_replicate_depends_on_neither_n_boot_nor_the_batch_size(
         def score(r, n):
             seen.extend(r.pos[f:f + c].tolist()
                         for f, c in zip(r.first, r.count))
-            return _runs_scores(r, 5)
-        _bootstrap_stderr(idx, v.size, score, n_boot)
+            return _runs_scores(r, n, 5)
+        ExceedanceSet.of(v, u).stderr(n_boot, score)
         return seen
 
     assert replicates(100)[:50] == replicates(50)
@@ -206,29 +209,33 @@ def test_a_replicate_depends_on_neither_n_boot_nor_the_batch_size(
         assert [call().stderr for call in calls] == stderrs, batch
 
 
-# -- the kept replicate set -----------------------------------------------
-
-def fresh(call):
-    estimators._memo = None
-    return call()
-
+# -- the kept replicate sets ----------------------------------------------
 
 def test_interleaved_sets_equal_fresh_calls():
-    # set A, set B, A again and A at another n_boot: each call equals
-    # the same call on an empty memo, and A again reuses A's replicates
+    # set A, set B, A again and A at another n_boot: each call on a kept
+    # set equals the public call, which builds a one-off set, and A again
+    # reuses A's replicates
     (va, ua), (vb, ub) = garch_exceedances(4, 0.99), garch_exceedances(5, 0.99)
-    calls = [lambda: intervals_theta(va, ua), lambda: blocks_theta(vb, ub, 50),
-             lambda: runs_theta(va, ua, 10),
-             lambda: blocks_theta(va, ua, 50, n_boot=60),
-             lambda: intervals_theta(va, ua, n_boot=60)]
-    want = [fresh(call).to_json() for call in calls]
-    estimators._memo = None
-    assert [call().to_json() for call in calls] == want
+    sa, sb = ExceedanceSet.of(va, ua), ExceedanceSet.of(vb, ub)
+    calls = [(lambda: intervals_theta(va, ua),
+              lambda: _theta(sa, "intervals", {})),
+             (lambda: blocks_theta(vb, ub, 50),
+              lambda: _theta(sb, "blocks", {"block_len": 50})),
+             (lambda: runs_theta(va, ua, 10),
+              lambda: _theta(sa, "runs", {"run_len": 10})),
+             (lambda: blocks_theta(va, ua, 50, n_boot=60),
+              lambda: _theta(sa, "blocks", {"block_len": 50}, n_boot=60)),
+             (lambda: intervals_theta(va, ua, n_boot=60),
+              lambda: _theta(sa, "intervals", {}, n_boot=60))]
+    want = [fresh().to_json() for fresh, _ in calls]
+    assert [kept().to_json() for _, kept in calls] == want
+    assert sorted(sa.kept) == [60, 100] and sorted(sb.kept) == [100]
+    kept = sa.kept[60]
+    assert _theta(sa, "runs", {"run_len": 10}, n_boot=60).stderr > 0
+    assert sa.kept[60] is kept
+    assert sa.kept[100] is not kept
     idx = np.flatnonzero(va > ua)
-    kept = _replicate_set(idx, va.size, 60)
-    assert _replicate_set(idx.copy(), va.size, 60) is kept
-    assert _replicate_set(idx, va.size, 61) is not kept
-    assert _replicate_set(idx, va.size - 1, 61) is not kept
+    assert len(_replicate_set(idx, va.size - 1, 61)) < 61
     with pytest.MonkeyPatch.context() as mp:
         # N >= 7 exceedances: one replicate per batch of 7 positions
         mp.setattr(estimators, "_BATCH_POSITIONS", 7)
@@ -245,17 +252,51 @@ def test_replicates_cut_at_the_end_of_the_series():
     for batch in (1, 7, estimators._BATCH_POSITIONS):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimators, "_BATCH_POSITIONS", batch)
-            counts = np.concatenate([r.count for r in fresh(
-                lambda: _replicate_set(idx, 100, 40))])
+            counts = np.concatenate([r.count for r in
+                                     _replicate_set(idx, 100, 40)])
             assert counts.max() == 8 and counts.min() in (6, 7), batch
             assert_same(100, positions, 10, n_boot=40, threads=1)
 
 
-def test_kept_set_is_read_only():
-    v, u = garch_exceedances(4, 0.99)
-    fresh(lambda: runs_theta(v, u, 10))
-    _, idx, batches = estimators._memo
-    arrays = [idx] + [a for r in batches for a in r]
+def test_kept_set_is_read_only(tmp_path):
+    path = simulate(garch_model(), 20_000, burn_in=2000, seed=RngSeed(4))
+    run = experiments.AnalysisInputs(path.sigma, path.x, garch_model(),
+                                     RngSeed(4), tmp_path)
+    spec = experiments.read_spec("theta", {"method": "runs", "q": 0.99})
+    experiments.ANALYSES["theta"](spec, run)
+    s = run.sets["x_abs", 0.99]
+    batches = s.kept[100]
+    arrays = [s.idx] + [a for r in batches for a in r]
     assert len(batches) >= 1 and all(not a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
         batches[0].pos[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        s.idx[0] = 0
+
+
+def test_a_run_builds_each_replicate_set_once(tmp_path, monkeypatch):
+    # three (series, q) pairs, their theta analyses interleaved: one
+    # declustering each per run, and a second run of the same config,
+    # at another thread count, builds its own and reads the same
+    built = []
+
+    def counted(idx):
+        built.append(idx.size)
+        return _declustered(idx)
+    monkeypatch.setattr(estimators, "_declustered", counted)
+    cfg = experiments.ExperimentConfig(
+        model=garch_model(), n=20_000, seed=RngSeed(4), burn_in=2000,
+        analyses=(
+            {"analysis": "theta", "method": "blocks", "q": 0.99},
+            {"analysis": "theta", "method": "runs", "q": 0.995},
+            {"analysis": "theta", "method": "intervals", "q": 0.99},
+            {"analysis": "theta", "method": "runs", "q": 0.99},
+            {"analysis": "theta", "method": "intervals", "q": 0.99,
+             "series": "sigma"},
+            {"analysis": "theta", "method": "blocks", "q": 0.995}))
+    first = experiments.run_experiment(cfg, tmp_path / "a")
+    assert len(built) == 3
+    second = experiments.run_experiment(cfg, tmp_path / "b", threads=3)
+    assert built[3:] == built[:3]
+    assert second.results == first.results
+    assert all("error" not in e and e["stderr"] > 0 for e in first.results)
