@@ -388,33 +388,42 @@ def moment_abs(spec: InnovationSpec, r: float) -> float:
     """E|V|^r in closed form.
 
     Raises ValueError("moment diverges") when the moment is infinite
-    (Pareto with r >= alpha, Student-t with r >= df).
+    (Pareto with r >= alpha, Student-t with r >= df), and a ValueError
+    naming the law and r when it is finite but beyond the float range.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
     r = float(r)
     if r == 0.0:
         return 1.0
-    if spec.kind == "constant":
-        return abs(spec.c) ** r
-    if spec.kind == "std_normal":
-        # E|N|^r = 2^(r/2) Gamma((r+1)/2) / sqrt(pi)
-        return (math.exp(0.5 * r * math.log(2.0) + math.lgamma((r + 1) / 2.0))
-                / math.sqrt(math.pi))
-    if spec.kind == "laplace":
-        return math.exp(math.lgamma(r + 1.0) - r * math.log(spec.rate))
-    if spec.kind == "pareto":
-        if r >= spec.alpha:
+    try:
+        if spec.kind == "constant":
+            return abs(spec.c) ** r
+        if spec.kind == "std_normal":
+            # E|N|^r = 2^(r/2) Gamma((r+1)/2) / sqrt(pi)
+            return (math.exp(0.5 * r * math.log(2.0)
+                             + math.lgamma((r + 1) / 2.0))
+                    / math.sqrt(math.pi))
+        if spec.kind == "laplace":
+            return math.exp(math.lgamma(r + 1.0) - r * math.log(spec.rate))
+        if spec.kind == "pareto":
+            if r >= spec.alpha:
+                raise ValueError("moment diverges")
+            return spec.alpha / (spec.alpha - r)
+        # student_t: E|T|^r = df^(r/2) Gamma((r+1)/2) Gamma((df-r)/2)
+        #                     / (sqrt(pi) Gamma(df/2))
+        if r >= spec.df:
             raise ValueError("moment diverges")
-        return spec.alpha / (spec.alpha - r)
-    # student_t: E|T|^r = df^(r/2) Gamma((r+1)/2) Gamma((df-r)/2) / (sqrt(pi) Gamma(df/2))
-    if r >= spec.df:
-        raise ValueError("moment diverges")
-    val = math.exp(0.5 * r * math.log(spec.df)
-                   + math.lgamma((r + 1) / 2.0)
-                   + math.lgamma((spec.df - r) / 2.0)
-                   - math.lgamma(spec.df / 2.0)) / math.sqrt(math.pi)
-    return val / spec._t_scale() ** r
+        val = math.exp(0.5 * r * math.log(spec.df)
+                       + math.lgamma((r + 1) / 2.0)
+                       + math.lgamma((spec.df - r) / 2.0)
+                       - math.lgamma(spec.df / 2.0)) / math.sqrt(math.pi)
+        return val / spec._t_scale() ** r
+    except OverflowError:
+        law = ", ".join(f"{k}={v!r}" for k, v in spec.to_json().items()
+                        if k != "kind")
+        raise ValueError(f"E|V|^r of {spec.kind}({law}) at r={r!r} exceeds "
+                         "the float range") from None
 
 
 def moment_pos(spec: InnovationSpec, r: float) -> float:

@@ -36,9 +36,11 @@ and the leaves are the tree's own, so for a sampler that draws one
 array per call kappa and f_stderr equal those of one large draw reduced
 by np.mean and np.std, bit for bit. A bisection step pays for such a
 whole-sample sum only when bounds on it from every 16th sorted value
-cannot settle its branch. On the GARCH(1,1) multipliers of the tests at
-10^6 draws that leaves two whole-sample passes per call, the stop step
-and the standard error, against 9-16 when every step summed them all.
+cannot settle its branch. Those values, the first and last of each run
+of 16, are copied once into two contiguous arrays, which every bound
+sum reads. On the GARCH(1,1) multipliers of the tests at 10^6 draws
+that leaves two whole-sample passes per call, the stop step and the
+standard error, against 9-16 when every step summed them all.
 
 The SRE walks stop each replicate at the step where its contribution is
 settled and draw only for the live ones. Both theta_sigma routes share
@@ -49,7 +51,11 @@ E A^alpha = 1, Lundberg's inequality bounds the chance of a later climb
 above that sup by e^-L = 1 / (1000 mc_reps), whatever alpha is, so a
 call expects at most 1/1000 wrong stops. It advances the live walks in
 block steps of up to 2^15 draws, so a few survivors take many steps per
-numpy call. theta_x_sre drops a replicate once its running max reaches
+numpy call. A block is summed in a step-major copy: a short one (at most
+_STEPWISE = 64 steps, as with 512 or more live walks) advances every
+walk one step per vector add and max, a long one accumulates along its
+steps, and either way every partial sum is added left to right.
+theta_x_sre drops a replicate once its running max reaches
 |Z_1|^{alpha p}. A count of 0 (no success, no live replicate) would make
 theta read 0 and raises a ValueError instead.
 """
@@ -64,7 +70,7 @@ from typing import Optional
 import numpy as np
 
 from .distributions import (InnovationSpec, JsonFields, check_int, constant,
-                            draw, finite_real, moment_abs, positive)
+                            draw, finite_real, laplace, moment_abs, positive)
 from .models import probe_multipliers
 from .rng import RngSeed, check_seed, chunk_sizes, chunked_map
 
@@ -80,6 +86,8 @@ _GRID_POINTS = 10_000  # of the theta_sigma_sre_quadrature grid
 # per this many calls
 _LUNDBERG_CALLS = 1000
 _BLOCK = 2 ** 15  # most values one block step of _sup_log_products draws
+# longest block that _sup_log_products advances one step at a time
+_STEPWISE = 64
 _CHUNK = 2 ** 15  # replicates per chunk of theta_sigma_sre and theta_x_sre
 _MA_CHUNK = 2 ** 16  # values (replicates x len(psi)) per theta_x_ma chunk
 _LEAF = 2 ** 16  # most values kesten_index draws or reduces at once
@@ -215,8 +223,11 @@ def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
     Most steps need no whole-sample sum. A^kappa rises with log A, so
     each run of 16 sorted values sums to between 16 times its first and
     16 times its last term (a short last run by its size), and the sums
-    over la[::16] and la[15::16] bound the whole sum within a relative
-    slack of 1e-12 for rounding. A step whose bounds put f certainly
+    over la[0::16] and la[15::16] bound the whole sum within a relative
+    slack of 1e-12 for rounding. Those two are copied once, after the
+    sort, into contiguous arrays of mc_reps / 16 values each (1 MB
+    together at 10^6 draws), which every bound sum reads in place of a
+    strided view of the sample. A step whose bounds put f certainly
     above tol or below -tol takes its branch from them; every other step
     sums the whole sample as before, so every branch, kappa and f_stderr
     are those of whole sums. The stop step's sum is the stderr's mean.
@@ -252,10 +263,10 @@ def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
 
         return _pairwise(0, mc_reps, leaf)
 
-    def strided_sum(kappa: float, start: int, stop: int) -> float:
-        # the sum of A^kappa over la[start:stop:16], _LEAF values at a time
-        return sum(np.add.reduce(pow_into(kappa, la[i:stop:16][:_LEAF]))
-                   for i in range(start, stop, 16 * _LEAF))
+    def part_sum(kappa: float, values: np.ndarray) -> float:
+        # the sum of A^kappa over values, _LEAF values at a time
+        return sum(np.add.reduce(pow_into(kappa, values[i:i + _LEAF]))
+                   for i in range(0, values.size, _LEAF))
 
     def f_of(total: float) -> float:
         # f from a sum of A^kappa; it rises with the sum, so the same
@@ -263,13 +274,17 @@ def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
         return float(total / mc_reps) - 1.0
 
     runs, short = divmod(mc_reps, 16)
+    # the first and last log A of each run of 16, read by every bound
+    # sum: contiguous copies of la[0::16] and la[15::16], so no sum walks
+    # the whole sample at a stride of 16
+    first, last = la[0::16].copy(), la[15::16].copy()
 
     def f_bounds(kappa: float) -> tuple[float, float]:
-        lower = 16.0 * strided_sum(kappa, 0, 16 * runs)
-        upper = 16.0 * strided_sum(kappa, 15, 16 * runs)
+        lower = 16.0 * part_sum(kappa, first[:runs])
+        upper = 16.0 * part_sum(kappa, last)
         if short:  # one short run, la[16 * runs:]
-            lower += short * strided_sum(kappa, 16 * runs, mc_reps)
-            upper += short * strided_sum(kappa, mc_reps - 1, mc_reps)
+            lower += short * part_sum(kappa, first[runs:])
+            upper += short * part_sum(kappa, la[-1:])
         return f_of(lower * (1.0 - _SLACK)), f_of(upper * (1.0 + _SLACK))
 
     lo, hi = _KAPPA_BRACKET
@@ -347,11 +362,16 @@ def _sup_log_products(problem: KestenProblem, g: np.random.Generator,
 
     The walks advance in block steps: with N live replicates, one draw of
     k = clamp(_BLOCK // N, 1, trunc_T - t) log-multipliers per replicate
-    forms an (N, k) array, row-major, so the stream depends only on the
-    live counts. The carried log product joins column 0 before the row
-    cumsum, so every partial sum is added left to right as a step-by-step
-    walk adds it; a running max gives the sups, and each row stops at its
-    first column that meets a rule. Stopped rows drop out, so the cost
+    is read as an (N, k) array, row-major (replicate i takes draws
+    i k .. i k + k - 1), so the stream depends only on the live counts.
+    It is summed in a step-major (k, N) copy, so each step reads N
+    contiguous values. The carried log products join step 0; a block of
+    at most _STEPWISE steps then advances all N walks one step at a time,
+    one vector add for the log products and one vector max for the sups,
+    while a longer block (fewer than 512 walks) runs numpy's cumsum and
+    running max along its steps. Either way every partial sum is added
+    left to right as a step-by-step walk adds it, and each walk stops at
+    its first step that meets a rule. Stopped walks drop out, so the cost
     tracks the survivor count, and a block holds at most max(N, _BLOCK)
     values.
     Returns (sup_log, hit_horizon), where hit_horizon flags replicates
@@ -365,29 +385,37 @@ def _sup_log_products(problem: KestenProblem, g: np.random.Generator,
     # broadcast until the first block gives each replicate its own
     logprod, sup = np.zeros(1), np.full(1, -np.inf)
     depth = math.log(_LUNDBERG_CALLS * mc_reps) / alpha
-    # the running sups and their Lundberg floors, reused block to block
-    bufs = np.empty((2, max(size, _BLOCK)))
+    # the step-major walks, their running sups and their Lundberg floors,
+    # reused block to block
+    bufs = np.empty((3, max(size, _BLOCK)))
     t = 0
     while idx.size and t < trunc_T:
         n = idx.size
         k = min(max(_BLOCK // n, 1), trunc_T - t)
         t += k
-        walk = _log_a_sample(problem, g, n * k).reshape(n, k)
-        walk[:, 0] += logprod
-        np.cumsum(walk, axis=1, out=walk)
-        run = np.maximum.accumulate(walk, axis=1,
-                                    out=bufs[0, :n * k].reshape(n, k))
-        np.maximum(run, sup[:, None], out=run)
-        floor = np.subtract(run, depth, out=bufs[1, :n * k].reshape(n, k))
+        walk = bufs[0, :n * k].reshape(k, n)
+        walk[...] = _log_a_sample(problem, g, n * k).reshape(n, k).T
+        walk[0] += logprod
+        run = bufs[1, :n * k].reshape(k, n)
+        if k <= _STEPWISE:  # every walk one step at a time
+            np.maximum(walk[0], sup, out=run[0])
+            for j in range(1, k):
+                np.add(walk[j - 1], walk[j], out=walk[j])
+                np.maximum(run[j - 1], walk[j], out=run[j])
+        else:
+            np.cumsum(walk, axis=0, out=walk)
+            np.maximum.accumulate(walk, axis=0, out=run)
+            np.maximum(run, sup, out=run)
+        floor = np.subtract(run, depth, out=bufs[2, :n * k].reshape(k, n))
         # <= also stops a zero product, where sup and logprod are both -inf
-        done = run > cap[:, None]
+        done = run > cap
         done |= walk <= floor
-        stop = done.any(axis=1)
-        rows = np.flatnonzero(stop)
-        sup_out[idx[rows]] = run[rows, done[rows].argmax(axis=1)]
+        stop = done.any(axis=0)
+        cols = np.flatnonzero(stop)
+        sup_out[idx[cols]] = run[done[:, cols].argmax(axis=0), cols]
         keep = ~stop
         idx, cap = idx[keep], cap[keep]
-        logprod, sup = walk[keep, -1], run[keep, -1]  # copies, not views
+        logprod, sup = walk[-1, keep], run[-1, keep]  # copies, not views
     sup_out[idx] = sup
     hit[idx] = True
     return sup_out, hit
@@ -490,11 +518,14 @@ def _abs_power(z: InnovationSpec, g: np.random.Generator, n: int,
 
 
 def _checked_z(z: InnovationSpec, r: float) -> InnovationSpec:
-    """z, or constant(1.0) for a nonzero constant: the quantities do not
-    depend on the scale of Z, whose powers leave float at 1e-100 or 1e60."""
+    """z at unit scale: constant(1.0) for a nonzero constant, laplace(1.0)
+    for any Laplace law. The quantities do not depend on the scale of Z,
+    whose powers leave float at 1e-100 or 1e60."""
     _check_type("z", z, InnovationSpec)
     if z.kind == "constant" and z.c != 0:
         return constant(1.0)
+    if z.kind == "laplace":
+        z = laplace(1.0)
     if moment_abs(z, r) == 0.0:  # raises "moment diverges" when infinite
         raise ValueError("degenerate z with E|Z|^r = 0")
     return z

@@ -123,6 +123,21 @@ def test_moment_diverges():
         moment_abs(student_t(4.0), 4.0)
 
 
+@pytest.mark.parametrize("spec,r,named", [
+    (laplace(1e-100), 4, "laplace(rate=1e-100) at r=4.0"),
+    (std_normal(), 400, "std_normal() at r=400.0"),
+    (student_t(1000.0, standardized=False), 600,
+     "student_t(df=1000.0, standardized=False) at r=600.0"),
+], ids=["laplace", "std_normal", "student_t-raw"])
+def test_moment_beyond_float_range_names_law_and_r(spec, r, named):
+    # finite moments that a float cannot hold; math.exp raised an
+    # OverflowError ("math range error") for each
+    with pytest.raises(ValueError,
+                       match=f"^E\\|V\\|\\^r of {re.escape(named)} exceeds "
+                             "the float range$"):
+        moment_abs(spec, r)
+
+
 @pytest.mark.parametrize("spec,r", [
     (std_normal(), 2.0), (std_normal(), 4.0), (laplace(1.0), 2.0),
     (laplace(4.0), 1.0), (pareto(4.0), 2.0), (student_t(5.0), 2.0),

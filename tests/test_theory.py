@@ -465,14 +465,34 @@ def zero_or_two_point_problem(h):
     return KestenProblem(sampler)
 
 
-@pytest.mark.parametrize("case", ["cap", "lundberg", "zero", "horizon"])
+@pytest.mark.parametrize("case", ["cap", "lundberg", "zero", "horizon",
+                                  "cap-steps", "quadrature-steps",
+                                  "lundberg-steps"])
 def test_sup_log_products_matches_a_scalar_walk(case):
+    # 300 or 100 walks take blocks of 109 steps or more, which numpy
+    # accumulates; the -steps cases start with 512 walks or more, whose
+    # blocks of at most 64 steps advance one step at a time, and end in
+    # long blocks once few walks are left (0.3 s of scalar walks in all)
     alpha = exact_laws.two_point_alpha(0.5)
     g = np.random.default_rng(7)
     if case == "cap":  # theta_sigma_sre's caps log(U) / alpha
         prob, n, trunc_T = garch_problem(), 300, 10_000
         alpha = 2.0
         cap = np.log(1.0 - g.random(n)) / alpha
+    elif case == "cap-steps":  # a block of 16 steps, then 348 and 992
+        prob, n, trunc_T = garch_problem(), 2048, 10_000
+        alpha = 2.0
+        cap = np.log(1.0 - g.random(n)) / alpha
+    elif case == "quadrature-steps":
+        # theta_sigma_sre_quadrature's cap 0: blocks of 16, 46, 56, 59
+        # and 60 steps, then four longer ones
+        prob, n, trunc_T = garch_problem(), 2048, 10_000
+        alpha = 2.0
+        cap = np.zeros(n)
+    elif case == "lundberg-steps":  # ten blocks of 32-49 steps
+        prob, n, trunc_T = garch_problem(), 1024, 10_000
+        alpha = 2.0
+        cap = np.full(n, np.inf)
     elif case == "lundberg":  # caps out of reach: only the floor stops
         # walks of ~1000 steps span blocks, where the order of the sums
         # shows in the last bits
@@ -493,9 +513,9 @@ def test_sup_log_products_matches_a_scalar_walk(case):
     assert np.array_equal(sup.view(np.int64), ref_sup.view(np.int64))
     assert np.array_equal(hit, ref_hit)
     stopped = ~hit
-    if case == "cap":
+    if case in ("cap", "cap-steps", "quadrature-steps"):
         assert np.any(sup > cap) and np.any(stopped & (sup <= cap))
-    elif case == "lundberg":
+    elif case in ("lundberg", "lundberg-steps"):
         assert stopped.all() and np.all(np.isfinite(sup))
     elif case == "zero":
         assert np.any(sup == -np.inf) and stopped.all()
@@ -618,6 +638,24 @@ def test_theta_x_sre_constant_z_at_any_scale():
             call(constant(0.0))
     assert theta_x_ma((1.0, 0.5), alpha=2.0, p=2.0,
                       z=constant(1e-100)).value == 0.8
+
+
+def test_theta_x_laplace_z_at_any_rate():
+    # neither quantity depends on the scale of Z: every Laplace law runs
+    # at rate 1. Unscaled, |Z|^4 left float: laplace(1e60) read a stderr
+    # of 0.0, laplace(1e100) raised "degenerate z" and laplace(1e-100) an
+    # OverflowError from moment_abs
+    def at(rate):
+        sre = theta_x_sre(garch_problem(), laplace(rate), alpha=2.0, p=2.0,
+                          m=10, mc_reps=1000)
+        ma = theta_x_ma((1.0, 0.5), alpha=2.0, p=2.0, z=laplace(rate),
+                        mc_reps=1000)
+        return (sre.value, sre.mc_stderr, sre.sequence.tolist(), ma.value,
+                ma.mc_stderr)
+    unit = at(1.0)
+    assert unit[1] > 0 and unit[4] > 0
+    for rate in (1e-100, 1e60, 1e100):
+        assert at(rate) == unit
 
 
 # -- theta_x for MA volatility --------------------------------------------
