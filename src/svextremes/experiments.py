@@ -236,6 +236,10 @@ def _theory(spec: dict, run: AnalysisInputs) -> dict:
     if which == "theta_x_ma":
         if not isinstance(model, MaSvConfig):
             raise ValueError("theta_x_ma needs a masv model")
+        index = model.eta.alpha or model.eta.df  # sigma^p inherits eta's index
+        if spec["alpha"] != index:
+            raise ValueError(f"theta_x_ma alpha {spec['alpha']!r} differs "
+                             f"from eta's tail index {index!r}")
         r = theory.theta_x_ma(model.psi, alpha=spec["alpha"], p=model.p,
                               z=model.z, threads=run.threads, **kw)
     elif not isinstance(model, SreSvConfig):
@@ -335,19 +339,37 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
     return report
 
 
-def _fig1_model(variant: str):
-    if variant == "left":
-        # log-volatility AR(1) driven by Laplace noise, Gaussian returns
-        return ExpAr1Config(phi=0.9, eta=laplace(4.0), z=std_normal())
-    # Gaussian driver (unit variance), t(4) returns
-    return ExpAr1Config(phi=0.9, eta=std_normal(), z=student_t(4.0))
+def _fig2_analyses() -> tuple:
+    return ({"analysis": "theta", "method": "intervals", "q": 0.995},
+            {"analysis": "theta", "method": "blocks", "block_len": 100,
+             "q": 0.995},
+            {"analysis": "theory", "which": "kesten", "mc_reps": 200_000},
+            {"analysis": "theory", "which": "theta_x_sre", "alpha": 2.0,
+             "m": 50, "mc_reps": 200_000})
 
 
-def _fig2_model(garch_returns: bool):
+def _garch_sv(garch_returns: bool) -> SreSvConfig:
     pair = Garch11Pair(alpha0=1e-7, alpha1=0.1, beta1=0.89,
                        eta=std_normal())
     return SreSvConfig(p=2.0, pair_source=pair, z=std_normal(),
                        garch_returns=garch_returns)
+
+
+# name -> (model builder, builder of the analyses after figure, extremogram)
+_PRESETS = {
+    # log-volatility AR(1) driven by Laplace noise, Gaussian returns
+    "fig1-left": (
+        lambda: ExpAr1Config(phi=0.9, eta=laplace(4.0), z=std_normal()),
+        lambda: ({"analysis": "hill", "k": 200},
+                 {"analysis": "theta", "method": "intervals", "q": 0.99})),
+    # Gaussian driver (unit variance), t(4) returns
+    "fig1-right": (
+        lambda: ExpAr1Config(phi=0.9, eta=std_normal(), z=student_t(4.0)),
+        lambda: ({"analysis": "hill", "k": 200},)),
+    "fig2-garch": (lambda: _garch_sv(True), _fig2_analyses),
+    "fig2-sv": (lambda: _garch_sv(False), _fig2_analyses),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_config(name: str, seed: RngSeed) -> ExperimentConfig:
@@ -360,42 +382,13 @@ def preset_config(name: str, seed: RngSeed) -> ExperimentConfig:
     with intervals and blocks theta estimates, the Kesten root and
     theta_x_sre alongside the figure and the extremogram.
     """
-    common = dict(n=1000, seed=seed, label=name)
-    fig = {"analysis": "figure", "q_low": 0.01, "q_high": 0.99}
-    xg = {"analysis": "extremogram", "lags": list(range(1, 11)), "q": 0.99}
-    if name == "fig1-left":
-        return ExperimentConfig(model=_fig1_model("left"),
-                                analyses=(fig, xg,
-                                          {"analysis": "hill", "k": 200},
-                                          {"analysis": "theta",
-                                           "method": "intervals",
-                                           "q": 0.99}),
-                                **common)
-    if name == "fig1-right":
-        return ExperimentConfig(model=_fig1_model("right"),
-                                analyses=(fig, xg,
-                                          {"analysis": "hill", "k": 200}),
-                                **common)
-    if name in ("fig2-garch", "fig2-sv"):
-        model = _fig2_model(garch_returns=(name == "fig2-garch"))
-        return ExperimentConfig(model=model,
-                                analyses=(fig, xg,
-                                          {"analysis": "theta",
-                                           "method": "intervals",
-                                           "q": 0.995},
-                                          {"analysis": "theta",
-                                           "method": "blocks",
-                                           "block_len": 100, "q": 0.995},
-                                          {"analysis": "theory",
-                                           "which": "kesten",
-                                           "mc_reps": 200_000},
-                                          {"analysis": "theory",
-                                           "which": "theta_x_sre",
-                                           "alpha": 2.0, "m": 50,
-                                           "mc_reps": 200_000}),
-                                **common)
-    raise ValueError(f"unknown preset {name!r}; "
-                     f"choose from {', '.join(PRESET_NAMES)}")
-
-
-PRESET_NAMES = ("fig1-left", "fig1-right", "fig2-garch", "fig2-sv")
+    if name not in PRESET_NAMES:  # a tuple: an unhashable name gets this too
+        raise ValueError(f"unknown preset {name!r}; "
+                         f"choose from {', '.join(PRESET_NAMES)}")
+    model, analyses = _PRESETS[name]
+    # new dicts on every call, so no two configs share a lags list
+    return ExperimentConfig(
+        model=model(), n=1000, seed=seed, label=name,
+        analyses=({"analysis": "figure", "q_low": 0.01, "q_high": 0.99},
+                  {"analysis": "extremogram", "lags": list(range(1, 11)),
+                   "q": 0.99}, *analyses()))

@@ -23,10 +23,10 @@ The SRE routines take the law of A as a KestenProblem, which any SRE
 pair gives and which models.probe_multipliers checks as it checks an
 SreSvConfig. Conventions: alpha always denotes the index of sigma^p (the
 Kesten root), so sigma and X are regularly varying with index alpha * p.
-Monte Carlo work is split into fixed chunks (2^15 replicates for the SRE
-routines, 2^16 values for theta_x_ma) with one substream per chunk and
-reduced in chunk order, making results independent of the thread count;
-rng.chunked_map runs the chunks on the calling thread and helpers.
+The theta routines run their Monte Carlo through _mc_sums: fixed chunks
+(2^15 replicates for the SRE routines, 2^16 values for theta_x_ma), one
+substream per chunk and sums in chunk order, so no result depends on the
+thread count; rng.chunked_map runs them on the caller and helpers.
 
 kesten_index keeps one mc_reps-long array, its sorted log sample (8 MB
 at the default 10^6). It draws and logs A in slices of _LEAF = 2^16
@@ -34,9 +34,9 @@ values, and sums A^kappa over the leaves of numpy's pairwise-summation
 tree (_pairwise) through one _LEAF-long buffer. Philox draws in sequence
 and the leaves are the tree's own, so for a sampler that draws one
 array per call kappa and f_stderr equal those of one large draw reduced
-by np.mean and np.std, bit for bit. A bisection step pays for such a
-whole-sample sum only when bounds on it from every 16th sorted value
-cannot settle its branch. Those values, the first and last of each run
+by np.mean and np.std, bit for bit. Its one settle step, f_at, sums the
+whole sample only when bounds on the sum from every 16th sorted value
+cannot settle a decision. Those values, the first and last of each run
 of 16, are copied once into two contiguous arrays, which every bound
 sum reads. On the GARCH(1,1) multipliers of the tests at 10^6 draws
 that leaves two whole-sample passes per call, the stop step and the
@@ -157,8 +157,14 @@ def _log_a_sample(problem: KestenProblem, g: np.random.Generator,
         return np.log(a)
 
 
-def _chunk_totals(parts: list) -> list:
-    """Elementwise sums of the per-chunk result tuples, in chunk order."""
+def _mc_sums(one, chunk: int, mc_reps: int, seed: RngSeed,
+             threads: int) -> list:
+    """Elementwise sums, in chunk order, of the tuples one(g, size) over
+    chunk_sizes(mc_reps, chunk), chunk i drawing from seed.generator(i):
+    so the thread count changes no result."""
+    sizes = chunk_sizes(mc_reps, chunk)
+    parts = chunked_map(lambda i: one(seed.generator(i), sizes[i]),
+                        len(sizes), threads)
     totals = list(parts[0])
     for part in parts[1:]:
         totals = [t + v for t, v in zip(totals, part)]
@@ -227,10 +233,11 @@ def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
     slack of 1e-12 for rounding. Those two are copied once, after the
     sort, into contiguous arrays of mc_reps / 16 values each (1 MB
     together at 10^6 draws), which every bound sum reads in place of a
-    strided view of the sample. A step whose bounds put f certainly
-    above tol or below -tol takes its branch from them; every other step
-    sums the whole sample as before, so every branch, kappa and f_stderr
-    are those of whole sums. The stop step's sum is the stderr's mean.
+    strided view of the sample. Every decision asks f_at(kappa, settle):
+    a bound that puts f strictly above settle or below -settle decides
+    alone, else f is the whole sum's, kept as the stderr's mean. The
+    bracket checks ask with settle 0 and each bisection step with tol,
+    so every branch, kappa and f_stderr are those of whole sums.
     """
     check_seed(seed)
     _check_type("problem", problem, KestenProblem)
@@ -252,21 +259,17 @@ def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
         with np.errstate(over="ignore"):
             return np.exp(t, out=t)
 
-    def sum_pow(kappa: float, center: Optional[float] = None) -> float:
-        # the sum of A^kappa, or of (A^kappa - center)^2
+    def sum_pow(kappa: float, values: np.ndarray = la,
+                center: Optional[float] = None) -> float:
+        # the sum of A^kappa over values, or of (A^kappa - center)^2
         def leaf(lo: int, hi: int) -> float:
-            t = pow_into(kappa, la[lo:hi])
+            t = pow_into(kappa, values[lo:hi])
             if center is not None:
                 t -= center
                 t *= t
             return np.add.reduce(t)
 
-        return _pairwise(0, mc_reps, leaf)
-
-    def part_sum(kappa: float, values: np.ndarray) -> float:
-        # the sum of A^kappa over values, _LEAF values at a time
-        return sum(np.add.reduce(pow_into(kappa, values[i:i + _LEAF]))
-                   for i in range(0, values.size, _LEAF))
+        return _pairwise(0, values.size, leaf)
 
     def f_of(total: float) -> float:
         # f from a sum of A^kappa; it rises with the sum, so the same
@@ -278,45 +281,47 @@ def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
     # sum: contiguous copies of la[0::16] and la[15::16], so no sum walks
     # the whole sample at a stride of 16
     first, last = la[0::16].copy(), la[15::16].copy()
+    total = None  # the last whole sum of A^kappa, kept for the stderr
 
-    def f_bounds(kappa: float) -> tuple[float, float]:
-        lower = 16.0 * part_sum(kappa, first[:runs])
-        upper = 16.0 * part_sum(kappa, last)
-        if short:  # one short run, la[16 * runs:]
-            lower += short * part_sum(kappa, first[runs:])
-            upper += short * part_sum(kappa, la[-1:])
-        return f_of(lower * (1.0 - _SLACK)), f_of(upper * (1.0 + _SLACK))
+    def f_at(kappa: float, settle: float) -> float:
+        # a bound on f(kappa) that alone puts f above settle or below
+        # -settle (strictly: settle inf always sums), else the whole sum's
+        # f; a short last run weighs its first and last term by its size
+        nonlocal total
+        f_lb = f_of((16.0 * sum_pow(kappa, first[:runs])
+                     + short * sum_pow(kappa, first[runs:])) * (1.0 - _SLACK))
+        if f_lb > settle:
+            return f_lb
+        f_ub = f_of((16.0 * sum_pow(kappa, last)
+                     + short * sum_pow(kappa, la[16 * runs:][-1:]))
+                    * (1.0 + _SLACK))
+        if f_ub < -settle:
+            return f_ub
+        total = sum_pow(kappa)
+        return f_of(total)
 
     lo, hi = _KAPPA_BRACKET
-    f_ub = f_bounds(lo)[1]
-    if not (f_ub <= 0.0 and np.isfinite(f_ub)):  # -1 <= f(lo) <= f_ub
-        f_lo = f_of(sum_pow(lo))
-        if f_lo > 0.0 or not np.isfinite(f_lo):
-            raise ValueError("no finite tail index in bracket")
-    if f_bounds(hi)[0] < 0.0 and f_of(sum_pow(hi)) < 0.0:
+    # a root needs f(lo) <= 0 (not above 0, inf or nan) and f(hi) >= 0
+    if not f_at(lo, 0.0) <= 0.0 or f_at(hi, 0.0) < 0.0:
         raise ValueError("no finite tail index in bracket")
-    kappa, summed = lo, None  # summed: the kappa whose sum total is
     for _ in range(200):
         kappa = 0.5 * (lo + hi)
         if kappa in (lo, hi):  # from here on no step moves kappa
             break
-        f_lb, f_ub = f_bounds(kappa)
-        if f_lb < tol and f_ub > -tol:  # the bounds leave the branch open
-            total, summed = sum_pow(kappa), kappa
-            f_lb = f_ub = f_of(total)
-            if abs(f_lb) < tol:
-                break
-        if f_lb > 0.0:
+        f = f_at(kappa, tol)
+        if abs(f) < tol:  # only a whole sum comes below tol
+            break
+        if f > 0.0:
             hi = kappa
         else:
             lo = kappa
-    if summed != kappa:  # kappa's branch came from its bounds
-        total = sum_pow(kappa)
-    if not abs(f_of(total)) < tol:
-        warnings.warn(f"kesten_index stopped at |f| = {abs(f_of(total)):.3g}"
-                      f", not below tol = {tol:.3g}")
+    if not abs(f) < tol:  # stopped short: f(kappa) from its whole sum
+        f = f_at(kappa, math.inf)
+        if not abs(f) < tol:
+            warnings.warn(f"kesten_index stopped at |f| = {abs(f):.3g}, "
+                          f"not below tol = {tol:.3g}")
     # np.std(ddof=1): the mean, then the squared deviations from it
-    var = sum_pow(kappa, total / mc_reps) / (mc_reps - 1)
+    var = sum_pow(kappa, center=total / mc_reps) / (mc_reps - 1)
     se = float(np.sqrt(var) / math.sqrt(mc_reps))
     return KestenRoot(float(kappa), se, mc_reps, _KAPPA_BRACKET)
 
@@ -442,18 +447,16 @@ def theta_sigma_sre(problem: KestenProblem, alpha: float,
     positive("alpha", alpha)
     check_int("threads", threads, 1)
     _check_alpha(problem, alpha)
-    sizes = chunk_sizes(mc_reps, _CHUNK)
 
-    def one(i: int):
-        g = seed.generator(i)
-        b = g.random(sizes[i])
+    def one(g: np.random.Generator, size: int):
+        b = g.random(size)
         np.subtract(1.0, b, out=b)        # U in (0, 1]
         np.log(b, out=b)
         b /= alpha                        # -log Y = log(U) / alpha <= 0
         sup, hit = _sup_log_products(problem, g, b, trunc_T, alpha, mc_reps)
         return int(np.count_nonzero(sup <= b)), int(np.count_nonzero(hit))
 
-    succ, risk = _chunk_totals(chunked_map(one, len(sizes), threads))
+    succ, risk = _mc_sums(one, _CHUNK, mc_reps, seed, threads)
     _check_count(succ, mc_reps, "the success count")
     value = succ / mc_reps
     se = math.sqrt(max(value * (1.0 - value), 0.0) / mc_reps)
@@ -554,11 +557,9 @@ def theta_x_sre(problem: KestenProblem, z: InnovationSpec, alpha: float,
     ap = alpha * p
     z = _checked_z(z, ap)
     _check_alpha(problem, alpha)
-    sizes = chunk_sizes(mc_reps, _CHUNK)
 
-    def one(i: int):
-        g = seed.generator(i)
-        t1 = _abs_power(z, g, sizes[i], ap)
+    def one(g: np.random.Generator, size: int):
+        t1 = _abs_power(z, g, size, ap)
         sd, ssd = float(t1.sum()), float((t1 * t1).sum())
         num = np.zeros(m)
         num[0] = sd
@@ -578,8 +579,8 @@ def theta_x_sre(problem: KestenProblem, z: InnovationSpec, alpha: float,
         return (num, sd, float((gap * gap).sum()), ssd,
                 float((gap * t1).sum()), t1.size)
 
-    num, sd, ssn, ssd, snd, live = _chunk_totals(
-        chunked_map(one, len(sizes), threads))
+    num, sd, ssn, ssd, snd, live = _mc_sums(one, _CHUNK, mc_reps, seed,
+                                            threads)
     # a live replicate adds t1 - best > 0, so the numerator is 0 iff none is
     _check_count(live, mc_reps, f"the count of replicates live at m={m}")
     seq = num / sd
@@ -622,11 +623,8 @@ def theta_x_ma(psi, alpha: float, p: float, z: InnovationSpec,
     if z.kind == "constant":
         return ThetaTheoryResult(1.0 / rsum, 0.0, {}, 0)
     q1 = w.size
-    sizes = chunk_sizes(mc_reps, max(_MA_CHUNK // q1, 1))
 
-    def one(i: int):
-        g = seed.generator(i)
-        size = sizes[i]
+    def one(g: np.random.Generator, size: int):
         t = _abs_power(z, g, size * q1, ap).reshape(size, q1)
         # the row max of t r and the row sum of t over the columns: no
         # row-wise reduction, which holds the interpreter lock on short
@@ -643,8 +641,8 @@ def theta_x_ma(psi, alpha: float, p: float, z: InnovationSpec,
         return (float(n_i.sum()), float(d_i.sum()), float((n_i * n_i).sum()),
                 float((d_i * d_i).sum()), float((n_i * d_i).sum()))
 
-    sn, sd, ssn, ssd, snd = _chunk_totals(
-        chunked_map(one, len(sizes), threads))
+    sn, sd, ssn, ssd, snd = _mc_sums(one, max(_MA_CHUNK // q1, 1), mc_reps,
+                                     seed, threads)
     return ThetaTheoryResult(min(float(sn / sd), 1.0),
                              _ratio_stderr(mc_reps, sn, sd, ssn, ssd, snd),
                              {}, mc_reps)

@@ -372,6 +372,15 @@ def test_theta_theory_ma(runner, workdir):
     assert json.loads(r.output)["value"] == 0.5
 
 
+def test_theta_theory_ma_alpha_must_be_eta_tail_index(runner, workdir):
+    # the analysis's check: ma.json's eta is pareto(4)
+    r = invoke(runner, "theta-theory", "--which", "theta-x-ma", "--model",
+               "ma.json", "--alpha", 3)
+    assert r.exit_code == 1
+    assert "Error: theta_x_ma alpha 3.0 differs from eta's tail index 4.0" \
+        in r.output
+
+
 def test_theta_theory_requires_alpha(runner, workdir):
     r = invoke(runner, "theta-theory", "--which", "theta-sigma", "--model",
                "garch.json")

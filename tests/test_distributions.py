@@ -71,6 +71,15 @@ def test_tail_prob_pareto():
 def test_tail_prob_laplace():
     assert tail_prob(laplace(4.0), math.log(10.0)) == \
         pytest.approx(0.5e-4, rel=1e-12)
+    # below 0, one minus the mirrored tail
+    assert tail_prob(laplace(4.0), -math.log(10.0)) == \
+        pytest.approx(1.0 - 0.5e-4, rel=1e-12)
+
+
+def test_tail_prob_constant_steps_down_at_c():
+    assert tail_prob(constant(1.5), 1.0) == 1.0
+    assert tail_prob(constant(1.5), 1.5) == 0.0
+    assert tail_prob(constant(1.5), 2.0) == 0.0
 
 
 @pytest.mark.parametrize("spec", [std_normal(), student_t(2.5),
@@ -114,6 +123,14 @@ def test_moment_constant():
 def test_moment_normal_fourth():
     assert moment_abs(std_normal(), 4.0) == pytest.approx(3.0, rel=1e-12)
     assert moment_pos(std_normal(), 4.0) == pytest.approx(1.5, rel=1e-12)
+
+
+def test_moment_of_order_zero_is_one_and_negative_orders_are_rejected():
+    # E|V|^0 = 1, even where every positive order diverges
+    assert moment_abs(pareto(0.5), 0.0) == 1.0
+    assert moment_abs(constant(0.0), 0) == 1.0
+    with pytest.raises(ValueError, match="^r must be >= 0$"):
+        moment_abs(std_normal(), -1.0)
 
 
 def test_moment_diverges():

@@ -456,6 +456,9 @@ def test_anticluster_budget_warning():
 
 def test_anticluster_validation():
     cfg = constant_path_config()
+    with pytest.raises(ValueError, match="^need at least one m$"):
+        anticluster_diag(cfg, m=(), r_n=10, y=0.5, n=1000, reps=5,
+                         seed=SEED, burn_in=10)
     with pytest.raises(ValueError, match="1 <= m < r_n"):
         anticluster_diag(cfg, m=(10,), r_n=10, y=0.5, n=1000, reps=5,
                          seed=SEED, burn_in=10)

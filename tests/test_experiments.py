@@ -10,11 +10,10 @@ import pytest
 import svextremes
 from svextremes import estimators
 from svextremes import (ExperimentConfig, ExperimentReport, Garch11Pair,
-                        PRESET_NAMES, RngSeed, SreSvConfig, constant, laplace,
-                        preset_config, run_experiment, simulate, std_normal,
-                        student_t)
-from svextremes.experiments import (ANALYSES, AnalysisInputs, _fig1_model,
-                                    read_spec)
+                        MaSvConfig, PRESET_NAMES, RngSeed, SreSvConfig,
+                        constant, laplace, pareto, preset_config,
+                        run_experiment, simulate, std_normal, student_t)
+from svextremes.experiments import ANALYSES, AnalysisInputs, read_spec
 from svextremes.models import ExpAr1Config
 
 
@@ -128,6 +127,26 @@ def test_analysis_results_recorded(tmp_path):
     assert report.results[2]["target"] == pytest.approx(1.5)  # E(Z_+)^4
     blob = json.loads((tmp_path / "out" / "report.json").read_text())
     assert blob["results"][0]["alpha_hat"] == report.results[0]["alpha_hat"]
+
+
+def test_signed_series_is_the_path_x(tmp_path):
+    # series "x" reads the signed path: each entry is the library call on x
+    path = simulate(small_model(), 20_000, seed=RngSeed(4))
+    x = path.x
+    run = AnalysisInputs(path.sigma, x, path.config, RngSeed(0), tmp_path)
+
+    def entry(kind, **spec):
+        return ANALYSES[kind](read_spec(kind, {**spec, "series": "x"}), run)
+
+    assert entry("hill", k=100) == {"series": "x",
+                                    **estimators.hill(x, 100).to_json()}
+    u = estimators._quantile(x, 0.995)
+    assert entry("theta", method="intervals") == {
+        **estimators.intervals_theta(x, u).to_json(), "series": "x",
+        "q": 0.995, "u": u}
+    assert entry("extremogram", lags=[1, 2]) == {
+        "series": "x", **estimators.extremogram(x, [1, 2], 0.99).to_json(),
+        "csv": "extremogram.csv"}
 
 
 def test_analysis_error_recorded_not_fatal(tmp_path):
@@ -512,6 +531,27 @@ def test_theory_analysis_needs_matching_model(tmp_path):
     assert "sresv model" in report.results[0]["error"]
 
 
+@pytest.mark.parametrize("eta, alpha, index", [
+    (pareto(4.0), 3.0, 4.0), (pareto(4.0), 1.0, 4.0),
+    (student_t(3.0), 4.0, 3.0)])
+def test_theta_x_ma_alpha_must_be_eta_tail_index(tmp_path, eta, alpha,
+                                                 index):
+    # sigma^p = |sum_j psi_j eta_{t-j}| has eta's tail index. The parent
+    # ran any alpha: 0.9596 at alpha 3 and 0.7547 at alpha 1 on pareto(4)
+    model = MaSvConfig(p=1.0, psi=(1.0, 0.5), eta=eta, z=student_t(8.0))
+    run = AnalysisInputs(None, None, model, RngSeed(5), tmp_path)
+
+    def theory(alpha):
+        return ANALYSES["theory"](read_spec("theory", {
+            "which": "theta_x_ma", "alpha": alpha, "mc_reps": 2000}), run)
+
+    with pytest.raises(ValueError, match=re.escape(
+            f"theta_x_ma alpha {alpha!r} differs from eta's tail index "
+            f"{index!r}")):
+        theory(alpha)
+    assert 0.0 < theory(index)["value"] <= 1.0
+
+
 def test_rerun_from_report_is_byte_identical(tmp_path):
     cfg = small_config(analyses=(
         {"analysis": "figure"},
@@ -567,15 +607,18 @@ def test_preset_configs_construct():
     assert not preset_config("fig2-sv", RngSeed(5)).model.garch_returns
     with pytest.raises(ValueError, match="unknown preset"):
         preset_config("fig3", RngSeed(5))
+    # each call builds its own analysis dicts
+    a, b = preset_config("fig2-sv", RngSeed(5)), preset_config("fig2-sv",
+                                                               RngSeed(5))
+    assert a == b
+    assert a.analyses[1]["lags"] is not b.analyses[1]["lags"]
 
 
 def test_fig1_right_is_gaussian_log_ar1_with_t4_returns():
     # the classical case the paper's abstract cites: Gaussian log-volatility
     # with regularly varying Z, so sigma is lighter-tailed than Z
-    assert _fig1_model("right") == ExpAr1Config(phi=0.9, eta=std_normal(),
-                                                z=student_t(4.0))
     assert preset_config("fig1-right", RngSeed(0)).model == \
-        _fig1_model("right")
+        ExpAr1Config(phi=0.9, eta=std_normal(), z=student_t(4.0))
 
 
 def test_figure_csv_bytes_match_per_row_formatting(tmp_path, monkeypatch):

@@ -87,6 +87,18 @@ def test_sre_zero_multiplier_gives_iid_pareto_sigma():
     assert abs(corr) < 4 / np.sqrt(path.n)
 
 
+@pytest.mark.parametrize("pair", [
+    Garch11Pair(1e-7, 0.5, 0.6, std_normal()),  # E A = 1.1, E log A < 0
+    Garch11Pair(1e-7, 0.1, 0.5, student_t(2.0, standardized=False)),
+], ids=["mean-above-one", "mean-diverges"])
+def test_sre_starts_at_b1_without_a_stationary_mean(pair):
+    # B_1 / (1 - E A) needs E A < 1; with E A >= 1, or E eta^2 infinite,
+    # the recursion starts at the first B draw, clipped at 0
+    cfg = SreSvConfig(p=2.0, pair_source=pair, z=std_normal())
+    assert models._sre_initial_state(cfg, 0.25) == 0.25
+    assert models._sre_initial_state(cfg, -0.25) == 0.0
+
+
 def test_ma_identity_kernel_reproduces_innovations():
     cfg = MaSvConfig(p=1.0, psi=(1.0,), eta=pareto(4.0), z=constant(1.0))
     path = simulate(cfg, 5000, seed=SEED)

@@ -6,22 +6,24 @@ error of 1/sqrt(2 (S - 1)) = 0.113, so the median stderr must lie within
 2.5 of those, a factor 1 -/+ 0.283, of the sd. The circular block
 bootstrap that came before the cluster bootstrap read 0.33 of the sd for
 runs and 0.69 for blocks on fig2-sv; the cluster bootstrap reads
-0.86-0.99 on both models. scripts/stderr_calibration.py prints the same
-table for any model, n and seed range.
+0.86-0.99 on both models. The loop is scripts/stderr_calibration.py's
+calibration(), which prints the same table for any model, n and seed
+range.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from svextremes import (MaSvConfig, RngSeed, blocks_theta, intervals_theta,
-                        pareto, preset_config, runs_theta, simulate,
+from svextremes import (MaSvConfig, RngSeed, pareto, preset_config,
                         std_normal)
 
+ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(300, 340)
 N = 100_000
-Q = 0.995
 BAND = 2.5 / math.sqrt(2 * (len(SEEDS) - 1))
 
 MODELS = {
@@ -31,20 +33,20 @@ MODELS = {
 }
 
 
+def load_script():
+    spec = importlib.util.spec_from_file_location(
+        "stderr_calibration", ROOT / "scripts" / "stderr_calibration.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_median_stderr_matches_spread_across_seeds(name):
-    calls = {"runs": lambda v, u: runs_theta(v, u, 10),
-             "blocks": lambda v, u: blocks_theta(v, u, 100),
-             "intervals": lambda v, u: intervals_theta(v, u)}
-    theta = {m: [] for m in calls}
-    stderr = {m: [] for m in calls}
-    for s in SEEDS:
-        v = np.abs(simulate(MODELS[name], N, seed=RngSeed(s)).x)
-        u = float(np.quantile(v, Q))
-        for m, call in calls.items():
-            r = call(v, u)
-            theta[m].append(r.theta_hat)
-            stderr[m].append(r.stderr)
-    for m in calls:
-        ratio = float(np.median(stderr[m])) / float(np.std(theta[m], ddof=1))
+    # the script's loop: runs, blocks and intervals at its q-quantile
+    script = load_script()
+    assert (script.Q, script.BLOCK_LEN, script.RUN_LEN) == (0.995, 100, 10)
+    for m, (theta, stderr) in script.calibration(MODELS[name], N,
+                                                 SEEDS).items():
+        ratio = float(np.median(stderr)) / float(np.std(theta, ddof=1))
         assert abs(ratio - 1.0) <= BAND, (m, ratio)

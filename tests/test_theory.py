@@ -167,6 +167,30 @@ def test_kesten_bounded_multiplier_has_no_root():
         kesten_index(KestenProblem(constant(0.5)), mc_reps=10_000)
 
 
+def test_kesten_lower_bracket_rejects_on_the_whole_sum(monkeypatch):
+    # log A = +-100 with 485 of each 1000 draws up: E log A = -3 passes
+    # the stationarity probe, yet mean(A^0.001) = 1.002, so f is above 0
+    # at the bracket's lower end. The run of 16 that holds the switch
+    # from -100 to +100 keeps both bounds there from settling the sign:
+    # the one whole-sample sum, at 0.001, rejects
+    up = np.arange(1000) < 485
+    law = np.exp(np.where(up, 100.0, -100.0))
+    problem = KestenProblem(lambda g, size: np.resize(law, size))
+    passes, pairwise = [], theory._pairwise
+
+    def counted(lo, hi, leaf):
+        if (lo, hi) == (0, 1000):  # a whole-sample sum
+            passes.append(lo)
+        return pairwise(lo, hi, leaf)
+
+    monkeypatch.setattr(theory, "_pairwise", counted)
+    with pytest.raises(ValueError, match="^no finite tail index in bracket$"):
+        kesten_index(problem, mc_reps=1000)
+    assert len(passes) == 1
+    with pytest.raises(ValueError, match="^no finite tail index in bracket$"):
+        dense_kesten.kesten_dense(problem, 1000, RngSeed(0))
+
+
 def test_kesten_bracket_too_small():
     # the two-point law at h = 0.01 has its root log(Q/P)/h = 84.7, above
     # the bracket's upper end 64
