@@ -152,6 +152,8 @@ def hill(values, k: int) -> HillResult:
     """
     k = check_int("k", k, 2)
     v = _values_1d(values)
+    if np.isposinf(v).any():
+        raise ValueError("values contain +inf")
     v = v[v > 0]
     if v.size < k + 1:
         raise ValueError("need at least k+1 strictly positive values")

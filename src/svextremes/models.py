@@ -69,6 +69,10 @@ class ExpAr1Config(JsonFields):
 
     def __post_init__(self):
         self.check_fields()
+        if self.eta.kind in ("student_t", "pareto"):
+            # exp of a power-tailed Y has no finite moment and overflows
+            raise ValueError(f"unsupported exp-AR(1) eta kind "
+                             f"{self.eta.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -113,11 +117,10 @@ class Garch11Pair(JsonFields):
         self.check_fields()
 
     def draw_a(self, g: np.random.Generator, size: int) -> np.ndarray:
-        # alpha1 e e + beta1 in the same operation order, with one
-        # temporary fewer than the expression
-        e = draw(self.eta, g, size)
-        t = self.alpha1 * e
-        t *= e
+        # alpha1 e^2 + beta1, in place; simulator and theory both read A here
+        t = draw(self.eta, g, size)
+        t *= t
+        t *= self.alpha1
         t += self.beta1
         return t
 
@@ -339,13 +342,11 @@ def simulate_sre_sv(cfg: SreSvConfig, n: int, burn_in: int = DEFAULT_BURN_IN,
                     seed: RngSeed = RngSeed(0)) -> Path:
     total = burn_in + n
     src = cfg.pair_source
+    # A_t from stream 0; a GARCH A_t uses eta_{t-1}, from eta_{-burn-1} on
+    a = src.draw_a(seed.generator(0), total)
     if isinstance(src, Garch11Pair):
-        # eta_{-burn-1} .. eta_{n-1}; A_t uses eta_{t-1}
-        eta = draw(src.eta, seed.generator(0), total + 1)
-        a = src.alpha1 * eta[:-1] ** 2 + src.beta1
         b = b1 = float(src.alpha0)
     else:
-        a = src.draw_a(seed.generator(0), total)
         b = draw(src.b, seed.generator(2), total + 1)
         b1 = float(b[0])
         b = b[1:]
@@ -354,8 +355,8 @@ def simulate_sre_sv(cfg: SreSvConfig, n: int, burn_in: int = DEFAULT_BURN_IN,
 
     sigma = _ar1(a, b, _sre_initial_state(cfg, b1))[burn_in:] ** (1.0 / cfg.p)
 
-    if cfg.garch_returns:
-        noise = eta[burn_in + 1:]  # eta_t aligned with sigma_t
+    if cfg.garch_returns:  # stream 0 read again: eta_t aligned with sigma_t
+        noise = draw(src.eta, seed.generator(0), total + 1)[burn_in + 1:]
     else:
         noise = draw(cfg.z, seed.generator(1), n)
     return Path(sigma, sigma * noise, cfg, seed, burn_in)

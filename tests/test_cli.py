@@ -232,6 +232,19 @@ def test_hill_from_model_and_from_csv(runner, workdir):
     assert r3.exit_code == 0
 
 
+@pytest.mark.parametrize("series", ["x_abs", "sigma"])
+def test_hill_input_with_plus_inf_is_an_error(runner, workdir, series):
+    # read_path_csv reads inf; the parent ended with "inconsistent Hill
+    # result"
+    Path("p.csv").write_text("t,sigma,x\n0,1,1\n1,2,-2\n2,inf,-inf\n"
+                             "3,3,3\n4,4,-4\n")
+    r = invoke(runner, "--out", "o", "hill", "--input", "p.csv", "--k", 2,
+               "--series", series)
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    assert "Error: values contain +inf" in r.output
+
+
 def test_exactly_one_input_source(runner, workdir):
     r = invoke(runner, "hill", "--k", 100)
     assert r.exit_code != 0

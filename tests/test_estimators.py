@@ -50,6 +50,17 @@ def test_hill_validation():
         hill([5.0] * 5, k=2)
 
 
+def test_hill_rejects_plus_inf():
+    # the parent failed later with "inconsistent Hill result": k/inf
+    # reads 0 and inf/inf NaN
+    for values in ([1.0, 2.0, np.inf, 3.0, 4.0], [1.0, np.inf, np.inf, 4.0]):
+        with pytest.raises(ValueError, match="^values contain \\+inf$"):
+            hill(values, k=2)
+    # -inf is not positive, so it never enters
+    finite = [1.0, 2.0, 3.0, 4.0]
+    assert hill([-np.inf] + finite, k=2) == hill(finite, k=2)
+
+
 def test_hill_iid_pareto():
     r = hill(pareto_sample(100_000), k=1000)
     assert 3.6 <= r.alpha_hat <= 4.4

@@ -164,6 +164,17 @@ def test_analysis_error_recorded_not_fatal(tmp_path):
     assert report.results[2]["alpha_hat"] > 0
 
 
+def test_hill_on_infinite_sigma_is_recorded_as_plus_inf(tmp_path):
+    # sigma = |eta|^100 of a pareto(1) eta overflows twice in 2,000 steps
+    model = MaSvConfig(p=0.01, psi=(1.0,), eta=pareto(1.0), z=std_normal())
+    cfg = ExperimentConfig(model=model, n=2000, seed=RngSeed(1), burn_in=0,
+                           analyses=({"analysis": "hill", "k": 100,
+                                      "series": "sigma"},))
+    with np.errstate(over="ignore"):
+        report = run_experiment(cfg, tmp_path / "out")
+    assert report.results[0]["error"] == "ValueError: values contain +inf"
+
+
 def test_fractional_analysis_tuning_is_an_entry_error():
     # rejected when the config is built, before any path is simulated
     for spec, name in (

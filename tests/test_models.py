@@ -410,6 +410,18 @@ def test_phi_bounds_rejected():
                      z=laplace(2.0))
 
 
+@pytest.mark.parametrize("eta", [pareto(1.0), student_t(4.0)])
+def test_exp_ar1_rejects_eta_without_power_tail_of_exp(eta):
+    # exp of a Pareto or Student-t Y has no finite moment; the parent
+    # simulated pareto(1.0) at phi = 0.9 into 1,430 infinite sigma of 10^5
+    message = f"unsupported exp-AR(1) eta kind {eta.kind!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExpAr1Config(phi=0.9, eta=eta, z=std_normal())
+    obj = {**config_to_json(fig1_config()), "eta": eta.to_json()}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config_from_json(obj)
+
+
 def test_egarch_noise_kinds():
     with pytest.raises(ValueError, match="light_tailed"):
         EgarchConfig(alpha0=0.0, gamma0=0.5, delta0=0.5, phi=0.5,
@@ -436,10 +448,31 @@ def test_generic_pair_kinds():
 
 def test_garch_draw_a_bit_equal_to_expression():
     # draw_a works in place; the reference is the one-line expression
+    # every stored SRE path was built with
     pair = fig2_pair()
     e = draw(pair.eta, SEED.generator(), 100_000)
     a = pair.draw_a(SEED.generator(), 100_000)
-    assert np.array_equal(a, pair.alpha1 * e * e + pair.beta1)
+    assert np.array_equal(a, pair.alpha1 * e ** 2 + pair.beta1)
+
+
+@pytest.mark.parametrize("garch_returns", [False, True])
+@pytest.mark.parametrize("eta", [std_normal(), student_t(5.0), laplace(2.0)],
+                         ids=["normal", "t5", "laplace2"])
+def test_garch_sre_path_is_the_scan_of_draw_a(eta, garch_returns):
+    # draw_a is the one law of A: the simulated sigma is the scan of its
+    # draws on stream 0, and the GARCH-returns noise is that stream's eta_t
+    pair = Garch11Pair(alpha0=1e-7, alpha1=0.1, beta1=0.89, eta=eta)
+    cfg = SreSvConfig(p=2.0, pair_source=pair, z=std_normal(),
+                      garch_returns=garch_returns)
+    n, burn_in = 5000, 500
+    path = simulate(cfg, n, burn_in, SEED)
+    a = pair.draw_a(SEED.generator(0), burn_in + n)
+    y0 = models._sre_initial_state(cfg, pair.alpha0)
+    sigma = _ar1(a, pair.alpha0, y0)[burn_in:] ** 0.5
+    assert path.sigma.tobytes() == sigma.tobytes()
+    if garch_returns:
+        eta_t = draw(eta, SEED.generator(0), burn_in + n + 1)[burn_in + 1:]
+        assert path.x.tobytes() == (path.sigma * eta_t).tobytes()
 
 
 def test_nonstationary_multipliers_rejected():
