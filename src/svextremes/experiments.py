@@ -244,18 +244,18 @@ def _theory(spec: dict, run: AnalysisInputs) -> dict:
                               z=model.z, threads=run.threads, **kw)
     elif not isinstance(model, SreSvConfig):
         raise ValueError(f"{which} needs an sresv model")
-    else:
-        problem = theory.KestenProblem(model.pair_source)
-        if which == "kesten":
-            r = theory.kesten_index(problem, tol=spec["tol"], **kw)
-        elif which == "theta_sigma":
-            r = theory.theta_sigma_sre(problem, alpha=spec["alpha"],
-                                       trunc_T=spec["trunc_T"],
-                                       threads=run.threads, **kw)
-        else:
-            r = theory.theta_x_sre(problem, z=model.z, alpha=spec["alpha"],
-                                   p=model.p, m=spec["m"],
+    elif which == "kesten":
+        r = theory.kesten_index(theory.KestenProblem(model.pair_source),
+                                tol=spec["tol"], **kw)
+    elif which == "theta_sigma":
+        r = theory.theta_sigma_sre(theory.KestenProblem(model.pair_source),
+                                   alpha=spec["alpha"],
+                                   trunc_T=spec["trunc_T"],
                                    threads=run.threads, **kw)
+    else:
+        r = theory.theta_x_sre(theory.KestenProblem(model.pair_source),
+                               z=model.z, alpha=spec["alpha"], p=model.p,
+                               m=spec["m"], threads=run.threads, **kw)
     return {"which": which, **r.to_json()}
 
 

@@ -70,7 +70,7 @@ class ExpAr1Config(JsonFields):
     def __post_init__(self):
         self.check_fields()
         if self.eta.kind in ("student_t", "pareto"):
-            # exp of a power-tailed Y has no finite moment and overflows
+            # exp of a power-tailed Y has no finite moment of any order
             raise ValueError(f"unsupported exp-AR(1) eta kind "
                              f"{self.eta.kind!r}")
 
@@ -117,12 +117,14 @@ class Garch11Pair(JsonFields):
         self.check_fields()
 
     def draw_a(self, g: np.random.Generator, size: int) -> np.ndarray:
-        # alpha1 e^2 + beta1, in place; simulator and theory both read A here
-        t = draw(self.eta, g, size)
-        t *= t
-        t *= self.alpha1
-        t += self.beta1
-        return t
+        return self._a_of(draw(self.eta, g, size))
+
+    def _a_of(self, e: np.ndarray) -> np.ndarray:
+        # alpha1 e^2 + beta1 in e's own buffer; the one law of A
+        e *= e
+        e *= self.alpha1
+        e += self.beta1
+        return e
 
 
 @dataclass(frozen=True)
@@ -342,8 +344,11 @@ def simulate_sre_sv(cfg: SreSvConfig, n: int, burn_in: int = DEFAULT_BURN_IN,
                     seed: RngSeed = RngSeed(0)) -> Path:
     total = burn_in + n
     src = cfg.pair_source
-    # A_t from stream 0; a GARCH A_t uses eta_{t-1}, from eta_{-burn-1} on
-    a = src.draw_a(seed.generator(0), total)
+    if cfg.garch_returns:  # one eta draw: eta_t also multiplies sigma_t
+        eta = draw(src.eta, seed.generator(0), total + 1)
+        a = src._a_of(eta[:-1].copy())
+    else:  # A_t from stream 0; a GARCH A_t uses eta_{t-1}, eta_{-burn-1} on
+        a = src.draw_a(seed.generator(0), total)
     if isinstance(src, Garch11Pair):
         b = b1 = float(src.alpha0)
     else:
@@ -355,10 +360,8 @@ def simulate_sre_sv(cfg: SreSvConfig, n: int, burn_in: int = DEFAULT_BURN_IN,
 
     sigma = _ar1(a, b, _sre_initial_state(cfg, b1))[burn_in:] ** (1.0 / cfg.p)
 
-    if cfg.garch_returns:  # stream 0 read again: eta_t aligned with sigma_t
-        noise = draw(src.eta, seed.generator(0), total + 1)[burn_in + 1:]
-    else:
-        noise = draw(cfg.z, seed.generator(1), n)
+    noise = (eta[burn_in + 1:] if cfg.garch_returns
+             else draw(cfg.z, seed.generator(1), n))
     return Path(sigma, sigma * noise, cfg, seed, burn_in)
 
 

@@ -475,6 +475,23 @@ def test_garch_sre_path_is_the_scan_of_draw_a(eta, garch_returns):
         assert path.x.tobytes() == (path.sigma * eta_t).tobytes()
 
 
+@pytest.mark.parametrize("garch_returns, sizes", [(False, [1100, 1000]),
+                                                   (True, [1101])])
+def test_garch_sre_draws_each_stream_once(monkeypatch, garch_returns, sizes):
+    # with garch_returns one eta draw gives both A_t and the return's eta_t
+    cfg = SreSvConfig(p=2.0, pair_source=fig2_pair(), z=std_normal(),
+                      garch_returns=garch_returns)
+    seen = []
+
+    def counted(spec, g, n):
+        seen.append(n)
+        return draw(spec, g, n)
+
+    monkeypatch.setattr(models, "draw", counted)
+    simulate(cfg, 1000, 100, SEED)
+    assert seen == sizes
+
+
 def test_nonstationary_multipliers_rejected():
     pair = Garch11Pair(alpha0=1e-7, alpha1=0.1, beta1=1.0, eta=std_normal())
     with pytest.raises(ValueError, match="no stationary solution"):
