@@ -7,9 +7,10 @@ constant-volatility model, theta-theory with each quantity (the Kesten
 root also at 1.1 * 10^6 draws), on a generic SRE pair and at a
 truncation whose warning its JSON records, diagnose with breiman's alpha
 from Hill, at a given alpha, and on a constant-volatility model whose
-errors and warnings diagnose.json records), seven commands that must
+errors and warnings diagnose.json records), nine commands that must
 fail (among them a model whose phi breaks its rule, one whose Laplace
-rate breaks its law's rule and a path.csv whose t is no number), two
+rate breaks its law's rule, a path.csv whose t is no number, a
+theta_x_sre on GARCH returns and an --out below a file), two
 `experiment run`s whose configs use all seven analysis kinds, the
 second with no optional spec field, a third whose theta analyses
 alternate between two levels (each level's exceedance set is built
@@ -70,6 +71,10 @@ MODELS = {
     "generic.json": sv.SreSvConfig(
         p=1.0, pair_source=sv.GenericPair(sv.constant(0.0), sv.pareto(3.0)),
         z=sv.std_normal()),
+    # GARCH returns: A_1 and Z_0 share eta_0, so theta_x_sre fails
+    "garch_returns.json": sv.SreSvConfig(p=2.0, pair_source=PAIR,
+                                         z=sv.std_normal(),
+                                         garch_returns=True),
     # A == 0 and B == 1: sigma is 1 at every step, so the extremogram's
     # threshold equals every value
     "const.json": sv.SreSvConfig(
@@ -239,6 +244,13 @@ COMMANDS = [
     # the config of the preset's report.json, which main writes
     ("experiment-roundtrip", ("--out", "o", "experiment", "run",
                               "roundtrip.json")),
+    # last, so that the lines before them keep their order
+    ("fail-theta-x-sre-garch-returns", ("--out", "o", "theta-theory",
+                                        "--which", "theta-x-sre", "--model",
+                                        "garch_returns.json", "--alpha",
+                                        "2")),
+    ("fail-out-below-file", ("--out", "afile/sub", "hill", *INPUT, "--k",
+                             "20")),
 ]
 
 
@@ -301,6 +313,7 @@ def digest() -> list:
             {**sv.config_to_json(MODELS["ar.json"]),
              "eta": {"kind": "laplace", "rate": -1}}))
         (work / "bad_t.csv").write_text("t,sigma,x\n0,1,1\nabc,1,1\n")
+        (work / "afile").write_text("")
         for name, args in COMMANDS:
             lines += run(runner, name, args, work)
             if name == "experiment-preset":

@@ -80,6 +80,12 @@ def _call(fn, *args):
 @click.pass_context
 def main(ctx, seed, out, threads):
     """Simulation and tail/cluster analysis for SV models."""
+    # click's Path checks --out itself; a directory below a file could
+    # never be made
+    above = next((p for p in FsPath(out).parents if p.is_file()), None)
+    if above is not None:
+        raise click.BadParameter(f"Directory {out!r} lies below the file "
+                                 f"{str(above)!r}.", param_hint="'--out'")
     rs = _call(RngSeed, seed)
     if threads < 1:
         raise click.ClickException("threads must be >= 1")

@@ -36,15 +36,17 @@ Estimator conventions, used consistently below:
     until it ends (experiments.AnalysisInputs); a public estimator builds
     a one-off set. The replicates run on the calling thread; the
     estimators keep a `threads` argument, unused, because callers pass it;
-  * values must be one-dimensional and free of NaN, hill's k,
+  * values must be one-dimensional and free of NaN; hill, the theta
+    estimators, the extremogram and breiman_ratio reject +inf too, which
+    no threshold statistic can count (_quantile takes +-inf). hill's k,
     block_len, run_len, n_boot, the extremogram's lags and
-    anticluster_diag's m, r_n, reps and n integers (numpy's too, a bool
-    not) in range, the theta estimators' u a real number other than NaN
-    (+-inf included), breiman_ratio's z an InnovationSpec or None, and
-    levels, y, alpha and q_grid (not empty) as the config fields' rules
-    read them; otherwise hill, the theta estimators, the extremogram,
-    anticluster_diag and breiman_ratio raise a ValueError that names
-    the argument.
+    anticluster_diag's m, r_n, reps and n must be integers (numpy's too,
+    a bool not) in range, the theta estimators' u a real number other
+    than NaN (+-inf included), breiman_ratio's z an InnovationSpec or
+    None, and levels, y, alpha and q_grid (not empty) as the config
+    fields' rules read them; otherwise hill, the theta estimators, the
+    extremogram, anticluster_diag and breiman_ratio raise a ValueError
+    that names the argument.
 """
 
 from __future__ import annotations
@@ -110,6 +112,15 @@ def _values_1d(values) -> np.ndarray:
     return v
 
 
+def _counted_values(values) -> np.ndarray:
+    """_values_1d(values), +inf rejected too: a threshold statistic
+    cannot count a value above every threshold."""
+    v = _values_1d(values)
+    if (v == np.inf).any():
+        raise ValueError("values contain +inf")
+    return v
+
+
 def _quantile(values, q: float) -> float:
     """np.quantile(values, q), type 7, bit for bit, from one partition.
 
@@ -151,9 +162,7 @@ def hill(values, k: int) -> HillResult:
     pass sigma or |X|.
     """
     k = check_int("k", k, 2)
-    v = _values_1d(values)
-    if np.isposinf(v).any():
-        raise ValueError("values contain +inf")
+    v = _counted_values(values)
     v = v[v > 0]
     if v.size < k + 1:
         raise ValueError("need at least k+1 strictly positive values")
@@ -325,9 +334,10 @@ class ExceedanceSet:
     def of(cls, values, u) -> ExceedanceSet:
         """The values strictly above u, a real number other than NaN."""
         u = _threshold(u)
-        idx = exceedances(values, u)
+        v = _counted_values(values)
+        idx = np.flatnonzero(v > u)
         idx.flags.writeable = False
-        return cls(len(values), u, idx)
+        return cls(v.size, u, idx)
 
     def stderr(self, n_boot: int, score, *args) -> float:
         """Cluster bootstrap (Ferro & Segers, 2003) of a theta estimator.
@@ -448,7 +458,7 @@ def extremogram(values, lags, q: float) -> ExtremogramResult:
     makes the estimate exactly invariant under time reversal.
     """
     _PROBABILITY("q", q)
-    v = _values_1d(values)
+    v = _counted_values(values)
     n = v.size
     if not np.iterable(lags):
         raise ValueError(f"lags must be a list, got {lags!r}")
@@ -584,8 +594,8 @@ def breiman_ratio(sigma_values, x_values, q_grid, alpha: float,
     finite number > 0 and each level of q_grid lie in (0, 1). Grid points
     with an empty numerator or denominator are dropped with a warning.
     """
-    sig = _values_1d(sigma_values)
-    x = _values_1d(x_values)
+    sig = _counted_values(sigma_values)
+    x = _counted_values(x_values)
     if sig.size != x.size:
         raise ValueError("sigma and x series must have equal length")
     alpha = positive("alpha", alpha)

@@ -44,7 +44,6 @@ from typing import Optional
 import numpy as np
 
 from . import estimators as est
-from . import theory
 from .distributions import (JsonFields, at_least, check_int, laplace, level,
                             list_of, one_of, positive, std_normal, student_t)
 from .models import (DEFAULT_BURN_IN, ExpAr1Config, Garch11Pair, MaSvConfig,
@@ -229,6 +228,8 @@ def _anticluster(spec: dict, run: AnalysisInputs) -> dict:
 
 
 def _theory(spec: dict, run: AnalysisInputs) -> dict:
+    from . import theory  # only a theory analysis loads it
+
     which, model = spec["which"], run.model
     kw = {"seed": run.seed}
     if spec["mc_reps"] is not None:  # else the routine's own default
@@ -252,6 +253,9 @@ def _theory(spec: dict, run: AnalysisInputs) -> dict:
                                    alpha=spec["alpha"],
                                    trunc_T=spec["trunc_T"],
                                    threads=run.threads, **kw)
+    elif model.garch_returns:  # theta_x_sre takes A_1 independent of Z_0
+        raise ValueError("theta_x_sre needs an sresv model without "
+                         "garch_returns")
     else:
         r = theory.theta_x_sre(theory.KestenProblem(model.pair_source),
                                z=model.z, alpha=spec["alpha"], p=model.p,
@@ -339,13 +343,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
     return report
 
 
-def _fig2_analyses() -> tuple:
-    return ({"analysis": "theta", "method": "intervals", "q": 0.995},
-            {"analysis": "theta", "method": "blocks", "block_len": 100,
-             "q": 0.995},
-            {"analysis": "theory", "which": "kesten", "mc_reps": 200_000},
-            {"analysis": "theory", "which": "theta_x_sre", "alpha": 2.0,
-             "m": 50, "mc_reps": 200_000})
+def _fig2_analyses(garch_returns: bool) -> tuple:
+    analyses = ({"analysis": "theta", "method": "intervals", "q": 0.995},
+                {"analysis": "theta", "method": "blocks", "block_len": 100,
+                 "q": 0.995},
+                {"analysis": "theory", "which": "kesten", "mc_reps": 200_000})
+    if garch_returns:  # A_1 and Z_0 share eta_0: no theta_x_sre
+        return analyses
+    return (*analyses, {"analysis": "theory", "which": "theta_x_sre",
+                        "alpha": 2.0, "m": 50, "mc_reps": 200_000})
 
 
 def _garch_sv(garch_returns: bool) -> SreSvConfig:
@@ -366,8 +372,8 @@ _PRESETS = {
     "fig1-right": (
         lambda: ExpAr1Config(phi=0.9, eta=std_normal(), z=student_t(4.0)),
         lambda: ({"analysis": "hill", "k": 200},)),
-    "fig2-garch": (lambda: _garch_sv(True), _fig2_analyses),
-    "fig2-sv": (lambda: _garch_sv(False), _fig2_analyses),
+    "fig2-garch": (lambda: _garch_sv(True), lambda: _fig2_analyses(True)),
+    "fig2-sv": (lambda: _garch_sv(False), lambda: _fig2_analyses(False)),
 }
 PRESET_NAMES = tuple(_PRESETS)
 
@@ -379,8 +385,9 @@ def preset_config(name: str, seed: RngSeed) -> ExperimentConfig:
     1000 with exceedance marks at the empirical 1% and 99% quantiles.
     fig2-garch / fig2-sv: GARCH(1,1) recursions, either fed back into the
     returns (garch) or run as an independent-volatility SV model (sv),
-    with intervals and blocks theta estimates, the Kesten root and
-    theta_x_sre alongside the figure and the extremogram.
+    with intervals and blocks theta estimates and the Kesten root
+    alongside the figure and the extremogram; fig2-sv adds theta_x_sre,
+    which does not hold for GARCH returns (A_1 and Z_0 share eta_0).
     """
     if name not in PRESET_NAMES:  # a tuple: an unhashable name gets this too
         raise ValueError(f"unknown preset {name!r}; "

@@ -651,18 +651,20 @@ def read_path_csv(file) -> tuple:
     (+-inf included): an empty, malformed or NaN field, a short row or a
     file without data rows is a ValueError. There is no comment syntax: a
     '#' line is a short row or a malformed field, a '#' in a field too.
+    The header is read first; np.loadtxt then reads the file by its path,
+    past that line, which is faster than from an open file.
     """
     with open(file) as fh:
         header = [name.strip() for name in fh.readline().split(",")]
-        missing = [c for c in _PATH_COLUMNS[1:] if c not in header]
-        if missing:
-            raise ValueError(f"missing column {', '.join(missing)}")
-        names = [c for c in _PATH_COLUMNS if c in header]
-        with warnings.catch_warnings():
-            # loadtxt warns on a file without data rows, rejected below
-            warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
-                              usecols=[header.index(c) for c in names])
+    missing = [c for c in _PATH_COLUMNS[1:] if c not in header]
+    if missing:
+        raise ValueError(f"missing column {', '.join(missing)}")
+    names = [c for c in _PATH_COLUMNS if c in header]
+    with warnings.catch_warnings():
+        # loadtxt warns on a file without data rows, rejected below
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(file, delimiter=",", ndmin=2, comments=None,
+                          skiprows=1, usecols=[header.index(c) for c in names])
     if data.shape[0] == 0:
         raise ValueError("no data rows")
     nan = np.argwhere(np.isnan(data))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,8 +96,22 @@ def _usable_cpus() -> int:
 # Helper threads shared by every chunked_map call: they start on first
 # use and idle between calls. A thread started per call can start before
 # the previous one has handed back its malloc arena; it then opens another
-# one, and the freed blocks kept there raise the peak RSS.
-_HELPERS = ThreadPoolExecutor(thread_name_prefix="svextremes-chunk")
+# one, and the freed blocks kept there raise the peak RSS. The pool, and
+# concurrent.futures with it, is made by the first call that needs a
+# helper, so a process that never does loads neither.
+_HELPERS = None
+_HELPERS_LOCK = threading.Lock()
+
+
+def _helper_pool():
+    """The shared helper pool, made once even when threads race here."""
+    global _HELPERS
+    with _HELPERS_LOCK:
+        if _HELPERS is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _HELPERS = ThreadPoolExecutor(
+                thread_name_prefix="svextremes-chunk")
+        return _HELPERS
 
 
 def chunked_map(fn, n_chunks: int, threads: int = 1) -> list:
@@ -135,7 +148,10 @@ def chunked_map(fn, n_chunks: int, threads: int = 1) -> list:
                 todo = iter(())
             raise
 
-    helpers = [_HELPERS.submit(work) for _ in range(workers - 1)]
+    from concurrent.futures import wait
+
+    pool = _helper_pool()
+    helpers = [pool.submit(work) for _ in range(workers - 1)]
     try:
         work()
     finally:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import tempfile
@@ -52,6 +53,15 @@ def invoke(runner, *args):
     if result.exception is not None and result.exit_code == 0:
         raise result.exception
     return result
+
+
+def run_python(*args, **kw) -> subprocess.CompletedProcess:
+    """A Python process on this checkout's sources, its output as text."""
+    src = str(Path(svextremes.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, **kw)
 
 
 def test_simulate_writes_path(runner, workdir):
@@ -402,6 +412,41 @@ def test_theta_theory_requires_alpha(runner, workdir):
     assert "Error: theory alpha is required" in r.output
 
 
+def test_theta_theory_x_sre_on_garch_returns_is_an_error(runner, workdir):
+    # theta_x_sre takes A_1 as independent of Z_0, which share eta_0
+    # under GARCH returns; the parent printed the SV value
+    cfg = config_from_json(json.loads(Path("garch.json").read_text()))
+    Path("gr.json").write_text(json.dumps(config_to_json(
+        replace(cfg, garch_returns=True))))
+    r = invoke(runner, "--out", "o", "theta-theory", "--which",
+               "theta-x-sre", "--model", "gr.json", "--alpha", 2)
+    assert r.exit_code == 1
+    assert ("Error: theta_x_sre needs an sresv model without "
+            "garch_returns") in r.output
+    assert not Path("o").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("hill", "--k", 20, "--input", "p/path.csv"),
+    ("simulate", "--model", "garch.json", "--n", 50),
+    ("experiment", "run", "exp.json")], ids=["hill", "simulate", "experiment"])
+def test_out_below_a_file_is_a_usage_error(runner, workdir, command):
+    # the parent ended in a NotADirectoryError traceback
+    invoke(runner, "--out", "p", "simulate", "--model", "garch.json",
+           "--n", 100, "--burn-in", 10)
+    Path("exp.json").write_text(json.dumps(ExperimentConfig(
+        config_from_json(json.loads(Path("garch.json").read_text())), 100,
+        RngSeed(0), analyses=({"analysis": "hill", "k": 10},)).to_json()))
+    Path("afile").write_text("")
+    for out in ("afile/sub", "afile/sub/deeper"):
+        r = invoke(runner, "--out", out, *command)
+        assert r.exit_code == 2
+        assert r.output.endswith(f"Error: Invalid value for '--out': "
+                                 f"Directory '{out}' lies below the file "
+                                 f"'afile'.\n")
+    assert Path("afile").read_text() == ""
+
+
 def test_theta_theory_model_mismatch(runner, workdir):
     r = invoke(runner, "theta-theory", "--which", "kesten", "--model",
                "ma.json")
@@ -490,13 +535,9 @@ def test_diagnose_records_its_warnings_and_leaves_stderr_empty(workdir):
                                                        constant(1.0)),
                         z=std_normal())
     Path("const.json").write_text(json.dumps(config_to_json(const)))
-    src = str(Path(svextremes.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "svextremes", "--seed", "0", "--out", "o",
-         "diagnose", "--model", "const.json", "--n", "2000", "--burn-in",
-         "10", "--alpha", "4"], capture_output=True, text=True, env=env)
+    proc = run_python("-m", "svextremes", "--seed", "0", "--out", "o",
+                      "diagnose", "--model", "const.json", "--n", "2000",
+                      "--burn-in", "10", "--alpha", "4")
     assert (proc.returncode, proc.stderr) == (0, "")
     res = json.loads(proc.stdout)
     assert json.loads(Path("o/diagnose.json").read_text()) == res
@@ -743,14 +784,22 @@ print(json.dumps([after_import, scipy_modules()]))
 def test_import_cli_loads_no_scipy_stats_signal_or_special():
     # neither importing the CLI nor simulating every family nor running
     # a fig1 experiment loads any scipy module
-    src = str(Path(svextremes.__file__).parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(
-               [src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN],
-                         capture_output=True, text=True, env=env,
-                         check=True).stdout
+    out = run_python("-c", NO_SCIPY_RUN, check=True).stdout
     assert json.loads(out.splitlines()[-1]) == [[], []]
+
+
+def modules_after(tmp_path, command) -> list:
+    """The modules a CLI process has loaded when command, run on a stored
+    path.csv, ends."""
+    path = simulate(ExpAr1Config(phi=0.9, eta=laplace(4.0), z=std_normal()),
+                    2000, burn_in=100, seed=RngSeed(3))
+    path_to_csv(path, tmp_path / "path.csv")
+    code = ("import sys; from svextremes.cli import main; "
+            "main(sys.argv[1:], standalone_mode=False); print(*sys.modules)")
+    out = run_python("-c", code, "--out", str(tmp_path / "o"), command[0],
+                     "--input", str(tmp_path / "path.csv"), *command[1:],
+                     check=True).stdout
+    return out.splitlines()[-1].split()
 
 
 @pytest.mark.parametrize("command", [
@@ -758,22 +807,81 @@ def test_import_cli_loads_no_scipy_stats_signal_or_special():
 def test_path_command_on_a_stored_path_loads_no_numpy_ma(tmp_path, command):
     # every threshold comes from one single-index partition; np.quantile
     # would import numpy.ma, about 16 ms of each such process
-    path = simulate(ExpAr1Config(phi=0.9, eta=laplace(4.0), z=std_normal()),
-                    2000, burn_in=100, seed=RngSeed(3))
-    path_to_csv(path, tmp_path / "path.csv")
-    code = ("import sys; from svextremes.cli import main; "
-            "main(sys.argv[1:], standalone_mode=False); "
+    assert [m for m in modules_after(tmp_path, command)
+            if m.split(".")[:2] == ["numpy", "ma"]] == []
+
+
+@pytest.mark.parametrize("command", [
+    ("hill", "--k", "20"), ("theta-est", "--method", "blocks"),
+    ("extremogram",)], ids=["hill", "theta-est", "extremogram"])
+def test_path_command_on_a_stored_path_loads_no_theory_or_thread_pool(
+        tmp_path, command):
+    # each process compiles what it imports; the parent loaded theory.py
+    # and concurrent.futures, about 12 ms of each such process
+    loaded = modules_after(tmp_path, command)
+    assert "svextremes.estimators" in loaded
+    assert "svextremes.theory" not in loaded
+    assert "concurrent.futures" not in loaded
+
+
+def test_import_package_loads_no_module():
+    code = ("import sys, svextremes; "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] == ['numpy', 'ma']))")
-    src = str(Path(svextremes.__file__).parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(
-               [src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", code, "--out", str(tmp_path / "o"),
-         command[0], "--input", str(tmp_path / "path.csv"), *command[1:]],
-        capture_output=True, text=True, env=env, check=True).stdout
-    assert out.splitlines()[-1] == "[]"
+            "if m.startswith('svextremes.')))")
+    assert run_python("-c", code, check=True).stdout == "[]\n"
+
+
+def test_public_name_loads_no_module_after_its_own():
+    # modules are searched in __all__ order: distributions, rng, models,
+    # estimators, theory, experiments
+    code = ("import sys, svextremes as sv; sv.KestenProblem; "
+            "print(*sorted(m for m in sys.modules "
+            "if m.startswith('svextremes.')))")
+    assert run_python("-c", code, check=True).stdout.split() == [
+        f"svextremes.{m}" for m in ("distributions", "estimators", "models",
+                                    "rng", "theory")]
+
+
+def test_unknown_package_attribute_is_an_attribute_error():
+    for name in ("no_such_name", "_private", "chunked_map"):
+        with pytest.raises(AttributeError, match=f"^module 'svextremes' "
+                                                 f"has no attribute "
+                                                 f"'{name}'$"):
+            getattr(svextremes, name)
+
+
+POOL_RACE = """
+import threading, time
+import concurrent.futures as cf
+from svextremes import rng
+
+made = []
+
+class Pool(cf.ThreadPoolExecutor):
+    def __init__(self, *args, **kw):
+        time.sleep(0.05)  # room for the other thread to race in
+        made.append(self)
+        super().__init__(*args, **kw)
+
+cf.ThreadPoolExecutor = Pool
+rng._usable_cpus = lambda: 2
+start = threading.Barrier(2)
+
+def first_call():
+    start.wait()
+    assert rng.chunked_map(lambda i: i, 4, threads=2) == [0, 1, 2, 3]
+
+racers = [threading.Thread(target=first_call) for _ in range(2)]
+for t in racers:
+    t.start()
+for t in racers:
+    t.join()
+print(len(made), rng._HELPERS is made[0])
+"""
+
+
+def test_racing_first_chunked_map_calls_make_one_pool():
+    assert run_python("-c", POOL_RACE, check=True).stdout == "1 True\n"
 
 
 def test_import_cli_builds_no_csv_tables():
@@ -786,12 +894,7 @@ def test_import_cli_builds_no_csv_tables():
             "print(m._g17_tables.cache_info().currsize); "
             "print(sorted(set(sys.modules) - before), "
             "sorted(k for k in ('fractions', 'decimal') if k in before))")
-    src = str(Path(svextremes.__file__).parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(
-               [src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True).stdout
+    out = run_python("-c", code, check=True).stdout
     assert out.split("\n") == ["0", "1", "[] []", ""]
 
 

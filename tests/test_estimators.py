@@ -61,6 +61,26 @@ def test_hill_rejects_plus_inf():
     assert hill([-np.inf] + finite, k=2) == hill(finite, k=2)
 
 
+_WITH_PLUS_INF = [1.0, 5.0, 2.0, np.inf, 3.0, 6.0, 1.0, 4.0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: blocks_theta(v, 2.5, block_len=2),
+    lambda v: runs_theta(v, 2.5, run_len=1),
+    lambda v: intervals_theta(v, 2.5),
+    lambda v: extremogram(v, [1], 0.5),
+    lambda v: breiman_ratio(v, np.arange(8.0), q_grid=(0.5,), alpha=2.0),
+    lambda v: breiman_ratio(np.arange(8.0), v, q_grid=(0.5,), alpha=2.0)],
+    ids=["blocks", "runs", "intervals", "extremogram", "breiman-sigma",
+         "breiman-x"])
+def test_threshold_statistics_reject_plus_inf(call):
+    # the parent counted +inf as one more exceedance of every threshold
+    with pytest.raises(ValueError, match="^values contain \\+inf$"):
+        call(_WITH_PLUS_INF)
+    # -inf is a value below every finite threshold
+    call([-np.inf if v == np.inf else v for v in _WITH_PLUS_INF])
+
+
 def test_hill_iid_pareto():
     r = hill(pareto_sample(100_000), k=1000)
     assert 3.6 <= r.alpha_hat <= 4.4

@@ -175,6 +175,41 @@ def test_hill_on_infinite_sigma_is_recorded_as_plus_inf(tmp_path):
     assert report.results[0]["error"] == "ValueError: values contain +inf"
 
 
+def test_threshold_statistics_on_infinite_sigma_record_plus_inf(tmp_path):
+    # the parent counted the 2 infinite sigma as exceedances of every
+    # threshold; the figure's quantiles still take +-inf
+    model = MaSvConfig(p=0.01, psi=(1.0,), eta=pareto(1.0), z=std_normal())
+    cfg = ExperimentConfig(model=model, n=2000, seed=RngSeed(1), burn_in=0,
+                           analyses=(
+        *({"analysis": "theta", "method": m, "series": "sigma"}
+          for m in ("blocks", "runs", "intervals")),
+        {"analysis": "extremogram", "lags": [1], "series": "sigma"},
+        {"analysis": "breiman", "alpha": 1.0},
+        {"analysis": "figure"}))
+    with np.errstate(over="ignore"):
+        report = run_experiment(cfg, tmp_path / "out")
+    *counted, figure = report.results
+    assert [r["error"] for r in counted] == \
+        ["ValueError: values contain +inf"] * 5
+    assert "error" not in figure
+    assert figure["marks_low"] == figure["marks_high"] == 20
+
+
+def test_theta_x_sre_on_garch_returns_is_an_entry_error(tmp_path):
+    # the formula takes A_1 as independent of Z_0, which share eta_0 under
+    # GARCH returns; the parent read 0.2618 on fig2-garch, where the GARCH
+    # value is about 0.206. The Kesten root of sigma's recursion holds
+    model = replace(small_model(), garch_returns=True)
+    cfg = ExperimentConfig(model=model, n=100, seed=RngSeed(1), analyses=(
+        {"analysis": "theory", "which": "theta_x_sre", "alpha": 2.0,
+         "m": 5, "mc_reps": 1000},
+        {"analysis": "theory", "which": "kesten", "mc_reps": 20_000}))
+    theta_x, kesten = run_experiment(cfg, tmp_path / "out").results
+    assert theta_x["error"] == ("ValueError: theta_x_sre needs an sresv "
+                                "model without garch_returns")
+    assert "error" not in kesten
+
+
 def test_fractional_analysis_tuning_is_an_entry_error():
     # rejected when the config is built, before any path is simulated
     for spec, name in (
@@ -616,6 +651,12 @@ def test_preset_configs_construct():
         assert "extremogram" in kinds
     assert preset_config("fig2-garch", RngSeed(5)).model.garch_returns
     assert not preset_config("fig2-sv", RngSeed(5)).model.garch_returns
+    # theta_x_sre does not hold under GARCH returns; the Kesten root does
+    whiches = {name: [a.get("which") for a in preset_config(
+        name, RngSeed(5)).analyses if a["analysis"] == "theory"]
+        for name in ("fig2-garch", "fig2-sv")}
+    assert whiches == {"fig2-garch": ["kesten"],
+                       "fig2-sv": ["kesten", "theta_x_sre"]}
     with pytest.raises(ValueError, match="unknown preset"):
         preset_config("fig3", RngSeed(5))
     # each call builds its own analysis dicts
