@@ -4,8 +4,9 @@ Every path command (simulate on a GARCH, an EGARCH, an exp-AR(1) and a
 generic SRE model, hill, theta-est with each method and with no option
 it may leave out, extremogram on a stored path and on sigma of a
 constant-volatility model, theta-theory with each quantity (the Kesten
-root also at 1.1 * 10^6 draws), on a generic SRE pair and at a
-truncation whose warning its JSON records, diagnose with breiman's alpha
+root by its exact route, and by its sample route at 1.1 * 10^6 draws),
+on a generic SRE pair and at a truncation whose warning its JSON
+records, diagnose with breiman's alpha
 from Hill, at a given alpha, and on a constant-volatility model whose
 errors and warnings diagnose.json records), nine commands that must
 fail (among them a model whose phi breaks its rule, one whose Laplace
@@ -70,6 +71,11 @@ MODELS = {
     # A == 0: a generic pair whose multiplier law has no Kesten root
     "generic.json": sv.SreSvConfig(
         p=1.0, pair_source=sv.GenericPair(sv.constant(0.0), sv.pareto(3.0)),
+        z=sv.std_normal()),
+    # t(5) eta: kesten_index solves this law on its sample of draws
+    "garch_t5.json": sv.SreSvConfig(
+        p=2.0, pair_source=sv.Garch11Pair(alpha0=1e-7, alpha1=0.1,
+                                          beta1=0.89, eta=sv.student_t(5.0)),
         z=sv.std_normal()),
     # GARCH returns: A_1 and Z_0 share eta_0, so theta_x_sre fails
     "garch_returns.json": sv.SreSvConfig(p=2.0, pair_source=PAIR,
@@ -178,10 +184,10 @@ COMMANDS = [
     ("theta-theory-kesten", ("--out", "o", "theta-theory", "--which",
                              "kesten", "--model", "garch.json",
                              "--mc-reps", "100000")),
-    # 1.1M draws span several of the 2^16-value slices of the strided
-    # bound sums
+    # on the sample route, 1.1M draws span several of the 2^16-value
+    # slices of the strided bound sums
     ("theta-theory-kesten-large", ("--out", "o", "theta-theory", "--which",
-                                   "kesten", "--model", "garch.json",
+                                   "kesten", "--model", "garch_t5.json",
                                    "--mc-reps", "1100000")),
     ("theta-theory-theta-sigma", ("--seed", "3", "--out", "o",
                                   "theta-theory", "--which", "theta-sigma",

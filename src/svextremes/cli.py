@@ -26,8 +26,8 @@ import numpy as np
 
 from .experiments import (ANALYSES, SPECS, AnalysisInputs,
                           ExperimentConfig, PRESET_NAMES, _json_text,
-                          _write_json, preset_config, read_spec,
-                          recording_warnings, run_experiment)
+                          _write_json, analysis_seed, preset_config,
+                          read_spec, recording_warnings, run_experiment)
 from .models import (DEFAULT_BURN_IN, config_from_json, path_to_csv,
                      read_path_csv, simulate)
 from .rng import RngSeed
@@ -119,7 +119,11 @@ _COMMANDS = {
     "extremogram": ("extremogram", None,
                     "Sample extremogram at the given lags."),
     "theory": ("theta-theory", "theory.json",
-               "Evaluate a theoretical tail or extremal-index quantity."),
+               "Evaluate a theoretical tail or extremal-index quantity. "
+               "kesten is exact for a GARCH(1,1) pair with std_normal eta "
+               "and beta1 >= alpha1 (a Gauss-Hermite rule: f_stderr 0.0, "
+               "mc_reps 0) and uses --mc-reps draws of A for any other "
+               "law; on both routes it stops once |E A^kappa - 1| < --tol."),
 }
 
 
@@ -187,10 +191,10 @@ def _analysis_command(kind: str) -> click.Command:
                   else _path_inputs(ctx, model, input_csv, n, burn_in))
         out = {}
         with recording_warnings(out):
-            # the seed of an experiment's first analysis; a path is
-            # simulated at the master seed, as in an experiment
+            # run as an experiment's first analysis; a path is simulated
+            # at the master seed, as in an experiment
             out.update(_call(ANALYSES[kind], spec, replace(
-                inputs, seed=ctx.obj.seed.child(1000))))
+                inputs, seed=analysis_seed(ctx.obj.seed, kind, 0))))
         if "which" in out:
             out["which"] = out["which"].replace("_", "-")
         if "csv" in out:

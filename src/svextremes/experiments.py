@@ -143,14 +143,15 @@ class ExperimentReport(JsonFields):
 class AnalysisInputs:
     """What an analysis reads besides its spec: the path (sigma and x),
     the model that made it (None for a stored path.csv), the seed of its
-    own randomness, its artifact directory, ordinal, the number of
-    earlier analyses of its kind in the run, and the run's exceedance sets
-    by (series, q), which replace() shares and the run frees at its end."""
+    own randomness (analysis_seed), its artifact directory, ordinal, the
+    number of earlier analyses of its kind in the run, and the run's
+    exceedance sets by (series, q), which replace() shares and the run
+    frees at its end."""
 
     sigma: Optional[np.ndarray]
     x: Optional[np.ndarray]
     model: object
-    seed: RngSeed
+    seed: Optional[RngSeed]
     out: FsPath
     threads: int = 1
     burn_in: int = DEFAULT_BURN_IN
@@ -211,8 +212,11 @@ def _extremogram(spec: dict, run: AnalysisInputs) -> dict:
 def _breiman(spec: dict, run: AnalysisInputs) -> dict:
     alpha = (spec["alpha"]  # else the Hill estimate on |x| at hill_k
              or est.hill(run.series("x_abs"), spec["hill_k"]).alpha_hat)
-    r = est.breiman_ratio(run.sigma, run.x, spec["q_grid"], alpha,
-                          z=run.model.z)
+    # the law that multiplies sigma in x: GARCH returns reuse eta
+    model = run.model
+    z = (model.pair_source.eta if getattr(model, "garch_returns", False)
+         else model.z)
+    r = est.breiman_ratio(run.sigma, run.x, spec["q_grid"], alpha, z=z)
     return {"alpha": alpha, **r.to_json()}
 
 
@@ -284,6 +288,15 @@ ANALYSES = {"hill": _hill, "theta": _theta, "extremogram": _extremogram,
             "theory": _theory, "figure": _figure}
 
 
+def analysis_seed(seed: RngSeed, kind: str, index: int) -> Optional[RngSeed]:
+    """The seed analysis `index` of a run at `seed` draws from: the child
+    seed.child(1000 + index), which cannot overlap the simulation
+    streams, for the kinds that draw (anticluster, theory), and None for
+    the rest, which draw nothing and so derive no seed."""
+    return (seed.child(1000 + index) if kind in ("anticluster", "theory")
+            else None)
+
+
 @contextmanager
 def recording_warnings(entry: dict):
     """Record the warnings the block raises in entry, as a "warnings" list
@@ -328,10 +341,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
         t0 = time.perf_counter()
         with recording_warnings(entry):
             try:
-                # resampling analyses draw from a namespaced child seed,
-                # which cannot overlap the simulation streams
                 entry.update(ANALYSES[kind](spec, replace(
-                    run, seed=cfg.seed.child(1000 + i),
+                    run, seed=analysis_seed(cfg.seed, kind, i),
                     ordinal=kinds[:i].count(kind))))
             except Exception as e:  # recorded, not fatal
                 entry["error"] = f"{type(e).__name__}: {e}"

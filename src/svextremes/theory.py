@@ -5,7 +5,11 @@ structure of the volatility:
 
   * kesten_index: the root kappa in [0.001, 64] of E A^kappa = 1, the
     power-law index of the stationary solution of
-    sigma_t^p = A_t sigma_{t-1}^p + B_t.
+    sigma_t^p = A_t sigma_{t-1}^p + B_t. For GARCH(1,1) multipliers
+    A = alpha1 eta^2 + beta1 with standard normal eta and beta1 >= alpha1
+    it is exact: E A^kappa is a Gauss-Hermite sum over fixed nodes, and
+    the root reports f_stderr 0.0 and mc_reps 0. Every other law is
+    solved on a sample of mc_reps draws of A.
   * theta_sigma_sre: the volatility extremal index
         theta_sigma = alpha Int_1^inf P(sup_{t>=1} prod_{j<=t} A_j <= 1/y)
                       y^{-alpha-1} dy,
@@ -28,19 +32,22 @@ The theta routines run their Monte Carlo through _mc_sums: fixed chunks
 substream per chunk and sums in chunk order, so no result depends on the
 thread count; rng.chunked_map runs them on the caller and helpers.
 
-kesten_index keeps one mc_reps-long array, its sorted log sample (8 MB
-at the default 10^6). It draws and logs A in slices of _LEAF = 2^16
-values, and sums A^kappa over the leaves of numpy's pairwise-summation
-tree (_pairwise) through one _LEAF-long buffer. Philox draws in sequence
-and the leaves are the tree's own, so for a sampler that draws one
-array per call kappa and f_stderr equal those of one large draw reduced
-by np.mean and np.std, bit for bit. Its one settle step, f_at, sums the
-whole sample only when bounds on the sum from every 16th sorted value
-cannot settle a decision. Those values, the first and last of each run
-of 16, are copied once into two contiguous arrays, which every bound
-sum reads. On the GARCH(1,1) multipliers of the tests at 10^6 draws
-that leaves two whole-sample passes per call, the stop step and the
-standard error, against 9-16 when every step summed them all.
+On its exact route kesten_index holds _GH_NODES values of A and the
+rule, built once per process. On its sample route it keeps one
+mc_reps-long array, its sorted log sample (8 MB at the default 10^6).
+It draws and logs A in slices of _LEAF = 2^16 values, and sums A^kappa
+over the leaves of numpy's pairwise-summation tree (_pairwise) through
+one _LEAF-long buffer. Philox draws in sequence and the leaves are the
+tree's own, so for a sampler that draws one array per call kappa and
+f_stderr equal those of one large draw reduced by np.mean and np.std,
+bit for bit. Its one settle step, f_at, sums the whole sample only when
+bounds on the sum from every 16th sorted value cannot settle a
+decision. Those values, the first and last of each run of 16, are
+copied once into two contiguous arrays, which every bound sum reads. On
+10^6 draws of the tests' GARCH(1,1) multipliers that leaves two
+whole-sample passes per call, the stop step and the standard error,
+against 9-16 when every step summed them all. Both routes share one
+bisection (_bisect_kappa), which stops once |E A^kappa - 1| < tol.
 
 The SRE walks stop each replicate at the step where its contribution is
 settled and draw only for the live ones. Both theta_sigma routes share
@@ -62,6 +69,7 @@ theta read 0 and raises a ValueError instead.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -70,8 +78,9 @@ from typing import Optional
 import numpy as np
 
 from .distributions import (InnovationSpec, JsonFields, check_int, constant,
-                            draw, finite_real, laplace, moment_abs, positive)
-from .models import probe_multipliers
+                            draw, finite_real, laplace, moment_abs, positive,
+                            std_normal)
+from .models import Garch11Pair, probe_multipliers
 from .rng import RngSeed, check_seed, chunk_sizes, chunked_map
 
 __all__ = [
@@ -92,6 +101,9 @@ _CHUNK = 2 ** 15  # replicates per chunk of theta_sigma_sre and theta_x_sre
 _MA_CHUNK = 2 ** 16  # values (replicates x len(psi)) per theta_x_ma chunk
 _LEAF = 2 ** 16  # most values kesten_index draws or reduces at once
 _SLACK = 1e-12  # relative rounding slack of kesten_index's bounds on a sum
+# nodes of kesten_index's Gauss-Hermite rule; 320 move no kappa of the
+# tests' laws by 1e-12
+_GH_NODES = 160
 
 
 @dataclass(frozen=True)
@@ -129,7 +141,14 @@ class KestenProblem:
 
 @dataclass(frozen=True)
 class KestenRoot(JsonFields):
-    """Root of the empirical moment equation, with its precision."""
+    """Root kappa of E A^kappa = 1 in bracket, with its precision.
+
+    f_stderr is the standard error of the sample mean of A^kappa at
+    kappa over mc_reps draws. The exact route computes E A^kappa by a
+    quadrature rule, with no Monte Carlo error: f_stderr is 0.0 and
+    mc_reps is 0. Either way |E A^kappa - 1| < tol at kappa, unless
+    kesten_index warned.
+    """
 
     kappa: float
     f_stderr: float
@@ -206,14 +225,81 @@ def _pairwise(lo: int, hi: int, leaf) -> float:
     return _pairwise(lo, lo + half, leaf) + _pairwise(lo + half, hi, leaf)
 
 
+def _bisect_kappa(f_at, tol: float) -> float:
+    """The kappa in _KAPPA_BRACKET where f(kappa) = E A^kappa - 1 falls
+    below tol in size, by bisection. f_at(kappa, settle) gives f(kappa),
+    or a bound on it when the bound alone puts f above settle or below
+    -settle (settle inf always asks for f itself). A bracket whose ends
+    do not straddle 0 raises; a bisection that stops short of tol (the
+    midpoint no longer moves, or 200 halvings) warns."""
+    lo, hi = _KAPPA_BRACKET
+    # a root needs f(lo) <= 0 (not above 0, inf or nan) and f(hi) >= 0
+    if not f_at(lo, 0.0) <= 0.0 or f_at(hi, 0.0) < 0.0:
+        raise ValueError("no finite tail index in bracket")
+    for _ in range(200):
+        kappa = 0.5 * (lo + hi)
+        if kappa in (lo, hi):  # from here on no step moves kappa
+            break
+        f = f_at(kappa, tol)
+        if abs(f) < tol:  # only f itself, not a bound, comes below tol
+            break
+        if f > 0.0:
+            hi = kappa
+        else:
+            lo = kappa
+    if not abs(f) < tol:  # stopped short: f(kappa) itself
+        f = f_at(kappa, math.inf)
+        if not abs(f) < tol:
+            warnings.warn(f"kesten_index stopped at |f| = {abs(f):.3g}, "
+                          f"not below tol = {tol:.3g}")
+    return kappa
+
+
+@functools.cache
+def _hermite_rule(nodes: int) -> tuple:
+    """The nodes-point Gauss-Hermite rule for a standard normal law: its
+    nodes and its weights, which sum to 1."""
+    from numpy.polynomial.hermite_e import hermegauss  # first use only
+
+    x, w = hermegauss(nodes)
+    return x, w / math.sqrt(2.0 * math.pi)
+
+
+def _exact_multipliers(problem: KestenProblem):
+    """A at the nodes of the _GH_NODES-point Gauss-Hermite rule and the
+    rule's weights, when the law of A is GARCH(1,1) with standard normal
+    eta and beta1 >= alpha1; else None. E A^kappa is then a normal
+    integral whose integrand has its branch points at eta = +-i
+    sqrt(beta1 / alpha1), at least 1 from the real line, and the rule
+    gives it to a relative 3.1e-13 or better (2e-15 from beta1 >= 1.5
+    alpha1; against mpmath for kappa from 0.01 to 63.5). Nearer the
+    line it converges slowly (at alpha1 = 1.5, beta1 = 0 it misses by
+    1.6e-3 at 200 nodes), so those laws keep the sample."""
+    pair = problem.a_sampler
+    if not (isinstance(pair, Garch11Pair) and pair.eta == std_normal()
+            and pair.beta1 >= pair.alpha1):
+        return None
+    x, w = _hermite_rule(_GH_NODES)
+    return pair._a_of(x.copy()), w
+
+
 def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
                  tol: float = 1e-4, seed: RngSeed = RngSeed(0)) -> KestenRoot:
-    """Solve mean(A_i^kappa) = 1 over one common-random-numbers sample.
+    """Solve E A^kappa = 1 for kappa, by bisection until |f| < tol with
+    f(kappa) = E A^kappa - 1; it warns when it stops short of that (the
+    midpoint no longer moves, or 200 halvings). tol bounds the same f on
+    both routes below.
 
-    The sample is drawn once and sorted, so the root depends only on the
-    multiset of draws; bisection runs until |mean(A^kappa) - 1| < tol,
-    and warns when it stops short of that (the midpoint no longer moves,
-    or 200 halvings).
+    Exact route: when the law of A is GARCH(1,1) with standard normal
+    eta and beta1 >= alpha1 (_exact_multipliers), E A^kappa is the sum
+    of w_i A_i^kappa over the _GH_NODES-point Gauss-Hermite rule, A_i
+    the pair's own _a_of at the nodes. mc_reps and seed go unused, and
+    the root reports f_stderr 0.0 and mc_reps 0: no Monte Carlo error.
+
+    Sample route, for every other law: E A^kappa is the mean over one
+    common-random-numbers sample of mc_reps draws, drawn once and
+    sorted, so the root depends only on the multiset of draws, and
+    f_stderr is the standard error of that mean at the root.
 
     The sorted log sample is the one mc_reps-long array. A is drawn in
     slices of _LEAF values from the one generator, each logged straight
@@ -243,6 +329,16 @@ def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
     _check_type("problem", problem, KestenProblem)
     check_int("mc_reps", mc_reps, 2)
     positive("tol", tol)
+    exact = _exact_multipliers(problem)
+    if exact is not None:
+        a, w = exact
+
+        def f_exact(kappa: float, settle: float) -> float:
+            with np.errstate(over="ignore"):
+                return float(np.add.reduce(w * a ** kappa)) - 1.0
+
+        return KestenRoot(_bisect_kappa(f_exact, tol), 0.0, 0,
+                          _KAPPA_BRACKET)
     g = seed.generator()
     la = np.empty(mc_reps)
     for lo in range(0, mc_reps, _LEAF):
@@ -300,27 +396,9 @@ def kesten_index(problem: KestenProblem, mc_reps: int = 1_000_000,
         total = sum_pow(kappa)
         return f_of(total)
 
-    lo, hi = _KAPPA_BRACKET
-    # a root needs f(lo) <= 0 (not above 0, inf or nan) and f(hi) >= 0
-    if not f_at(lo, 0.0) <= 0.0 or f_at(hi, 0.0) < 0.0:
-        raise ValueError("no finite tail index in bracket")
-    for _ in range(200):
-        kappa = 0.5 * (lo + hi)
-        if kappa in (lo, hi):  # from here on no step moves kappa
-            break
-        f = f_at(kappa, tol)
-        if abs(f) < tol:  # only a whole sum comes below tol
-            break
-        if f > 0.0:
-            hi = kappa
-        else:
-            lo = kappa
-    if not abs(f) < tol:  # stopped short: f(kappa) from its whole sum
-        f = f_at(kappa, math.inf)
-        if not abs(f) < tol:
-            warnings.warn(f"kesten_index stopped at |f| = {abs(f):.3g}, "
-                          f"not below tol = {tol:.3g}")
-    # np.std(ddof=1): the mean, then the squared deviations from it
+    kappa = _bisect_kappa(f_at, tol)
+    # np.std(ddof=1): the mean, then the squared deviations from it; the
+    # bisection's last f_at(kappa, ...) summed the whole sample
     var = sum_pow(kappa, center=total / mc_reps) / (mc_reps - 1)
     se = float(np.sqrt(var) / math.sqrt(mc_reps))
     return KestenRoot(float(kappa), se, mc_reps, _KAPPA_BRACKET)

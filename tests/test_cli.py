@@ -822,6 +822,11 @@ def test_path_command_on_a_stored_path_loads_no_theory_or_thread_pool(
     assert "svextremes.estimators" in loaded
     assert "svextremes.theory" not in loaded
     assert "concurrent.futures" not in loaded
+    # hill and extremogram draw nothing, so they derive no analysis seed,
+    # which would load numpy.random (about 10 ms and 5 MB of RSS); the
+    # theta bootstrap draws its replicates
+    if command[0] != "theta-est":
+        assert "numpy.random" not in loaded
 
 
 def test_import_package_loads_no_module():

@@ -302,6 +302,21 @@ def test_breiman_records_a_failed_hill_as_its_error(tmp_path):
                                           "strictly positive values")
 
 
+def test_breiman_target_of_garch_returns_is_eta_moment(tmp_path):
+    # x = sigma eta on GARCH returns, so the target is E(eta_+)^4 = 1.5;
+    # the parent took z's, whose fourth moment diverges, and recorded
+    # "ValueError: moment diverges"
+    pair = Garch11Pair(alpha0=1e-7, alpha1=0.1, beta1=0.89, eta=std_normal())
+    model = SreSvConfig(p=2.0, pair_source=pair,
+                        z=student_t(3.0, standardized=False),
+                        garch_returns=True)
+    cfg = ExperimentConfig(model=model, n=20_000, seed=RngSeed(1),
+                           analyses=({"analysis": "breiman", "alpha": 4.0},))
+    entry = run_experiment(cfg, tmp_path / "out").results[0]
+    assert "error" not in entry
+    assert entry["target"] == pytest.approx(1.5, rel=1e-12)
+
+
 def read_marks(fp):
     """figure.csv as (t, x, side) arrays."""
     lines = fp.read_text().splitlines()

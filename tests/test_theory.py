@@ -2,10 +2,12 @@
 
 Frozen oracle values and their provenance:
   * kappa for A = 0.1 eta^2 + 0.89, eta standard normal: 1.9954946282347668
-    by 200-point Gauss-Hermite quadrature of E A^kappa (bisection to 1e-13).
-  * theta for psi=(1,1), alpha=4, p=1, Z standard normal: 0.924413657462314
-    by Gauss-Legendre evaluation of 2 E[Z^4 (2 Phi(|Z|) - 1)] / (2 E Z^4),
-    i.e. the exact two-term max/mean ratio.
+    by 200-point Gauss-Hermite quadrature of E A^kappa (bisection to 1e-13);
+    mpmath at 30 digits gives 1.99549462823475913.
+  * theta for psi=(1,1), alpha=4, p=1, Z standard normal: 0.9244131815783876,
+    the exact two-term max/mean ratio 2 E[Z^4 (2 Phi(|Z|) - 1)] / (2 E Z^4),
+    equal to Int_0^inf (1 - erf(x / sqrt 2)^2) 4 x^3 dx / 6; mpmath at 30
+    digits gives 0.924413181578387562 for both forms.
   * theta_x_sre sequence for the multipliers above (alpha=2, p=2, Z normal),
     400k-replicate reference run: m=2: 0.8516, m=5: 0.6176, m=10: 0.4594,
     m=25: 0.3225, m=50: 0.2733.
@@ -35,13 +37,23 @@ import dense_kesten
 import exact_laws
 
 KAPPA_ORACLE = 1.9954946282347668
-MA_THETA_ORACLE = 0.924413657462314
+MA_THETA_ORACLE = 0.9244131815783876
 SRE_SEQ_ORACLE = {2: 0.8516, 5: 0.6176, 10: 0.4594, 25: 0.3225, 50: 0.2733}
 
 
+def garch_pair(alpha1=0.1, beta1=0.89):
+    return Garch11Pair(alpha0=1e-7, alpha1=alpha1, beta1=beta1,
+                       eta=std_normal())
+
+
 def garch_problem():
-    return KestenProblem(Garch11Pair(alpha0=1e-7, alpha1=0.1, beta1=0.89,
-                                     eta=std_normal()))
+    return KestenProblem(garch_pair())
+
+
+def sampled(pair):
+    # the same draws of A through a callable, which kesten_index always
+    # solves on its sample route
+    return KestenProblem(lambda g, n: pair.draw_a(g, n))
 
 
 def zero_problem():
@@ -59,12 +71,59 @@ def two_point_problem(h):
 # -- Kesten index ---------------------------------------------------------
 
 def test_kesten_garch_multipliers_match_quadrature_oracle():
-    r = kesten_index(garch_problem(), mc_reps=200_000, seed=RngSeed(0))
-    assert abs(r.kappa - KAPPA_ORACLE) < 0.05
-    assert abs(r.kappa - 2.0) < 0.05
-    assert r.mc_reps == 200_000
+    # the exact route: a Gauss-Hermite rule, no Monte Carlo. At the root
+    # f'(kappa) = E A^kappa log A = 0.022, so |f| < tol bounds the error
+    # of kappa by tol / 0.022: 4.5e-12 at tol = 1e-13 (it stops 2.6e-12
+    # off), 4.5e-13 at tol = 1e-14 (8e-14 off)
+    r = kesten_index(garch_problem(), tol=1e-14)
+    assert abs(r.kappa - KAPPA_ORACLE) < 1e-12
+    assert (r.mc_reps, r.f_stderr) == (0, 0.0)
     assert r.bracket == (1e-3, 64.0)
-    assert r.f_stderr > 0
+    assert abs(kesten_index(garch_problem()).kappa - KAPPA_ORACLE) < 0.05
+
+
+@pytest.mark.parametrize("alpha1, beta1", [(0.1, 0.89), (0.2, 0.75),
+                                           (0.45, 0.45)])
+def test_kesten_gauss_hermite_rule_is_converged(monkeypatch, alpha1, beta1):
+    # fig2's pair and two heavier ones; beta1 = alpha1 is the exact
+    # route's edge, where the rule converges slowest
+    problem = KestenProblem(garch_pair(alpha1, beta1))
+    r = kesten_index(problem, tol=1e-14)
+    monkeypatch.setattr(theory, "_GH_NODES", 2 * theory._GH_NODES)
+    r2 = kesten_index(problem, tol=1e-14)
+    assert abs(r2.kappa - r.kappa) < 1e-12
+    assert (r.mc_reps, r2.mc_reps) == (0, 0)
+
+
+@pytest.mark.parametrize("pair, exact", [
+    (garch_pair(), True), (garch_pair(0.45, 0.45), True),
+    (garch_pair(0.9, 0.05), False),
+    (Garch11Pair(alpha0=1e-7, alpha1=0.1, beta1=0.89, eta=laplace(2.0)),
+     False)], ids=["fig2", "edge", "beta1-below-alpha1", "laplace-eta"])
+def test_kesten_route_follows_the_law(pair, exact):
+    # beta1 < alpha1 puts the integrand's branch points within 1 of the
+    # real line, where the fixed rule has not converged: the sample route
+    r = kesten_index(KestenProblem(pair), mc_reps=1000, seed=RngSeed(1))
+    assert (r.mc_reps == 0) == exact
+    if not exact:
+        assert (r.kappa, r.f_stderr) == dense_kesten.kesten_dense(
+            KestenProblem(pair), 1000, RngSeed(1))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_kesten_sample_route_agrees_with_the_exact_route(seed):
+    # the sample root stops where |f_sample| < tol, and f_sample at the
+    # exact root lies within 4 f_stderr of 0 but for a 6e-5 chance, so
+    # kappa lies within (4 f_stderr + tol) / f'(kappa) of the exact root
+    pair, tol = garch_pair(), 1e-4
+    exact = kesten_index(KestenProblem(pair), tol=1e-14)
+    r = kesten_index(sampled(pair), mc_reps=200_000, tol=tol,
+                     seed=RngSeed(seed))
+    x, w = theory._hermite_rule(theory._GH_NODES)
+    a = pair._a_of(x.copy())
+    slope = float(np.sum(w * a ** exact.kappa * np.log(a)))  # f'(kappa)
+    assert r.mc_reps == 200_000 and r.f_stderr > 0
+    assert abs(r.kappa - exact.kappa) < (4.0 * r.f_stderr + tol) / slope
 
 
 def lognormal_problem():
@@ -77,7 +136,7 @@ def lognormal_problem():
 
 
 KESTEN_LAWS = {
-    "garch-normal": garch_problem,
+    "garch-normal": lambda: sampled(garch_pair()),
     "garch-t5": lambda: KestenProblem(Garch11Pair(
         alpha0=1e-7, alpha1=0.1, beta1=0.89, eta=student_t(5.0))),
     "two-point": lambda: two_point_problem(0.5),
@@ -114,7 +173,7 @@ def test_kesten_index_bit_equal_to_out_of_place_formula(law, mc_reps):
 def test_kesten_index_holds_one_sample():
     # the sorted 8 MB log sample is its only mc_reps-long array; the
     # whole-array formula held two (16.0 MB)
-    prob = garch_problem()
+    prob = sampled(garch_pair())
     tracemalloc.start()
     try:
         kesten_index(prob, mc_reps=1_000_000, seed=RngSeed(0))
@@ -138,7 +197,7 @@ def test_kesten_index_makes_few_whole_sample_passes(monkeypatch):
         return pairwise(lo, hi, leaf)
 
     monkeypatch.setattr(theory, "_pairwise", counted)
-    kesten_index(garch_problem(), mc_reps=mc_reps, seed=RngSeed(0))
+    kesten_index(sampled(garch_pair()), mc_reps=mc_reps, seed=RngSeed(0))
     assert len(passes) <= 4
 
 
@@ -165,6 +224,9 @@ def test_kesten_lognormal_closed_form():
 def test_kesten_bounded_multiplier_has_no_root():
     with pytest.raises(ValueError, match="no finite tail index"):
         kesten_index(KestenProblem(constant(0.5)), mc_reps=10_000)
+    # the exact route's bracket check: alpha1 = 0 leaves A = beta1 < 1
+    with pytest.raises(ValueError, match="^no finite tail index in bracket$"):
+        kesten_index(KestenProblem(garch_pair(0.0, 0.9)))
 
 
 def test_kesten_lower_bracket_rejects_on_the_whole_sum(monkeypatch):
