@@ -5,13 +5,14 @@ generic SRE model, hill, theta-est with each method and with no option
 it may leave out, extremogram on a stored path and on sigma of a
 constant-volatility model, theta-theory with each quantity (the Kesten
 root by its exact route, and by its sample route at 1.1 * 10^6 draws),
-on a generic SRE pair and at a truncation whose warning its JSON
-records, diagnose with breiman's alpha
-from Hill, at a given alpha, and on a constant-volatility model whose
-errors and warnings diagnose.json records), nine commands that must
-fail (among them a model whose phi breaks its rule, one whose Laplace
-rate breaks its law's rule, a path.csv whose t is no number, a
-theta_x_sre on GARCH returns and an --out below a file), two
+on a generic SRE pair, at a truncation whose warning its JSON records
+and, for theta_sigma, on a t(5) eta pair at its Kesten root, diagnose
+with breiman's alpha from Hill, at a given alpha, and on a
+constant-volatility model whose errors and warnings diagnose.json
+records), nine commands that must fail (among them a model whose phi
+breaks its rule, one whose Laplace rate breaks its law's rule, a
+path.csv whose t is no number, a theta_x_sre on GARCH returns and an
+--out below a file), two
 `experiment run`s whose configs use all seven analysis kinds, the
 second with no optional spec field, a third whose theta analyses
 alternate between two levels (each level's exceedance set is built
@@ -72,7 +73,8 @@ MODELS = {
     "generic.json": sv.SreSvConfig(
         p=1.0, pair_source=sv.GenericPair(sv.constant(0.0), sv.pareto(3.0)),
         z=sv.std_normal()),
-    # t(5) eta: kesten_index solves this law on its sample of draws
+    # t(5) eta: kesten_index solves this law on its sample of draws, and
+    # theta_sigma runs its chain on it
     "garch_t5.json": sv.SreSvConfig(
         p=2.0, pair_source=sv.Garch11Pair(alpha0=1e-7, alpha1=0.1,
                                           beta1=0.89, eta=sv.student_t(5.0)),
@@ -205,7 +207,8 @@ COMMANDS = [
                               "--which", "theta-sigma", "--model",
                               "generic.json", "--alpha", "1",
                               "--mc-reps", "20000")),
-    # trunc_T = 3 leaves 7% of the replicates unresolved: a warning
+    # trunc_T = 3 leaves theta_sigma's chain near its start: a truncation
+    # risk bound of 1, and a warning
     ("theta-theory-warning", ("--seed", "13", "--out", "o", "theta-theory",
                               "--which", "theta-sigma", "--model",
                               "garch.json", "--alpha", "2", "--trunc-t",
@@ -257,6 +260,13 @@ COMMANDS = [
                                         "2")),
     ("fail-out-below-file", ("--out", "afile/sub", "hill", *INPUT, "--k",
                              "20")),
+    # theta_sigma's chain on a second law: the t(5) eta pair at 1.415,
+    # the root theta-theory-kesten-large reads (1.41504)
+    ("theta-theory-theta-sigma-t5", ("--seed", "14", "--out", "o",
+                                     "theta-theory", "--which",
+                                     "theta-sigma", "--model",
+                                     "garch_t5.json", "--alpha", "1.415",
+                                     "--mc-reps", "20000")),
 ]
 
 

@@ -127,6 +127,21 @@ _COMMANDS = {
 }
 
 
+# (analysis kind, spec field) -> the help of its option
+_OPTION_HELP = {
+    ("theory", "mc_reps"):
+        "Monte Carlo size (default 10^6 for kesten and theta-x-sre, "
+        "2*10^5 otherwise). theta-sigma takes this many samples of the sup "
+        "from Lindley chains, one per chunk of 2^15 samples, each after "
+        "--trunc-t burn-in steps, and its mc_stderr from the chains' "
+        "regeneration cycles.",
+    ("theory", "trunc_T"):
+        "theta-sigma: burn-in steps of each chain before it samples. "
+        "truncation.risk_fraction bounds the chance that a chain still "
+        "depends on its start after them; above 1% it warns.",
+}
+
+
 def _int_list(ctx, param, text):
     """An option's comma-separated integers, as a list."""
     items = []
@@ -157,7 +172,8 @@ def _spec_option(kind: str, field: str) -> click.Option:
     return click.Option([f"--{field.lower().replace('_', '-')}", field],
                         type=option_type, callback=callback,
                         required=default is ...,
-                        default=None if default is ... else default)
+                        default=None if default is ... else default,
+                        help=_OPTION_HELP.get((kind, field)))
 
 
 def _source_options(kind: str) -> list:

@@ -312,6 +312,13 @@ class InnovationSpec(JsonFields):
         if self.standardized and not self.df > 2:
             raise ValueError("variance undefined")
 
+    def __str__(self) -> str:
+        """The law as its constructor call, e.g. student_t(df=3.0,
+        standardized=False), for error messages."""
+        params = ", ".join(f"{k}={v!r}" for k, v in self.to_json().items()
+                           if k != "kind")
+        return f"{self.kind}({params})"
+
     def _t_scale(self) -> float:
         # divisor turning t(df) into the standardized variant
         return math.sqrt(self.df / (self.df - 2.0)) if self.standardized else 1.0
@@ -420,10 +427,8 @@ def moment_abs(spec: InnovationSpec, r: float) -> float:
                        - math.lgamma(spec.df / 2.0)) / math.sqrt(math.pi)
         return val / spec._t_scale() ** r
     except OverflowError:
-        law = ", ".join(f"{k}={v!r}" for k, v in spec.to_json().items()
-                        if k != "kind")
-        raise ValueError(f"E|V|^r of {spec.kind}({law}) at r={r!r} exceeds "
-                         "the float range") from None
+        raise ValueError(f"E|V|^r of {spec} at r={r!r} exceeds the float "
+                         "range") from None
 
 
 def moment_pos(spec: InnovationSpec, r: float) -> float:

@@ -212,11 +212,9 @@ def _extremogram(spec: dict, run: AnalysisInputs) -> dict:
 def _breiman(spec: dict, run: AnalysisInputs) -> dict:
     alpha = (spec["alpha"]  # else the Hill estimate on |x| at hill_k
              or est.hill(run.series("x_abs"), spec["hill_k"]).alpha_hat)
-    # the law that multiplies sigma in x: GARCH returns reuse eta
-    model = run.model
-    z = (model.pair_source.eta if getattr(model, "garch_returns", False)
-         else model.z)
-    r = est.breiman_ratio(run.sigma, run.x, spec["q_grid"], alpha, z=z)
+    # z multiplies sigma in x; GARCH returns hold z = eta
+    r = est.breiman_ratio(run.sigma, run.x, spec["q_grid"], alpha,
+                          z=run.model.z)
     return {"alpha": alpha, **r.to_json()}
 
 

@@ -182,7 +182,8 @@ class SreSvConfig(JsonFields):
 
     garch_returns=True labels the comparison variant X_t = sigma_t eta_t
     (recursion noise reused), i.e. an actual GARCH return series rather
-    than an SV model. pair_source is the JSON key "pair".
+    than an SV model. Its returns have the one noise law eta, so z must
+    equal the pair's eta. pair_source is the JSON key "pair".
     """
 
     TAG = ("family", "sresv")
@@ -197,6 +198,10 @@ class SreSvConfig(JsonFields):
         if isinstance(self.pair_source, Garch11Pair):
             if self.p != 2.0:
                 raise ValueError("Garch11 multipliers require p = 2")
+            if self.garch_returns and self.z != self.pair_source.eta:
+                raise ValueError(f"garch_returns multiplies sigma by the "
+                                 f"pair's eta {self.pair_source.eta}, so z "
+                                 f"must equal it, got z {self.z}")
         elif self.garch_returns:
             raise ValueError("garch_returns needs Garch11 multipliers")
         probe_multipliers(self.pair_source.draw_a)

@@ -12,9 +12,10 @@ structure of the volatility:
     solved on a sample of mc_reps draws of A.
   * theta_sigma_sre: the volatility extremal index
         theta_sigma = alpha Int_1^inf P(sup_{t>=1} prod_{j<=t} A_j <= 1/y)
-                      y^{-alpha-1} dy,
-    evaluated as an expectation under a Pareto(alpha) change of variables,
-    with an independent quadrature route kept as a cross-check.
+                      y^{-alpha-1} dy = E(1 - e^{alpha M})_+,
+    M = sup_{t>=1} sum_{j<=t} log A_j, the mean over samples of M drawn
+    from Lindley chains, with an independent quadrature route kept as a
+    cross-check.
   * theta_x_sre: the m-truncated extremal index of |X| for SRE volatility,
         E(|Z_1|^{alpha p} - max_{j=2..m} (|Z_j|^p prod_{i=2..j} A_i)^alpha)_+
         / E|Z|^{alpha p},
@@ -28,9 +29,10 @@ pair gives and which models.probe_multipliers checks as it checks an
 SreSvConfig. Conventions: alpha always denotes the index of sigma^p (the
 Kesten root), so sigma and X are regularly varying with index alpha * p.
 The theta routines run their Monte Carlo through _mc_sums: fixed chunks
-(2^15 replicates for the SRE routines, 2^16 values for theta_x_ma), one
-substream per chunk and sums in chunk order, so no result depends on the
-thread count; rng.chunked_map runs them on the caller and helpers.
+(2^15 samples or replicates for the SRE routines, 2^16 values for
+theta_x_ma), one substream per chunk and sums in chunk order, so no
+result depends on the thread count; rng.chunked_map runs them on the
+caller and helpers.
 
 On its exact route kesten_index holds _GH_NODES values of A and the
 rule, built once per process. On its sample route it keeps one
@@ -49,11 +51,19 @@ whole-sample passes per call, the stop step and the standard error,
 against 9-16 when every step summed them all. Both routes share one
 bisection (_bisect_kappa), which stops once |E A^kappa - 1| < tol.
 
-The SRE walks stop each replicate at the step where its contribution is
-settled and draw only for the live ones. Both theta_sigma routes share
-_sup_log_products, which stops a walk once its sup passes the caller's
-cap or its log product falls L / alpha below its sup, with
-L = log(1000 mc_reps) for the routine's whole mc_reps: when
+theta_sigma_sre draws one sample of M per step of a Lindley chain
+W_n = (W_{n-1} + log A_n)_+: once the chain is stationary,
+V_n = W_{n-1} + log A_n has the law of M. Each chunk runs one chain from
+W_0 = 0, trunc_T burn-in steps and then its samples, in blocks of up to
+_CHAIN_BLOCK = 2^14 steps: one cumsum and one running min per block,
+its sums restarted from the W carried into it, so rounding does not grow
+with the chain. Its stderr comes from the chain's regeneration cycles at
+W = 0, and its risk_fraction is a coupling bound on the chance that a
+chain still depends on its start.
+
+The quadrature route samples the sup with _sup_log_products, one walk
+per replicate, which stops a walk once its sup passes 0 or its log
+product falls L / alpha below its sup, with L = log(1000 mc_reps): when
 E A^alpha = 1, Lundberg's inequality bounds the chance of a later climb
 above that sup by e^-L = 1 / (1000 mc_reps), whatever alpha is, so a
 call expects at most 1/1000 wrong stops. It advances the live walks in
@@ -62,6 +72,7 @@ numpy call. A block is summed in a step-major copy: a short one (at most
 _STEPWISE = 64 steps, as with 512 or more live walks) advances every
 walk one step per vector add and max, a long one accumulates along its
 steps, and either way every partial sum is added left to right.
+
 theta_x_sre drops a replicate once its running max reaches
 |Z_1|^{alpha p}. A count of 0 (no success, no live replicate) would make
 theta read 0 and raises a ValueError instead.
@@ -97,7 +108,10 @@ _LUNDBERG_CALLS = 1000
 _BLOCK = 2 ** 15  # most values one block step of _sup_log_products draws
 # longest block that _sup_log_products advances one step at a time
 _STEPWISE = 64
-_CHUNK = 2 ** 15  # replicates per chunk of theta_sigma_sre and theta_x_sre
+_CHUNK = 2 ** 15  # samples per chunk of theta_sigma_sre and theta_x_sre
+_CHAIN_BLOCK = 2 ** 14  # most steps of theta_sigma_sre's chain per draw
+# e^x is 0.0 below this, so theta_sigma_sre floors alpha log A here
+_EXP_FLOOR = -746.0
 _MA_CHUNK = 2 ** 16  # values (replicates x len(psi)) per theta_x_ma chunk
 _LEAF = 2 ** 16  # most values kesten_index draws or reduces at once
 _SLACK = 1e-12  # relative rounding slack of kesten_index's bounds on a sum
@@ -410,7 +424,8 @@ def _check_type(name: str, value, cls) -> None:
 
 
 def _check_alpha(problem: KestenProblem, alpha: float) -> None:
-    """alpha must solve E A^alpha = 1 on the calibration sample.
+    """alpha must solve E A^alpha = 1 on the calibration sample: its mean
+    of A^alpha within 5 standard errors of 1.
 
     Skipped for the degenerate A == 0 law, where no such alpha exists but
     the theta formulas still make sense (every product vanishes).
@@ -423,25 +438,26 @@ def _check_alpha(problem: KestenProblem, alpha: float) -> None:
     m = float(np.mean(pw))
     se = float(np.std(pw, ddof=1) / math.sqrt(pw.size))
     if abs(m - 1.0) > 5.0 * max(se, 1e-12):
-        raise ValueError("alpha inconsistent with multiplier law")
+        raise ValueError(f"alpha inconsistent with multiplier law: at alpha "
+                         f"= {alpha!r} the {pw.size} calibration draws give "
+                         f"E A^alpha = {m:.6g} with standard error "
+                         f"{se:.3g}, not within 5 standard errors of 1")
 
 
 def _sup_log_products(problem: KestenProblem, g: np.random.Generator,
-                      cap: np.ndarray, trunc_T: int, alpha: float,
-                      mc_reps: int):
-    """Sup over t >= 1 of log prod_{j<=t} A_j per replicate, one per cap.
+                      size: int, cap: float, trunc_T: int, alpha: float):
+    """Sup over t >= 1 of log prod_{j<=t} A_j for `size` replicates.
 
-    A replicate stops at the first step where its sup passes its cap, its
+    A replicate stops at the first step where its sup passes cap, its
     log product lies L / alpha below its sup (this includes a log product
     of -inf, from a zero multiplier), or its walk reaches trunc_T steps.
-    A stopped sup above the cap is a lower bound, which is all a caller
+    A stopped sup above cap is a lower bound, which is all a caller
     asking "sup <= cap?" needs. When E A^alpha = 1, Lundberg's inequality
     bounds the chance that the walk later climbs back above a sup it has
-    fallen L / alpha below by e^-L. L = log(_LUNDBERG_CALLS * mc_reps),
-    with mc_reps the calling routine's whole replicate count (not one
-    chunk's), so a call expects at most 1 / _LUNDBERG_CALLS wrong stops
-    whatever its size: L / alpha is 18.0 / alpha at 2^16 replicates and
-    15.2 / alpha at 2^12.
+    fallen L / alpha below by e^-L. L = log(_LUNDBERG_CALLS * size), so a
+    call expects at most 1 / _LUNDBERG_CALLS wrong stops whatever its
+    size: L / alpha is 18.0 / alpha at 2^16 replicates and 15.2 / alpha
+    at 2^12.
 
     The walks advance in block steps: with N live replicates, one draw of
     k = clamp(_BLOCK // N, 1, trunc_T - t) log-multipliers per replicate
@@ -460,14 +476,13 @@ def _sup_log_products(problem: KestenProblem, g: np.random.Generator,
     Returns (sup_log, hit_horizon), where hit_horizon flags replicates
     still unresolved at trunc_T.
     """
-    size = cap.size
     sup_out = np.empty(size)
     hit = np.zeros(size, dtype=bool)
     idx = np.arange(size)
     # every walk starts at log product 0 with no sup: one value each,
     # broadcast until the first block gives each replicate its own
     logprod, sup = np.zeros(1), np.full(1, -np.inf)
-    depth = math.log(_LUNDBERG_CALLS * mc_reps) / alpha
+    depth = math.log(_LUNDBERG_CALLS * size) / alpha
     # the step-major walks, their running sups and their Lundberg floors,
     # reused block to block
     bufs = np.empty((3, max(size, _BLOCK)))
@@ -497,27 +512,125 @@ def _sup_log_products(problem: KestenProblem, g: np.random.Generator,
         cols = np.flatnonzero(stop)
         sup_out[idx[cols]] = run[done[:, cols].argmax(axis=0), cols]
         keep = ~stop
-        idx, cap = idx[keep], cap[keep]
+        idx = idx[keep]
         logprod, sup = walk[-1, keep], run[-1, keep]  # copies, not views
     sup_out[idx] = sup
     hit[idx] = True
     return sup_out, hit
 
 
+def _lindley_blocks(problem: KestenProblem, g: np.random.Generator,
+                    trunc_T: int, size: int, floor: float):
+    """V_n = W_{n-1} + log A_n for the `size` steps that follow trunc_T
+    burn-in steps of the Lindley chain W_n = (V_n)_+ from W_0 = 0: one
+    array per block of at most _CHAIN_BLOCK steps, drawn as one call.
+    The burn-in and the sampled steps are each cut into blocks from
+    their own start.
+
+    log A is floored at `floor`. Within a block, with S_n the sum of its
+    first n log A and w the W carried into it, W_n = S_n - min(-w, S_1,
+    ..., S_n), so one cumsum and one running min give the block; a step
+    where V_n <= 0 takes the new min and its W_n is exactly 0. Each block
+    starts its sums afresh, so a value's rounding stays that of at most
+    _CHAIN_BLOCK additions, however long the chain.
+    """
+    w = 0.0
+    for steps, sampled in ((trunc_T, False), (size, True)):
+        for lo in range(0, steps, _CHAIN_BLOCK):
+            s = _log_a_sample(problem, g, min(_CHAIN_BLOCK, steps - lo))
+            np.maximum(s, floor, out=s)
+            np.cumsum(s, out=s)
+            v = np.empty(s.size)
+            # min(-w, S_1, ..., S_{n-1}), the running min before step n
+            np.minimum.accumulate(s[:-1], out=v[1:])
+            np.minimum(v[1:], -w, out=v[1:])
+            v[0] = -w
+            np.subtract(s, v, out=v)
+            w = max(float(v[-1]), 0.0)
+            if sampled:
+                yield v
+
+
+def _lindley_sums(problem: KestenProblem, g: np.random.Generator,
+                  size: int, trunc_T: int, alpha: float) -> tuple:
+    """One chunk of theta_sigma_sre: a Lindley chain from W_0 = 0 run
+    trunc_T steps, then `size` sampled steps. Returns the count of
+    positive terms (1 - e^{alpha V_n})_+, then the regeneration-cycle
+    sums: the cycle count, the sum of N, the sum of N^2, of D^2 and of
+    N D, and last the sum of e^{alpha W_n / 2} over the sampled steps.
+
+    A cycle ends at each sampled step with V_n <= 0 (W_n = 0), and only
+    there can a term be positive, so N is the term of its last step and D
+    its length in steps. The steps before the first end and after the
+    last count as one cycle each, so the D sum to size and the N to the
+    sum of every term.
+    """
+    succ = cycles = ssd = 0
+    sn = ssn = snd = ew = 0.0
+    last, n = -1, 0  # the step of the last cycle end, the steps so far
+    for v in _lindley_blocks(problem, g, trunc_T, size, _EXP_FLOOR / alpha):
+        ends = np.flatnonzero(v <= 0.0)
+        term = v[ends]
+        term *= alpha
+        np.expm1(term, out=term)
+        np.negative(term, out=term)  # exactly 1.0 at a floored zero A
+        ends += n
+        d = np.diff(ends, prepend=last)
+        succ += int(np.count_nonzero(term))
+        cycles += ends.size
+        sn += float(np.add.reduce(term))
+        ssn += float(np.dot(term, term))
+        ssd += int(np.dot(d, d))
+        snd += float(np.dot(term, d))
+        if ends.size:
+            last = int(ends[-1])
+        np.maximum(v, 0.0, out=v)
+        v *= 0.5 * alpha
+        ew += float(np.add.reduce(np.exp(v, out=v)))
+        n += v.size
+    if last < size - 1:  # the steps after the last end: N = 0
+        cycles += 1
+        ssd += (size - 1 - last) ** 2
+    return succ, cycles, sn, ssn, ssd, snd, ew
+
+
 def theta_sigma_sre(problem: KestenProblem, alpha: float,
                     mc_reps: int = 200_000, trunc_T: int = 10_000,
                     seed: RngSeed = RngSeed(0),
                     threads: int = 1) -> ThetaTheoryResult:
-    """Extremal index of the SRE volatility sequence.
+    """Extremal index of the SRE volatility sequence,
+    theta_sigma = E(1 - e^{alpha M})_+ with M = sup_{t>=1} sum_{j<=t} log A_j,
+    the integral above after the change of variables y -> Pareto(alpha).
 
-    Uses theta_sigma = P(sup_{t>=1} prod_{j<=t} A_j <= 1/Y) with
-    Y ~ Pareto(alpha), which is the integral above after the change of
-    variables. Each replicate's walk stops once its sup passes
-    b = -log Y (a failure) or its log product falls L / alpha below its
-    sup (a success), with L = log(1000 mc_reps) as in _sup_log_products:
-    the whole call expects at most 1/1000 wrong successes.
-    Reports the binomial standard error and the fraction of replicates
-    still unresolved at trunc_T (truncation risk), counted as successes.
+    The samples of M come from a Lindley chain. W_n = (W_{n-1} + log A_n)_+
+    is a stationary Markov chain when W_0 has the law of sup_{t>=0} of
+    the walk, and then V_n = W_{n-1} + log A_n has the law of M, since
+    log A_n is independent of W_{n-1} (Lindley's recursion read
+    backwards in time). So every step of one chain gives one sample of M.
+    Each _mc_sums chunk runs one chain from W_0 = 0: trunc_T burn-in
+    steps, then its share of the mc_reps sampled steps, and the value is
+    the mean of (1 - e^{alpha V_n})_+ over all of them (_lindley_sums).
+    At the default 2 * 10^5 samples and trunc_T, the burn-in of the 7
+    chunks adds 70,000 draws of A (35%) to the samples' 200,000.
+
+    mc_stderr comes from regeneration cycles: the chain forgets its past
+    at each W_n = 0, so the cycles between such steps are independent,
+    and the value is the ratio of the cycle sums of terms and of lengths,
+    whose delta-method standard error _ratio_stderr gives.
+
+    truncation["risk_fraction"] bounds the chance that a chunk's sampled
+    steps still depend on the chain's start. Couple the chain with a
+    stationary one, W'_0 ~ pi, driven by the same log A. From W_0 = 0 <=
+    W'_0 the two stay ordered, W_n <= W'_n, and they agree from the first
+    n with W'_n = 0 on. Until then W'_0 + S_n > 0, S_n the sum of the
+    first n log A, so by Markov's inequality at exponent alpha / 2
+        P(not coupled by T) <= P(W'_0 + S_T > 0)
+                            <= E e^{alpha W / 2} (E A^{alpha/2})^T.
+    E A^{alpha/2} < 1 when E A^alpha = 1, by convexity, so the bound falls
+    geometrically in T = trunc_T. The first factor is the mean of
+    e^{alpha W_n / 2} over the sampled steps (Lundberg's inequality caps
+    it at 2), the second the mean of A^{alpha/2} over the calibration
+    sample. The bound, capped at 1, warns above 1%.
     """
     check_seed(seed)
     check_int("mc_reps", mc_reps, 2)
@@ -525,24 +638,17 @@ def theta_sigma_sre(problem: KestenProblem, alpha: float,
     positive("alpha", alpha)
     check_int("threads", threads, 1)
     _check_alpha(problem, alpha)
-
-    def one(g: np.random.Generator, size: int):
-        b = g.random(size)
-        np.subtract(1.0, b, out=b)        # U in (0, 1]
-        np.log(b, out=b)
-        b /= alpha                        # -log Y = log(U) / alpha <= 0
-        sup, hit = _sup_log_products(problem, g, b, trunc_T, alpha, mc_reps)
-        return int(np.count_nonzero(sup <= b)), int(np.count_nonzero(hit))
-
-    succ, risk = _mc_sums(one, _CHUNK, mc_reps, seed, threads)
+    succ, cycles, sn, ssn, ssd, snd, ew = _mc_sums(
+        lambda g, size: _lindley_sums(problem, g, size, trunc_T, alpha),
+        _CHUNK, mc_reps, seed, threads)
     _check_count(succ, mc_reps, "the success count")
-    value = succ / mc_reps
-    se = math.sqrt(max(value * (1.0 - value), 0.0) / mc_reps)
-    risk_frac = risk / mc_reps
+    se = _ratio_stderr(cycles, sn, mc_reps, ssn, ssd, snd)
+    decay = float(np.mean(problem._calibration ** (0.5 * alpha))) ** trunc_T
+    risk_frac = min(ew / mc_reps * decay, 1.0) if decay else 0.0
     if risk_frac > 0.01:
         warnings.warn(f"truncation risk {risk_frac:.3f} exceeds 1%; "
                       "increase trunc_T")
-    return ThetaTheoryResult(value, se,
+    return ThetaTheoryResult(sn / mc_reps, se,
                              {"trunc_T": trunc_T, "risk_fraction": risk_frac},
                              mc_reps)
 
@@ -568,8 +674,7 @@ def theta_sigma_sre_quadrature(problem: KestenProblem, alpha: float,
     positive("alpha", alpha)
     _check_alpha(problem, alpha)
     g = seed.generator()
-    sup, hit = _sup_log_products(problem, g, np.zeros(mc_reps), trunc_T,
-                                 alpha, mc_reps)
+    sup, hit = _sup_log_products(problem, g, mc_reps, 0.0, trunc_T, alpha)
     _check_count(int(np.count_nonzero(sup <= 0.0)), mc_reps,
                  "the count of sups <= 0")
     sup_sorted = np.sort(sup)

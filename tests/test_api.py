@@ -264,7 +264,9 @@ CHECKED_ON_ENTRY = {
                    "theta_sigma_sre_quadrature problem",
                    "theta_x_sre problem")),
     ("theta_sigma_sre_quadrature alpha", 3.0,
-     "alpha inconsistent with multiplier law"),
+     "alpha inconsistent with multiplier law: at alpha = 3.0 the 100000 "
+     "calibration draws give E A^alpha = 1.03805 with standard error "
+     "0.00209, not within 5 standard errors of 1"),
     ("theta_x_sre z", 5, "z must be InnovationSpec, got 5"),
     ("theta_x_ma z", 5, "z must be InnovationSpec, got 5"),
     ("simulate", 5, "cfg must be a model config, got 5")])

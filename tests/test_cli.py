@@ -1055,10 +1055,11 @@ def test_theta_theory_bad_alpha_is_no_traceback(runner, workdir, which,
 
 @pytest.mark.parametrize("which", ["theta-sigma", "theta-x-sre"])
 def test_theta_theory_zero_count_is_no_traceback(runner, workdir, which):
-    # at seed 1 (the analysis draws from its child 1000) none of 10
-    # replicates succeeds (theta-sigma) or is still live at m = 50
-    # (theta-x-sre): a 0 says theta is below the resolution
-    r = invoke(runner, "--seed", 1, "theta-theory", "--which", which,
+    # at seed 0 (the analysis draws from its child 1000) every one of 10
+    # sampled sups lies at or above 0 (theta-sigma), and no replicate of
+    # 10 is still live at m = 50 (theta-x-sre): a 0 says theta is below
+    # the resolution
+    r = invoke(runner, "--seed", 0, "theta-theory", "--which", which,
                "--model", "garch.json", "--alpha", 2, "--mc-reps", 10)
     assert r.exit_code != 0
     assert isinstance(r.exception, SystemExit)

@@ -303,12 +303,17 @@ def test_breiman_records_a_failed_hill_as_its_error(tmp_path):
 
 
 def test_breiman_target_of_garch_returns_is_eta_moment(tmp_path):
-    # x = sigma eta on GARCH returns, so the target is E(eta_+)^4 = 1.5;
-    # the parent took z's, whose fourth moment diverges, and recorded
-    # "ValueError: moment diverges"
+    # x = sigma eta on GARCH returns, so the target is E(eta_+)^4 = 1.5.
+    # A z other than eta, once taken for the target's law (a t(3) z gave
+    # "ValueError: moment diverges"), is rejected where the model enters
     pair = Garch11Pair(alpha0=1e-7, alpha1=0.1, beta1=0.89, eta=std_normal())
-    model = SreSvConfig(p=2.0, pair_source=pair,
-                        z=student_t(3.0, standardized=False),
+    with pytest.raises(ValueError, match=re.escape(
+            "garch_returns multiplies sigma by the pair's eta std_normal(), "
+            "so z must equal it, got z student_t(df=3.0, "
+            "standardized=False)")):
+        SreSvConfig(p=2.0, pair_source=pair,
+                    z=student_t(3.0, standardized=False), garch_returns=True)
+    model = SreSvConfig(p=2.0, pair_source=pair, z=std_normal(),
                         garch_returns=True)
     cfg = ExperimentConfig(model=model, n=20_000, seed=RngSeed(1),
                            analyses=({"analysis": "breiman", "alpha": 4.0},))

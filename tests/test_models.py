@@ -461,8 +461,10 @@ def test_garch_draw_a_bit_equal_to_expression():
 def test_garch_sre_path_is_the_scan_of_draw_a(eta, garch_returns):
     # draw_a is the one law of A: the simulated sigma is the scan of its
     # draws on stream 0, and the GARCH-returns noise is that stream's eta_t
+    # (GARCH returns take z = eta)
     pair = Garch11Pair(alpha0=1e-7, alpha1=0.1, beta1=0.89, eta=eta)
-    cfg = SreSvConfig(p=2.0, pair_source=pair, z=std_normal(),
+    cfg = SreSvConfig(p=2.0, pair_source=pair,
+                      z=eta if garch_returns else std_normal(),
                       garch_returns=garch_returns)
     n, burn_in = 5000, 500
     path = simulate(cfg, n, burn_in, SEED)
@@ -508,6 +510,21 @@ def test_garch_pair_requires_p_two():
         SreSvConfig(p=1.0,
                     pair_source=GenericPair(constant(0.5), constant(1.0)),
                     z=std_normal(), garch_returns=True)
+
+
+@pytest.mark.parametrize("eta, z", [(std_normal(), laplace(2.0)),
+                                    (student_t(5.0), std_normal())],
+                         ids=["laplace-z", "t5-eta"])
+def test_garch_returns_take_z_equal_to_eta(eta, z):
+    # the returns are sigma eta: a second noise law z has no place in them
+    pair = Garch11Pair(alpha0=1e-7, alpha1=0.1, beta1=0.89, eta=eta)
+    with pytest.raises(ValueError, match=f"^garch_returns multiplies sigma "
+                       f"by the pair's eta {re.escape(str(eta))}, so z must "
+                       f"equal it, got z {re.escape(str(z))}$"):
+        SreSvConfig(p=2.0, pair_source=pair, z=z, garch_returns=True)
+    assert SreSvConfig(p=2.0, pair_source=pair, z=eta,
+                       garch_returns=True).z == eta
+    assert SreSvConfig(p=2.0, pair_source=pair, z=z).z == z
 
 
 def test_degenerate_b_warns():

@@ -439,8 +439,9 @@ def test_routine_rejects_a_bad_argument_by_name(call, name, bad, message):
 
 def test_theta_sigma_zero_multiplier_is_one():
     # A == 0 kills every product immediately, so no extremal clustering
+    # (a zero A floors alpha log A where e^x is 0.0: every term is 1.0)
     r = theta_sigma_sre(zero_problem(), alpha=1.0, mc_reps=5000)
-    assert r.value == 1.0
+    assert (r.value, r.mc_stderr) == (1.0, 0.0)
     assert r.truncation["risk_fraction"] == 0.0
 
 
@@ -492,12 +493,18 @@ def test_theta_sigma_rejects_wrong_alpha():
 
 
 def test_theta_sigma_truncation_warning():
-    # products of the GARCH multipliers decay at rate |E log A| ~ 0.015 per
-    # step, so a horizon of 50 leaves most replicates unresolved
-    with pytest.warns(UserWarning, match="truncation risk"):
-        r = theta_sigma_sre(garch_problem(), alpha=2.0, mc_reps=2000,
-                            trunc_T=50)
-    assert r.truncation["risk_fraction"] > 0.01
+    # the coupling bound E e^{alpha W / 2} (E A^{alpha/2})^trunc_T, with
+    # E A = 0.99 on the GARCH multipliers, is near 1 after 3 or 50 burn-in
+    # steps and 1e-43 after the default 10^4
+    for trunc_T in (3, 50):
+        with pytest.warns(UserWarning, match="truncation risk"):
+            r = theta_sigma_sre(garch_problem(), alpha=2.0, mc_reps=2000,
+                                trunc_T=trunc_T)
+        assert 0.5 < r.truncation["risk_fraction"] <= 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = theta_sigma_sre(garch_problem(), alpha=2.0, mc_reps=2000)
+    assert 0.0 < r.truncation["risk_fraction"] < 1e-40
     with pytest.raises(ValueError, match="trunc_T"):
         theta_sigma_sre(garch_problem(), alpha=2.0, mc_reps=100, trunc_T=0)
     with pytest.raises(ValueError, match="trunc_T"):
@@ -505,17 +512,16 @@ def test_theta_sigma_truncation_warning():
                                    trunc_T=0)
 
 
-def scalar_sup_walks(problem, g, cap, trunc_T, alpha):
+def scalar_sup_walks(problem, g, n, cap, trunc_T, alpha):
     """theory._sup_log_products one replicate and one step at a time.
 
     Draws what the block steps draw: with N walks live after t steps, a
     row of k = clamp(2^15 // N, 1, trunc_T - t) log-multipliers for each,
     row by row. Each walk then adds its row left to right and stops at
-    the first step where its sup passes its cap, its log product lies
+    the first step where its sup passes cap, its log product lies
     log(1000 n) / alpha or more below its sup, or its horizon trunc_T is
     reached.
     """
-    n = cap.size
     depth = math.log(1000 * n) / alpha
     logprod, sup = [0.0] * n, [-math.inf] * n
     sup_out, hit = [0.0] * n, [False] * n
@@ -530,7 +536,7 @@ def scalar_sup_walks(problem, g, cap, trunc_T, alpha):
             for a in la[row * k:(row + 1) * k]:
                 logprod[r] += a
                 sup[r] = max(sup[r], logprod[r])
-                if sup[r] > cap[r] or logprod[r] <= sup[r] - depth:
+                if sup[r] > cap or logprod[r] <= sup[r] - depth:
                     sup_out[r] = sup[r]
                     break
             else:
@@ -551,55 +557,41 @@ def zero_or_two_point_problem(h):
     return KestenProblem(sampler)
 
 
-@pytest.mark.parametrize("case", ["cap", "lundberg", "zero", "horizon",
-                                  "cap-steps", "quadrature-steps",
-                                  "lundberg-steps"])
+@pytest.mark.parametrize("case", ["lundberg", "zero", "horizon",
+                                  "quadrature-steps", "lundberg-steps"])
 def test_sup_log_products_matches_a_scalar_walk(case):
     # 300 or 100 walks take blocks of 109 steps or more, which numpy
     # accumulates; the -steps cases start with 512 walks or more, whose
     # blocks of at most 64 steps advance one step at a time, and end in
     # long blocks once few walks are left (0.3 s of scalar walks in all)
     alpha = exact_laws.two_point_alpha(0.5)
-    g = np.random.default_rng(7)
-    if case == "cap":  # theta_sigma_sre's caps log(U) / alpha
-        prob, n, trunc_T = garch_problem(), 300, 10_000
-        alpha = 2.0
-        cap = np.log(1.0 - g.random(n)) / alpha
-    elif case == "cap-steps":  # a block of 16 steps, then 348 and 992
-        prob, n, trunc_T = garch_problem(), 2048, 10_000
-        alpha = 2.0
-        cap = np.log(1.0 - g.random(n)) / alpha
-    elif case == "quadrature-steps":
+    if case == "quadrature-steps":
         # theta_sigma_sre_quadrature's cap 0: blocks of 16, 46, 56, 59
         # and 60 steps, then four longer ones
-        prob, n, trunc_T = garch_problem(), 2048, 10_000
+        prob, n, trunc_T, cap = garch_problem(), 2048, 10_000, 0.0
         alpha = 2.0
-        cap = np.zeros(n)
     elif case == "lundberg-steps":  # ten blocks of 32-49 steps
-        prob, n, trunc_T = garch_problem(), 1024, 10_000
+        prob, n, trunc_T, cap = garch_problem(), 1024, 10_000, math.inf
         alpha = 2.0
-        cap = np.full(n, np.inf)
-    elif case == "lundberg":  # caps out of reach: only the floor stops
+    elif case == "lundberg":  # cap out of reach: only the floor stops
         # walks of ~1000 steps span blocks, where the order of the sums
         # shows in the last bits
-        prob, n, trunc_T = garch_problem(), 300, 10_000
+        prob, n, trunc_T, cap = garch_problem(), 300, 10_000, math.inf
         alpha = 2.0
-        cap = np.full(n, np.inf)
     elif case == "zero":
         prob, n, trunc_T = zero_or_two_point_problem(0.5), 300, 10_000
-        cap = np.zeros(n)
+        cap = 0.0
     else:  # 100 walks take blocks of 327 steps; 500 ends inside the second
-        prob, n, trunc_T = garch_problem(), 100, 500
+        prob, n, trunc_T, cap = garch_problem(), 100, 500, math.inf
         alpha = 2.0
-        cap = np.full(n, np.inf)
-    sup, hit = theory._sup_log_products(prob, np.random.default_rng(3), cap,
-                                        trunc_T, alpha, n)
-    ref_sup, ref_hit = scalar_sup_walks(prob, np.random.default_rng(3), cap,
-                                        trunc_T, alpha)
+    sup, hit = theory._sup_log_products(prob, np.random.default_rng(3), n,
+                                        cap, trunc_T, alpha)
+    ref_sup, ref_hit = scalar_sup_walks(prob, np.random.default_rng(3), n,
+                                        cap, trunc_T, alpha)
     assert np.array_equal(sup.view(np.int64), ref_sup.view(np.int64))
     assert np.array_equal(hit, ref_hit)
     stopped = ~hit
-    if case in ("cap", "cap-steps", "quadrature-steps"):
+    if case == "quadrature-steps":
         assert np.any(sup > cap) and np.any(stopped & (sup <= cap))
     elif case in ("lundberg", "lundberg-steps"):
         assert stopped.all() and np.all(np.isfinite(sup))
@@ -609,17 +601,109 @@ def test_sup_log_products_matches_a_scalar_walk(case):
         assert 0 < np.count_nonzero(hit) < n
 
 
+def scalar_lindley_sums(problem, g, size, trunc_T, alpha):
+    """theory._lindley_sums as one chain stepped in Python.
+
+    Draws what the chunked chain draws, trunc_T values and then size, each
+    in slices of theory._CHAIN_BLOCK, and steps W_n = max(W_{n-1} + log A_n,
+    0) from W_0 = 0 one value at a time, log(0) = -inf included. After
+    trunc_T steps each step adds e^{alpha W_n / 2}, and a step with
+    V_n = W_{n-1} + log A_n <= 0 closes a regeneration cycle: its term
+    1 - e^{alpha V_n} and the cycle's length in steps.
+    """
+    block = theory._CHAIN_BLOCK
+    la = []
+    for steps in (trunc_T, size):
+        for lo in range(0, steps, block):
+            a = problem.draw_a(g, min(block, steps - lo))
+            with np.errstate(divide="ignore"):
+                la += np.log(a).tolist()
+    w, last = 0.0, -1
+    succ = cycles = ssd = 0
+    sn = ssn = snd = ew = 0.0
+    for n, x in enumerate(la):
+        v = w + x
+        w = max(v, 0.0)
+        k = n - trunc_T
+        if k < 0:
+            continue
+        ew += math.exp(alpha * w / 2.0)
+        if v <= 0.0:
+            term, d, last = -math.expm1(alpha * v), k - last, k
+            succ += term > 0.0
+            cycles += 1
+            sn, ssn = sn + term, ssn + term * term
+            ssd, snd = ssd + d * d, snd + term * d
+    if last < size - 1:
+        cycles += 1
+        ssd += (size - 1 - last) ** 2
+    return succ, cycles, sn, ssn, ssd, snd, ew
+
+
+@pytest.mark.parametrize("size, trunc_T", [(30_000, 10_000), (5000, 3),
+                                           (20_000, 16_385)],
+                         ids=["default-burn-in", "short-burn-in",
+                              "burn-in-past-a-block"])
+@pytest.mark.parametrize("law", ["fig2", "zero-or-two-point"])
+def test_lindley_chain_matches_a_scalar_chain(law, size, trunc_T):
+    # the blocks restart their sums from the carried W, so the chain's
+    # floats differ from one summed step by step only in the last bits:
+    # relative 2e-13 or less on these chains. Every count is exact: a
+    # zero A takes log A = -inf here and the floor in the blocks, and
+    # either way gives W_n = 0 and a term of exactly 1.
+    if law == "fig2":
+        prob, alpha = garch_problem(), 2.0
+    else:
+        prob, alpha = zero_or_two_point_problem(0.5), \
+            exact_laws.two_point_alpha(0.5)
+    got = theory._lindley_sums(prob, np.random.default_rng(3), size,
+                               trunc_T, alpha)
+    want = scalar_lindley_sums(prob, np.random.default_rng(3), size,
+                               trunc_T, alpha)
+    succ, cycles, sn, ssn, ssd, snd, ew = got
+    assert (succ, cycles, ssd) == (want[0], want[1], want[4])
+    assert 0 < succ < cycles
+    np.testing.assert_allclose([sn, ssn, snd, ew],
+                               [want[2], want[3], want[5], want[6]],
+                               rtol=1e-11, atol=0.0)
+
+
+# stderr calibration: with S seeds the sd of the values has a relative
+# standard error of 1/sqrt(2 (S - 1)), 0.113 at S = 40, so the sd must
+# lie within 2.5 of those, a factor 1 -/+ 0.283, of the median stderr.
+# The chain's regeneration stderr read 0.86-1.15 of the sd on both laws
+# at 2^14-2^16 samples and two seed ranges.
+CALIBRATION_SEEDS = range(300, 340)
+CALIBRATION_BAND = 2.5 / math.sqrt(2 * (len(CALIBRATION_SEEDS) - 1))
+
+
+@pytest.mark.parametrize("law", ["fig2", "two-point"])
+def test_theta_sigma_stderr_matches_spread_across_seeds(law):
+    if law == "fig2":
+        prob, alpha = garch_problem(), 2.0
+    else:
+        prob, alpha = two_point_problem(0.5), exact_laws.two_point_alpha(0.5)
+    runs = [theta_sigma_sre(prob, alpha, mc_reps=2 ** 15, seed=RngSeed(s))
+            for s in CALIBRATION_SEEDS]
+    sd = float(np.std([r.value for r in runs], ddof=1))
+    ratio = sd / float(np.median([r.mc_stderr for r in runs]))
+    assert abs(ratio - 1.0) <= CALIBRATION_BAND, ratio
+
+
 def test_theta_sigma_thread_invariant():
-    # four chunks of 2^15 replicates or fewer
+    # four chunks, the last one short: each runs its own chain
     args = dict(alpha=2.0, mc_reps=3 * 2 ** 15 + 1000, seed=RngSeed(6))
-    runs = [theta_sigma_sre(garch_problem(), threads=t, **args).to_json()
-            for t in (1, 2, 3, 5)]
-    assert all(r == runs[0] for r in runs[1:])
+    runs = [theta_sigma_sre(garch_problem(), threads=t, **args)
+            for t in (1, 2, 3)]
+    keys = [(r.value.hex(), r.mc_stderr.hex(),
+             r.truncation["risk_fraction"].hex()) for r in runs]
+    assert keys[1:] == keys[:1] * 2
 
 
 def test_zero_count_names_mc_reps():
-    # no replicate of 10 succeeds: theta would read 0, which only says it
-    # lies below what 10 replicates resolve
+    # no sample of 10 succeeds (every sampled sup is at or above 0), and
+    # no replicate of 10: theta would read 0, which only says it lies
+    # below what 10 samples resolve
     with pytest.raises(ValueError, match=r"success count is 0 of mc_reps=10"):
         theta_sigma_sre(garch_problem(), alpha=2.0, mc_reps=10,
                         seed=RngSeed(0))
